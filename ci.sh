@@ -36,6 +36,13 @@ ORDERLIGHT_CORE=cycle cargo test --workspace -q
 echo "==> cargo test (workspace, tier 1, ORDERLIGHT_CORE=event)"
 ORDERLIGHT_CORE=event cargo test --workspace -q
 
+# The benchmark package's own tests (perfbench/, a separate package):
+# one untimed pass over every workload's scenarios must reproduce the
+# committed per-workload result digests, so any change to simulated
+# behaviour fails here rather than only under a benchmark run.
+echo "==> cargo test (perfbench: committed result digests)"
+cargo test --offline --manifest-path perfbench/Cargo.toml -q
+
 if [[ "${ORDERLIGHT_TIER2:-0}" != "0" ]]; then
     echo "==> cargo test (tier 2: ignored full-figure sweeps)"
     cargo test --workspace -q -- --ignored

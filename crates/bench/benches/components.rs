@@ -114,9 +114,10 @@ fn bench_controller_tick(c: &mut Criterion) {
                     meta: ReqMeta { warp: GlobalWarpId(0), seq: i },
                 });
             }
-            let mut now = 0;
+            let (mut now, mut resps) = (0, Vec::new());
             while !mc.is_idle() {
-                mc.tick(now);
+                mc.tick(now, &mut resps);
+                resps.clear();
                 now += 1;
             }
             black_box(now)

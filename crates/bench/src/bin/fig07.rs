@@ -56,8 +56,10 @@ fn marker(number: u32) -> MemReq {
 }
 
 fn drain(mc: &mut MemoryController, now: &mut u64) {
+    let mut resps = Vec::new();
     while !mc.is_idle() {
-        mc.tick(*now);
+        mc.tick(*now, &mut resps);
+        resps.clear();
         *now += 1;
     }
 }

@@ -183,9 +183,9 @@ enum Side {
 /// mc.push(pim(PimOp::Compute(AluOp::AddImm(2)), 1));
 /// mc.push(packet(2));
 /// mc.push(pim(PimOp::Store, 2));
-/// let mut now = 0;
+/// let (mut now, mut resps) = (0, Vec::new());
 /// while !mc.is_idle() {
-///     mc.tick(now);
+///     mc.tick(now, &mut resps);
 ///     now += 1;
 /// }
 /// assert_eq!(mc.channel().store().read(loc.bank, loc.row, loc.col), Stripe::splat(42));
@@ -289,15 +289,17 @@ impl MemoryController {
         self.channel_id = channel;
     }
 
+    /// Appends an issue record when tracing is on; `what` is only
+    /// formatted then, so an untraced run builds no strings.
     fn record(
         &mut self,
         cycle: MemCycle,
-        what: String,
+        what: impl FnOnce() -> String,
         warp: Option<orderlight::types::GlobalWarpId>,
         seq: Option<u64>,
     ) {
         if self.cfg.trace {
-            self.trace.push(IssueRecord { cycle, what, warp, seq });
+            self.trace.push(IssueRecord { cycle, what: what(), warp, seq });
         }
     }
 
@@ -622,14 +624,16 @@ impl MemoryController {
     fn complete(&mut self, txn: Transaction, now: MemCycle) {
         let bank = txn.loc.bank;
         let col = txn.loc.col;
-        if self.cfg.trace {
-            let what = match &txn.kind {
+        self.record(
+            now,
+            || match &txn.kind {
                 TxnKind::Pim(instr) => format!("{}", instr),
                 TxnKind::HostRead { .. } => format!("HOST_RD b{}", bank.0),
                 TxnKind::HostWrite { .. } => format!("HOST_WR b{}", bank.0),
-            };
-            self.record(now, what, Some(txn.meta.warp), Some(txn.meta.seq));
-        }
+            },
+            Some(txn.meta.warp),
+            Some(txn.meta.seq),
+        );
         match txn.kind {
             TxnKind::Pim(instr) => {
                 self.stats.pim_commands += 1;
@@ -779,7 +783,7 @@ impl MemoryController {
             let row = self.bank_q[bank.index()].front().expect("head exists").loc.row;
             let issued = self.channel.try_issue(DramCommand::Activate { bank, row }, now);
             debug_assert!(issued);
-            self.record(now, format!("ACT b{} r{row}", bank.0), None, None);
+            self.record(now, || format!("ACT b{} r{row}", bank.0), None, None);
             self.stats.activates += 1;
             self.stats.last_issue_cycle = now;
             return;
@@ -787,7 +791,7 @@ impl MemoryController {
         if let Some(bank) = self.pick_bank(NeededCommand::Precharge, now) {
             let issued = self.channel.try_issue(DramCommand::Precharge { bank }, now);
             debug_assert!(issued);
-            self.record(now, format!("PRE b{}", bank.0), None, None);
+            self.record(now, || format!("PRE b{}", bank.0), None, None);
             self.stats.precharges += 1;
             self.stats.last_issue_cycle = now;
             return;
@@ -801,7 +805,7 @@ impl MemoryController {
                     continue;
                 }
                 if self.channel.try_issue(DramCommand::Precharge { bank }, now) {
-                    self.record(now, format!("PRE b{} (closed-page)", bank.0), None, None);
+                    self.record(now, || format!("PRE b{} (closed-page)", bank.0), None, None);
                     self.stats.precharges += 1;
                     self.stats.last_issue_cycle = now;
                     return;
@@ -810,9 +814,11 @@ impl MemoryController {
         }
     }
 
-    /// Advances the controller by one memory cycle; returns responses
-    /// (load data, fence acks) to send back up the pipe.
-    pub fn tick(&mut self, now: MemCycle) -> Vec<MemResp> {
+    /// Advances the controller by one memory cycle, appending the
+    /// responses (load data, fence acks) to send back up the pipe to
+    /// `out`. Callers reuse one buffer across ticks, so a tick that
+    /// retires a command allocates nothing.
+    pub fn tick(&mut self, now: MemCycle, out: &mut Vec<MemResp>) {
         self.arrival_cycle = now;
         self.channel.maintain(now);
         self.read_q.record_tick();
@@ -830,7 +836,7 @@ impl MemoryController {
         self.consume_markers();
         self.dequeue_phase();
         self.issue_phase(now);
-        std::mem::take(&mut self.out)
+        out.append(&mut self.out);
     }
 
     /// Advances the controller across `ticks` quiescent memory cycles
@@ -1024,7 +1030,7 @@ mod tests {
         let mut out = Vec::new();
         let mut now = 0;
         while !mc.is_idle() {
-            out.extend(mc.tick(now));
+            mc.tick(now, &mut out);
             now += 1;
             assert!(now < 1_000_000, "controller did not drain");
         }
@@ -1099,7 +1105,8 @@ mod tests {
     fn fence_probe_with_empty_controller_acks_immediately() {
         let mut m = mc();
         m.push(fence_probe(1));
-        let out = m.tick(0);
+        let mut out = Vec::new();
+        m.tick(0, &mut out);
         assert!(matches!(out[0], MemResp::FenceAck { fence_id: 1, .. }));
     }
 
@@ -1160,11 +1167,11 @@ mod tests {
         m.push(pim_req(PimOp::Load, 96, 3, 4));
         // Run a bounded number of cycles and inspect issue order through
         // stats: all 4 reads should complete before the write.
-        let mut now = 0;
+        let (mut now, mut resps) = (0, Vec::new());
         let mut read_done_at = None;
         let mut write_done_at = None;
         while !m.is_idle() {
-            m.tick(now);
+            m.tick(now, &mut resps);
             let s = m.stats();
             if s.col_reads == 4 && read_done_at.is_none() {
                 read_done_at = Some(now);
@@ -1194,11 +1201,11 @@ mod tests {
         m.push(ol_marker(2));
         m.push(pim_req(PimOp::Load, 64, 2, 3));
         m.push(pim_req(PimOp::Load, 96, 3, 4));
-        let mut now = 0;
+        let (mut now, mut resps) = (0, Vec::new());
         let mut third_read_at = None;
         let mut write_at = None;
         while !m.is_idle() {
-            m.tick(now);
+            m.tick(now, &mut resps);
             let s = m.stats();
             if s.col_reads >= 3 && third_read_at.is_none() {
                 third_read_at = Some(now);

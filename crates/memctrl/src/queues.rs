@@ -8,23 +8,31 @@
 
 use orderlight::mapping::Location;
 use orderlight::message::{Marker, MarkerCopy, ReqMeta};
+use orderlight::packet::OrderLightPacket;
 use orderlight::slab::SlabRef;
 use orderlight::types::MemGroupId;
 use std::collections::VecDeque;
 
-/// Whether a marker constrains requests of memory group `group`.
+/// The memory groups whose requests a marker constrains.
 ///
 /// OrderLight packets and Louvre release markers constrain exactly the
 /// groups they name; fence probes constrain nothing at the scheduler
 /// (the baseline fence does *not* stop the controller from reordering —
 /// that insufficiency is one of the paper's motivations; probes only
 /// generate acknowledgements).
+pub(crate) fn constrained_groups(copy: &MarkerCopy) -> impl Iterator<Item = MemGroupId> + '_ {
+    let packet = match &copy.marker {
+        Marker::OrderLight(p) | Marker::Release(p) => Some(p),
+        Marker::FenceProbe { .. } => None,
+    };
+    packet.into_iter().flat_map(OrderLightPacket::groups)
+}
+
+/// Whether a marker constrains requests of memory group `group`: one
+/// of the groups an OrderLight packet or Louvre release marker names.
 #[must_use]
 pub fn marker_constrains(copy: &MarkerCopy, group: MemGroupId) -> bool {
-    match &copy.marker {
-        Marker::OrderLight(p) | Marker::Release(p) => p.groups().any(|g| g == group),
-        Marker::FenceProbe { .. } => false,
-    }
+    constrained_groups(copy).any(|g| g == group)
 }
 
 /// A queued request with its decoded location (`None` for execute-only
@@ -212,20 +220,24 @@ impl TransQueue {
         elide: Option<MemGroupId>,
         scan_depth: usize,
     ) -> impl Iterator<Item = (usize, &'q PendingReq)> + 'q {
-        let mut blocking: Vec<&MarkerCopy> = Vec::new();
+        // Groups constrained by a marker seen so far in the scan: one bit
+        // per possible `MemGroupId`, so the scan never allocates.
+        let mut blocking = [0u64; 4];
+        let bit = |g: MemGroupId| (usize::from(g.0) / 64, 1u64 << (g.0 % 64));
         self.entries
             .iter()
             .enumerate()
             .filter_map(move |(i, e)| match e {
                 QueueEntry::Marker { copy, .. } => {
-                    blocking.push(copy);
+                    for g in constrained_groups(copy) {
+                        let (w, b) = bit(g);
+                        blocking[w] |= b;
+                    }
                     None
                 }
                 QueueEntry::Request(p) => {
-                    if group_blocked(p.group)
-                        || (elide != Some(p.group)
-                            && blocking.iter().any(|m| marker_constrains(m, p.group)))
-                    {
+                    let (w, b) = bit(p.group);
+                    if group_blocked(p.group) || (elide != Some(p.group) && blocking[w] & b != 0) {
                         None
                     } else {
                         Some((i, p))

@@ -51,9 +51,10 @@ fn ol(pkt: OrderLightPacket) -> MemReq {
 }
 
 fn drain(mc: &mut MemoryController) {
-    let mut now = 0;
+    let (mut now, mut resps) = (0, Vec::new());
     while !mc.is_idle() {
-        mc.tick(now);
+        mc.tick(now, &mut resps);
+        resps.clear();
         now += 1;
         assert!(now < 200_000, "controller wedged");
     }

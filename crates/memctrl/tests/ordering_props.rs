@@ -116,7 +116,7 @@ fn orderlight_forces_sequential_semantics() {
         }
 
         // Feed and drain.
-        let mut now = 0u64;
+        let (mut now, mut resps) = (0u64, Vec::new());
         let mut iter = reqs.into_iter().peekable();
         while iter.peek().is_some() || !mc.is_idle() {
             while let Some(req) = iter.peek() {
@@ -125,7 +125,8 @@ fn orderlight_forces_sequential_semantics() {
                 }
                 mc.push(iter.next().expect("peeked"));
             }
-            mc.tick(now);
+            mc.tick(now, &mut resps);
+            resps.clear();
             now += 1;
             assert!(now < 2_000_000, "case {case}: controller wedged");
         }

@@ -135,18 +135,17 @@ impl L2Slice {
     ) {
         // Marker convergence: when every sub-partition's ready head is a
         // copy of the same marker, merge them and forward one packet.
-        let heads_are_copies = self
-            .subs
-            .iter()
-            .map(|s| match s.peek_ready(now).map(|&r| arena.get(r)) {
-                Some(MemReq::Marker(c)) => Some(c.marker.key()),
-                _ => None,
-            })
-            .collect::<Vec<_>>();
-        if heads_are_copies.iter().all(Option::is_some) {
-            let first = heads_are_copies[0].expect("checked");
+        if self.merge_branch(now, arena) {
+            let head_key = |s: &DelayQueue<SlabRef>| {
+                let head = s.peek_ready(now).map(|&r| arena.get(r));
+                match head {
+                    Some(MemReq::Marker(c)) => c.marker.key(),
+                    _ => unreachable!("merge branch: every head is a ready marker"),
+                }
+            };
+            let first = head_key(&self.subs[0]);
             assert!(
-                heads_are_copies.iter().all(|k| k.as_ref() == Some(&first)),
+                self.subs.iter().all(|s| head_key(s) == first),
                 "FIFO sub-partitions must pair marker copies in order"
             );
             if out.has_space() {

@@ -10,61 +10,80 @@
 //! the ring (one top word whose bit `w` says "leaf word `w` has a set
 //! bit"; 64 leaf words, one bit per slot) so the nearest occupied slot
 //! is a handful of trailing-zero scans away. Entries beyond the window
-//! land in an unsorted `far` overflow list whose cached minimum is
-//! migrated into the ring as soon as the window slides over it (each
-//! entry migrates at most `distance / 4096` times — amortized O(1) for
-//! horizons bounded by a cycle budget).
+//! land in a `far` overflow list whose minimum is migrated into the
+//! ring as soon as the window slides over it (each entry migrates at
+//! most `distance / 4096` times — amortized O(1) for horizons bounded
+//! by a cycle budget).
 //!
-//! Rescheduling is *earliest-wins with lazy invalidation*: the
-//! authoritative wake-up cycle lives in `scheduled[comp]`; ring and
-//! `far` entries are `(cycle, comp)` hints. A hint is live only if
-//! `scheduled[comp] == cycle` at pop time — a component woken to an
-//! earlier cycle simply leaves its old hint behind to be dropped when
-//! its slot is next drained. All window arithmetic uses `wrapping_sub`
-//! distances, so schedules that cross `u64::MAX` order correctly as
-//! long as every live horizon is within 2^63 cycles of the current
-//! base — vastly beyond any cycle budget.
+//! Every list — each ring slot and `far` — is an intrusive doubly
+//! linked list threaded through per-component `next`/`prev` links, with
+//! `slot_of[comp]` naming the list a component sits in. A component is
+//! in at most one list at a time: rescheduling is *earliest-wins*, and
+//! a reschedule unlinks the component before relinking it at its new
+//! cycle, so no list ever holds a stale or duplicate entry. A ring slot
+//! therefore holds exactly the components due at the one cycle of the
+//! window it maps to, and popping it hands them all out. The whole
+//! queue is allocated once in [`Calendar::new`]: a 4097-entry head
+//! array (16 KiB) plus 20 B per component, whatever the run length.
+//!
+//! All window arithmetic uses `wrapping_sub` distances, so schedules
+//! that cross `u64::MAX` order correctly as long as every live horizon
+//! is within 2^63 cycles of the current base — vastly beyond any cycle
+//! budget.
 
 /// Slot count of the bucket ring; one page of cycles per rotation.
 const RING: usize = 4096;
 /// Leaf bitmap words covering the ring (64 slots per word).
 const WORDS: usize = RING / 64;
+/// List index of the `far` overflow list (the ring slots are
+/// `0..RING`).
+const FAR: u32 = RING as u32;
 
 /// Sentinel in `scheduled`: the component has no pending wake-up.
 const NONE: u64 = u64::MAX;
+/// Sentinel link: end of a list, or (in `slot_of`) in no list.
+const NIL: u32 = u32::MAX;
 
 /// A calendar queue of per-component wake-up cycles.
 #[derive(Debug)]
 pub struct Calendar {
-    /// Authoritative wake-up cycle per component (`NONE` = unscheduled).
+    /// Wake-up cycle per component (`NONE` = unscheduled).
     scheduled: Vec<u64>,
-    /// Bucket ring: `(cycle, comp)` hints whose cycle maps to the slot.
-    ring: Vec<Vec<(u64, u32)>>,
-    /// Leaf bitmap: bit `b % 64` of word `b / 64` set ⇒ slot `b` may
-    /// hold hints.
+    /// First component of each list: ring slots `0..RING`, then `far`.
+    head: Vec<u32>,
+    /// Next component in the same list (`NIL` = last).
+    next: Vec<u32>,
+    /// Previous component in the same list (`NIL` = first).
+    prev: Vec<u32>,
+    /// The list holding each component (`NIL` = unscheduled).
+    slot_of: Vec<u32>,
+    /// Leaf bitmap: bit `b % 64` of word `b / 64` set ⇔ ring slot `b`
+    /// is non-empty.
     leaf: [u64; WORDS],
-    /// Top bitmap: bit `w` set ⇒ `leaf[w] != 0`.
+    /// Top bitmap: bit `w` set ⇔ `leaf[w] != 0`.
     top: u64,
     /// Start of the ring window; slots cover `[base, base + RING)`.
     base: u64,
-    /// Overflow hints at distance ≥ RING from `base` at insert time.
-    /// Purged of dead hints on every pop, so it never outgrows the
-    /// component count.
-    far: Vec<(u64, u32)>,
 }
 
 impl Calendar {
     /// A calendar for `components` ids, with its window starting at
     /// `start` (no component may be scheduled before it).
+    ///
+    /// # Panics
+    /// Panics if `components` does not fit below the `u32` sentinel.
     #[must_use]
     pub fn new(components: usize, start: u64) -> Calendar {
+        assert!(components < NIL as usize, "too many components for u32 links");
         Calendar {
             scheduled: vec![NONE; components],
-            ring: vec![Vec::new(); RING],
+            head: vec![NIL; RING + 1],
+            next: vec![NIL; components],
+            prev: vec![NIL; components],
+            slot_of: vec![NIL; components],
             leaf: [0; WORDS],
             top: 0,
             base: start,
-            far: Vec::new(),
         }
     }
 
@@ -90,25 +109,66 @@ impl Calendar {
         if cur != NONE && cur.wrapping_sub(self.base) <= at.wrapping_sub(self.base) {
             return;
         }
+        self.unlink(comp);
         self.scheduled[comp as usize] = at;
-        self.insert_hint(comp, at);
+        self.link(comp, at);
     }
 
-    /// Drops any pending wake-up for `comp` (its stale hints are
-    /// dropped lazily).
+    /// Drops any pending wake-up for `comp`.
     pub fn cancel(&mut self, comp: u32) {
+        self.unlink(comp);
         self.scheduled[comp as usize] = NONE;
     }
 
-    /// Places a hint for `(comp, at)` in the ring or the `far` list.
-    fn insert_hint(&mut self, comp: u32, at: u64) {
-        if at.wrapping_sub(self.base) < RING as u64 {
+    /// Links `comp`, due at `at`, into its ring slot or the `far` list.
+    fn link(&mut self, comp: u32, at: u64) {
+        let list = if at.wrapping_sub(self.base) < RING as u64 {
             let slot = (at & (RING as u64 - 1)) as usize;
-            self.ring[slot].push((at, comp));
             self.leaf[slot / 64] |= 1 << (slot % 64);
             self.top |= 1 << (slot / 64);
+            slot as u32
         } else {
-            self.far.push((at, comp));
+            FAR
+        };
+        let c = comp as usize;
+        let first = self.head[list as usize];
+        self.next[c] = first;
+        self.prev[c] = NIL;
+        if first != NIL {
+            self.prev[first as usize] = comp;
+        }
+        self.head[list as usize] = comp;
+        self.slot_of[c] = list;
+    }
+
+    /// Unlinks `comp` from whichever list holds it (no-op if none),
+    /// clearing a ring slot's bitmap bit when the slot empties.
+    fn unlink(&mut self, comp: u32) {
+        let c = comp as usize;
+        let list = self.slot_of[c];
+        if list == NIL {
+            return;
+        }
+        let (prev, next) = (self.prev[c], self.next[c]);
+        if prev == NIL {
+            self.head[list as usize] = next;
+        } else {
+            self.next[prev as usize] = next;
+        }
+        if next != NIL {
+            self.prev[next as usize] = prev;
+        }
+        self.slot_of[c] = NIL;
+        if list != FAR && self.head[list as usize] == NIL {
+            self.clear_bit(list as usize);
+        }
+    }
+
+    /// Marks ring slot `slot` empty in both bitmap levels.
+    fn clear_bit(&mut self, slot: usize) {
+        self.leaf[slot / 64] &= !(1 << (slot % 64));
+        if self.leaf[slot / 64] == 0 {
+            self.top &= !(1 << (slot / 64));
         }
     }
 
@@ -121,38 +181,32 @@ impl Calendar {
     /// schedules must target that cycle or later.
     pub fn pop_next(&mut self, due: &mut Vec<u32>) -> Option<u64> {
         due.clear();
-        loop {
-            // Pull overflow hints the window has slid onto (or, with an
-            // empty ring, rebase straight onto the far minimum) before
-            // trusting the ring scan.
-            if !self.far.is_empty() {
-                self.sync_far();
-            }
-            let (t, slot) = self.nearest_slot()?;
-            self.base = t;
-            self.leaf[slot / 64] &= !(1 << (slot % 64));
-            if self.leaf[slot / 64] == 0 {
-                self.top &= !(1 << (slot / 64));
-            }
-            for (cycle, comp) in self.ring[slot].drain(..) {
-                // Live iff the hint matches the authoritative schedule;
-                // duplicates die because the first hit clears it. Hints
-                // from previous window rotations (cycle != t) are dead
-                // by construction: the window never slides past a live
-                // schedule.
-                if cycle == t && self.scheduled[comp as usize] == t {
-                    self.scheduled[comp as usize] = NONE;
-                    due.push(comp);
-                }
-            }
-            if !due.is_empty() {
-                return Some(t);
-            }
+        // Pull `far` entries the window has slid onto (or, with an empty
+        // ring, rebase straight onto the far minimum) before trusting
+        // the ring scan.
+        if self.head[FAR as usize] != NIL {
+            self.sync_far();
         }
+        let (t, slot) = self.nearest_slot()?;
+        self.base = t;
+        self.clear_bit(slot);
+        // Every component in the slot is due at `t`: ring entries are
+        // exact, and the window never slides past one, so a slot only
+        // ever holds the one in-window cycle that maps to it.
+        let mut comp = std::mem::replace(&mut self.head[slot], NIL);
+        while comp != NIL {
+            let c = comp as usize;
+            debug_assert_eq!(self.scheduled[c], t, "ring entry off its slot's cycle");
+            self.scheduled[c] = NONE;
+            self.slot_of[c] = NIL;
+            due.push(comp);
+            comp = self.next[c];
+        }
+        Some(t)
     }
 
     /// The nearest occupied ring slot from `base` and the cycle its
-    /// in-window hints correspond to.
+    /// components are due at.
     fn nearest_slot(&self) -> Option<(u64, usize)> {
         if self.top == 0 {
             return None;
@@ -178,23 +232,19 @@ impl Calendar {
         best
     }
 
-    /// Purges dead overflow hints, rebases an empty ring onto the far
-    /// minimum, and migrates every in-window hint into the ring. Live
-    /// hints are never behind `base` (the window never slides past a
-    /// live schedule), so the purged minimum is a safe rebase target.
+    /// Rebases an empty ring onto the `far` minimum and migrates every
+    /// in-window `far` entry into the ring. `far` entries are never
+    /// behind `base` (the window never slides past a schedule), so the
+    /// minimum is a safe rebase target.
     fn sync_far(&mut self) {
         let mut min: Option<u64> = None;
-        let mut i = 0;
-        while i < self.far.len() {
-            let (at, comp) = self.far[i];
-            if self.scheduled[comp as usize] != at {
-                self.far.swap_remove(i);
-                continue;
-            }
+        let mut comp = self.head[FAR as usize];
+        while comp != NIL {
+            let at = self.scheduled[comp as usize];
             if min.is_none_or(|m| at.wrapping_sub(self.base) < m.wrapping_sub(self.base)) {
                 min = Some(at);
             }
-            i += 1;
+            comp = self.next[comp as usize];
         }
         let Some(m) = min else { return };
         if self.top == 0 {
@@ -203,15 +253,15 @@ impl Calendar {
         if m.wrapping_sub(self.base) >= RING as u64 {
             return;
         }
-        let mut i = 0;
-        while i < self.far.len() {
-            let (at, comp) = self.far[i];
+        let mut comp = self.head[FAR as usize];
+        while comp != NIL {
+            let following = self.next[comp as usize];
+            let at = self.scheduled[comp as usize];
             if at.wrapping_sub(self.base) < RING as u64 {
-                self.far.swap_remove(i);
-                self.insert_hint(comp, at);
-            } else {
-                i += 1;
+                self.unlink(comp);
+                self.link(comp, at);
             }
+            comp = following;
         }
     }
 }

@@ -551,17 +551,17 @@ fn handle_connection(stream: TcpStream, shared: &Shared, self_addr: SocketAddr) 
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Raw bytes, not a `String`: a read poll can time out mid-line, even
+    // mid-character, and the bytes read so far must stay for the next
+    // read to complete.
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) => return,
-            Ok(n) => {
-                if let Some(t) = &shared.telemetry {
-                    t.io_bytes_in.add(n as u64);
-                }
-            }
+            Ok(_) => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                // `read_until` keeps what it consumed before the poll
+                // expired in `line`; the next read appends the rest.
                 if shared.shutting_down() {
                     return;
                 }
@@ -569,12 +569,15 @@ fn handle_connection(stream: TcpStream, shared: &Shared, self_addr: SocketAddr) 
             }
             Err(_) => return,
         }
-        if line.trim().is_empty() {
-            continue;
+        if let Some(t) = &shared.telemetry {
+            t.io_bytes_in.add(line.len() as u64);
         }
-        if !handle_request(line.trim(), &mut writer, shared, self_addr) {
+        let Ok(text) = std::str::from_utf8(&line) else { return };
+        let request = text.trim();
+        if !request.is_empty() && !handle_request(request, &mut writer, shared, self_addr) {
             return;
         }
+        line.clear();
     }
 }
 

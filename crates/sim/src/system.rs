@@ -14,7 +14,7 @@ use crate::core_select::{resolve_core, SimCore};
 use crate::stats::RunStats;
 use orderlight::fault::{FaultLayer, FaultPlan};
 use orderlight::types::{ChannelId, CoreCycle, GlobalWarpId, MemCycle, MemGroupId};
-use orderlight::{ConfigError, InstrStream, MemReq, NextEvent};
+use orderlight::{ConfigError, InstrStream, MemReq, MemResp, NextEvent};
 use orderlight_gpu::{Sm, SmStats, Warp};
 use orderlight_hbm::Channel;
 use orderlight_memctrl::{McConfig, McStats, MemoryController};
@@ -72,6 +72,9 @@ pub struct System {
     /// When recording, the core cycles the event core executed densely
     /// (the boundaries of its skipped windows). `None` = off.
     skip_log: Option<Vec<CoreCycle>>,
+    /// Controller responses of the memory tick in flight; empty between
+    /// ticks and reused by both cores, so no tick allocates.
+    resps: Vec<MemResp>,
 }
 
 /// Scratch state of one event-core run: the calendar of per-component
@@ -234,6 +237,7 @@ impl System {
             mem_now: 0,
             clock_acc: 0,
             skip_log: None,
+            resps: Vec::new(),
         })
     }
 
@@ -424,7 +428,8 @@ impl System {
         while self.clock_acc >= self.core_hz {
             self.clock_acc -= self.core_hz;
             for (ch, mc) in self.mcs.iter_mut().enumerate() {
-                for resp in mc.tick(self.mem_now) {
+                mc.tick(self.mem_now, &mut self.resps);
+                for resp in self.resps.drain(..) {
                     self.pipes[ch].push_response(resp, now);
                 }
             }
@@ -680,10 +685,12 @@ impl System {
                     continue;
                 }
                 self.catch_up_mc(ev, ch, m);
-                let resps = self.mcs[ch].tick(m);
+                // Taken out for the loop, whose catch-up borrows `self`.
+                let mut resps = std::mem::take(&mut self.resps);
+                self.mcs[ch].tick(m, &mut resps);
                 ev.mc_synced[ch] = m + 1;
                 ev.touched_mc[ch] = true;
-                for resp in resps {
+                for resp in resps.drain(..) {
                     // The receiving pipe must have accounted cycle `t`
                     // (dense pipes tick in phase 3, before responses
                     // arrive) so its periodic samples exclude the
@@ -692,6 +699,7 @@ impl System {
                     self.pipes[ch].push_response(resp, t);
                     ev.touched_pipe[ch] = true;
                 }
+                self.resps = resps;
             }
             self.mem_now += 1;
         }

@@ -511,17 +511,29 @@ impl WorkloadInstance {
     }
 
     /// Deterministic input data for `channel` (one entry per stripe of
-    /// every input structure).
-    #[must_use]
-    pub fn init_data(&self, channel: ChannelId) -> Vec<(Addr, Stripe)> {
-        let mut v = Vec::new();
-        for structure in self.spec.input_structures() {
-            for stripe in 0..self.stripes_per_channel {
+    /// every input structure), generated lazily.
+    pub fn init_data(&self, channel: ChannelId) -> impl Iterator<Item = (Addr, Stripe)> + '_ {
+        self.spec.input_structures().into_iter().flat_map(move |structure| {
+            (0..self.stripes_per_channel).map(move |stripe| {
                 let addr = self.layout.addr(channel, structure, stripe);
-                v.push((addr, data::init_stripe(addr)));
-            }
+                (addr, data::init_stripe(addr))
+            })
+        })
+    }
+
+    /// A golden interpreter with a TS of `ts_slots` stripes, loaded with
+    /// `channel`'s input data and sized up front for every stripe the
+    /// kernel reads or writes, so interpretation never rehashes.
+    fn golden_interp(&self, channel: ChannelId, ts_slots: usize) -> GoldenInterp {
+        let inputs = self.spec.input_structures();
+        let outputs = self.spec.output_structures();
+        let touched = inputs.len() + outputs.iter().filter(|s| !inputs.contains(s)).count();
+        let per = self.stripes_per_channel as usize;
+        let mut interp = GoldenInterp::with_capacity(ts_slots, touched * per, outputs.len() * per);
+        for (addr, value) in self.init_data(channel) {
+            interp.init(addr, value);
         }
-        v
+        interp
     }
 
     /// Runs the golden interpretation of `channel`'s PIM stream over the
@@ -529,10 +541,7 @@ impl WorkloadInstance {
     /// memory image and the set of written addresses.
     #[must_use]
     pub fn golden_pim(&self, channel: ChannelId) -> GoldenInterp {
-        let mut interp = GoldenInterp::new(self.ts_stripes as usize);
-        for (addr, value) in self.init_data(channel) {
-            interp.init(addr, value);
-        }
+        let mut interp = self.golden_interp(channel, self.ts_stripes as usize);
         let mut stream = self.pim_stream(channel);
         interp.interpret(&mut stream);
         interp
@@ -544,10 +553,7 @@ impl WorkloadInstance {
     /// correct final image.
     #[must_use]
     pub fn golden_host(&self, channel: ChannelId) -> GoldenInterp {
-        let mut interp = GoldenInterp::new(1);
-        for (addr, value) in self.init_data(channel) {
-            interp.init(addr, value);
-        }
+        let mut interp = self.golden_interp(channel, 1);
         for slice in 0..self.host_slices {
             interp.reset_ts();
             let mut stream = self.host_stream_slice(channel, slice);

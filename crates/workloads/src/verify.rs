@@ -44,9 +44,17 @@ impl GoldenInterp {
     /// Creates an interpreter with a TS of `ts_slots` stripes.
     #[must_use]
     pub fn new(ts_slots: usize) -> Self {
+        Self::with_capacity(ts_slots, 0, 0)
+    }
+
+    /// Creates an interpreter with a TS of `ts_slots` stripes whose
+    /// memory image holds `mem` addresses, of which the streams store
+    /// to `written`, without growing.
+    #[must_use]
+    pub fn with_capacity(ts_slots: usize, mem: usize, written: usize) -> Self {
         GoldenInterp {
-            mem: HashMap::new(),
-            written: HashSet::new(),
+            mem: HashMap::with_capacity(mem),
+            written: HashSet::with_capacity(written),
             ts: vec![Stripe::default(); ts_slots.max(1)],
             regs: vec![Stripe::default(); 64],
         }

@@ -78,7 +78,7 @@ fn run_with_host_bank(host_bank: BankId, host_period: u64) -> f64 {
     pending.reverse(); // pop from the back
 
     let host_base = mapping.bank_base_offset(host_bank);
-    let mut now = 0u64;
+    let (mut now, mut resps) = (0u64, Vec::new());
     let mut issued_host = Vec::new();
     let mut latencies = Vec::new();
     let mut host_seq = 0u64;
@@ -107,7 +107,8 @@ fn run_with_host_bank(host_bank: BankId, host_period: u64) -> f64 {
                 issued_host.push(now);
             }
         }
-        for resp in mc.tick(now) {
+        mc.tick(now, &mut resps);
+        for resp in resps.drain(..) {
             if let MemResp::LoadData { warp, .. } = resp {
                 if warp == host_warp {
                     latencies.push(now - issued_host[latencies.len()]);

@@ -55,7 +55,7 @@ fn ordering_survives_both_divergence_points() {
     pipe.push_request(pim(PimOp::Load, row0(2), 2, 4), 0);
     pipe.push_request(pim(PimOp::Load, row0(3), 3, 5), 0);
 
-    let mut now = 0u64;
+    let (mut now, mut resps) = (0u64, Vec::new());
     let mut write_at = None;
     let mut third_read_at = None;
     while !(pipe.is_empty() && mc.is_idle()) {
@@ -67,7 +67,8 @@ fn ordering_survives_both_divergence_points() {
             let req = pipe.pop_mc(now).expect("peeked");
             mc.push(req);
         }
-        mc.tick(now);
+        mc.tick(now, &mut resps);
+        resps.clear();
         let s = mc.stats();
         if s.col_writes == 1 && write_at.is_none() {
             write_at = Some(now);
@@ -113,7 +114,7 @@ fn fence_probe_acks_once_through_the_pipe() {
         }),
         0,
     );
-    let mut now = 0u64;
+    let (mut now, mut resps) = (0u64, Vec::new());
     let mut acks = 0;
     while !(pipe.is_empty() && mc.is_idle()) {
         pipe.tick(now);
@@ -124,7 +125,8 @@ fn fence_probe_acks_once_through_the_pipe() {
             let req = pipe.pop_mc(now).expect("peeked");
             mc.push(req);
         }
-        for resp in mc.tick(now) {
+        mc.tick(now, &mut resps);
+        for resp in resps.drain(..) {
             pipe.push_response(resp, now);
         }
         while let Some(resp) = pipe.pop_response(now) {

@@ -6,8 +6,11 @@
 //! never a panic, a dropped connection without a reply, or a wedged
 //! worker.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::time::Duration;
+
+use orderlight_suite::core::rng::Rng;
 
 use orderlight_suite::sim::schema::{stats_to_value, ScenarioSpec, SCENARIO_SCHEMA_V1};
 use orderlight_suite::sim::service::{
@@ -177,6 +180,78 @@ fn mid_run_disconnect_does_not_lose_the_run_or_wedge_a_worker() {
     assert_eq!(doc.get("stats").expect("stats present").to_json(), expected);
     let again = result_of(&addr, &add_request());
     assert_eq!(again.get("cached").and_then(json::Value::as_bool), Some(true));
+    shutdown(&addr, handle);
+}
+
+/// Reads reply lines off a persistent connection up to the terminal
+/// one, parsed.
+fn terminal_reply(reader: &mut BufReader<TcpStream>) -> json::Value {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        assert!(reader.read_line(&mut line).expect("reply line") > 0, "connection closed");
+        let doc = json::parse(line.trim()).expect("reply parses");
+        let kind = doc.get("reply").and_then(json::Value::as_str).expect("reply kind");
+        if !matches!(kind, "accepted" | "running") {
+            return doc;
+        }
+    }
+}
+
+/// A request line whose bytes straddle the daemon's 100 ms read poll
+/// must be reassembled, not dropped: the line is sent in two parts with
+/// a 250 ms pause between them, split at a seeded byte offset — and
+/// once inside a multi-byte character of the echoed id — and the reply
+/// must be the exact result of a direct run.
+#[test]
+fn request_line_split_across_the_read_poll_is_reassembled() {
+    let (addr, handle) = start_server(1);
+    let expected = direct_stats();
+    let line = format!(
+        "{{\"id\": \"split-\u{e9}\", \"schema\": \"{SCENARIO_SCHEMA_V1}\", \"workload\": \"Add\", \"data_kb\": 8}}\n"
+    );
+    let bytes = line.as_bytes();
+    let mid_char = line.find('\u{e9}').expect("id has a two-byte char") + 1;
+    let mut rng = Rng::new(0x005b_117e);
+    let seeded = 1 + (rng.next_u64() % (bytes.len() as u64 - 2)) as usize;
+    for split in [seeded, mid_char] {
+        let stream = TcpStream::connect(&addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone stream");
+        writer.write_all(&bytes[..split]).expect("send first part");
+        std::thread::sleep(Duration::from_millis(250));
+        writer.write_all(&bytes[split..]).expect("send second part");
+        let doc = terminal_reply(&mut BufReader::new(stream));
+        assert_eq!(
+            doc.get("reply").and_then(json::Value::as_str),
+            Some("result"),
+            "split at byte {split}: {}",
+            doc.to_json()
+        );
+        assert_eq!(doc.get("id").and_then(json::Value::as_str), Some("split-\u{e9}"));
+        assert_eq!(doc.get("stats").expect("stats present").to_json(), expected);
+    }
+    shutdown(&addr, handle);
+}
+
+/// A 500 KB line of `[` used to overflow the parser's stack and kill
+/// the daemon; it must get a typed `parse` error on a connection that
+/// then still serves a normal request.
+#[test]
+fn deeply_nested_line_is_a_parse_error_and_the_daemon_survives() {
+    let (addr, handle) = start_server(1);
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut bomb = "[".repeat(500_000);
+    bomb.push('\n');
+    writer.write_all(bomb.as_bytes()).expect("send nested line");
+    let doc = terminal_reply(&mut reader);
+    assert_eq!(doc.get("reply").and_then(json::Value::as_str), Some("error"));
+    assert_eq!(doc.get("kind").and_then(json::Value::as_str), Some("parse"));
+    writer.write_all(format!("{}\n", add_request()).as_bytes()).expect("send request");
+    let ok = terminal_reply(&mut reader);
+    assert_eq!(ok.get("reply").and_then(json::Value::as_str), Some("result"));
+    assert_eq!(ok.get("stats").expect("stats present").to_json(), direct_stats());
     shutdown(&addr, handle);
 }
 
