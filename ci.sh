@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, build, the tier-1 test suite and
-# the parallel-sweep regression benchmark. Everything resolves offline
-# — the workspace has no external dependencies (the criterion bench
-# crate is excluded; build it separately on a machine with registry
-# access).
+# Local CI gate: formatting, lints, build, every paper report, the
+# tier-1 test suite and the parallel-sweep regression benchmark.
+# Everything resolves offline — the workspace has no external
+# dependencies.
 #
 # Tiers:
 #   ./ci.sh                     tier 1 — fast suite (slow full-figure
 #                               sweeps are #[ignore]d)
 #   ORDERLIGHT_TIER2=1 ./ci.sh  also runs the ignored tier-2 tests
-#                               (full Figure 10/12/13 sweeps and the
+#                               (full Figure 10/12/13 sweeps, every
+#                               sweep-backed report printer and the
 #                               large parallel-equivalence sweeps)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -22,6 +22,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
+
+# Every paper table, figure and ablation printer behind
+# `orderlight figure` must run to completion at a small job size.
+echo "==> orderlight figure all (every paper report, 8 KiB)"
+./target/release/orderlight figure all --data-kb 8 > /dev/null
 
 echo "==> cargo test (workspace, tier 1)"
 cargo test --workspace -q

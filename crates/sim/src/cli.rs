@@ -1,11 +1,7 @@
-//! Shared command-line flags for every OrderLight entry point.
+//! Shared command-line flags for every `orderlight` subcommand.
 //!
-//! The `orderlight` multitool, the figure-regeneration binaries and the
-//! service client all accept the same execution flags. Historically
-//! each binary re-assembled them from [`crate::pool::take_jobs_flag`] /
-//! [`crate::core_select::take_core_flag`] plus hand-rolled `--seed`
-//! loops, which drifted (some subcommands took `--seed`, others
-//! silently ignored it). This module parses the whole common set once:
+//! Every subcommand, the figure reports and the service client among
+//! them, accepts the same execution flags, parsed once here:
 //!
 //! * `--jobs N` / `-j N` — worker count (else `ORDERLIGHT_JOBS`, else
 //!   the host's available parallelism).
@@ -19,7 +15,7 @@
 //!
 //! [`take_common_flags`] is pure (no process exit, no global writes) so
 //! it is unit-testable; [`CommonFlags::install_core`] applies the core
-//! choice process-wide exactly like the old per-binary helpers did.
+//! choice process-wide.
 
 use crate::config::ExecMode;
 use crate::core_select::{resolve_core, set_core_override, SimCore};
@@ -47,8 +43,7 @@ impl Default for CommonFlags {
 
 impl CommonFlags {
     /// Installs the chosen core as the process-global override so every
-    /// [`crate::System`] built afterwards uses it (the behaviour the
-    /// per-binary `core_from_process_args` helper used to provide).
+    /// [`crate::System`] built afterwards uses it.
     pub fn install_core(&self) {
         set_core_override(Some(self.core));
     }
@@ -95,25 +90,6 @@ pub fn take_common_flags(args: &[String]) -> Result<(Vec<String>, CommonFlags), 
 
 fn invalid(flag: &str, value: &str) -> String {
     format!("invalid value '{value}' for {flag}")
-}
-
-/// Common flags for a standalone binary: parses the process arguments,
-/// exiting with status 2 on a malformed flag (a usage error), and
-/// installs the chosen core process-wide. Unknown arguments are
-/// ignored, matching the report binaries' historical behaviour.
-#[must_use]
-pub fn common_from_process_args() -> CommonFlags {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match take_common_flags(&args) {
-        Ok((_, flags)) => {
-            flags.install_core();
-            flags
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -91,49 +91,6 @@ pub fn resolve_core(flag: Option<SimCore>) -> SimCore {
         .unwrap_or_default()
 }
 
-/// Extracts `--core NAME` from a raw argument list, returning the
-/// remaining arguments and the resolved core. Shared by the
-/// figure-regeneration binaries and the `orderlight` CLI.
-///
-/// # Errors
-/// Returns a message when the flag has a missing or invalid value.
-pub fn take_core_flag(args: &[String]) -> Result<(Vec<String>, SimCore), String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut flag = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--core" {
-            let Some(v) = it.next() else {
-                return Err(format!("missing value for {a}"));
-            };
-            flag = Some(SimCore::parse(v)?);
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok((rest, resolve_core(flag)))
-}
-
-/// Core for a standalone sweep binary: parses `--core NAME` from the
-/// process arguments (exiting with status 2 on a malformed flag, like
-/// a usage error), falling back to `ORDERLIGHT_CORE`, then to the
-/// default event core. The chosen core is also installed as the
-/// process override so every `System` the binary constructs uses it.
-#[must_use]
-pub fn core_from_process_args() -> SimCore {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match take_core_flag(&args) {
-        Ok((_, core)) => {
-            set_core_override(Some(core));
-            core
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,16 +112,5 @@ mod tests {
         assert_eq!(resolve_core(Some(SimCore::Event)), SimCore::Event);
         assert_eq!(resolve_core(None), SimCore::Cycle);
         set_core_override(None);
-    }
-
-    #[test]
-    fn take_core_flag_parses_and_strips() {
-        let args: Vec<String> =
-            ["--data-kb", "8", "--core", "cycle", "x"].iter().map(ToString::to_string).collect();
-        let (rest, core) = take_core_flag(&args).unwrap();
-        assert_eq!(core, SimCore::Cycle);
-        assert_eq!(rest, vec!["--data-kb", "8", "x"]);
-        assert!(take_core_flag(&["--core".into()]).is_err(), "missing value");
-        assert!(take_core_flag(&["--core".into(), "dense".into()]).is_err(), "bad value");
     }
 }

@@ -17,9 +17,14 @@ use crate::pool::Pool;
 use crate::scenario::ScenarioBuilder;
 use crate::stats::RunStats;
 use crate::system::SimError;
-use orderlight::types::BankId;
+use orderlight::mapping::{AddressMapping, GroupMap};
+use orderlight::message::{Marker, MarkerCopy, MemReq, ReqMeta};
+use orderlight::packet::OrderLightPacket;
+use orderlight::types::{BankId, ChannelId, GlobalWarpId, MemGroupId, TsSlot};
+use orderlight::{AluOp, PimInstruction, PimOp};
 use orderlight_hbm::{Channel, ColKind, DramCommand, TimingParams};
-use orderlight_pim::TsSize;
+use orderlight_memctrl::{IssueRecord, McConfig, MemoryController};
+use orderlight_pim::{PimUnit, TsSize};
 use orderlight_workloads::{OrderingMode, WorkloadId};
 
 /// One point of a design-space sweep.
@@ -262,21 +267,13 @@ pub fn fence_heavy_points(data_bytes_per_channel: u64) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Figure 5, executed across `jobs` workers.
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn fig05_jobs(data_bytes_per_channel: u64, jobs: usize) -> Result<Vec<SweepPoint>, SimError> {
-    run_points(&fig05_points(data_bytes_per_channel), &Pool::new(jobs))
-}
-
 /// Figure 5: fence overhead for the vector-add kernel — execution time
-/// and waiting cycles per fence (serial execution; see [`fig05_jobs`]).
+/// and waiting cycles per fence — run across `jobs` workers.
 ///
 /// # Errors
 /// Propagates [`SimError`].
-pub fn fig05(data_bytes_per_channel: u64) -> Result<Vec<SweepPoint>, SimError> {
-    fig05_jobs(data_bytes_per_channel, 1)
+pub fn fig05(data_bytes_per_channel: u64, jobs: usize) -> Result<Vec<SweepPoint>, SimError> {
+    run_points(&fig05_points(data_bytes_per_channel), &Pool::new(jobs))
 }
 
 /// Enumerates Figures 10a/10b: every stream kernel at every TS size
@@ -295,21 +292,13 @@ pub fn fig10_points(data_bytes_per_channel: u64) -> Vec<JobSpec> {
     points
 }
 
-/// Figures 10a/10b, executed across `jobs` workers.
+/// Figures 10a/10b: the stream benchmark sweep, run across `jobs`
+/// workers.
 ///
 /// # Errors
 /// Propagates [`SimError`].
-pub fn fig10_jobs(data_bytes_per_channel: u64, jobs: usize) -> Result<Vec<SweepPoint>, SimError> {
+pub fn fig10(data_bytes_per_channel: u64, jobs: usize) -> Result<Vec<SweepPoint>, SimError> {
     run_points(&fig10_points(data_bytes_per_channel), &Pool::new(jobs))
-}
-
-/// Figures 10a/10b: the stream benchmark sweep (serial execution; see
-/// [`fig10_jobs`]).
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn fig10(data_bytes_per_channel: u64) -> Result<Vec<SweepPoint>, SimError> {
-    fig10_jobs(data_bytes_per_channel, 1)
 }
 
 /// Enumerates Figure 12: the application kernels, fence vs OrderLight
@@ -327,22 +316,14 @@ pub fn fig12_points(data_bytes_per_channel: u64) -> Vec<JobSpec> {
     points
 }
 
-/// Figure 12, executed across `jobs` workers.
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn fig12_jobs(data_bytes_per_channel: u64, jobs: usize) -> Result<Vec<SweepPoint>, SimError> {
-    run_points(&fig12_points(data_bytes_per_channel), &Pool::new(jobs))
-}
-
 /// Figure 12: the application-kernel sweep (fence vs OrderLight at every
-/// TS size), whose `primitives_per_pim_instr` reproduces the line plot
-/// (serial execution; see [`fig12_jobs`]).
+/// TS size), whose `primitives_per_pim_instr` reproduces the line plot,
+/// run across `jobs` workers.
 ///
 /// # Errors
 /// Propagates [`SimError`].
-pub fn fig12(data_bytes_per_channel: u64) -> Result<Vec<SweepPoint>, SimError> {
-    fig12_jobs(data_bytes_per_channel, 1)
+pub fn fig12(data_bytes_per_channel: u64, jobs: usize) -> Result<Vec<SweepPoint>, SimError> {
+    run_points(&fig12_points(data_bytes_per_channel), &Pool::new(jobs))
 }
 
 /// Enumerates Figure 13: the bandwidth-multiplication-factor sweep
@@ -366,22 +347,13 @@ pub fn fig13_points(data_bytes_per_channel: u64) -> Vec<JobSpec> {
     points
 }
 
-/// Figure 13, executed across `jobs` workers.
+/// Figure 13: the bandwidth-multiplication-factor sweep (4x/8x/16x) for
+/// the Add kernel under fence and OrderLight, run across `jobs` workers.
 ///
 /// # Errors
 /// Propagates [`SimError`].
-pub fn fig13_jobs(data_bytes_per_channel: u64, jobs: usize) -> Result<Vec<SweepPoint>, SimError> {
+pub fn fig13(data_bytes_per_channel: u64, jobs: usize) -> Result<Vec<SweepPoint>, SimError> {
     run_points(&fig13_points(data_bytes_per_channel), &Pool::new(jobs))
-}
-
-/// Figure 13: bandwidth-multiplication-factor sweep (4x/8x/16x) for the
-/// Add kernel under fence and OrderLight (serial execution; see
-/// [`fig13_jobs`]).
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn fig13(data_bytes_per_channel: u64) -> Result<Vec<SweepPoint>, SimError> {
-    fig13_jobs(data_bytes_per_channel, 1)
 }
 
 /// Figure 11: the DRAM timing window — analytic and micro-simulated.
@@ -433,6 +405,96 @@ pub fn fig11() -> Fig11 {
     }
 }
 
+/// Stripes per phase of the Figure 7 tile.
+pub const FIG07_STRIPES: u64 = 4;
+
+/// Figure 7: the memory-controller issue trace of one vector-add tile
+/// (load `a` from row 0, fetch-and-add `b` from row 1, store `c` to
+/// row 2) under each ordering primitive.
+#[derive(Debug, Clone)]
+pub struct Fig07 {
+    /// Fence: the core sends one phase, then stalls while it drains.
+    pub fence_trace: Vec<IssueRecord>,
+    /// Memory cycles each fence phase took to drain, one per phase.
+    pub fence_drains: Vec<u64>,
+    /// OrderLight: the whole tile streams with a packet after each
+    /// phase, and the controller enforces the boundaries itself.
+    pub orderlight_trace: Vec<IssueRecord>,
+    /// Memory cycles the streamed OrderLight tile took to drain.
+    pub orderlight_cycles: u64,
+}
+
+/// Drives one controller by hand through the Figure 7 tile under both
+/// primitives. The core side is not simulated: the fence's round trip
+/// shows only as the phase-by-phase drains.
+#[must_use]
+pub fn fig07() -> Fig07 {
+    let mapping = &AddressMapping::hbm_default();
+    let controller = || {
+        let cfg = McConfig {
+            mapping: mapping.clone(),
+            groups: GroupMap::default(),
+            trace: true,
+            ..McConfig::default()
+        };
+        MemoryController::new(
+            cfg,
+            Channel::new(TimingParams::hbm_table1(), 16, 2048),
+            PimUnit::new(TsSize::Sixteenth, 2048, 16),
+        )
+    };
+    let phase = |p: u64, op: PimOp| {
+        (0..FIG07_STRIPES).map(move |i| MemReq::Pim {
+            instr: PimInstruction {
+                op,
+                addr: mapping.compose(ChannelId(0), p * 2048 + i * 32),
+                slot: TsSlot(i as u16),
+                group: MemGroupId(0),
+            },
+            meta: ReqMeta { warp: GlobalWarpId::new(0, 0), seq: p * FIG07_STRIPES + i },
+        })
+    };
+    let drain = |mc: &mut MemoryController, now: &mut u64| {
+        let mut resps = Vec::new();
+        while !mc.is_idle() {
+            mc.tick(*now, &mut resps);
+            resps.clear();
+            *now += 1;
+        }
+    };
+    let phases = [PimOp::Load, PimOp::Compute(AluOp::Add), PimOp::Store];
+
+    let (mut fence, mut now, mut fence_drains) = (controller(), 0, Vec::new());
+    for (p, op) in (0..).zip(phases) {
+        phase(p, op).for_each(|req| fence.push(req));
+        let start = now;
+        drain(&mut fence, &mut now);
+        fence_drains.push(now - start);
+    }
+
+    let mut ol = controller();
+    for (p, op) in (0..).zip(phases) {
+        phase(p, op).for_each(|req| ol.push(req));
+        ol.push(MemReq::Marker(MarkerCopy {
+            marker: Marker::OrderLight(OrderLightPacket::new(
+                ChannelId(0),
+                MemGroupId(0),
+                p as u32 + 1,
+            )),
+            total_copies: 1,
+        }));
+    }
+    let mut orderlight_cycles = 0;
+    drain(&mut ol, &mut orderlight_cycles);
+
+    Fig07 {
+        fence_trace: fence.trace().to_vec(),
+        fence_drains,
+        orderlight_trace: ol.trace().to_vec(),
+        orderlight_cycles,
+    }
+}
+
 /// The arbitration-granularity ablation (Sections 3.2/3.5): mean host
 /// read latency while a PIM kernel saturates the same channels, under
 /// fine-grained arbitration (host requests interleave) versus
@@ -455,7 +517,7 @@ pub struct ArbitrationAblation {
 ///
 /// # Errors
 /// Propagates [`SimError`].
-pub fn ablation_arbitration_jobs(
+pub fn ablation_arbitration(
     data_bytes_per_channel: u64,
     jobs: usize,
 ) -> Result<ArbitrationAblation, SimError> {
@@ -484,15 +546,6 @@ pub fn ablation_arbitration_jobs(
     })
 }
 
-/// Runs the arbitration ablation serially (see
-/// [`ablation_arbitration_jobs`]).
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn ablation_arbitration(data_bytes_per_channel: u64) -> Result<ArbitrationAblation, SimError> {
-    ablation_arbitration_jobs(data_bytes_per_channel, 1)
-}
-
 /// One row of the sequence-number (Kim et al. (paper reference 27)) comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeqNumRow {
@@ -516,7 +569,7 @@ pub struct SeqNumRow {
 ///
 /// # Errors
 /// Propagates [`SimError`].
-pub fn ablation_seqnum_jobs(
+pub fn ablation_seqnum(
     data_bytes_per_channel: u64,
     ts: TsSize,
     jobs: usize,
@@ -554,18 +607,6 @@ pub fn ablation_seqnum_jobs(
     Ok(rows)
 }
 
-/// The sequence-number comparison, run serially (see
-/// [`ablation_seqnum_jobs`]).
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn ablation_seqnum(
-    data_bytes_per_channel: u64,
-    ts: TsSize,
-) -> Result<Vec<SeqNumRow>, SimError> {
-    ablation_seqnum_jobs(data_bytes_per_channel, ts, 1)
-}
-
 /// The fence-scope ablation (paper Section 4.3): where the fence
 /// acknowledgement is generated decides both its cost and its safety.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -591,7 +632,7 @@ pub struct FenceScopeAblation {
 ///
 /// # Errors
 /// Propagates [`SimError`].
-pub fn ablation_fence_scope_jobs(
+pub fn ablation_fence_scope(
     data_bytes_per_channel: u64,
     ts: TsSize,
     jobs: usize,
@@ -612,18 +653,6 @@ pub fn ablation_fence_scope_jobs(
         l2_ack_correct: loose.is_correct(),
         l2_ack_mismatches: loose.verified_mismatches,
     })
-}
-
-/// Runs the fence-scope ablation serially (see
-/// [`ablation_fence_scope_jobs`]).
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn ablation_fence_scope(
-    data_bytes_per_channel: u64,
-    ts: TsSize,
-) -> Result<FenceScopeAblation, SimError> {
-    ablation_fence_scope_jobs(data_bytes_per_channel, ts, 1)
 }
 
 /// A CPU-host system configuration, following the paper's conclusion:
@@ -677,7 +706,7 @@ pub struct CpuHostRow {
 ///
 /// # Errors
 /// Propagates [`SimError`].
-pub fn ablation_cpu_host_jobs(
+pub fn ablation_cpu_host(
     data_bytes_per_channel: u64,
     ts: TsSize,
     jobs: usize,
@@ -710,17 +739,6 @@ pub fn ablation_cpu_host_jobs(
         .collect())
 }
 
-/// The CPU-host study, run serially (see [`ablation_cpu_host_jobs`]).
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn ablation_cpu_host(
-    data_bytes_per_channel: u64,
-    ts: TsSize,
-) -> Result<Vec<CpuHostRow>, SimError> {
-    ablation_cpu_host_jobs(data_bytes_per_channel, ts, 1)
-}
-
 /// One row of the scheduler-knob ablation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerRow {
@@ -745,7 +763,7 @@ pub struct SchedulerRow {
 ///
 /// # Errors
 /// Propagates [`SimError`].
-pub fn ablation_scheduler_jobs(
+pub fn ablation_scheduler(
     data_bytes_per_channel: u64,
     jobs: usize,
 ) -> Result<Vec<SchedulerRow>, SimError> {
@@ -784,15 +802,6 @@ pub fn ablation_scheduler_jobs(
         .collect())
 }
 
-/// The scheduler-knob ablation, run serially (see
-/// [`ablation_scheduler_jobs`]).
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn ablation_scheduler(data_bytes_per_channel: u64) -> Result<Vec<SchedulerRow>, SimError> {
-    ablation_scheduler_jobs(data_bytes_per_channel, 1)
-}
-
 /// One row of the refresh ablation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefreshRow {
@@ -812,7 +821,7 @@ pub struct RefreshRow {
 ///
 /// # Errors
 /// Propagates [`SimError`].
-pub fn ablation_refresh_jobs(
+pub fn ablation_refresh(
     data_bytes_per_channel: u64,
     jobs: usize,
 ) -> Result<Vec<RefreshRow>, SimError> {
@@ -843,14 +852,6 @@ pub fn ablation_refresh_jobs(
         .collect())
 }
 
-/// The refresh ablation, run serially (see [`ablation_refresh_jobs`]).
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn ablation_refresh(data_bytes_per_channel: u64) -> Result<Vec<RefreshRow>, SimError> {
-    ablation_refresh_jobs(data_bytes_per_channel, 1)
-}
-
 /// One row of the page-policy ablation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PagePolicyRow {
@@ -868,7 +869,7 @@ pub struct PagePolicyRow {
 ///
 /// # Errors
 /// Propagates [`SimError`].
-pub fn ablation_page_policy_jobs(
+pub fn ablation_page_policy(
     data_bytes_per_channel: u64,
     jobs: usize,
 ) -> Result<Vec<PagePolicyRow>, SimError> {
@@ -894,15 +895,6 @@ pub fn ablation_page_policy_jobs(
             activates: s.mc.activates,
         })
         .collect())
-}
-
-/// The page-policy ablation, run serially (see
-/// [`ablation_page_policy_jobs`]).
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn ablation_page_policy(data_bytes_per_channel: u64) -> Result<Vec<PagePolicyRow>, SimError> {
-    ablation_page_policy_jobs(data_bytes_per_channel, 1)
 }
 
 /// Table 1 as printable rows (configuration echo).

@@ -23,13 +23,16 @@
 //! of the paper's evaluation. Each sweep enumerates its design points
 //! first ([`experiments::JobSpec`]) and executes them through the
 //! [`pool`] — a dependency-free scoped-thread pool whose results are
-//! bit-identical to the serial loop at any worker count.
+//! bit-identical to the serial loop at any worker count. [`figures`]
+//! turns those runners into the paper's printed tables and figures,
+//! one printer per id.
 
 pub mod calendar;
 pub mod cli;
 pub mod config;
 pub mod core_select;
 pub mod experiments;
+pub mod figures;
 pub mod pool;
 pub mod report;
 pub mod scenario;

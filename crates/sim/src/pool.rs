@@ -40,49 +40,6 @@ pub fn resolve_jobs(flag: Option<usize>) -> usize {
         .max(1)
 }
 
-/// Extracts `--jobs N` (or `-j N`) from a raw argument list, returning
-/// the remaining arguments and the parsed worker count, or an error
-/// message naming the bad value. Shared by the figure-regeneration
-/// binaries, `sweep_csv` and the `orderlight` CLI.
-///
-/// # Errors
-/// Returns a message when the flag has a missing or non-numeric value.
-pub fn take_jobs_flag(args: &[String]) -> Result<(Vec<String>, usize), String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut flag = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" || a == "-j" {
-            let Some(v) = it.next() else {
-                return Err(format!("missing value for {a}"));
-            };
-            match v.parse::<usize>() {
-                Ok(n) => flag = Some(n),
-                Err(_) => return Err(format!("invalid value '{v}' for {a}")),
-            }
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok((rest, resolve_jobs(flag)))
-}
-
-/// Worker count for a standalone sweep binary: parses `--jobs N` /
-/// `-j N` from the process arguments (exiting with status 2 on a
-/// malformed flag, like a usage error), falling back to
-/// `ORDERLIGHT_JOBS`, then to the host's available parallelism.
-#[must_use]
-pub fn jobs_from_process_args() -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match take_jobs_flag(&args) {
-        Ok((_, jobs)) => jobs,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// A fixed-width scoped-thread job pool. Cheap to construct; spawns
 /// threads only for the duration of one [`Pool::run`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,20 +162,6 @@ mod tests {
     fn more_workers_than_jobs() {
         let out = Pool::new(32).run((0..3).map(|i| move || i * i).collect::<Vec<_>>());
         assert_eq!(out, vec![0, 1, 4]);
-    }
-
-    #[test]
-    fn take_jobs_flag_parses_and_strips() {
-        let args: Vec<String> =
-            ["--data-kb", "8", "--jobs", "3", "x"].iter().map(ToString::to_string).collect();
-        let (rest, jobs) = take_jobs_flag(&args).unwrap();
-        assert_eq!(jobs, 3);
-        assert_eq!(rest, vec!["--data-kb", "8", "x"]);
-        let (rest, jobs) = take_jobs_flag(&["-j".into(), "0".into()]).unwrap();
-        assert_eq!(jobs, 1, "zero clamps to one");
-        assert!(rest.is_empty());
-        assert!(take_jobs_flag(&["--jobs".into()]).is_err(), "missing value");
-        assert!(take_jobs_flag(&["--jobs".into(), "lots".into()]).is_err(), "bad value");
     }
 
     #[test]

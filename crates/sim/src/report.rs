@@ -1,5 +1,5 @@
-//! Plain-text table formatting for the figure/table regeneration
-//! binaries.
+//! Plain-text table and bar-chart formatting for the paper reports in
+//! [`crate::figures`].
 
 /// Formats rows as a monospace table with a header line.
 ///

@@ -6,8 +6,8 @@
 //! validated [`Scenario`]. It replaces the historical pattern of
 //! mutating an [`ExperimentConfig`] field by field and threading core /
 //! jobs / sink selections through ad-hoc arguments and environment
-//! variables: the CLI, the bench binaries and the experiment runners
-//! all build a `Scenario` and call [`Scenario::run`].
+//! variables: the CLI and the experiment runners all build a
+//! `Scenario` and call [`Scenario::run`].
 //!
 //! ```
 //! use orderlight_sim::scenario::ScenarioBuilder;

@@ -33,11 +33,12 @@
 //!
 //! Every failure is a typed single-line reply, never a dropped
 //! connection: `{"reply":"error","kind":K,"message":...}` with `kind`
-//! one of `parse` (malformed JSON), `schema` (versioning / unknown
-//! field / bad value, see [`crate::schema::SchemaError`]), `config`
-//! (fields valid but
-//! inconsistent), `sim` (the run itself failed) or `proto` (bad admin
-//! command).
+//! one of `parse` (not UTF-8, or malformed JSON), `schema` (versioning
+//! / unknown field / bad value, see [`crate::schema::SchemaError`]),
+//! `config` (fields valid but inconsistent), `sim` (the run itself
+//! failed) or `proto` (bad admin command, or a line longer than
+//! [`MAX_LINE_BYTES`] — the one error that also closes the
+//! connection).
 //!
 //! ## The telemetry plane
 //!
@@ -79,8 +80,8 @@
 //! so far, and `{"cmd":"stats"}` exposes hit/miss counters.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -106,6 +107,17 @@ pub const FLIGHT_RECORDER_ERRORS: usize = 32;
 /// shutdown, so `run` can join handler threads even when a client
 /// holds an idle connection open.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// The longest request line the daemon accepts, newline excluded.
+/// Lines are read through [`Read::take`], so a longer one is never held
+/// whole: it is answered with a typed `proto` error and the connection
+/// is closed.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How much of an oversized line's remainder is read and discarded
+/// before its connection closes, so the close does not reset the
+/// connection under the client's unread `proto` reply.
+const DRAIN_BYTES: u64 = 4 * MAX_LINE_BYTES as u64;
 
 /// What a worker reports back to the connection handler that enqueued
 /// the job.
@@ -541,9 +553,13 @@ fn run_job(spec: &ScenarioSpec) -> Result<String, String> {
     run.unwrap_or_else(|_| Err("simulation panicked".to_string()))
 }
 
+fn is_poll_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
 /// Serves one client connection: a loop of request lines, each
 /// answered with typed reply lines. Returns (dropping the connection)
-/// on EOF, socket error or shutdown.
+/// on EOF, socket error, an oversized line or shutdown.
 fn handle_connection(stream: TcpStream, shared: &Shared, self_addr: SocketAddr) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut writer = match stream.try_clone() {
@@ -556,10 +572,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared, self_addr: SocketAddr) 
     // read to complete.
     let mut line = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut line) {
+        // One byte past the bound is enough to tell a line is too long.
+        let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(budget).read_until(b'\n', &mut line) {
             Ok(0) => return,
             Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            Err(e) if is_poll_timeout(&e) => {
                 // `read_until` keeps what it consumed before the poll
                 // expired in `line`; the next read appends the rest.
                 if shared.shutting_down() {
@@ -572,12 +590,42 @@ fn handle_connection(stream: TcpStream, shared: &Shared, self_addr: SocketAddr) 
         if let Some(t) = &shared.telemetry {
             t.io_bytes_in.add(line.len() as u64);
         }
-        let Ok(text) = std::str::from_utf8(&line) else { return };
-        let request = text.trim();
+        if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") {
+            reject_oversized_line(&mut reader, &mut writer, shared);
+            return;
+        }
+        let request = line.trim_ascii();
         if !request.is_empty() && !handle_request(request, &mut writer, shared, self_addr) {
             return;
         }
         line.clear();
+    }
+}
+
+/// Answers a line longer than [`MAX_LINE_BYTES`] with a typed `proto`
+/// error, then discards what the client still sends (up to
+/// [`DRAIN_BYTES`]) before the caller closes the connection.
+fn reject_oversized_line(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    shared: &Shared,
+) {
+    let start = Instant::now();
+    if let Some(t) = &shared.telemetry {
+        t.requests_received.inc();
+    }
+    let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+    let reply = error_reply(None, "proto", &message);
+    if !fail(writer, shared, start, SpanPhases::default(), &reply) {
+        return;
+    }
+    let _ = writer.shutdown(Shutdown::Write);
+    let mut rest = reader.take(DRAIN_BYTES);
+    loop {
+        match std::io::copy(&mut rest, &mut std::io::sink()) {
+            Err(e) if is_poll_timeout(&e) && !shared.shutting_down() => {}
+            _ => return,
+        }
     }
 }
 
@@ -596,16 +644,19 @@ fn fail(
 
 /// Handles one request line. Returns `false` when the connection
 /// should close (write failure or shutdown).
-fn handle_request(line: &str, writer: &mut TcpStream, shared: &Shared, addr: SocketAddr) -> bool {
+fn handle_request(line: &[u8], writer: &mut TcpStream, shared: &Shared, addr: SocketAddr) -> bool {
     let start = Instant::now();
     if let Some(t) = &shared.telemetry {
         t.requests_received.inc();
     }
     let mut span = SpanPhases::default();
-    let doc = match json::parse(line) {
+    let parsed = std::str::from_utf8(line)
+        .map_err(|e| format!("request is not UTF-8: {e}"))
+        .and_then(|text| json::parse(text).map_err(|e| e.to_string()));
+    let doc = match parsed {
         Ok(doc) => doc,
-        Err(e) => {
-            let reply = error_reply(None, "parse", &e.to_string());
+        Err(message) => {
+            let reply = error_reply(None, "parse", &message);
             return fail(writer, shared, start, span, &reply);
         }
     };

@@ -7,6 +7,7 @@
 //! orderlight trace [WORKLOAD] [run flags] [--out PATH] [--events N]
 //! orderlight profile [WORKLOAD] [run flags] [--out PATH] [--events N]
 //! orderlight sweep [fig05|fig10|fig12|fig13|all] [--data-kb N]
+//! orderlight figure ID|all [--data-kb N]
 //! orderlight compare-ordering [--workload NAME] [--data-kb N] [--out PATH]
 //! orderlight bench [--quick] [--profile] [--data-kb N] [--out PATH]
 //! orderlight bench --compare A.json B.json [--threshold PCT]
@@ -113,6 +114,7 @@ use orderlight_suite::sim::experiments::{
     fence_heavy_points, fig05_points, fig10_points, fig12_points, fig13_points, run_points,
     run_points_serial, JobSpec, SweepPoint,
 };
+use orderlight_suite::sim::figures::FIGURES;
 use orderlight_suite::sim::pool::{available_jobs, Pool};
 use orderlight_suite::sim::report::bar_chart;
 use orderlight_suite::sim::schema::{
@@ -132,7 +134,7 @@ use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  orderlight run [--workload NAME] [--mode gpu|none|fence|orderlight|seqnum|louvre|bulk]\n                 [--ts 16|8|4|2] [--bmf N] [--data-kb N] [--credits N]\n  orderlight check [run flags] [--faults none|noc|sched|storm|all[,..]] [--mutate CH:G]\n  orderlight trace [WORKLOAD] [run flags] [--out PATH] [--events N]\n  orderlight profile [WORKLOAD] [run flags] [--out PATH] [--events N]\n  orderlight profile-verify PROFILE.json [..]\n  orderlight sweep [fig05|fig10|fig12|fig13|all] [--data-kb N]\n  orderlight compare-ordering [--workload NAME] [--data-kb N] [--out PATH]\n  orderlight bench [--quick] [--profile] [--data-kb N] [--out PATH]\n  orderlight bench --compare A.json B.json [--threshold PCT]\n  orderlight serve [--addr HOST:PORT] [--cache-max N] [--slow-ms N] [--no-telemetry]\n  orderlight submit [run flags] [--budget N] --addr HOST:PORT [--out PATH] [--span-trace PATH]\n  orderlight submit [run flags] [--budget N] --local [--out PATH]\n  orderlight submit --addr HOST:PORT --shutdown | --stats | --metrics | --metrics-text | --flightrec\n  orderlight top --addr HOST:PORT [--interval-ms N] [--count N | --once]\n  orderlight schema\n  orderlight list\n  orderlight taxonomy\nevery subcommand accepts the shared flags --jobs/-j N, --core cycle|event,\n--seed N and --ordering MODE (see `orderlight schema` for the wire surface)"
+        "usage:\n  orderlight run [--workload NAME] [--mode gpu|none|fence|orderlight|seqnum|louvre|bulk]\n                 [--ts 16|8|4|2] [--bmf N] [--data-kb N] [--credits N]\n  orderlight check [run flags] [--faults none|noc|sched|storm|all[,..]] [--mutate CH:G]\n  orderlight trace [WORKLOAD] [run flags] [--out PATH] [--events N]\n  orderlight profile [WORKLOAD] [run flags] [--out PATH] [--events N]\n  orderlight profile-verify PROFILE.json [..]\n  orderlight sweep [fig05|fig10|fig12|fig13|all] [--data-kb N]\n  orderlight figure ID|all [--data-kb N]\n  orderlight compare-ordering [--workload NAME] [--data-kb N] [--out PATH]\n  orderlight bench [--quick] [--profile] [--data-kb N] [--out PATH]\n  orderlight bench --compare A.json B.json [--threshold PCT]\n  orderlight serve [--addr HOST:PORT] [--cache-max N] [--slow-ms N] [--no-telemetry]\n  orderlight submit [run flags] [--budget N] --addr HOST:PORT [--out PATH] [--span-trace PATH]\n  orderlight submit [run flags] [--budget N] --local [--out PATH]\n  orderlight submit --addr HOST:PORT --shutdown | --stats | --metrics | --metrics-text | --flightrec\n  orderlight top --addr HOST:PORT [--interval-ms N] [--count N | --once]\n  orderlight schema\n  orderlight list\n  orderlight taxonomy\nevery subcommand accepts the shared flags --jobs/-j N, --core cycle|event,\n--seed N and --ordering MODE (see `orderlight schema` for the wire surface)"
     );
     ExitCode::from(2)
 }
@@ -831,8 +833,7 @@ fn cmd_profile_verify(paths: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The CSV schema shared by `orderlight sweep` and the `sweep_csv`
-/// bench binary.
+/// The CSV schema of `orderlight sweep`: one row per sweep point.
 const SWEEP_CSV_HEADER: &str = "figure,workload,ts,mode,ordering,bmf,exec_ms,cmd_gcs,data_gbs,stall_cycles,stall_fence,stall_ol,stall_reg,stall_structural,stall_credit,primitives,prim_per_instr,verified";
 
 fn emit_sweep_csv(figure: &str, rows: &[SweepPoint]) {
@@ -884,35 +885,40 @@ fn env_data_kb(default_kb: u64) -> u64 {
     std::env::var("ORDERLIGHT_DATA_KB").ok().and_then(|v| v.parse().ok()).unwrap_or(default_kb)
 }
 
-fn cmd_sweep(args: &[String], jobs: usize) -> ExitCode {
-    let mut which = "all".to_string();
+/// Parses `[NAME] [--data-kb N]`: an optional leading positional and
+/// the per-channel job size in KiB (default `ORDERLIGHT_DATA_KB`, else
+/// 256).
+fn name_and_data_kb(args: &[String]) -> Result<(Option<&str>, u64), ExitCode> {
+    let (name, rest) = match args.split_first() {
+        Some((first, rest)) if !first.starts_with('-') => (Some(first.as_str()), rest),
+        _ => (None, args),
+    };
     let mut data_kb = env_data_kb(256);
-    let mut rest = args;
-    if let Some(first) = rest.first() {
-        if !first.starts_with('-') {
-            which.clone_from(first);
-            rest = &rest[1..];
-        }
-    }
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let Some(value) = it.next() else {
             eprintln!("missing value for {flag}");
-            return usage();
+            return Err(usage());
         };
-        let ok = match flag.as_str() {
-            "--data-kb" => value.parse().map(|v| data_kb = v).is_ok(),
-            _ => {
-                eprintln!("unknown flag {flag}");
-                return usage();
-            }
-        };
-        if !ok {
-            eprintln!("invalid value '{value}' for {flag}");
-            return usage();
+        if flag != "--data-kb" {
+            eprintln!("unknown flag {flag}");
+            return Err(usage());
         }
+        let Ok(kb) = value.parse() else {
+            eprintln!("invalid value '{value}' for {flag}");
+            return Err(usage());
+        };
+        data_kb = kb;
     }
-    let Some(figures) = sweep_figures(&which, data_kb * 1024) else {
+    Ok((name, data_kb))
+}
+
+fn cmd_sweep(args: &[String], jobs: usize) -> ExitCode {
+    let (which, data_kb) = match name_and_data_kb(args) {
+        Ok((which, data_kb)) => (which.unwrap_or("all"), data_kb),
+        Err(code) => return code,
+    };
+    let Some(figures) = sweep_figures(which, data_kb * 1024) else {
         eprintln!("unknown sweep '{which}' (expected fig05|fig10|fig12|fig13|all)");
         return usage();
     };
@@ -924,6 +930,33 @@ fn cmd_sweep(args: &[String], jobs: usize) -> ExitCode {
             Ok(rows) => emit_sweep_csv(name, &rows),
             Err(e) => {
                 eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+/// Prints the report of one paper table, figure or ablation by id, or
+/// of every one in paper order for `all`.
+fn cmd_figure(args: &[String], jobs: usize) -> ExitCode {
+    let (which, data_kb) = match name_and_data_kb(args) {
+        Ok((Some(which), data_kb)) => (which, data_kb),
+        Ok((None, _)) => return usage(),
+        Err(code) => return code,
+    };
+    let chosen: Vec<_> = FIGURES.iter().filter(|(id, _)| which == "all" || *id == which).collect();
+    if chosen.is_empty() {
+        let ids: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
+        eprintln!("unknown figure '{which}' (expected {}|all)", ids.join("|"));
+        return usage();
+    }
+    for (i, (id, print)) in chosen.into_iter().enumerate() {
+        match print(data_kb * 1024, jobs) {
+            Ok(report) if i == 0 => print!("{report}"),
+            Ok(report) => print!("\n{report}"),
+            Err(e) => {
+                eprintln!("{id}: {e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -2092,6 +2125,7 @@ fn main() -> ExitCode {
         Some("profile") => cmd_profile(&args[1..], &common),
         Some("profile-verify") => cmd_profile_verify(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..], common.jobs),
+        Some("figure") => cmd_figure(&args[1..], common.jobs),
         Some("compare-ordering") => cmd_compare_ordering(&args[1..], common.core),
         Some("bench") => cmd_bench(&args[1..], &common),
         Some("serve") => cmd_serve(&args[1..], &common),

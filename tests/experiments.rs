@@ -1,19 +1,19 @@
 //! Integration coverage for every canned experiment runner — the same
-//! code paths the figure-regeneration binaries drive, at a reduced job
-//! size, with the paper's qualitative claims asserted.
+//! code paths `orderlight figure` drives, at a reduced job size, with
+//! the paper's qualitative claims asserted.
 
 use orderlight_suite::pim::TsSize;
 use orderlight_suite::sim::experiments::{
     ablation_arbitration, ablation_cpu_host, ablation_fence_scope, ablation_page_policy,
-    ablation_refresh, ablation_scheduler, ablation_seqnum, fig05, fig10, fig11, fig12, fig13,
-    table1,
+    ablation_refresh, ablation_scheduler, ablation_seqnum, fig05, fig07, fig10, fig11, fig12,
+    fig13, table1, FIG07_STRIPES,
 };
 
 const DATA: u64 = 32 * 1024;
 
 #[test]
 fn fig05_shape() {
-    let rows = fig05(DATA).expect("runs");
+    let rows = fig05(DATA, 1).expect("runs");
     assert_eq!(rows.len(), 5, "NoFence + 4 fence TS points");
     assert!(!rows[0].stats.is_correct(), "unordered bar is incorrect");
     // Execution time falls monotonically with TS under fences.
@@ -27,10 +27,31 @@ fn fig05_shape() {
     }
 }
 
+/// Figure 7: the fence tile drains phase by phase, while the OrderLight
+/// tile streams whole and the controller keeps the same phase order.
+#[test]
+fn fig07_fence_drains_each_phase_and_orderlight_streams_the_tile() {
+    let f = fig07();
+    assert_eq!(f.fence_drains.len(), 3, "one drain per phase: load, add, store");
+    assert!(f.fence_drains.iter().all(|&d| d > 0), "{:?}", f.fence_drains);
+    let fence_total: u64 = f.fence_drains.iter().sum();
+    // One bank, three rows: the controller-side schedule cannot beat the
+    // three drains laid end to end. OrderLight's gain is that the core
+    // never waits between them, which this controller-only trace leaves
+    // out.
+    assert!(f.orderlight_cycles <= fence_total, "{} vs {fence_total}", f.orderlight_cycles);
+    let column_cmds = |trace: &[orderlight_suite::memctrl::IssueRecord]| {
+        trace.iter().filter(|r| r.seq.is_some()).map(|r| r.seq).collect::<Vec<_>>()
+    };
+    let fence_cmds = column_cmds(&f.fence_trace);
+    assert_eq!(fence_cmds.len() as u64, 3 * FIG07_STRIPES);
+    assert_eq!(column_cmds(&f.orderlight_trace), fence_cmds, "same commands, same phase order");
+}
+
 #[test]
 #[ignore = "tier 2: full Figure 10 sweep (~9 s debug); run via --include-ignored or ORDERLIGHT_TIER2=1 ./ci.sh"]
 fn fig10_shape() {
-    let rows = fig10(DATA).expect("runs");
+    let rows = fig10(DATA, 1).expect("runs");
     // 5 kernels x (1 GPU + 4 TS x 2 modes).
     assert_eq!(rows.len(), 5 * 9);
     for p in &rows {
@@ -62,7 +83,7 @@ fn fig11_exact() {
 #[test]
 #[ignore = "tier 2: full Figure 12 sweep (~12 s debug); run via --include-ignored or ORDERLIGHT_TIER2=1 ./ci.sh"]
 fn fig12_shape() {
-    let rows = fig12(DATA).expect("runs");
+    let rows = fig12(DATA, 1).expect("runs");
     assert_eq!(rows.len(), 7 * 4 * 2);
     for p in &rows {
         assert!(p.stats.is_correct(), "{} {} {}", p.workload, p.ts, p.mode);
@@ -84,7 +105,7 @@ fn fig12_shape() {
 #[test]
 #[ignore = "tier 2: full Figure 13 sweep (~10 s debug); run via --include-ignored or ORDERLIGHT_TIER2=1 ./ci.sh"]
 fn fig13_shape() {
-    let rows = fig13(DATA).expect("runs");
+    let rows = fig13(DATA, 1).expect("runs");
     assert_eq!(rows.len(), 3 * 4 * 2);
     for p in &rows {
         assert!(p.stats.is_correct());
@@ -103,7 +124,7 @@ fn fig13_shape() {
 
 #[test]
 fn arbitration_ablation_orders_of_magnitude() {
-    let a = ablation_arbitration(DATA).expect("runs");
+    let a = ablation_arbitration(DATA, 1).expect("runs");
     assert!(a.fga_mean_host_latency > 0.0);
     assert!(
         a.cga_host_wait_cycles as f64 > 20.0 * a.fga_mean_host_latency,
@@ -113,7 +134,7 @@ fn arbitration_ablation_orders_of_magnitude() {
 
 #[test]
 fn fence_scope_ablation_trades_cost_for_guarantee() {
-    let a = ablation_fence_scope(DATA, TsSize::Eighth).expect("runs");
+    let a = ablation_fence_scope(DATA, TsSize::Eighth, 1).expect("runs");
     assert!(a.dram_issue_correct, "issue-to-DRAM fence is always safe");
     assert!(a.l2_ack_wait < a.dram_issue_wait, "the serialization-point fence must be cheaper");
     assert!(a.l2_ack_ms < a.dram_issue_ms);
@@ -121,7 +142,7 @@ fn fence_scope_ablation_trades_cost_for_guarantee() {
 
 #[test]
 fn seqnum_ablation_converges_to_orderlight() {
-    let rows = ablation_seqnum(DATA, TsSize::Eighth).expect("runs");
+    let rows = ablation_seqnum(DATA, TsSize::Eighth, 1).expect("runs");
     assert_eq!(rows[0].label, "orderlight");
     for r in &rows {
         assert!(r.correct, "{}", r.label);
@@ -139,7 +160,7 @@ fn seqnum_ablation_converges_to_orderlight() {
 
 #[test]
 fn cpu_host_study_transfers() {
-    let rows = ablation_cpu_host(DATA, TsSize::Eighth).expect("runs");
+    let rows = ablation_cpu_host(DATA, TsSize::Eighth, 1).expect("runs");
     assert!(rows.iter().all(|r| r.correct));
     let fence = &rows[0];
     let ol = &rows[1];
@@ -153,7 +174,7 @@ fn cpu_host_study_transfers() {
 
 #[test]
 fn refresh_ablation_bounded_by_trfc_over_trefi() {
-    let rows = ablation_refresh(DATA).expect("runs");
+    let rows = ablation_refresh(DATA, 1).expect("runs");
     assert!(rows.iter().all(|r| r.correct), "refresh never breaks ordering");
     let slowdown = rows[1].exec_time_ms / rows[0].exec_time_ms;
     assert!((1.0..1.15).contains(&slowdown), "refresh steals at most ~tRFC/tREFI: {slowdown}");
@@ -161,7 +182,7 @@ fn refresh_ablation_bounded_by_trfc_over_trefi() {
 
 #[test]
 fn scheduler_ablation_scan_depth_matters_for_host() {
-    let rows = ablation_scheduler(32 * 1024).expect("runs");
+    let rows = ablation_scheduler(32 * 1024, 1).expect("runs");
     let host_ms =
         |label: &str| rows.iter().find(|r| r.label == label).map(|r| r.host_exec_ms).expect("row");
     assert!(
@@ -177,7 +198,7 @@ fn scheduler_ablation_scan_depth_matters_for_host() {
 
 #[test]
 fn page_policy_is_a_noop_for_ordered_pim() {
-    let rows = ablation_page_policy(DATA).expect("runs");
+    let rows = ablation_page_policy(DATA, 1).expect("runs");
     // (Add, Open) vs (Add, Closed) within 5%.
     assert!((rows[0].exec_time_ms - rows[1].exec_time_ms).abs() < 0.05 * rows[0].exec_time_ms);
 }

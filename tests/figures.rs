@@ -1,0 +1,65 @@
+//! The report table behind `orderlight figure`: it lists every paper
+//! table, figure and ablation exactly once, and its printers produce
+//! reports. The cheap printers run in tier 1; the sweep-backed ones
+//! are tier 2 (`cargo test -- --ignored`, or `ORDERLIGHT_TIER2=1
+//! ./ci.sh`).
+
+use orderlight_suite::sim::figures::FIGURES;
+
+const DATA: u64 = 8 * 1024;
+
+#[test]
+fn the_table_lists_every_report_once() {
+    let ids: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
+    assert_eq!(
+        ids,
+        [
+            "table1",
+            "table2",
+            "fig05",
+            "fig07",
+            "fig10a",
+            "fig10b",
+            "fig11",
+            "fig12",
+            "fig13",
+            "ablation_arbitration",
+            "ablation_cpu_host",
+            "ablation_fence_scope",
+            "ablation_page_policy",
+            "ablation_refresh",
+            "ablation_scheduler",
+            "ablation_seqnum",
+        ]
+    );
+}
+
+/// Runs the printer for `id` and checks the report's shape: a title
+/// line, then a blank line, then the body, ending in a newline.
+fn report(id: &str) -> String {
+    let (_, print) = FIGURES.iter().find(|(name, _)| *name == id).expect("id is registered");
+    let out = print(DATA, 2).unwrap_or_else(|e| panic!("{id}: {e}"));
+    let mut lines = out.lines();
+    assert!(!lines.next().unwrap_or_default().is_empty(), "{id}: title line");
+    assert_eq!(lines.next(), Some(""), "{id}: blank line after the title");
+    assert!(out.ends_with('\n') && out.lines().count() > 4, "{id}:\n{out}");
+    out
+}
+
+#[test]
+fn cheap_printers_render() {
+    assert!(report("table1").contains("FRFCFS"));
+    assert!(report("table2").contains("Gen_Fil"));
+    assert!(report("fig11").contains("analytic window             :  44 cycles"));
+    let fig07 = report("fig07");
+    assert!(fig07.contains("core idle between phases (memory cycles): [16, 40, 40]"), "{fig07}");
+    assert!(fig07.contains("finished in 96 memory cycles"), "{fig07}");
+}
+
+#[test]
+#[ignore = "tier 2: every sweep-backed report (~5 s debug); run via --include-ignored or ORDERLIGHT_TIER2=1 ./ci.sh"]
+fn sweep_printers_render() {
+    for (id, _) in FIGURES {
+        report(id);
+    }
+}

@@ -14,8 +14,8 @@ use orderlight_suite::core::rng::Rng;
 
 use orderlight_suite::sim::schema::{stats_to_value, ScenarioSpec, SCENARIO_SCHEMA_V1};
 use orderlight_suite::sim::service::{
-    extract_stats, reply_kind, request, Server, FLIGHTREC_SCHEMA_V1, SERVICE_METRICS_SCHEMA_V1,
-    SERVICE_STATS_SCHEMA_V1,
+    extract_stats, reply_kind, request, Server, FLIGHTREC_SCHEMA_V1, MAX_LINE_BYTES,
+    SERVICE_METRICS_SCHEMA_V1, SERVICE_STATS_SCHEMA_V1,
 };
 use orderlight_suite::trace::json;
 
@@ -252,6 +252,68 @@ fn deeply_nested_line_is_a_parse_error_and_the_daemon_survives() {
     let ok = terminal_reply(&mut reader);
     assert_eq!(ok.get("reply").and_then(json::Value::as_str), Some("result"));
     assert_eq!(ok.get("stats").expect("stats present").to_json(), direct_stats());
+    shutdown(&addr, handle);
+}
+
+/// A request line that is not UTF-8 used to drop the connection without
+/// a reply. A 0xFF byte at a seeded offset must get a typed `parse`
+/// error, and the same connection must then serve a normal request
+/// exactly.
+#[test]
+fn invalid_utf8_line_is_a_parse_error_on_a_live_connection() {
+    let (addr, handle) = start_server(1);
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut bad = add_request().into_bytes();
+    let mut rng = Rng::new(0x0ff_0ff);
+    let at = (rng.next_u64() % bad.len() as u64) as usize;
+    bad[at] = 0xFF;
+    bad.push(b'\n');
+    writer.write_all(&bad).expect("send invalid line");
+    let doc = terminal_reply(&mut reader);
+    assert_eq!(doc.get("reply").and_then(json::Value::as_str), Some("error"), "byte {at}");
+    assert_eq!(doc.get("kind").and_then(json::Value::as_str), Some("parse"));
+    assert!(doc.get("message").and_then(json::Value::as_str).is_some_and(|m| m.contains("UTF-8")));
+    writer.write_all(format!("{}\n", add_request()).as_bytes()).expect("send request");
+    let ok = terminal_reply(&mut reader);
+    assert_eq!(ok.get("reply").and_then(json::Value::as_str), Some("result"));
+    assert_eq!(ok.get("stats").expect("stats present").to_json(), direct_stats());
+    shutdown(&addr, handle);
+}
+
+/// A line longer than `MAX_LINE_BYTES` is never buffered whole: a 2 MiB
+/// line gets a typed `proto` error, counted in the metrics plane, and
+/// its connection closes — while a concurrent client is served exactly.
+#[test]
+fn oversized_line_is_a_proto_error_and_a_concurrent_client_is_served_exactly() {
+    let (addr, handle) = start_server(2);
+    let expected = direct_stats();
+    std::thread::scope(|scope| {
+        let other = scope.spawn(|| result_of(&addr, &add_request()));
+        let stream = TcpStream::connect(&addr).expect("connect");
+        // A daemon that kept the connection open would hang the read.
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+        let mut writer = stream.try_clone().expect("clone stream");
+        let sender = scope.spawn(move || {
+            let mut line = "x".repeat(2 * MAX_LINE_BYTES);
+            line.push('\n');
+            writer.write_all(line.as_bytes())
+        });
+        let replies: Vec<String> =
+            BufReader::new(stream).lines().collect::<Result<_, _>>().expect("replies, then EOF");
+        sender.join().expect("sender joins").expect("the daemon reads the whole line");
+        assert_eq!(replies.len(), 1, "one reply, then the connection closes: {replies:?}");
+        let doc = json::parse(&replies[0]).expect("reply parses");
+        assert_eq!(doc.get("reply").and_then(json::Value::as_str), Some("error"));
+        assert_eq!(doc.get("kind").and_then(json::Value::as_str), Some("proto"));
+        let ok = other.join().expect("client joins");
+        assert_eq!(ok.get("stats").expect("stats present").to_json(), expected);
+    });
+    let snap = metrics_snapshot(&addr);
+    assert_eq!(counter(&snap, "requests", "received"), 3.0);
+    assert_eq!(counter(&snap, "requests", "result"), 1.0);
+    assert_eq!(counter(&snap, "requests", "error"), 1.0);
     shutdown(&addr, handle);
 }
 
