@@ -20,6 +20,10 @@ cargo fmt --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Broken or private intra-doc links fail the build like any lint.
+echo "==> cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -85,14 +89,15 @@ done
 # Cross-primitive comparison smoke: one checked run per backend,
 # recording speedup vs. the fence baseline, violation-freedom and
 # in-band metadata cost. Exits non-zero if any backend's run is dirty;
-# the grep then gates on the records actually landing in the v5 JSON.
+# the grep then gates on the records actually landing in the v5 JSON
+# (canonical JSON: compact, keys sorted).
 echo "==> orderlight compare-ordering (cross-primitive smoke)"
 tmpcmp="$(mktemp)"
 ./target/release/orderlight compare-ordering --data-kb 8 --out "$tmpcmp"
-grep -q '"schema": "orderlight/bench-sweep/v5"' "$tmpcmp" \
+grep -q '"schema":"orderlight/bench-sweep/v5"' "$tmpcmp" \
     || { echo "compare-ordering did not write a v5 document"; exit 1; }
 for backend in orderlight fence seqnum louvre bulk; do
-    grep -q "\"ordering\": \"$backend\"" "$tmpcmp" \
+    grep -q "\"ordering\":\"$backend\"" "$tmpcmp" \
         || { echo "compare-ordering is missing the $backend record"; exit 1; }
 done
 rm -f "$tmpcmp"
@@ -190,29 +195,34 @@ trap 'rm -rf "$tmpdir"' EXIT
 echo "==> orderlight bench --quick --profile (sweep + core + observability regression)"
 ./target/release/orderlight bench --quick --profile --out BENCH_sweep.json
 echo "    wrote BENCH_sweep.json"
-grep -q '"schema": "orderlight/bench-sweep/v5"' BENCH_sweep.json \
+grep -q '"schema":"orderlight/bench-sweep/v5"' BENCH_sweep.json \
     || { echo "bench did not write a v5 document"; exit 1; }
-grep -q '"ordering": "louvre"' BENCH_sweep.json \
+grep -q '"ordering":"louvre"' BENCH_sweep.json \
     || { echo "bench JSON is missing the per-backend ordering records"; exit 1; }
 
 # Observability overhead budget: the profiled event-core fig05 sweep
-# must cost at most 1.5x its unprofiled wall time. The per-figure
-# profile entries are single-line JSON objects, so grep + awk suffice.
+# must cost at most 1.5x its unprofiled wall time. The bench record is
+# canonical JSON (compact, keys sorted), so in the fig05 profile entry
+# "overhead" directly follows "figure" and grep suffices. A missing
+# entry fails the gate.
 echo "==> observability overhead budget (fig05 <= 1.5x)"
-overhead="$(grep -o '"figure": "fig05"[^}]*"overhead": [0-9.]*' BENCH_sweep.json \
-    | grep -o '"overhead": [0-9.]*' | awk '{print $2}')"
+overhead="$(grep -o '"figure":"fig05","overhead":[0-9.]*' BENCH_sweep.json \
+    | grep -o '[0-9.]*$' || true)"
 echo "    fig05 profiled/unprofiled overhead: ${overhead}x"
+[[ -n "$overhead" ]] || { echo "bench JSON has no fig05 overhead entry"; exit 1; }
 awk -v o="$overhead" 'BEGIN { exit !(o <= 1.5) }' \
     || { echo "fig05 observability overhead ${overhead}x exceeds the 1.5x budget"; exit 1; }
 
 # Event-core speedup gate: the calendar-queue core must keep its edge
 # over the dense core on the fence-heavy fence-ts16 sweep (~4x measured
 # at merge; the 2.5x floor absorbs host noise and debug-adjacent
-# slowdowns on shared runners).
+# slowdowns on shared runners). In canonical key order "event_speedup"
+# directly precedes "figure". A missing entry fails the gate.
 echo "==> event-core speedup gate (fence-ts16 >= 2.5x)"
-speedup="$(grep -o '"figure": "fence-ts16"[^}]*"event_speedup": [0-9.]*' BENCH_sweep.json \
-    | grep -o '"event_speedup": [0-9.]*' | awk '{print $2}')"
+speedup="$(grep -o '"event_speedup":[0-9.]*,"figure":"fence-ts16"' BENCH_sweep.json \
+    | grep -o '^"event_speedup":[0-9.]*' | grep -o '[0-9.]*$' || true)"
 echo "    fence-ts16 event-core speedup: ${speedup}x"
+[[ -n "$speedup" ]] || { echo "bench JSON has no fence-ts16 speedup entry"; exit 1; }
 awk -v s="$speedup" 'BEGIN { exit !(s >= 2.5) }' \
     || { echo "fence-ts16 event speedup ${speedup}x below the 2.5x floor"; exit 1; }
 

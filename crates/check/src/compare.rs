@@ -24,6 +24,7 @@ use orderlight_sim::config::ExecMode;
 use orderlight_sim::core_select::SimCore;
 use orderlight_sim::system::SimError;
 use orderlight_sim::ScenarioBuilder;
+use orderlight_trace::json::Value;
 use orderlight_workloads::{OrderingMode, WorkloadId};
 
 /// The five ordering backends, in reporting order. `fence` is the
@@ -81,6 +82,27 @@ pub struct BackendRecord {
     /// BulkBitwiseStrong scores zero — its epochs live entirely in
     /// controller state.
     pub metadata_bits: u64,
+}
+
+impl BackendRecord {
+    /// The record as one entry of the `ordering` array in
+    /// `orderlight/bench-sweep/v5` documents.
+    #[must_use]
+    pub fn to_value(&self) -> Value {
+        Value::obj([
+            ("ordering", self.ordering.to_string().into()),
+            ("core_cycles", self.core_cycles.into()),
+            ("exec_time_ms", self.exec_time_ms.into()),
+            ("speedup_vs_fence", self.speedup_vs_fence.into()),
+            ("clean", self.clean.into()),
+            ("violations", self.violations.into()),
+            ("sanity_violations", self.sanity_violations.into()),
+            ("packets", self.packets.into()),
+            ("fence_acks", self.fence_acks.into()),
+            ("credits", self.credits.into()),
+            ("metadata_bits", self.metadata_bits.into()),
+        ])
+    }
 }
 
 /// Runs `workload` under every backend in [`COMPARE_BACKENDS`] on the

@@ -114,7 +114,8 @@ impl fmt::Display for Violation {
 /// The oracle's verdict and coverage counters after a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckReport {
-    /// Retained violation records (first [`MAX_RETAINED`]).
+    /// Retained violation records (the first 4096; later ones are
+    /// only counted).
     pub violations: Vec<Violation>,
     /// Total violations observed (retained or not).
     pub violations_total: u64,

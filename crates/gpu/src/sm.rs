@@ -636,7 +636,7 @@ impl Sm {
     /// the round-robin pointer advances once per skipped cycle. With a
     /// live sink, the span-wide charge folds into the same `CoreStall`
     /// run the dense loop would have extended cycle by cycle
-    /// ([`note_stall`](Self::note_stall)'s contiguity merge treats an
+    /// (`note_stall`'s contiguity merge treats an
     /// N-cycle extension like N one-cycle ones), so the emitted
     /// run-length stream is byte-identical across cores. `WarpRetire`
     /// needs no synthesis: a warp's last drain pins the horizon, so

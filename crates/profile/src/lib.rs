@@ -48,5 +48,5 @@ pub mod report;
 pub mod runner;
 
 pub use profiler::StallProfiler;
-pub use report::{NocLat, PhaseLat, ProfileReport};
+pub use report::{NocLat, PhaseLat, ProfileReport, PROFILE_SCHEMA};
 pub use runner::{profile_points, profile_scenario, profile_scenario_with, ProfileOutcome};

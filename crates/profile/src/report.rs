@@ -2,8 +2,12 @@
 //! latencies, and the conservation check against the run's counters.
 
 use orderlight_sim::RunStats;
+use orderlight_trace::json::Value;
 use orderlight_trace::StallCause;
 use std::fmt::Write as _;
+
+/// The schema tag of [`ProfileReport::to_json`] documents.
+pub const PROFILE_SCHEMA: &str = "orderlight/profile/v1";
 
 /// Latency aggregate for one lifecycle phase, in the phase's own clock
 /// domain (stated per field on [`ProfileReport`]).
@@ -158,19 +162,18 @@ impl ProfileReport {
         self.stalls.iter().sum()
     }
 
-    /// The conservation invariant: per-cause attributed cycles must
-    /// equal the stall counters the SMs maintain independently. The
-    /// fence counter aggregates two attributed causes (parked warps
-    /// waiting for the acknowledgement, and issue held while stores
-    /// drain ahead of the fence).
-    ///
-    /// # Errors
-    /// Returns every violated equation, formatted one per clause.
-    pub fn verify(&self, stats: &RunStats) -> Result<(), String> {
+    /// The conservation equations as `(counter, attributed, counted)`:
+    /// per-cause attributed cycles against the stall counters the SMs
+    /// maintain independently, then the totals. The `fence` counter
+    /// aggregates two attributed causes (parked warps waiting for the
+    /// acknowledgement, and issue held while stores drain ahead of the
+    /// fence).
+    #[must_use]
+    pub fn conservation(&self, stats: &RunStats) -> [(&'static str, u64, u64); 6] {
         let sm = &stats.sm;
-        let checks = [
+        [
             (
-                "fence (wait+drain)",
+                "fence",
                 self.stall(StallCause::FenceWait) + self.stall(StallCause::FenceDrain),
                 sm.fence_stall_cycles,
             ),
@@ -179,8 +182,17 @@ impl ProfileReport {
             ("structural", self.stall(StallCause::Structural), sm.structural_stall_cycles),
             ("credit_wait", self.stall(StallCause::CreditWait), sm.credit_wait_cycles),
             ("total", self.total_attributed(), stats.stall_cycles()),
-        ];
-        let bad: Vec<String> = checks
+        ]
+    }
+
+    /// The conservation invariant: every equation of
+    /// [`ProfileReport::conservation`] holds.
+    ///
+    /// # Errors
+    /// Returns every violated equation, formatted one per clause.
+    pub fn verify(&self, stats: &RunStats) -> Result<(), String> {
+        let bad: Vec<String> = self
+            .conservation(stats)
             .iter()
             .filter(|(_, attributed, counted)| attributed != counted)
             .map(|(name, attributed, counted)| {
@@ -251,65 +263,74 @@ impl ProfileReport {
         out
     }
 
-    /// Machine-readable JSON, hand-rolled with a fixed key order so
-    /// identical reports serialize to identical bytes (the `--jobs`
-    /// determinism tests compare these strings directly).
+    /// Machine-readable JSON in the canonical form of
+    /// [`Value::to_json`], so identical reports serialize to identical
+    /// bytes (the `--jobs` determinism tests compare these strings
+    /// directly).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let phase = |lat: &PhaseLat| {
-            format!("{{\"count\":{},\"sum\":{},\"max\":{}}}", lat.count, lat.sum, lat.max)
-        };
-        let mut out = String::from("{\"schema\":\"orderlight/profile/v1\"");
-        let _ = write!(out, ",\"ordering\":\"{}\"", self.ordering);
-        let _ = write!(out, ",\"events\":{}", self.events);
-        out.push_str(",\"stalls\":{");
-        for (i, cause) in StallCause::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", cause.label(), self.stall(*cause));
-        }
-        let _ = write!(out, ",\"total\":{}}}", self.total_attributed());
-        out.push_str(",\"phases\":{");
-        let _ = write!(out, "\"mc_queue_wait\":{}", phase(&self.mc_queue_wait));
-        let _ = write!(out, ",\"bank_wait\":{}", phase(&self.bank_wait));
-        let _ = write!(out, ",\"barrier_hold\":{}", phase(&self.barrier_hold));
-        let _ = write!(out, ",\"fence_round_trip\":{}", phase(&self.fence_round_trip));
-        let _ = write!(out, ",\"host_read\":{}", phase(&self.host_read));
-        let _ = write!(
-            out,
-            ",\"noc_delay_us\":{{\"count\":{},\"sum\":{:.6},\"max\":{:.6}}}}}",
-            self.noc_delay.count, self.noc_delay.sum_us, self.noc_delay.max_us
-        );
-        let _ = write!(
-            out,
-            ",\"refresh\":{{\"windows\":{},\"cycles\":{}}}",
-            self.refresh_windows, self.refresh_cycles
-        );
-        let _ = write!(
-            out,
-            ",\"pipes\":{{\"samples\":{},\"in_flight_sum\":{},\"in_flight_max\":{},\"returning_sum\":{}}}",
-            self.pipe_samples, self.pipe_in_flight_sum, self.pipe_in_flight_max,
-            self.pipe_returning_sum
-        );
-        let _ = write!(
-            out,
-            ",\"queues\":{{\"samples\":{},\"read_sum\":{},\"write_sum\":{}}}",
-            self.queue_samples, self.queue_read_sum, self.queue_write_sum
-        );
-        let _ = write!(
-            out,
-            ",\"packets\":{{\"created\":{},\"enqueued\":{},\"merged\":{}}}",
-            self.packets_created, self.packets_enqueued, self.packets_merged
-        );
-        let _ = write!(
-            out,
-            ",\"requests\":{{\"enqueued\":{},\"dequeued\":{},\"issued\":{}}}",
-            self.reqs_enqueued, self.reqs_dequeued, self.reqs_issued
-        );
-        let _ = write!(out, ",\"fence_acks\":{}", self.fence_acks);
-        let _ = write!(out, ",\"unmatched\":{}}}", self.unmatched);
-        out
+        let counts =
+            |fields: &[(&str, u64)]| Value::obj(fields.iter().map(|&(k, n)| (k, n.into())));
+        let phase =
+            |lat: &PhaseLat| counts(&[("count", lat.count), ("sum", lat.sum), ("max", lat.max)]);
+        let mut stalls = StallCause::ALL.map(|cause| (cause.label(), self.stall(cause))).to_vec();
+        stalls.push(("total", self.total_attributed()));
+        let noc = &self.noc_delay;
+        let noc =
+            [("count", noc.count.into()), ("sum", noc.sum_us.into()), ("max", noc.max_us.into())];
+        let phases = Value::obj([
+            ("mc_queue_wait", phase(&self.mc_queue_wait)),
+            ("bank_wait", phase(&self.bank_wait)),
+            ("barrier_hold", phase(&self.barrier_hold)),
+            ("fence_round_trip", phase(&self.fence_round_trip)),
+            ("host_read", phase(&self.host_read)),
+            ("noc_delay_us", Value::obj(noc)),
+        ]);
+        let pipes = [
+            ("samples", self.pipe_samples),
+            ("in_flight_sum", self.pipe_in_flight_sum),
+            ("in_flight_max", u64::from(self.pipe_in_flight_max)),
+            ("returning_sum", self.pipe_returning_sum),
+        ];
+        Value::obj([
+            ("schema", PROFILE_SCHEMA.into()),
+            ("ordering", self.ordering.as_str().into()),
+            ("events", self.events.into()),
+            ("stalls", counts(&stalls)),
+            ("phases", phases),
+            (
+                "refresh",
+                counts(&[("windows", self.refresh_windows), ("cycles", self.refresh_cycles)]),
+            ),
+            ("pipes", counts(&pipes)),
+            (
+                "queues",
+                counts(&[
+                    ("samples", self.queue_samples),
+                    ("read_sum", self.queue_read_sum),
+                    ("write_sum", self.queue_write_sum),
+                ]),
+            ),
+            (
+                "packets",
+                counts(&[
+                    ("created", self.packets_created),
+                    ("enqueued", self.packets_enqueued),
+                    ("merged", self.packets_merged),
+                ]),
+            ),
+            (
+                "requests",
+                counts(&[
+                    ("enqueued", self.reqs_enqueued),
+                    ("dequeued", self.reqs_dequeued),
+                    ("issued", self.reqs_issued),
+                ]),
+            ),
+            ("fence_acks", self.fence_acks.into()),
+            ("unmatched", self.unmatched.into()),
+        ])
+        .to_json()
     }
 }
 
@@ -341,7 +362,8 @@ mod tests {
         let json = report.to_json();
         assert_eq!(json, report.clone().to_json(), "serialization is a pure function");
         let doc = orderlight_trace::json::parse(&json).expect("profile JSON must parse");
-        assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some("orderlight/profile/v1"));
+        assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some(PROFILE_SCHEMA));
+        assert_eq!(doc.to_json(), json, "canonical: a fixed point of parse and to_json");
         assert_eq!(
             doc.get("stalls").and_then(|s| s.get("ol_wait")).and_then(|v| v.as_f64()),
             Some(9.0)

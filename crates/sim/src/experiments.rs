@@ -4,7 +4,7 @@
 //! Every sweep is expressed in two stages so it can run in parallel:
 //! a `*_points` function **enumerates** the design points as
 //! [`JobSpec`]s, and [`run_points`] executes them through a
-//! [`Pool`](crate::pool::Pool) of scoped threads. Results are returned
+//! [`Pool`] of scoped threads. Results are returned
 //! in enumeration order and are bit-identical to the serial loop
 //! ([`run_points_serial`]) at any worker count: a run's RNG streams are
 //! seeded from the point spec (workload/channel/slice), never from

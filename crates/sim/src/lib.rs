@@ -17,7 +17,7 @@
 //! collects the workload, execution mode, kernel parameters, system
 //! overrides, execution core, worker count, trace sink and fault plan,
 //! validates them together, and hands back a runnable
-//! [`Scenario`](scenario::Scenario).
+//! [`Scenario`].
 //!
 //! [`experiments`] packages a canned runner for every figure and table
 //! of the paper's evaluation. Each sweep enumerates its design points

@@ -38,7 +38,6 @@ use orderlight::ConfigError;
 use orderlight_pim::TsSize;
 use orderlight_trace::json::Value;
 use orderlight_workloads::{OrderingMode, WorkloadId};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// The schema tag every v1 scenario document must carry.
@@ -344,20 +343,20 @@ impl ScenarioSpec {
     /// semantically equal specs serialise to identical bytes.
     #[must_use]
     pub fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("schema".to_string(), Value::Str(SCENARIO_SCHEMA_V1.to_string()));
-        map.insert("workload".to_string(), Value::Str(self.workload.meta().name.to_string()));
-        map.insert("mode".to_string(), Value::Str(mode_wire_name(self.mode).to_string()));
-        map.insert("ts".to_string(), Value::Num(self.ts.denominator() as f64));
-        map.insert("bmf".to_string(), Value::Num(f64::from(self.bmf)));
-        #[allow(clippy::cast_precision_loss)]
-        map.insert("data_bytes".to_string(), Value::Num(self.data_bytes_per_channel as f64));
-        map.insert("credits".to_string(), Value::Num(f64::from(self.seq_credits)));
-        if let Some(budget) = self.budget {
-            #[allow(clippy::cast_precision_loss)]
-            map.insert("budget".to_string(), Value::Num(budget as f64));
-        }
-        Value::Obj(map)
+        let budget = self.budget.map(|b| ("budget", b.into()));
+        Value::obj(
+            [
+                ("schema", SCENARIO_SCHEMA_V1.into()),
+                ("workload", self.workload.meta().name.into()),
+                ("mode", mode_wire_name(self.mode).into()),
+                ("ts", self.ts.denominator().into()),
+                ("bmf", self.bmf.into()),
+                ("data_bytes", self.data_bytes_per_channel.into()),
+                ("credits", self.seq_credits.into()),
+            ]
+            .into_iter()
+            .chain(budget),
+        )
     }
 
     /// The [`ScenarioBuilder`] this spec configures — the bridge from
@@ -402,33 +401,25 @@ fn uint_field(v: &Value, field: &'static str) -> Result<u64, SchemaError> {
 /// type and constraints, plus the workload and mode vocabularies.
 #[must_use]
 pub fn schema_document() -> String {
-    let mut fields = BTreeMap::new();
-    for (name, ty, doc) in SCENARIO_FIELDS_V1 {
-        let mut entry = BTreeMap::new();
-        entry.insert("type".to_string(), Value::Str(ty.to_string()));
-        entry.insert("doc".to_string(), Value::Str(doc.to_string()));
-        fields.insert(name.to_string(), Value::Obj(entry));
-    }
-    let workloads =
-        WorkloadId::ALL.into_iter().map(|w| Value::Str(w.meta().name.to_string())).collect();
+    let fields = SCENARIO_FIELDS_V1
+        .map(|(name, ty, doc)| (name, Value::obj([("type", ty.into()), ("doc", doc.into())])));
+    let workloads = WorkloadId::ALL.map(|w| w.meta().name.into()).to_vec();
     let modes = ["gpu", "none", "fence", "orderlight", "seqnum", "louvre", "bulk"]
-        .into_iter()
-        .map(|m| Value::Str(m.to_string()))
-        .collect();
-    let mut doc = BTreeMap::new();
-    doc.insert("schema".to_string(), Value::Str(SCENARIO_SCHEMA_V1.to_string()));
-    doc.insert("fields".to_string(), Value::Obj(fields));
-    doc.insert("workloads".to_string(), Value::Arr(workloads));
-    doc.insert("modes".to_string(), Value::Arr(modes));
-    doc.insert(
-        "policy".to_string(),
-        Value::Str(
+        .map(Value::from)
+        .to_vec();
+    let doc = Value::obj([
+        ("schema", SCENARIO_SCHEMA_V1.into()),
+        ("fields", Value::obj(fields)),
+        ("workloads", workloads.into()),
+        ("modes", modes.into()),
+        (
+            "policy",
             "unknown fields and missing/unsupported versions are rejected; \
              new fields only arrive with a new version tag"
-                .to_string(),
+                .into(),
         ),
-    );
-    let mut out = Value::Obj(doc).to_json();
+    ]);
+    let mut out = doc.to_json();
     out.push('\n');
     out
 }
@@ -439,48 +430,49 @@ pub fn schema_document() -> String {
 /// `RunStats` always produce identical bytes — the property the
 /// `ci.sh` smoke gate checks with `cmp`.
 #[must_use]
-#[allow(clippy::cast_precision_loss)]
 pub fn stats_to_value(stats: &RunStats) -> Value {
-    let num = |v: u64| Value::Num(v as f64);
-    let mut sm = BTreeMap::new();
-    sm.insert("issued".to_string(), num(stats.sm.issued));
-    sm.insert("pim_issued".to_string(), num(stats.sm.pim_issued));
-    sm.insert("loads".to_string(), num(stats.sm.loads));
-    sm.insert("stores".to_string(), num(stats.sm.stores));
-    sm.insert("computes".to_string(), num(stats.sm.computes));
-    sm.insert("fences".to_string(), num(stats.sm.fences));
-    sm.insert("orderlights".to_string(), num(stats.sm.orderlights));
-    sm.insert("fence_stall_cycles".to_string(), num(stats.sm.fence_stall_cycles));
-    sm.insert("ol_wait_cycles".to_string(), num(stats.sm.ol_wait_cycles));
-    sm.insert("reg_wait_cycles".to_string(), num(stats.sm.reg_wait_cycles));
-    sm.insert("structural_stall_cycles".to_string(), num(stats.sm.structural_stall_cycles));
-    sm.insert("credit_wait_cycles".to_string(), num(stats.sm.credit_wait_cycles));
-    let mut mc = BTreeMap::new();
-    mc.insert("pim_commands".to_string(), num(stats.mc.pim_commands));
-    mc.insert("activates".to_string(), num(stats.mc.activates));
-    mc.insert("precharges".to_string(), num(stats.mc.precharges));
-    mc.insert("col_reads".to_string(), num(stats.mc.col_reads));
-    mc.insert("col_writes".to_string(), num(stats.mc.col_writes));
-    mc.insert("exec_commands".to_string(), num(stats.mc.exec_commands));
-    mc.insert("host_reads".to_string(), num(stats.mc.host_reads));
-    mc.insert("host_writes".to_string(), num(stats.mc.host_writes));
-    mc.insert("fence_acks".to_string(), num(stats.mc.fence_acks));
-    mc.insert("ol_packets".to_string(), num(stats.mc.ol_packets));
-    mc.insert("sanity_violations".to_string(), num(stats.mc.sanity_violations));
-    mc.insert("last_issue_cycle".to_string(), num(stats.mc.last_issue_cycle));
-    mc.insert("host_read_latency_sum".to_string(), num(stats.mc.host_read_latency_sum));
-    let mut map = BTreeMap::new();
-    map.insert("core_cycles".to_string(), num(stats.core_cycles));
-    map.insert("exec_time_ms".to_string(), Value::Num(stats.exec_time_ms));
-    map.insert("sm".to_string(), Value::Obj(sm));
-    map.insert("mc".to_string(), Value::Obj(mc));
-    map.insert("pim_data_bytes".to_string(), num(stats.pim_data_bytes));
-    map.insert("command_bandwidth_gcs".to_string(), Value::Num(stats.command_bandwidth_gcs));
-    map.insert("data_bandwidth_gbs".to_string(), Value::Num(stats.data_bandwidth_gbs));
-    map.insert("primitives_per_pim_instr".to_string(), Value::Num(stats.primitives_per_pim_instr));
-    map.insert("verified_matches".to_string(), num(stats.verified_matches));
-    map.insert("verified_mismatches".to_string(), num(stats.verified_mismatches));
-    Value::Obj(map)
+    let (sm, mc) = (&stats.sm, &stats.mc);
+    let sm = Value::obj([
+        ("issued", sm.issued.into()),
+        ("pim_issued", sm.pim_issued.into()),
+        ("loads", sm.loads.into()),
+        ("stores", sm.stores.into()),
+        ("computes", sm.computes.into()),
+        ("fences", sm.fences.into()),
+        ("orderlights", sm.orderlights.into()),
+        ("fence_stall_cycles", sm.fence_stall_cycles.into()),
+        ("ol_wait_cycles", sm.ol_wait_cycles.into()),
+        ("reg_wait_cycles", sm.reg_wait_cycles.into()),
+        ("structural_stall_cycles", sm.structural_stall_cycles.into()),
+        ("credit_wait_cycles", sm.credit_wait_cycles.into()),
+    ]);
+    let mc = Value::obj([
+        ("pim_commands", mc.pim_commands.into()),
+        ("activates", mc.activates.into()),
+        ("precharges", mc.precharges.into()),
+        ("col_reads", mc.col_reads.into()),
+        ("col_writes", mc.col_writes.into()),
+        ("exec_commands", mc.exec_commands.into()),
+        ("host_reads", mc.host_reads.into()),
+        ("host_writes", mc.host_writes.into()),
+        ("fence_acks", mc.fence_acks.into()),
+        ("ol_packets", mc.ol_packets.into()),
+        ("sanity_violations", mc.sanity_violations.into()),
+        ("last_issue_cycle", mc.last_issue_cycle.into()),
+        ("host_read_latency_sum", mc.host_read_latency_sum.into()),
+    ]);
+    Value::obj([
+        ("core_cycles", stats.core_cycles.into()),
+        ("exec_time_ms", stats.exec_time_ms.into()),
+        ("sm", sm),
+        ("mc", mc),
+        ("pim_data_bytes", stats.pim_data_bytes.into()),
+        ("command_bandwidth_gcs", stats.command_bandwidth_gcs.into()),
+        ("data_bandwidth_gbs", stats.data_bandwidth_gbs.into()),
+        ("primitives_per_pim_instr", stats.primitives_per_pim_instr.into()),
+        ("verified_matches", stats.verified_matches.into()),
+        ("verified_mismatches", stats.verified_mismatches.into()),
+    ])
 }
 
 #[cfg(test)]

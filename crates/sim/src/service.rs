@@ -4,7 +4,7 @@
 //! [`std::net::TcpListener`] that accepts scenario requests on a
 //! newline-delimited JSON protocol, batches independent runs onto a
 //! persistent worker pool (the run-level parallelism unit from
-//! [`crate::pool`]), streams progress and final [`RunStats`] back to
+//! [`crate::pool`]), streams progress and final [`crate::RunStats`] back to
 //! many concurrent clients, and memoizes completed runs in a bounded
 //! LRU cache keyed by [`crate::Scenario::canonical_hash`].
 //!
@@ -79,7 +79,7 @@
 //! SLO: every result reply carries the p50/p95/p99 of request latency
 //! so far, and `{"cmd":"stats"}` exposes hit/miss counters.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -228,25 +228,26 @@ impl FlightRecorder {
         }
     }
 
-    #[allow(clippy::cast_precision_loss)]
     fn to_value(&self) -> (Value, Value) {
         let requests: Vec<Value> = self
             .requests
             .iter()
             .map(|r| {
-                let mut map = BTreeMap::new();
-                map.insert("seq".to_string(), Value::Num(r.seq as f64));
-                if let Some(hash) = r.hash {
-                    map.insert("scenario_hash".to_string(), Value::Str(format!("{hash:#018x}")));
-                }
-                map.insert("outcome".to_string(), Value::Str(r.outcome.clone()));
-                map.insert("latency_us".to_string(), Value::Num(r.latency_us as f64));
-                map.insert("phases".to_string(), r.span.to_value());
-                Value::Obj(map)
+                let hash = r.hash.map(|h| ("scenario_hash", hash_value(h)));
+                Value::obj(
+                    [
+                        ("seq", r.seq.into()),
+                        ("outcome", r.outcome.as_str().into()),
+                        ("latency_us", r.latency_us.into()),
+                        ("phases", r.span.to_value()),
+                    ]
+                    .into_iter()
+                    .chain(hash),
+                )
             })
             .collect();
-        let errors: Vec<Value> = self.errors.iter().map(|e| Value::Str(e.clone())).collect();
-        (Value::Arr(requests), Value::Arr(errors))
+        let errors: Vec<Value> = self.errors.iter().map(|e| e.as_str().into()).collect();
+        (requests.into(), errors.into())
     }
 }
 
@@ -405,13 +406,10 @@ impl Shared {
 
 /// `{"p50":..,"p95":..,"p99":..}` from a latency histogram.
 fn slo_value(hist: &Histogram) -> Value {
-    let mut slo = BTreeMap::new();
-    for (name, p) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-        #[allow(clippy::cast_precision_loss)]
-        let v = hist.percentile(p).unwrap_or(0) as f64;
-        slo.insert(name.to_string(), Value::Num(v));
-    }
-    Value::Obj(slo)
+    Value::obj(
+        [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)]
+            .map(|(name, p)| (name, hist.percentile(p).unwrap_or(0).into())),
+    )
 }
 
 /// The `orderlight serve` daemon. [`Server::bind`] it, read
@@ -690,23 +688,20 @@ fn handle_request(line: &[u8], writer: &mut TcpStream, shared: &Shared, addr: So
         let us = elapsed_us(start);
         let slo = shared.record_latency(us);
         let serialize_start = Instant::now();
-        let mut reply = result_reply(id.as_ref(), true, us, slo, &stats_json);
+        let reply = result_reply(id.as_ref(), true, us, slo, &stats_json);
         span.serialize_us = elapsed_us(serialize_start);
-        if shared.telemetry.is_some() {
-            reply.insert("span".to_string(), span.to_value());
-        }
+        let reply = with_span(reply, shared, &span);
         shared.commit_result(hash, true, span, us);
-        return write_reply(writer, &Value::Obj(reply), shared);
+        return write_reply(writer, &reply, shared);
     }
 
     shared.misses.fetch_add(1, Ordering::Relaxed);
-    let mut accepted = reply_base(id.as_ref(), "accepted");
-    accepted.insert("scenario_hash".to_string(), Value::Str(format!("{hash:#018x}")));
+    let accepted = reply(id.as_ref(), "accepted", [("scenario_hash", hash_value(hash))]);
     if let Some(t) = &shared.telemetry {
         t.requests_accepted.inc();
     }
     let write_start = Instant::now();
-    if !write_reply(writer, &Value::Obj(accepted), shared) {
+    if !write_reply(writer, &accepted, shared) {
         return false;
     }
     span.write_us += elapsed_us(write_start);
@@ -733,11 +728,7 @@ fn handle_request(line: &[u8], writer: &mut TcpStream, shared: &Shared, addr: So
                 }
                 if client_alive {
                     let write_start = Instant::now();
-                    client_alive = write_reply(
-                        writer,
-                        &Value::Obj(reply_base(id.as_ref(), "running")),
-                        shared,
-                    );
+                    client_alive = write_reply(writer, &reply(id.as_ref(), "running", []), shared);
                     span.write_us += elapsed_us(write_start);
                 }
             }
@@ -746,15 +737,13 @@ fn handle_request(line: &[u8], writer: &mut TcpStream, shared: &Shared, addr: So
                 let us = elapsed_us(start);
                 let slo = shared.record_latency(us);
                 let serialize_start = Instant::now();
-                let mut reply = result_reply(id.as_ref(), false, us, slo, &stats_json);
+                let reply = result_reply(id.as_ref(), false, us, slo, &stats_json);
                 span.serialize_us = elapsed_us(serialize_start);
-                if shared.telemetry.is_some() {
-                    reply.insert("span".to_string(), span.to_value());
-                }
+                let reply = with_span(reply, shared, &span);
                 shared.commit_result(hash, false, span, us);
                 slow_log(shared, hash, &span);
                 if client_alive {
-                    client_alive = write_reply(writer, &Value::Obj(reply), shared);
+                    client_alive = write_reply(writer, &reply, shared);
                 }
                 return client_alive;
             }
@@ -780,15 +769,14 @@ fn slow_log(shared: &Shared, hash: u64, span: &SpanPhases) {
     if span.run_us <= threshold_us {
         return;
     }
-    let mut map = BTreeMap::new();
-    map.insert("event".to_string(), Value::Str("slow_request".to_string()));
-    map.insert("scenario_hash".to_string(), Value::Str(format!("{hash:#018x}")));
-    #[allow(clippy::cast_precision_loss)]
-    map.insert("run_us".to_string(), Value::Num(span.run_us as f64));
-    #[allow(clippy::cast_precision_loss)]
-    map.insert("threshold_us".to_string(), Value::Num(threshold_us as f64));
-    map.insert("phases".to_string(), span.to_value());
-    eprintln!("{}", Value::Obj(map).to_json());
+    let record = Value::obj([
+        ("event", "slow_request".into()),
+        ("scenario_hash", hash_value(hash)),
+        ("run_us", span.run_us.into()),
+        ("threshold_us", threshold_us.into()),
+        ("phases", span.to_value()),
+    ]);
+    eprintln!("{}", record.to_json());
 }
 
 /// Handles `{"cmd": ...}`. Returns `false` to close the connection.
@@ -800,26 +788,18 @@ fn handle_admin(
     shared: &Shared,
     addr: SocketAddr,
 ) -> bool {
-    let num = |v: u64| {
-        #[allow(clippy::cast_precision_loss)]
-        Value::Num(v as f64)
-    };
     match cmd.as_str() {
         Some("shutdown") => {
             shared.shutdown.store(true, Ordering::Relaxed);
             shared.available.notify_all();
             // Poke the acceptor loop so it observes the flag.
             let _ = TcpStream::connect(addr);
-            write_reply(writer, &Value::Obj(reply_base(id, "bye")), shared);
+            write_reply(writer, &reply(id, "bye", []), shared);
             false
         }
         Some("stats") => {
-            let mut reply = reply_base(id, "stats");
-            reply.insert("schema".to_string(), Value::Str(SERVICE_STATS_SCHEMA_V1.to_string()));
             let hits = shared.hits.load(Ordering::Relaxed);
             let misses = shared.misses.load(Ordering::Relaxed);
-            reply.insert("hits".to_string(), num(hits));
-            reply.insert("misses".to_string(), num(misses));
             let ratio = if hits + misses == 0 {
                 0.0
             } else {
@@ -828,45 +808,60 @@ fn handle_admin(
                     hits as f64 / (hits + misses) as f64
                 }
             };
-            reply.insert("hit_ratio".to_string(), Value::Num(ratio));
-            {
+            let (size, max, insertions, evictions) = {
                 let cache = shared.cache.lock().expect("cache lock");
-                let size = num(cache.len() as u64);
-                reply.insert("cached_scenarios".to_string(), size.clone());
-                reply.insert("cache_size".to_string(), size);
-                reply.insert("cache_max".to_string(), num(cache.max as u64));
-                reply.insert("insertions".to_string(), num(cache.insertions));
-                reply.insert("evictions".to_string(), num(cache.evictions));
-            }
-            reply.insert("slo".to_string(), slo_value(&shared.latency_us.lock().expect("latency")));
-            write_reply(writer, &Value::Obj(reply), shared)
+                (cache.len(), cache.max, cache.insertions, cache.evictions)
+            };
+            let slo = slo_value(&shared.latency_us.lock().expect("latency"));
+            let stats = reply(
+                id,
+                "stats",
+                [
+                    ("schema", SERVICE_STATS_SCHEMA_V1.into()),
+                    ("hits", hits.into()),
+                    ("misses", misses.into()),
+                    ("hit_ratio", ratio.into()),
+                    ("cached_scenarios", size.into()),
+                    ("cache_size", size.into()),
+                    ("cache_max", max.into()),
+                    ("insertions", insertions.into()),
+                    ("evictions", evictions.into()),
+                    ("slo", slo),
+                ],
+            );
+            write_reply(writer, &stats, shared)
         }
         Some("metrics") => {
             let Some(t) = &shared.telemetry else {
                 let reply = error_reply(id, "proto", "telemetry is disabled on this server");
                 return write_reply(writer, &reply, shared);
             };
-            let mut reply = reply_base(id, "metrics");
-            reply.insert("schema".to_string(), Value::Str(SERVICE_METRICS_SCHEMA_V1.to_string()));
-            if doc.get("format").and_then(Value::as_str) == Some("text") {
-                reply.insert("text".to_string(), Value::Str(t.registry.to_text()));
+            let body = if doc.get("format").and_then(Value::as_str) == Some("text") {
+                ("text", t.registry.to_text().into())
             } else {
-                reply.insert("snapshot".to_string(), t.registry.snapshot_value());
-            }
-            write_reply(writer, &Value::Obj(reply), shared)
+                ("snapshot", t.registry.snapshot_value())
+            };
+            let metrics =
+                reply(id, "metrics", [("schema", SERVICE_METRICS_SCHEMA_V1.into()), body]);
+            write_reply(writer, &metrics, shared)
         }
         Some("flightrec") => {
             let Some(t) = &shared.telemetry else {
                 let reply = error_reply(id, "proto", "telemetry is disabled on this server");
                 return write_reply(writer, &reply, shared);
             };
-            let mut reply = reply_base(id, "flightrec");
-            reply.insert("schema".to_string(), Value::Str(FLIGHTREC_SCHEMA_V1.to_string()));
-            reply.insert("capacity".to_string(), num(FLIGHT_RECORDER_REQUESTS as u64));
             let (requests, errors) = t.flightrec.lock().expect("flightrec lock").to_value();
-            reply.insert("requests".to_string(), requests);
-            reply.insert("errors".to_string(), errors);
-            write_reply(writer, &Value::Obj(reply), shared)
+            let flightrec = reply(
+                id,
+                "flightrec",
+                [
+                    ("schema", FLIGHTREC_SCHEMA_V1.into()),
+                    ("capacity", FLIGHT_RECORDER_REQUESTS.into()),
+                    ("requests", requests),
+                    ("errors", errors),
+                ],
+            );
+            write_reply(writer, &flightrec, shared)
         }
         _ => {
             let reply = error_reply(id, "proto", &format!("unknown cmd {cmd:?}"));
@@ -892,20 +887,24 @@ fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-fn reply_base(id: Option<&Value>, reply: &str) -> BTreeMap<String, Value> {
-    let mut map = BTreeMap::new();
-    if let Some(id) = id {
-        map.insert("id".to_string(), id.clone());
-    }
-    map.insert("reply".to_string(), Value::Str(reply.to_string()));
-    map
+/// The wire spelling of a scenario hash: `0x` and 16 hex digits.
+fn hash_value(hash: u64) -> Value {
+    format!("{hash:#018x}").into()
+}
+
+/// A reply object: the `reply` kind, the request's `id` envelope when
+/// it carried one, and `fields`.
+fn reply<'a>(
+    id: Option<&Value>,
+    kind: &str,
+    fields: impl IntoIterator<Item = (&'a str, Value)>,
+) -> Value {
+    let id = id.map(|id| ("id", id.clone()));
+    Value::obj(id.into_iter().chain([("reply", kind.into())]).chain(fields))
 }
 
 fn error_reply(id: Option<&Value>, kind: &str, message: &str) -> Value {
-    let mut map = reply_base(id, "error");
-    map.insert("kind".to_string(), Value::Str(kind.to_string()));
-    map.insert("message".to_string(), Value::Str(message.to_string()));
-    Value::Obj(map)
+    reply(id, "error", [("kind", kind.into()), ("message", message.into())])
 }
 
 fn result_reply(
@@ -914,15 +913,26 @@ fn result_reply(
     latency_us: u64,
     slo: Value,
     stats_json: &str,
-) -> BTreeMap<String, Value> {
-    let mut map = reply_base(id, "result");
-    map.insert("cached".to_string(), Value::Bool(cached));
-    #[allow(clippy::cast_precision_loss)]
-    map.insert("latency_us".to_string(), Value::Num(latency_us as f64));
-    map.insert("slo".to_string(), slo);
+) -> Value {
     let stats = json::parse(stats_json).unwrap_or(Value::Null);
-    map.insert("stats".to_string(), stats);
-    map
+    reply(
+        id,
+        "result",
+        [
+            ("cached", cached.into()),
+            ("latency_us", latency_us.into()),
+            ("slo", slo),
+            ("stats", stats),
+        ],
+    )
+}
+
+/// `reply` with the request's span attached, when telemetry is on.
+fn with_span(mut reply: Value, shared: &Shared, span: &SpanPhases) -> Value {
+    if let (Value::Obj(map), Some(_)) = (&mut reply, &shared.telemetry) {
+        map.insert("span".to_string(), span.to_value());
+    }
+    reply
 }
 
 /// Serialises one reply and writes it as a line, counting the bytes
@@ -1003,7 +1013,7 @@ mod tests {
     #[test]
     fn reply_kind_and_stats_extraction() {
         let slo = slo_value(&Histogram::exponential(1, 4));
-        let line = Value::Obj(result_reply(None, true, 12, slo, r#"{"b":2,"a":1}"#)).to_json();
+        let line = result_reply(None, true, 12, slo, r#"{"b":2,"a":1}"#).to_json();
         assert_eq!(reply_kind(&line).as_deref(), Some("result"));
         // Canonical re-serialisation sorts the embedded keys.
         assert_eq!(extract_stats(&line).as_deref(), Some(r#"{"a":1,"b":2}"#));

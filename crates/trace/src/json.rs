@@ -1,10 +1,23 @@
-//! A minimal JSON reader/writer used to validate exporter output.
+//! The workspace's one JSON reader and writer.
 //!
 //! The build environment is offline, so `serde_json` is not available;
 //! this hand-rolled parser covers the full JSON grammar (objects,
-//! arrays, strings with escapes, numbers, booleans, null) and is used by
-//! the exporter tests to round-trip Chrome trace documents. It is a test
-//! and tooling aid, not a general-purpose serializer.
+//! arrays, strings with escapes, numbers, booleans, null), and
+//! [`Value::to_json`] is the canonical writer every document goes
+//! through: service replies, scenario specs, profile reports, bench
+//! records and span traces. Build a document with [`Value::obj`] and
+//! the `From` conversions:
+//!
+//! ```
+//! use orderlight_trace::json::{parse, Value};
+//! let doc = Value::obj([("name", "add".into()), ("cycles", 42u64.into())]);
+//! assert_eq!(doc.to_json(), r#"{"cycles":42,"name":"add"}"#);
+//! assert_eq!(parse(&doc.to_json()).unwrap(), doc);
+//! ```
+//!
+//! Only the Chrome trace exporter ([`crate::chrome`]) writes rows by
+//! hand: a trace holds millions of events and is streamed, not built
+//! as one tree.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -32,6 +45,19 @@ pub enum Value {
 }
 
 impl Value {
+    /// An object from `(key, value)` pairs; a repeated key keeps its
+    /// last value.
+    #[must_use]
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Value)>) -> Value {
+        // Inserting one by one, rather than `collect`, keeps each call
+        // site from instantiating its own copy of the collect-time sort.
+        let mut map = BTreeMap::new();
+        for (k, v) in fields {
+            map.insert(k.into(), v);
+        }
+        Value::Obj(map)
+    }
+
     /// Object field lookup (`None` for non-objects / missing keys).
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Value> {
@@ -89,6 +115,50 @@ impl Value {
                 out.push('}');
             }
         }
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(n: f64) -> Value {
+        Value::Num(n)
+    }
+}
+
+/// Integers convert through `f64`: exact up to 2^53, far above any
+/// counter a run produces.
+macro_rules! value_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            #[allow(clippy::cast_precision_loss, clippy::cast_lossless)]
+            fn from(n: $t) -> Value {
+                Value::Num(n as f64)
+            }
+        }
+    )*};
+}
+value_from_int!(u32, u64, usize, i64);
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
+    }
+}
+
+impl From<Vec<Value>> for Value {
+    fn from(items: Vec<Value>) -> Value {
+        Value::Arr(items)
     }
 }
 

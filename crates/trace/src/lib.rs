@@ -3,9 +3,9 @@
 //! The observability backbone of the reproduction: a typed event
 //! vocabulary covering the whole request path (warp issue at the SM,
 //! OrderLight packet lifecycle, memory-controller scheduling, per-bank
-//! DRAM commands), pluggable sinks, latency histograms, a named counter
-//! registry, and exporters to the Chrome trace-event format (loadable in
-//! Perfetto / `chrome://tracing`) and CSV.
+//! DRAM commands), pluggable sinks, latency histograms, the live metrics
+//! registry, the canonical JSON reader/writer, and an exporter to the
+//! Chrome trace-event format (loadable in Perfetto / `chrome://tracing`).
 //!
 //! The crate is deliberately **dependency-free** — it must be buildable
 //! in offline/vendored environments and linkable from every simulation
@@ -50,6 +50,6 @@ pub mod span;
 
 pub use chrome::{ChromeTraceBuilder, ClockDomains};
 pub use event::{DramCmdKind, EventCategory, InstrKind, SchedSide, StallCause, TraceEvent};
-pub use metrics::{Counter, CounterRegistry, Gauge, Histogram, MetricsRegistry, ShardedHistogram};
+pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, ShardedHistogram};
 pub use sink::{NopSink, RingSink, SharedSink, TeeSink, TraceSink};
 pub use span::{spans_to_chrome, SpanPhases, SERVICE_SPAN_PID};

@@ -1,9 +1,8 @@
-//! Latency histograms, the named counter registry, and the live
-//! [`MetricsRegistry`] backing the `orderlight serve` telemetry plane.
+//! Latency histograms and the live [`MetricsRegistry`] backing the
+//! `orderlight serve` telemetry plane.
 
 use crate::json::Value;
-use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -189,120 +188,6 @@ impl Histogram {
     }
 }
 
-/// Named per-epoch metrics, dumped as CSV.
-///
-/// Columns are registered on first use and keep their insertion order;
-/// [`CounterRegistry::end_epoch`] freezes the current row. Missing
-/// columns in an epoch read as 0.
-///
-/// # Example
-///
-/// ```
-/// use orderlight_trace::CounterRegistry;
-/// let mut reg = CounterRegistry::new();
-/// reg.add("fence_wait", 120.0);
-/// reg.add("queue_depth", 3.5);
-/// reg.end_epoch();
-/// reg.add("fence_wait", 80.0);
-/// reg.end_epoch();
-/// let csv = reg.to_csv();
-/// assert!(csv.starts_with("epoch,fence_wait,queue_depth\n"));
-/// assert!(csv.contains("\n1,80,0\n"));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CounterRegistry {
-    names: Vec<String>,
-    index: HashMap<String, usize>,
-    epochs: Vec<Vec<f64>>,
-    current: Vec<f64>,
-}
-
-impl CounterRegistry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        CounterRegistry::default()
-    }
-
-    fn column(&mut self, name: &str) -> usize {
-        if let Some(&i) = self.index.get(name) {
-            return i;
-        }
-        let i = self.names.len();
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), i);
-        i
-    }
-
-    /// Adds `value` to counter `name` in the current epoch.
-    pub fn add(&mut self, name: &str, value: f64) {
-        let i = self.column(name);
-        if self.current.len() <= i {
-            self.current.resize(i + 1, 0.0);
-        }
-        self.current[i] += value;
-    }
-
-    /// Sets counter `name` to `value` in the current epoch (gauges).
-    pub fn set(&mut self, name: &str, value: f64) {
-        let i = self.column(name);
-        if self.current.len() <= i {
-            self.current.resize(i + 1, 0.0);
-        }
-        self.current[i] = value;
-    }
-
-    /// Reads counter `name` from the current (open) epoch.
-    #[must_use]
-    pub fn get(&self, name: &str) -> f64 {
-        self.index.get(name).and_then(|&i| self.current.get(i)).copied().unwrap_or(0.0)
-    }
-
-    /// Closes the current epoch, starting a fresh one.
-    pub fn end_epoch(&mut self) {
-        self.epochs.push(std::mem::take(&mut self.current));
-    }
-
-    /// Number of closed epochs.
-    #[must_use]
-    pub fn epochs(&self) -> usize {
-        self.epochs.len()
-    }
-
-    /// Registered column names, in registration order.
-    #[must_use]
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Renders all closed epochs as CSV (`epoch,<name>,...`).
-    ///
-    /// Values are printed with up to three decimals, trailing zeros
-    /// trimmed, so integral counters stay readable.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("epoch");
-        for n in &self.names {
-            out.push(',');
-            out.push_str(n);
-        }
-        out.push('\n');
-        for (e, row) in self.epochs.iter().enumerate() {
-            let _ = write!(out, "{e}");
-            for i in 0..self.names.len() {
-                let v = row.get(i).copied().unwrap_or(0.0);
-                let mut s = format!("{v:.3}");
-                while s.contains('.') && (s.ends_with('0') || s.ends_with('.')) {
-                    s.pop();
-                }
-                let _ = write!(out, ",{s}");
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Live metrics: the service telemetry plane
 // ---------------------------------------------------------------------------
@@ -310,9 +195,9 @@ impl CounterRegistry {
 /// A monotonically increasing live counter: one relaxed atomic add per
 /// event, shareable across threads behind an `Arc`.
 ///
-/// Unlike [`CounterRegistry`] (per-epoch, single-writer, post-hoc),
-/// counters are written concurrently by connection handlers and workers
-/// while the daemon runs, and read at any time by a metrics snapshot.
+/// Counters are written concurrently by connection handlers and
+/// workers while the daemon runs, and read at any time by a metrics
+/// snapshot.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -501,7 +386,6 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics if a registry mutex is poisoned.
     #[must_use]
-    #[allow(clippy::cast_precision_loss)]
     pub fn snapshot_value(&self) -> Value {
         let mut groups: BTreeMap<String, BTreeMap<String, Value>> = BTreeMap::new();
         let mut place = |name: &str, v: Value| {
@@ -509,22 +393,26 @@ impl MetricsRegistry {
             groups.entry(group.to_string()).or_default().insert(key.to_string(), v);
         };
         for (name, c) in self.counters.lock().expect("metrics registry lock").iter() {
-            place(name, Value::Num(c.get() as f64));
+            place(name, c.get().into());
         }
         for (name, g) in self.gauges.lock().expect("metrics registry lock").iter() {
-            place(name, Value::Num(g.get() as f64));
+            place(name, g.get().into());
         }
         for (name, h) in self.histograms.lock().expect("metrics registry lock").iter() {
             let m = h.merged();
-            let mut obj = BTreeMap::new();
-            obj.insert("count".to_string(), Value::Num(m.total() as f64));
-            obj.insert("sum".to_string(), Value::Num(m.sum() as f64));
-            obj.insert("min".to_string(), Value::Num(m.min().unwrap_or(0) as f64));
-            obj.insert("max".to_string(), Value::Num(m.max().unwrap_or(0) as f64));
-            for (label, p) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                obj.insert(label.to_string(), Value::Num(m.percentile(p).unwrap_or(0) as f64));
-            }
-            place(name, Value::Obj(obj));
+            let pct = |p: f64| m.percentile(p).unwrap_or(0).into();
+            place(
+                name,
+                Value::obj([
+                    ("count", m.total().into()),
+                    ("sum", m.sum().into()),
+                    ("min", m.min().unwrap_or(0).into()),
+                    ("max", m.max().unwrap_or(0).into()),
+                    ("p50", pct(0.50)),
+                    ("p95", pct(0.95)),
+                    ("p99", pct(0.99)),
+                ]),
+            );
         }
         Value::Obj(groups.into_iter().map(|(g, metrics)| (g, Value::Obj(metrics))).collect())
     }
@@ -663,32 +551,6 @@ mod tests {
     #[should_panic(expected = "ascending")]
     fn unsorted_edges_panic() {
         let _ = Histogram::new(vec![10, 10]);
-    }
-
-    #[test]
-    fn registry_rows_align_to_late_registered_columns() {
-        let mut reg = CounterRegistry::new();
-        reg.add("a", 1.0);
-        reg.end_epoch();
-        reg.add("b", 2.0);
-        reg.add("a", 0.5);
-        reg.add("a", 0.25);
-        reg.end_epoch();
-        assert_eq!(reg.epochs(), 2);
-        let csv = reg.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "epoch,a,b");
-        assert_eq!(lines[1], "0,1,0", "column b missing in epoch 0 reads as 0");
-        assert_eq!(lines[2], "1,0.75,2");
-    }
-
-    #[test]
-    fn set_overwrites_and_get_reads_open_epoch() {
-        let mut reg = CounterRegistry::new();
-        reg.set("gauge", 5.0);
-        reg.set("gauge", 7.0);
-        assert_eq!(reg.get("gauge"), 7.0);
-        assert_eq!(reg.get("missing"), 0.0);
     }
 
     #[test]

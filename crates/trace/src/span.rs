@@ -12,8 +12,6 @@
 //! side by side with the simulation's own trace of the same run.
 
 use crate::json::Value;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// The service request phases, in execution order. The wire spelling
 /// of phase `p` is `<p>_us`.
@@ -65,13 +63,8 @@ impl SpanPhases {
 
     /// The canonical wire object: `{"parse_us":…,"queue_us":…,…}`.
     #[must_use]
-    #[allow(clippy::cast_precision_loss)]
     pub fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        for (name, us) in self.durations() {
-            map.insert(format!("{name}_us"), Value::Num(us as f64));
-        }
-        Value::Obj(map)
+        Value::obj(self.durations().map(|(name, us)| (format!("{name}_us"), us.into())))
     }
 
     /// Parses the wire object back; `None` when any phase is absent or
@@ -100,39 +93,41 @@ impl SpanPhases {
 /// events, successive spans laid end to end on the shared time axis.
 #[must_use]
 pub fn spans_to_chrome(spans: &[(String, SpanPhases)]) -> String {
-    let mut rows: Vec<String> = Vec::with_capacity(spans.len() * 6 + 2);
-    rows.push(format!(
-        "{{\"ph\":\"M\",\"pid\":{SERVICE_SPAN_PID},\"name\":\"process_name\",\
-         \"args\":{{\"name\":\"service requests\"}}}}"
-    ));
-    let mut t0 = 0u64;
+    let meta = |tid: Option<usize>, name: &str, label: &str| {
+        let tid = tid.map(|t| ("tid", t.into()));
+        Value::obj(
+            [
+                ("ph", "M".into()),
+                ("pid", SERVICE_SPAN_PID.into()),
+                ("name", name.into()),
+                ("args", Value::obj([("name", label.into())])),
+            ]
+            .into_iter()
+            .chain(tid),
+        )
+    };
+    let mut events = vec![meta(None, "process_name", "service requests")];
+    let mut ts = 0u64;
     for (tid, (label, phases)) in spans.iter().enumerate() {
-        let label = Value::Str(label.clone()).to_json();
-        rows.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{SERVICE_SPAN_PID},\"tid\":{tid},\
-             \"name\":\"thread_name\",\"args\":{{\"name\":{label}}}}}"
-        ));
-        let mut ts = t0;
+        events.push(meta(Some(tid), "thread_name", label));
         for (name, us) in phases.durations() {
             if us == 0 {
                 continue;
             }
-            rows.push(format!(
-                "{{\"ph\":\"X\",\"pid\":{SERVICE_SPAN_PID},\"tid\":{tid},\
-                 \"name\":\"{name}\",\"cat\":\"service\",\"ts\":{ts},\"dur\":{us}}}"
-            ));
+            events.push(Value::obj([
+                ("ph", "X".into()),
+                ("pid", SERVICE_SPAN_PID.into()),
+                ("tid", tid.into()),
+                ("name", name.into()),
+                ("cat", "service".into()),
+                ("ts", ts.into()),
+                ("dur", us.into()),
+            ]));
             ts += us;
         }
-        t0 = ts;
     }
-    let mut out = String::from("{\"traceEvents\":[\n");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        let _ = write!(out, "{row}");
-    }
-    out.push_str("\n]}\n");
+    let mut out = Value::obj([("traceEvents", Value::Arr(events))]).to_json();
+    out.push('\n');
     out
 }
 
@@ -166,6 +161,7 @@ mod tests {
             ("req 2 0xdef".to_string(), SpanPhases { parse_us: 7, ..SpanPhases::default() }),
         ]);
         let parsed = json::parse(&doc).expect("chrome doc parses");
+        assert_eq!(parsed.to_json() + "\n", doc, "canonical: a fixed point of parse and to_json");
         let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
         // 1 process-name + 2 thread-name metadata + 5 non-zero phases
         // for span 1 + 1 for span 2.

@@ -105,10 +105,10 @@
 
 use orderlight_suite::check::{check_scenario, compare_backends, BackendRecord};
 use orderlight_suite::core::fault::{DropEdge, FaultPlan, NocJitter, RefreshStorm};
-use orderlight_suite::pim::TsSize;
-use orderlight_suite::profile::{profile_points, profile_scenario_with};
+use orderlight_suite::profile::{
+    profile_points, profile_scenario_with, ProfileReport, PROFILE_SCHEMA,
+};
 use orderlight_suite::sim::cli::{take_common_flags, CommonFlags};
-use orderlight_suite::sim::config::ExecMode;
 use orderlight_suite::sim::core_select::{set_core_override, SimCore};
 use orderlight_suite::sim::experiments::{
     fence_heavy_points, fig05_points, fig10_points, fig12_points, fig13_points, run_points,
@@ -122,12 +122,12 @@ use orderlight_suite::sim::schema::{
 };
 use orderlight_suite::sim::service::{self, Server};
 use orderlight_suite::sim::RunStats;
-use orderlight_suite::sim::ScenarioBuilder;
+use orderlight_suite::trace::json::{self, Value};
 use orderlight_suite::trace::{
-    ChromeTraceBuilder, ClockDomains, CounterRegistry, DramCmdKind, EventCategory, Histogram,
-    RingSink, SchedSide, StallCause, TraceEvent,
+    ChromeTraceBuilder, ClockDomains, DramCmdKind, EventCategory, Histogram, RingSink, SchedSide,
+    StallCause, TraceEvent,
 };
-use orderlight_suite::workloads::{OrderingMode, WorkloadId};
+use orderlight_suite::workloads::WorkloadId;
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -139,90 +139,71 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// The experiment knobs shared by `run` and `trace`.
-struct RunOpts {
-    workload: WorkloadId,
-    mode: ExecMode,
-    ts: TsSize,
-    bmf: u32,
-    data_kb: u64,
-    credits: u32,
-}
-
-impl Default for RunOpts {
-    fn default() -> Self {
-        RunOpts {
-            workload: WorkloadId::Add,
-            mode: ExecMode::Pim(OrderingMode::OrderLight),
-            ts: TsSize::Eighth,
-            bmf: 16,
-            data_kb: 256,
-            credits: 32,
-        }
-    }
-}
-
-impl RunOpts {
-    /// The defaults with the shared `--ordering` flag applied.
-    fn with_common(common: &CommonFlags) -> RunOpts {
-        let mut opts = RunOpts::default();
-        if let Some(mode) = common.ordering {
-            opts.mode = mode;
-        }
-        opts
-    }
-
-    fn builder(&self) -> ScenarioBuilder {
-        ScenarioBuilder::new(self.workload, self.mode)
-            .ts_size(self.ts)
-            .bmf(self.bmf)
-            .data_kb(self.data_kb)
-            .seq_credits(self.credits)
-    }
-
-    /// The `orderlight/scenario/v1` document for these knobs — what
-    /// `submit` puts on the wire.
-    fn spec(&self) -> ScenarioSpec {
-        let mut spec = ScenarioSpec::new(self.workload);
-        spec.mode = self.mode;
-        spec.ts = self.ts;
-        spec.bmf = self.bmf;
-        spec.data_bytes_per_channel = self.data_kb * 1024;
-        spec.seq_credits = self.credits;
-        spec
-    }
+/// The scenario a run-style command starts from: the
+/// `orderlight/scenario/v1` defaults for `Add` at `data_kb` KiB per
+/// structure per channel, under the shared `--ordering` mode if given.
+fn default_spec(common: &CommonFlags, data_kb: u64) -> ScenarioSpec {
+    let spec = ScenarioSpec {
+        data_bytes_per_channel: data_kb * 1024,
+        ..ScenarioSpec::new(WorkloadId::Add)
+    };
+    ScenarioSpec { mode: common.ordering.unwrap_or(spec.mode), ..spec }
 }
 
 /// Applies one common experiment flag. `Some(ok)` when the flag is
 /// recognised; `None` for flags the caller must handle itself.
-fn apply_common_flag(opts: &mut RunOpts, flag: &str, value: &str) -> Option<bool> {
+fn apply_common_flag(spec: &mut ScenarioSpec, flag: &str, value: &str) -> Option<bool> {
     Some(match flag {
-        "--workload" | "-w" => match parse_workload(value) {
-            Some(w) => {
-                opts.workload = w;
-                true
-            }
-            None => false,
-        },
-        "--mode" | "-m" => match parse_mode(value) {
-            Some(m) => {
-                opts.mode = m;
-                true
-            }
-            None => false,
-        },
-        "--ts" => match parse_ts(value) {
-            Some(t) => {
-                opts.ts = t;
-                true
-            }
-            None => false,
-        },
-        "--bmf" => value.parse().map(|v| opts.bmf = v).is_ok(),
-        "--data-kb" => value.parse().map(|v| opts.data_kb = v).is_ok(),
-        "--credits" => value.parse().map(|v| opts.credits = v).is_ok(),
+        "--workload" | "-w" => parse_workload(value).map(|w| spec.workload = w).is_some(),
+        "--mode" | "-m" => parse_mode(value).map(|m| spec.mode = m).is_some(),
+        "--ts" => parse_ts(value).map(|t| spec.ts = t).is_some(),
+        "--bmf" => value.parse().map(|v| spec.bmf = v).is_ok(),
+        "--data-kb" => value
+            .parse::<u64>()
+            .ok()
+            .and_then(|kb| kb.checked_mul(1024))
+            .map(|bytes| spec.data_bytes_per_channel = bytes)
+            .is_some(),
+        "--credits" => value.parse().map(|v| spec.seq_credits = v).is_ok(),
         _ => return None,
     })
+}
+
+/// How the run-style commands announce a scenario.
+fn describe(spec: &ScenarioSpec) -> String {
+    format!(
+        "{} mode={} ts={} bmf={}x data={}KiB/structure/channel",
+        spec.workload,
+        spec.mode,
+        spec.ts,
+        spec.bmf,
+        spec.data_bytes_per_channel / 1024
+    )
+}
+
+/// Writes `contents` to `path`, reporting a failure on stderr.
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), ExitCode> {
+    std::fs::write(path, contents).map_err(|e| {
+        eprintln!("cannot write {path}: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Writes `doc` to `path` as one canonical JSON line.
+fn write_json(path: &str, doc: &Value) -> Result<(), ExitCode> {
+    write_file(path, doc.to_json() + "\n")
+}
+
+/// Reads `path` as a JSON document whose `schema` tag passes `accept`;
+/// `wanted` names the accepted tags in the error.
+fn read_document(path: &str, wanted: &str, accept: impl Fn(&str) -> bool) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{path}: does not parse: {e}"))?;
+    match doc.get("schema").and_then(Value::as_str) {
+        Some(tag) if accept(tag) => Ok(doc),
+        Some(tag) => Err(format!("{path}: schema '{tag}' is not {wanted}")),
+        None => Err(format!("{path}: no schema tag (want {wanted})")),
+    }
 }
 
 fn cmd_list() -> ExitCode {
@@ -272,14 +253,14 @@ fn print_stats(stats: &RunStats) -> bool {
 }
 
 fn cmd_run(args: &[String], common: &CommonFlags) -> ExitCode {
-    let mut opts = RunOpts::with_common(common);
+    let mut spec = default_spec(common, 256);
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(value) = it.next() else {
             eprintln!("missing value for {flag}");
             return usage();
         };
-        match apply_common_flag(&mut opts, flag, value) {
+        match apply_common_flag(&mut spec, flag, value) {
             Some(true) => {}
             Some(false) => {
                 eprintln!("invalid value '{value}' for {flag}");
@@ -292,16 +273,8 @@ fn cmd_run(args: &[String], common: &CommonFlags) -> ExitCode {
         }
     }
 
-    println!(
-        "running {} mode={} ts={} bmf={}x data={}KiB/structure/channel ...",
-        opts.workload, opts.mode, opts.ts, opts.bmf, opts.data_kb
-    );
-    match opts
-        .builder()
-        .build()
-        .map_err(|e| e.to_string())
-        .and_then(|s| s.run().map_err(|e| e.to_string()))
-    {
+    println!("running {} ...", describe(&spec));
+    match spec.build().map_err(|e| e.to_string()).and_then(|s| s.run().map_err(|e| e.to_string())) {
         Ok(stats) => {
             if print_stats(&stats) {
                 ExitCode::SUCCESS
@@ -346,7 +319,7 @@ fn parse_mutate(spec: &str) -> Option<DropEdge> {
 fn cmd_check(args: &[String], common: &CommonFlags) -> ExitCode {
     // Keep the default checked run small: the oracle retains per-request
     // state and the default job is CI-speed at 64 KiB.
-    let mut opts = RunOpts { data_kb: 64, ..RunOpts::with_common(common) };
+    let mut spec = default_spec(common, 64);
     let mut plan = FaultPlan::none();
     let mut mutate: Option<DropEdge> = None;
     let mut it = args.iter();
@@ -370,7 +343,7 @@ fn cmd_check(args: &[String], common: &CommonFlags) -> ExitCode {
                 }
                 None => false,
             },
-            _ => match apply_common_flag(&mut opts, flag, value) {
+            _ => match apply_common_flag(&mut spec, flag, value) {
                 Some(ok) => ok,
                 None => {
                     eprintln!("unknown flag {flag}");
@@ -387,12 +360,8 @@ fn cmd_check(args: &[String], common: &CommonFlags) -> ExitCode {
     plan.drop_edge = mutate;
 
     println!(
-        "checking {} mode={} ts={} bmf={}x data={}KiB/structure/channel (faults: noc={} sched={} storm={} seed={}{}) ...",
-        opts.workload,
-        opts.mode,
-        opts.ts,
-        opts.bmf,
-        opts.data_kb,
+        "checking {} (faults: noc={} sched={} storm={} seed={}{}) ...",
+        describe(&spec),
         plan.noc_jitter.is_some(),
         plan.sched_adversary,
         plan.refresh_storm.is_some(),
@@ -402,7 +371,7 @@ fn cmd_check(args: &[String], common: &CommonFlags) -> ExitCode {
             None => String::new(),
         },
     );
-    let outcome = match opts
+    let outcome = match spec
         .builder()
         .faults(plan)
         .build()
@@ -487,92 +456,88 @@ fn row_residency_histogram(events: &[TraceEvent]) -> Histogram {
     hist
 }
 
-/// Epoch-segmented counters: the run is cut into `epochs` equal
-/// wall-clock windows and every event tallied into its window.
-fn build_counters(events: &[TraceEvent], clocks: &ClockDomains, epochs: usize) -> CounterRegistry {
-    const NAMES: [&str; 22] = [
-        "sm.warp_issue",
-        "sm.warp_retire",
-        "sm.fence_stalls",
-        "sm.stall_cycles",
-        "packet.created",
-        "packet.enqueued",
-        "packet.merged",
-        "packet.fence_acks",
-        "sched.picks_rd",
-        "sched.picks_wr",
-        "sched.row_hits",
-        "sched.req_enqueued",
-        "sched.req_dequeued",
-        "sched.req_issued",
-        "dram.act",
-        "dram.pre",
-        "dram.rd",
-        "dram.wr",
-        "dram.exec",
-        "dram.row_closes",
-        "dram.refreshes",
-        "host.reads_done",
-    ];
-    let mut reg = CounterRegistry::new();
-    let end_us =
-        events.iter().map(|e| clocks.to_us(e.cycle(), e.is_core_clock())).fold(0.0f64, f64::max);
+/// The `<out>.counters.csv` header: the epoch, then 22 counters.
+const COUNTERS_HEADER: &str = "epoch,sm.warp_issue,sm.warp_retire,sm.fence_stalls,\
+    sm.stall_cycles,packet.created,packet.enqueued,packet.merged,packet.fence_acks,sched.picks_rd,\
+    sched.picks_wr,sched.row_hits,sched.req_enqueued,sched.req_dequeued,sched.req_issued,dram.act,\
+    dram.pre,dram.rd,dram.wr,dram.exec,dram.row_closes,dram.refreshes,host.reads_done";
+
+/// The counter an event adds to and by how much, or `None` for events
+/// no counter tallies. A scheduler pick that hits an open row also
+/// counts under `sched.row_hits`; the caller adds that.
+fn counter_of(e: &TraceEvent) -> Option<(&'static str, u64)> {
+    let name = match e {
+        TraceEvent::WarpIssue { .. } => "sm.warp_issue",
+        TraceEvent::WarpRetire { .. } => "sm.warp_retire",
+        TraceEvent::FenceStallBegin { .. } => "sm.fence_stalls",
+        // Weighted by the run length: the counter carries stall
+        // *cycles*, not stall runs.
+        TraceEvent::CoreStall { cycles, .. } => return Some(("sm.stall_cycles", *cycles)),
+        TraceEvent::PacketCreated { .. } => "packet.created",
+        TraceEvent::PacketEnqueued { .. } => "packet.enqueued",
+        TraceEvent::PacketMerged { .. } => "packet.merged",
+        TraceEvent::FenceAck { .. } => "packet.fence_acks",
+        TraceEvent::SchedDecision { side: SchedSide::Read, .. } => "sched.picks_rd",
+        TraceEvent::SchedDecision { side: SchedSide::Write, .. } => "sched.picks_wr",
+        TraceEvent::ReqEnqueued { .. } => "sched.req_enqueued",
+        TraceEvent::ReqDequeued { .. } => "sched.req_dequeued",
+        TraceEvent::ReqIssued { .. } => "sched.req_issued",
+        TraceEvent::DramCmd { kind, .. } => match kind {
+            DramCmdKind::Activate => "dram.act",
+            DramCmdKind::Precharge => "dram.pre",
+            DramCmdKind::Read => "dram.rd",
+            DramCmdKind::Write => "dram.wr",
+            DramCmdKind::Exec => "dram.exec",
+        },
+        TraceEvent::RowInterval { .. } => "dram.row_closes",
+        TraceEvent::RefreshWindow { .. } => "dram.refreshes",
+        TraceEvent::HostReadDone { .. } => "host.reads_done",
+        TraceEvent::FenceStallEnd { .. }
+        | TraceEvent::QueueSample { .. }
+        | TraceEvent::PipeSample { .. } => return None,
+    };
+    Some((name, 1))
+}
+
+/// Epoch-segmented counters as CSV: the run is cut into `epochs` equal
+/// wall-clock windows and every event tallied into its window, in one
+/// pass over the events.
+fn counters_csv(events: &[TraceEvent], clocks: &ClockDomains, epochs: usize) -> String {
+    let at_us = |e: &TraceEvent| clocks.to_us(e.cycle(), e.is_core_clock());
+    let end_us = events.iter().map(at_us).fold(0.0f64, f64::max);
     let window = (end_us / epochs as f64).max(f64::MIN_POSITIVE);
-    for epoch in 0..epochs {
-        for name in NAMES {
-            reg.set(name, 0.0);
-        }
-        let lo = epoch as f64 * window;
-        let hi = if epoch + 1 == epochs { f64::INFINITY } else { lo + window };
-        for e in events {
-            let us = clocks.to_us(e.cycle(), e.is_core_clock());
-            if us < lo || us >= hi {
-                continue;
+    // Epoch `k` holds `lo <= t < hi`; the last one is open above.
+    let holds = |k: usize, t: f64| {
+        let lo = k as f64 * window;
+        let hi = if k + 1 == epochs { f64::INFINITY } else { lo + window };
+        lo <= t && t < hi
+    };
+    let column = |name: &str| {
+        COUNTERS_HEADER.split(',').skip(1).position(|c| c == name).expect("a listed counter")
+    };
+    let row_hits = column("sched.row_hits");
+    let mut rows = vec![[0u64; 22]; epochs];
+    for e in events {
+        let Some((name, n)) = counter_of(e) else { continue };
+        let col = column(name);
+        let hit = matches!(e, TraceEvent::SchedDecision { row_hit: true, .. });
+        let t = at_us(e);
+        // Rounding can put `t` just across a window edge from
+        // `t / window`, so the neighbouring epochs get the exact test.
+        let guess = (t / window) as usize;
+        for (k, row) in rows.iter_mut().enumerate().skip(guess.saturating_sub(1)).take(3) {
+            if holds(k, t) {
+                row[col] += n;
+                row[row_hits] += u64::from(hit);
             }
-            let name = match e {
-                TraceEvent::WarpIssue { .. } => "sm.warp_issue",
-                TraceEvent::WarpRetire { .. } => "sm.warp_retire",
-                TraceEvent::FenceStallBegin { .. } => "sm.fence_stalls",
-                TraceEvent::FenceStallEnd { .. } => continue,
-                TraceEvent::CoreStall { cycles, .. } => {
-                    // Weight by the run length: the counter carries
-                    // stall *cycles*, not stall runs.
-                    reg.add("sm.stall_cycles", *cycles as f64);
-                    continue;
-                }
-                TraceEvent::PacketCreated { .. } => "packet.created",
-                TraceEvent::PacketEnqueued { .. } => "packet.enqueued",
-                TraceEvent::PacketMerged { .. } => "packet.merged",
-                TraceEvent::FenceAck { .. } => "packet.fence_acks",
-                TraceEvent::SchedDecision { side, row_hit, .. } => {
-                    if *row_hit {
-                        reg.add("sched.row_hits", 1.0);
-                    }
-                    match side {
-                        SchedSide::Read => "sched.picks_rd",
-                        SchedSide::Write => "sched.picks_wr",
-                    }
-                }
-                TraceEvent::ReqEnqueued { .. } => "sched.req_enqueued",
-                TraceEvent::ReqDequeued { .. } => "sched.req_dequeued",
-                TraceEvent::ReqIssued { .. } => "sched.req_issued",
-                TraceEvent::QueueSample { .. } | TraceEvent::PipeSample { .. } => continue,
-                TraceEvent::DramCmd { kind, .. } => match kind {
-                    DramCmdKind::Activate => "dram.act",
-                    DramCmdKind::Precharge => "dram.pre",
-                    DramCmdKind::Read => "dram.rd",
-                    DramCmdKind::Write => "dram.wr",
-                    DramCmdKind::Exec => "dram.exec",
-                },
-                TraceEvent::RowInterval { .. } => "dram.row_closes",
-                TraceEvent::RefreshWindow { .. } => "dram.refreshes",
-                TraceEvent::HostReadDone { .. } => "host.reads_done",
-            };
-            reg.add(name, 1.0);
         }
-        reg.end_epoch();
     }
-    reg
+    let mut csv = format!("{COUNTERS_HEADER}\n");
+    for (k, row) in rows.iter().enumerate() {
+        let cells: Vec<String> = row.iter().map(u64::to_string).collect();
+        csv.push_str(&format!("{k},{}\n", cells.join(",")));
+    }
+    csv
 }
 
 fn print_histogram(title: &str, hist: &Histogram) {
@@ -592,7 +557,10 @@ fn print_histogram(title: &str, hist: &Histogram) {
 
 /// Parses the flag set shared by `trace` and `profile`: an optional
 /// positional workload, the common run flags, `--out` and `--events`.
-fn parse_capture_args(args: &[String], opts: &mut RunOpts) -> Result<(String, usize), ExitCode> {
+fn parse_capture_args(
+    args: &[String],
+    spec: &mut ScenarioSpec,
+) -> Result<(String, usize), ExitCode> {
     let mut out = "orderlight".to_string();
     let mut capacity = 4_000_000usize;
     let mut rest = args;
@@ -600,7 +568,7 @@ fn parse_capture_args(args: &[String], opts: &mut RunOpts) -> Result<(String, us
     if let Some(first) = rest.first() {
         if !first.starts_with('-') {
             match parse_workload(first) {
-                Some(w) => opts.workload = w,
+                Some(w) => spec.workload = w,
                 None => {
                     eprintln!("unknown workload '{first}'");
                     return Err(usage());
@@ -621,7 +589,7 @@ fn parse_capture_args(args: &[String], opts: &mut RunOpts) -> Result<(String, us
                 true
             }
             "--events" => value.parse().map(|v: usize| capacity = v.max(1)).is_ok(),
-            _ => match apply_common_flag(opts, flag, value) {
+            _ => match apply_common_flag(spec, flag, value) {
                 Some(ok) => ok,
                 None => {
                     eprintln!("unknown flag {flag}");
@@ -640,18 +608,15 @@ fn parse_capture_args(args: &[String], opts: &mut RunOpts) -> Result<(String, us
 fn cmd_trace(args: &[String], common: &CommonFlags) -> ExitCode {
     // Keep the default traced run small: traces of the full-size default
     // job are hundreds of MB of JSON.
-    let mut opts = RunOpts { data_kb: 16, ..RunOpts::with_common(common) };
-    let (out, capacity) = match parse_capture_args(args, &mut opts) {
+    let mut spec = default_spec(common, 16);
+    let (out, capacity) = match parse_capture_args(args, &mut spec) {
         Ok(x) => x,
         Err(code) => return code,
     };
 
-    println!(
-        "tracing {} mode={} ts={} bmf={}x data={}KiB/structure/channel ...",
-        opts.workload, opts.mode, opts.ts, opts.bmf, opts.data_kb
-    );
+    println!("tracing {} ...", describe(&spec));
     let ring = Arc::new(RingSink::new(capacity));
-    let traced = opts
+    let traced = spec
         .builder()
         .trace(ring.clone())
         .build()
@@ -705,14 +670,10 @@ fn cmd_trace(args: &[String], common: &CommonFlags) -> ExitCode {
     let trace_path = format!("{out}.trace.json");
     let csv_path = format!("{out}.counters.csv");
     let json = ChromeTraceBuilder::new(clocks).build_with_drops(&events, ring.dropped());
-    if let Err(e) = std::fs::write(&trace_path, json) {
-        eprintln!("cannot write {trace_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let counters = build_counters(&events, &clocks, 8);
-    if let Err(e) = std::fs::write(&csv_path, counters.to_csv()) {
-        eprintln!("cannot write {csv_path}: {e}");
-        return ExitCode::FAILURE;
+    if let Err(code) = write_file(&trace_path, json)
+        .and_then(|()| write_file(&csv_path, counters_csv(&events, &clocks, 8)))
+    {
+        return code;
     }
     println!("\nwrote {trace_path} (open at https://ui.perfetto.dev) and {csv_path}");
     if correct {
@@ -725,19 +686,15 @@ fn cmd_trace(args: &[String], common: &CommonFlags) -> ExitCode {
 fn cmd_profile(args: &[String], common: &CommonFlags) -> ExitCode {
     // Same default sizing as `trace`: the profiled run streams into the
     // aggregation, but the teed ring still backs the Chrome export.
-    let mut opts = RunOpts { data_kb: 16, ..RunOpts::with_common(common) };
-    let (out, capacity) = match parse_capture_args(args, &mut opts) {
+    let mut spec = default_spec(common, 16);
+    let (out, capacity) = match parse_capture_args(args, &mut spec) {
         Ok(x) => x,
         Err(code) => return code,
     };
 
-    println!(
-        "profiling {} mode={} ts={} bmf={}x data={}KiB/structure/channel ...",
-        opts.workload, opts.mode, opts.ts, opts.bmf, opts.data_kb
-    );
+    println!("profiling {} ...", describe(&spec));
     let ring = Arc::new(RingSink::new(capacity));
-    let outcome = match opts
-        .builder()
+    let outcome = match spec
         .build()
         .map_err(|e| e.to_string())
         .and_then(|s| profile_scenario_with(&s, Some(ring.clone())).map_err(|e| e.to_string()))
@@ -762,17 +719,12 @@ fn cmd_profile(args: &[String], common: &CommonFlags) -> ExitCode {
 
     let profile_path = format!("{out}.profile.json");
     let trace_path = format!("{out}.trace.json");
-    let mut profile_json = outcome.report.to_json();
-    profile_json.push('\n');
-    if let Err(e) = std::fs::write(&profile_path, profile_json) {
-        eprintln!("cannot write {profile_path}: {e}");
-        return ExitCode::FAILURE;
-    }
     let chrome =
         ChromeTraceBuilder::new(outcome.clocks).build_with_drops(&ring.events(), ring.dropped());
-    if let Err(e) = std::fs::write(&trace_path, chrome) {
-        eprintln!("cannot write {trace_path}: {e}");
-        return ExitCode::FAILURE;
+    if let Err(code) = write_file(&profile_path, outcome.report.to_json() + "\n")
+        .and_then(|()| write_file(&trace_path, chrome))
+    {
+        return code;
     }
     println!("wrote {profile_path} and {trace_path} (open at https://ui.perfetto.dev)");
     if !outcome.is_conserved() {
@@ -796,34 +748,20 @@ fn cmd_profile_verify(paths: &[String]) -> ExitCode {
         return usage();
     }
     for path in paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
+        let doc = match read_document(path, PROFILE_SCHEMA, |tag| tag == PROFILE_SCHEMA) {
+            Ok(doc) => doc,
             Err(e) => {
-                eprintln!("{path}: cannot read: {e}");
+                eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         };
-        let doc = match orderlight_suite::trace::json::parse(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("{path}: does not parse: {e:?}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if doc.get("schema").and_then(|v| v.as_str()) != Some("orderlight/profile/v1") {
-            eprintln!("{path}: missing or wrong schema tag");
-            return ExitCode::FAILURE;
-        }
         let Some(stalls) = doc.get("stalls") else {
             eprintln!("{path}: no stall breakdown");
             return ExitCode::FAILURE;
         };
-        let total = stalls.get("total").and_then(|v| v.as_f64()).unwrap_or(-1.0);
-        let sum: f64 =
-            ["fence_wait", "fence_drain", "ol_wait", "reg_wait", "structural", "credit_wait"]
-                .iter()
-                .map(|k| stalls.get(k).and_then(|v| v.as_f64()).unwrap_or(f64::NAN))
-                .sum();
+        let cycles = |key: &str| stalls.get(key).and_then(Value::as_f64);
+        let total = cycles("total").unwrap_or(-1.0);
+        let sum: f64 = StallCause::ALL.iter().map(|c| cycles(c.label()).unwrap_or(f64::NAN)).sum();
         if !(sum.is_finite() && total >= 0.0 && (sum - total).abs() < 0.5) {
             eprintln!("{path}: stall causes sum to {sum}, total says {total}");
             return ExitCode::FAILURE;
@@ -964,24 +902,21 @@ fn cmd_figure(args: &[String], jobs: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Serialises one backend's comparison record as a JSON object — the
-/// per-backend speedup/violation/metadata-cost rows of the
-/// `bench-sweep/v5` schema.
-fn ordering_record_json(r: &BackendRecord) -> String {
-    format!(
-        "{{\"ordering\": \"{}\", \"core_cycles\": {}, \"exec_time_ms\": {:.6}, \"speedup_vs_fence\": {:.3}, \"clean\": {}, \"violations\": {}, \"sanity_violations\": {}, \"packets\": {}, \"fence_acks\": {}, \"credits\": {}, \"metadata_bits\": {}}}",
-        r.ordering,
-        r.core_cycles,
-        r.exec_time_ms,
-        r.speedup_vs_fence,
-        r.clean,
-        r.violations,
-        r.sanity_violations,
-        r.packets,
-        r.fence_acks,
-        r.credits,
-        r.metadata_bits,
-    )
+/// The schema tag of `compare-ordering` and `bench` documents.
+const BENCH_SCHEMA: &str = "orderlight/bench-sweep/v5";
+
+/// `a / b`, or 0 when `b` is not positive.
+fn ratio(a: f64, b: f64) -> f64 {
+    if b > 0.0 {
+        a / b
+    } else {
+        0.0
+    }
+}
+
+/// The `ordering` array of a `bench-sweep/v5` document.
+fn ordering_array(records: &[BackendRecord]) -> Value {
+    Value::Arr(records.iter().map(BackendRecord::to_value).collect())
 }
 
 /// Runs the cross-primitive ordering comparison and prints the
@@ -1067,14 +1002,15 @@ fn cmd_compare_ordering(args: &[String], core: SimCore) -> ExitCode {
         Ok(r) => r,
         Err(code) => return code,
     };
-    let rows = records.iter().map(ordering_record_json).collect::<Vec<_>>().join(",\n    ");
-    let json = format!(
-        "{{\n  \"schema\": \"orderlight/bench-sweep/v5\",\n  \"workload\": \"{workload}\",\n  \"data_kb\": {data_kb},\n  \"core\": \"{}\",\n  \"ordering\": [\n    {rows}\n  ]\n}}\n",
-        core.as_str(),
-    );
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
+    let doc = Value::obj([
+        ("schema", BENCH_SCHEMA.into()),
+        ("workload", workload.to_string().into()),
+        ("data_kb", data_kb.into()),
+        ("core", core.as_str().into()),
+        ("ordering", ordering_array(&records)),
+    ]);
+    if let Err(code) = write_json(&out, &doc) {
+        return code;
     }
     println!("wrote {out}");
     if records.iter().all(|r| r.clean) {
@@ -1094,34 +1030,22 @@ struct CoreBench {
 }
 
 impl CoreBench {
-    fn rate(points: usize, secs: f64) -> f64 {
-        if secs > 0.0 {
-            points as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Event-core speedup over the cycle core (wall-clock ratio).
     fn speedup(&self) -> f64 {
-        if self.event_s > 0.0 {
-            self.cycle_s / self.event_s
-        } else {
-            0.0
-        }
+        ratio(self.cycle_s, self.event_s)
     }
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"figure\": \"{}\", \"points\": {}, \"cycle_seconds\": {:.6}, \"event_seconds\": {:.6}, \"cycle_points_per_sec\": {:.3}, \"event_points_per_sec\": {:.3}, \"event_speedup\": {:.3}}}",
-            self.figure,
-            self.points,
-            self.cycle_s,
-            self.event_s,
-            Self::rate(self.points, self.cycle_s),
-            Self::rate(self.points, self.event_s),
-            self.speedup(),
-        )
+    fn to_value(&self) -> Value {
+        let points = self.points as f64;
+        Value::obj([
+            ("figure", self.figure.into()),
+            ("points", self.points.into()),
+            ("cycle_seconds", self.cycle_s.into()),
+            ("event_seconds", self.event_s.into()),
+            ("cycle_points_per_sec", ratio(points, self.cycle_s).into()),
+            ("event_points_per_sec", ratio(points, self.event_s).into()),
+            ("event_speedup", self.speedup().into()),
+        ])
     }
 }
 
@@ -1167,49 +1091,33 @@ struct ProfileBench {
     unprofiled_s: f64,
     profiled_s: f64,
     /// Attributed cycles per cause, in [`StallCause::ALL`] order.
-    stalls: [u64; 6],
-    /// Attributed minus counted, per counter: fence (wait+drain share
-    /// one SM counter), ol_wait, reg_wait, structural, credit_wait,
-    /// total. All zero exactly when conservation holds.
-    deltas: [i64; 6],
+    stalls: [u64; StallCause::ALL.len()],
+    /// Attributed minus counted, per equation of
+    /// [`ProfileReport::conservation`]. All zero exactly when
+    /// conservation holds.
+    deltas: [(&'static str, i64); 6],
     conserved: bool,
 }
 
 impl ProfileBench {
     /// Profiled over unprofiled wall time; 1.0 means free observability.
     fn overhead(&self) -> f64 {
-        if self.unprofiled_s > 0.0 {
-            self.profiled_s / self.unprofiled_s
-        } else {
-            0.0
-        }
+        ratio(self.profiled_s, self.unprofiled_s)
     }
 
-    /// One line per figure so `ci.sh` can grep its fig05 entry and gate
-    /// on the overhead field with awk alone.
-    fn json(&self) -> String {
-        let stalls =
-            ["fence_wait", "fence_drain", "ol_wait", "reg_wait", "structural", "credit_wait"]
-                .iter()
-                .zip(self.stalls)
-                .map(|(name, v)| format!("\"{name}\": {v}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-        let deltas = ["fence", "ol_wait", "reg_wait", "structural", "credit_wait", "total"]
-            .iter()
-            .zip(self.deltas)
-            .map(|(name, v)| format!("\"{name}\": {v}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"figure\": \"{}\", \"points\": {}, \"unprofiled_seconds\": {:.6}, \"profiled_seconds\": {:.6}, \"overhead\": {:.3}, \"conserved\": {}, \"stalls\": {{{stalls}}}, \"stall_deltas\": {{{deltas}}}}}",
-            self.figure,
-            self.points,
-            self.unprofiled_s,
-            self.profiled_s,
-            self.overhead(),
-            self.conserved,
-        )
+    fn to_value(&self) -> Value {
+        let stalls = StallCause::ALL.iter().zip(self.stalls).map(|(c, v)| (c.label(), v.into()));
+        let deltas = self.deltas.map(|(name, d)| (name, d.into()));
+        Value::obj([
+            ("figure", self.figure.into()),
+            ("points", self.points.into()),
+            ("unprofiled_seconds", self.unprofiled_s.into()),
+            ("profiled_seconds", self.profiled_s.into()),
+            ("overhead", self.overhead().into()),
+            ("conserved", self.conserved.into()),
+            ("stalls", Value::obj(stalls)),
+            ("stall_deltas", Value::obj(deltas)),
+        ])
     }
 }
 
@@ -1233,39 +1141,27 @@ fn bench_figure_profile(figure: &'static str, specs: &[JobSpec]) -> Result<Profi
     })?;
     let profiled_s = t1.elapsed().as_secs_f64();
 
-    let mut stalls = [0u64; 6];
-    let mut attributed = 0u64;
-    // Counted by the SMs themselves: fence (wait+drain), ol, reg,
-    // structural, credit, total.
-    let mut counted = [0u64; 6];
+    let mut stalls = [0u64; StallCause::ALL.len()];
+    // The equations with zero on both sides, to sum the points into.
+    let mut sums = ProfileReport::default().conservation(&RunStats::default());
     let mut conserved = true;
     for (i, o) in outcomes.iter().enumerate() {
         for (slot, cause) in StallCause::ALL.into_iter().enumerate() {
             stalls[slot] += o.report.stall(cause);
         }
-        attributed += o.report.total_attributed();
-        counted[0] += o.stats.sm.fence_stall_cycles;
-        counted[1] += o.stats.sm.ol_wait_cycles;
-        counted[2] += o.stats.sm.reg_wait_cycles;
-        counted[3] += o.stats.sm.structural_stall_cycles;
-        counted[4] += o.stats.sm.credit_wait_cycles;
-        counted[5] += o.stats.stall_cycles();
+        for (sum, (_, attributed, counted)) in sums.iter_mut().zip(o.report.conservation(&o.stats))
+        {
+            sum.1 += attributed;
+            sum.2 += counted;
+        }
         if !o.is_conserved() {
             conserved = false;
             eprintln!("  {figure} point {i}: {}", o.summary());
         }
     }
-    let delta = |a: u64, b: u64| {
-        i64::try_from(a).unwrap_or(i64::MAX) - i64::try_from(b).unwrap_or(i64::MAX)
-    };
-    let deltas = [
-        delta(stalls[0] + stalls[1], counted[0]),
-        delta(stalls[2], counted[1]),
-        delta(stalls[3], counted[2]),
-        delta(stalls[4], counted[3]),
-        delta(stalls[5], counted[4]),
-        delta(attributed, counted[5]),
-    ];
+    let signed = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
+    let deltas =
+        sums.map(|(name, attributed, counted)| (name, signed(attributed) - signed(counted)));
     Ok(ProfileBench {
         figure,
         points: specs.len(),
@@ -1277,35 +1173,12 @@ fn bench_figure_profile(figure: &'static str, specs: &[JobSpec]) -> Result<Profi
     })
 }
 
-/// Serialises one bench measurement as a JSON object line set.
-#[allow(clippy::too_many_arguments)]
-fn bench_json(
-    quick: bool,
-    data_kb: u64,
-    jobs: usize,
-    core: SimCore,
-    points: usize,
-    serial_s: f64,
-    parallel_s: f64,
-    latency_us: (u64, u64, u64),
-    figs_json: &str,
-    identical: bool,
-    cores_identical: bool,
-    profile_json: &str,
-    ordering_json: &str,
-) -> String {
-    let rate = |secs: f64| if secs > 0.0 { points as f64 / secs } else { 0.0 };
-    let speedup = if parallel_s > 0.0 { serial_s / parallel_s } else { 0.0 };
-    format!(
-        "{{\n  \"schema\": \"orderlight/bench-sweep/v5\",\n  \"quick\": {quick},\n  \"data_kb\": {data_kb},\n  \"jobs\": {jobs},\n  \"core\": \"{core}\",\n  \"available_parallelism\": {avail},\n  \"figures\": [{figs_json}],\n  \"points\": {points},\n  \"serial_seconds\": {serial_s:.6},\n  \"parallel_seconds\": {parallel_s:.6},\n  \"serial_points_per_sec\": {sr:.3},\n  \"parallel_points_per_sec\": {pr:.3},\n  \"point_latency_us\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}}},\n  \"speedup\": {speedup:.3},\n  \"identical\": {identical},\n  \"cores_identical\": {cores_identical},\n  \"profile\": {profile_json},\n  \"ordering\": [\n    {ordering_json}\n  ]\n}}\n",
-        p50 = latency_us.0,
-        p95 = latency_us.1,
-        p99 = latency_us.2,
-        core = core.as_str(),
-        avail = available_jobs(),
-        sr = rate(serial_s),
-        pr = rate(parallel_s),
-    )
+/// The nearest-rank `pct` percentile of ascending `sorted` samples:
+/// the smallest sample with at least `pct`% of all samples at or below
+/// it (0 when there are none).
+fn nearest_rank(sorted: &[u64], pct: usize) -> u64 {
+    let rank = (pct * sorted.len()).div_ceil(100).clamp(1, sorted.len().max(1));
+    sorted.get(rank - 1).copied().unwrap_or(0)
 }
 
 /// One metric's before/after pair for `bench --compare`: prints the
@@ -1332,18 +1205,12 @@ fn compare_metric(label: &str, a: f64, b: f64, threshold_pct: f64) -> bool {
 /// p50/p95/p99 latency deltas. Exits non-zero if any timing in `B`
 /// regresses more than `threshold_pct` percent over `A`.
 fn cmd_bench_compare(a_path: &str, b_path: &str, threshold_pct: f64) -> ExitCode {
-    use orderlight_suite::trace::json::{parse, Value};
-    let load = |path: &str| -> Result<Value, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
-        let doc = parse(&text).map_err(|e| format!("{path}: does not parse: {e:?}"))?;
-        let schema = doc.get("schema").and_then(Value::as_str).unwrap_or("").to_string();
-        match schema.strip_prefix("orderlight/bench-sweep/v").and_then(|v| v.parse::<u32>().ok()) {
-            Some(v) if v >= 2 => Ok(doc),
-            _ => Err(format!(
-                "{path}: unsupported schema '{schema}' (need orderlight/bench-sweep/v2 or later)"
-            )),
-        }
+    let load = |path: &str| {
+        read_document(path, "orderlight/bench-sweep/v2 or later", |tag| {
+            tag.strip_prefix("orderlight/bench-sweep/v")
+                .and_then(|v| v.parse::<u32>().ok())
+                .is_some_and(|v| v >= 2)
+        })
     };
     let (a, b) = match (load(a_path), load(b_path)) {
         (Ok(a), Ok(b)) => (a, b),
@@ -1499,10 +1366,10 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
     }
 
     // The timed serial leg runs point by point (the same loop
-    // `run_points_serial` performs) so each point's wall latency lands
-    // in a histogram for the p50/p95/p99 summary.
+    // `run_points_serial` performs) so each point's wall latency is
+    // kept for the exact p50/p95/p99 summary.
     let t0 = std::time::Instant::now();
-    let mut point_lat_us = Histogram::exponential(64, 24);
+    let mut point_us = Vec::with_capacity(specs.len());
     let mut serial = Vec::with_capacity(specs.len());
     for spec in &specs {
         let tp = std::time::Instant::now();
@@ -1513,13 +1380,17 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        point_lat_us.record(u64::try_from(tp.elapsed().as_micros()).unwrap_or(u64::MAX));
+        point_us.push(u64::try_from(tp.elapsed().as_micros()).unwrap_or(u64::MAX));
     }
     let serial_s = t0.elapsed().as_secs_f64();
     println!("  serial  : {serial_s:.3} s  ({:.2} points/s)", specs.len() as f64 / serial_s);
-    let pct = |p: f64| point_lat_us.percentile(p).unwrap_or(0);
-    let (lat_p50, lat_p95, lat_p99) = (pct(0.50), pct(0.95), pct(0.99));
-    println!("  latency : per-point p50 {lat_p50} us, p95 {lat_p95} us, p99 {lat_p99} us");
+    point_us.sort_unstable();
+    let latency =
+        [("p50", 50), ("p95", 95), ("p99", 99)].map(|(name, p)| (name, nearest_rank(&point_us, p)));
+    println!(
+        "  latency : per-point p50 {} us, p95 {} us, p99 {} us",
+        latency[0].1, latency[1].1, latency[2].1
+    );
 
     let pool = Pool::new(jobs);
     let t1 = std::time::Instant::now();
@@ -1597,7 +1468,7 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
     // conserves the SMs' own counters (deltas of zero), and what the
     // observability costs (profiled vs. unprofiled wall time).
     let mut profile_conserved = true;
-    let profile_json = if profile {
+    let profile_doc = if profile {
         println!("observability (event core, serial, per figure):");
         let mut entries = Vec::with_capacity(series.len());
         for (name, specs) in &series {
@@ -1625,14 +1496,14 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
         }
         let overall_unprofiled: f64 = entries.iter().map(|b| b.unprofiled_s).sum();
         let overall_profiled: f64 = entries.iter().map(|b| b.profiled_s).sum();
-        let overall =
-            if overall_unprofiled > 0.0 { overall_profiled / overall_unprofiled } else { 0.0 };
-        let figs = entries.iter().map(ProfileBench::json).collect::<Vec<_>>().join(",\n      ");
-        format!(
-            "{{\n    \"core\": \"event\",\n    \"overhead\": {overall:.3},\n    \"conserved\": {profile_conserved},\n    \"figures\": [\n      {figs}\n    ]\n  }}"
-        )
+        Value::obj([
+            ("core", "event".into()),
+            ("overhead", ratio(overall_profiled, overall_unprofiled).into()),
+            ("conserved", profile_conserved.into()),
+            ("figures", Value::Arr(entries.iter().map(ProfileBench::to_value).collect())),
+        ])
     } else {
-        "null".to_string()
+        Value::Null
     };
 
     // Cross-primitive ordering comparison: one checked run per backend
@@ -1647,28 +1518,30 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
     if !ordering_clean {
         eprintln!("  results : ORDERING COMPARISON DIRTY — a backend failed its checked run");
     }
-    let ordering_json =
-        ordering_records.iter().map(ordering_record_json).collect::<Vec<_>>().join(",\n    ");
 
-    let figs_json = fig_benches.iter().map(CoreBench::json).collect::<Vec<_>>().join(", ");
-    let json = bench_json(
-        quick,
-        data_kb,
-        jobs,
-        core,
-        specs.len(),
-        serial_s,
-        parallel_s,
-        (lat_p50, lat_p95, lat_p99),
-        &figs_json,
-        identical,
-        cores_identical,
-        &profile_json,
-        &ordering_json,
-    );
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
+    let points = specs.len() as f64;
+    let doc = Value::obj([
+        ("schema", BENCH_SCHEMA.into()),
+        ("quick", quick.into()),
+        ("data_kb", data_kb.into()),
+        ("jobs", jobs.into()),
+        ("core", core.as_str().into()),
+        ("available_parallelism", available_jobs().into()),
+        ("figures", Value::Arr(fig_benches.iter().map(CoreBench::to_value).collect())),
+        ("points", specs.len().into()),
+        ("serial_seconds", serial_s.into()),
+        ("parallel_seconds", parallel_s.into()),
+        ("serial_points_per_sec", ratio(points, serial_s).into()),
+        ("parallel_points_per_sec", ratio(points, parallel_s).into()),
+        ("point_latency_us", Value::obj(latency.map(|(name, us)| (name, us.into())))),
+        ("speedup", ratio(serial_s, parallel_s).into()),
+        ("identical", identical.into()),
+        ("cores_identical", cores_identical.into()),
+        ("profile", profile_doc),
+        ("ordering", ordering_array(&ordering_records)),
+    ]);
+    if let Err(code) = write_json(&out, &doc) {
+        return code;
     }
     println!("wrote {out}");
     if identical && cores_identical && profile_conserved && ordering_clean {
@@ -1752,8 +1625,7 @@ fn cmd_serve(args: &[String], common: &CommonFlags) -> ExitCode {
 /// canonical stats JSON — byte-identical between a served reply and a
 /// local run, which is what the `ci.sh` smoke gate `cmp`s.
 fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
-    use orderlight_suite::trace::json;
-    let mut opts = RunOpts::with_common(common);
+    let mut spec = default_spec(common, 256);
     let mut addr: Option<String> = None;
     let mut out: Option<String> = None;
     let mut span_trace: Option<String> = None;
@@ -1806,7 +1678,7 @@ fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
                         true
                     }
                     "--budget" => value.parse().map(|v| budget = Some(v)).is_ok(),
-                    _ => match apply_common_flag(&mut opts, flag, value) {
+                    _ => match apply_common_flag(&mut spec, flag, value) {
                         Some(ok) => ok,
                         None => {
                             eprintln!("unknown flag {flag}");
@@ -1821,7 +1693,6 @@ fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
             return usage();
         }
     }
-    let mut spec = opts.spec();
     spec.budget = budget;
 
     let stats_json = if local {
@@ -1840,8 +1711,10 @@ fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
             return usage();
         };
         let line = match admin {
-            Some("metrics-text") => r#"{"cmd":"metrics","format":"text"}"#.to_string(),
-            Some(cmd) => format!("{{\"cmd\":\"{cmd}\"}}"),
+            Some("metrics-text") => {
+                Value::obj([("cmd", "metrics".into()), ("format", "text".into())]).to_json()
+            }
+            Some(cmd) => admin_line(cmd),
             None => spec.to_value().to_json(),
         };
         let replies = match service::request(&addr, &line) {
@@ -1860,7 +1733,7 @@ fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
         if admin == Some("metrics-text") {
             let text = json::parse(last)
                 .ok()
-                .and_then(|d| d.get("text").and_then(json::Value::as_str).map(ToString::to_string));
+                .and_then(|d| d.get("text").and_then(Value::as_str).map(ToString::to_string));
             match text {
                 Some(text) => print!("{text}"),
                 None => {
@@ -1896,11 +1769,8 @@ fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
         }
     };
     if let Some(path) = out {
-        let mut line = stats_json.clone();
-        line.push('\n');
-        if let Err(e) = std::fs::write(&path, line) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+        if let Err(code) = write_file(&path, stats_json + "\n") {
+            return code;
         }
     } else if local {
         println!("{stats_json}");
@@ -1908,9 +1778,13 @@ fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The request line of the admin command `cmd`.
+fn admin_line(cmd: &str) -> String {
+    Value::obj([("cmd", cmd.into())]).to_json()
+}
+
 /// The human-readable cache line printed under `submit --stats`.
-fn print_stats_summary(doc: &orderlight_suite::trace::json::Value) {
-    use orderlight_suite::trace::json::Value;
+fn print_stats_summary(doc: &Value) {
     let f = |k: &str| doc.get(k).and_then(Value::as_f64).unwrap_or(0.0);
     let max =
         if f("cache_max") == 0.0 { "unbounded".to_string() } else { format!("{}", f("cache_max")) };
@@ -1929,25 +1803,25 @@ fn print_stats_summary(doc: &orderlight_suite::trace::json::Value) {
 /// document (`--span-trace`), composable with `orderlight trace`
 /// output for the same scenario.
 fn write_span_trace(path: &str, result_line: &str) -> Result<(), String> {
-    use orderlight_suite::trace::{json, spans_to_chrome, SpanPhases};
+    use orderlight_suite::trace::{spans_to_chrome, SpanPhases};
     let doc = json::parse(result_line).map_err(|e| e.to_string())?;
     let span = doc
         .get("span")
         .and_then(SpanPhases::from_value)
         .ok_or("no span in the result reply (server telemetry disabled?)")?;
-    let cached = doc.get("cached").and_then(json::Value::as_bool).unwrap_or(false);
+    let cached = doc.get("cached").and_then(Value::as_bool).unwrap_or(false);
     let label = if cached { "request (cache hit)" } else { "request (cache miss)" };
     let chrome = spans_to_chrome(&[(label.to_string(), span)]);
     std::fs::write(path, chrome).map_err(|e| e.to_string())
 }
 
-/// Fetches the terminal reply of one admin command, parsed.
-fn fetch_admin(addr: &str, line: &str) -> Result<orderlight_suite::trace::json::Value, String> {
-    use orderlight_suite::trace::json;
-    let replies = service::request(addr, line).map_err(|e| format!("cannot reach {addr}: {e}"))?;
+/// Fetches the terminal reply of the admin command `cmd`, parsed.
+fn fetch_admin(addr: &str, cmd: &str) -> Result<Value, String> {
+    let replies = service::request(addr, &admin_line(cmd))
+        .map_err(|e| format!("cannot reach {addr}: {e}"))?;
     let last = replies.last().ok_or("server closed the connection without a reply")?;
     let doc = json::parse(last).map_err(|e| e.to_string())?;
-    if doc.get("reply").and_then(json::Value::as_str) == Some("error") {
+    if doc.get("reply").and_then(Value::as_str) == Some("error") {
         return Err(format!("server error: {last}"));
     }
     Ok(doc)
@@ -1992,9 +1866,9 @@ fn cmd_top(args: &[String]) -> ExitCode {
     };
     let mut screens = 0u64;
     loop {
-        let fetched = fetch_admin(&addr, r#"{"cmd":"stats"}"#).and_then(|stats| {
-            let metrics = fetch_admin(&addr, r#"{"cmd":"metrics"}"#)?;
-            let flight = fetch_admin(&addr, r#"{"cmd":"flightrec"}"#)?;
+        let fetched = fetch_admin(&addr, "stats").and_then(|stats| {
+            let metrics = fetch_admin(&addr, "metrics")?;
+            let flight = fetch_admin(&addr, "flightrec")?;
             Ok((stats, metrics, flight))
         });
         let (stats, metrics, flight) = match fetched {
@@ -2019,13 +1893,7 @@ fn cmd_top(args: &[String]) -> ExitCode {
 }
 
 /// One screen of daemon state from the three admin replies.
-fn render_top(
-    addr: &str,
-    stats: &orderlight_suite::trace::json::Value,
-    metrics: &orderlight_suite::trace::json::Value,
-    flight: &orderlight_suite::trace::json::Value,
-) -> String {
-    use orderlight_suite::trace::json::Value;
+fn render_top(addr: &str, stats: &Value, metrics: &Value, flight: &Value) -> String {
     use std::fmt::Write as _;
     let snap = metrics.get("snapshot");
     let m = |group: &str, key: &str| -> f64 {
@@ -2135,5 +2003,23 @@ fn main() -> ExitCode {
         Some("list") => cmd_list(),
         Some("taxonomy") => cmd_taxonomy(),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::nearest_rank;
+
+    #[test]
+    fn nearest_rank_picks_the_smallest_sample_covering_the_share() {
+        let sorted = [15, 20, 35, 40, 50];
+        let at = |pct| nearest_rank(&sorted, pct);
+        assert_eq!(
+            [at(0), at(5), at(30), at(40), at(50), at(95), at(100)],
+            [15, 15, 20, 20, 35, 50, 50]
+        );
+        let hundred: Vec<u64> = (1..=100).collect();
+        assert_eq!([50, 95, 99].map(|p| nearest_rank(&hundred, p)), [50, 95, 99]);
+        assert_eq!(nearest_rank(&[], 50), 0);
     }
 }
