@@ -32,6 +32,19 @@ cargo build --release
 echo "==> orderlight figure all (every paper report, 8 KiB)"
 ./target/release/orderlight figure all --data-kb 8 > /dev/null
 
+# A reader that stops early must end the binary quietly: writes to a
+# closed stdout used to panic, printing a backtrace on stderr.
+echo "==> orderlight figure table1 | head -1 (closed stdout, empty stderr)"
+pipe_err="$(mktemp)"
+./target/release/orderlight figure table1 --data-kb 8 2> "$pipe_err" | head -1 > /dev/null
+if [[ -s "$pipe_err" ]]; then
+    echo "a closed stdout made orderlight write to stderr:"
+    cat "$pipe_err"
+    rm -f "$pipe_err"
+    exit 1
+fi
+rm -f "$pipe_err"
+
 echo "==> cargo test (workspace, tier 1)"
 cargo test --workspace -q
 

@@ -44,6 +44,7 @@ pub mod error;
 pub mod event;
 pub mod fault;
 pub mod fsm;
+pub mod hash;
 pub mod isa;
 pub mod mapping;
 pub mod message;
@@ -65,5 +66,5 @@ pub use packet::OrderLightPacket;
 pub use slab::{Slab, SlabRef};
 pub use types::{
     Addr, BankId, ChannelId, CoreCycle, GlobalWarpId, MemCycle, MemGroupId, Stripe, TsSlot,
-    BUS_BYTES, LANES, LANE_BYTES,
+    WarpTable, BUS_BYTES, LANES, LANE_BYTES,
 };

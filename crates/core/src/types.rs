@@ -137,6 +137,44 @@ impl fmt::Display for GlobalWarpId {
     }
 }
 
+/// A dense per-warp table: one `T` per warp, indexed by SM and then by
+/// warp within the SM, reading `T::default()` for a warp never written.
+///
+/// Per-warp counters are touched on every request a warp sends, so they
+/// live here rather than in a hashed map; rows grow on first write to
+/// the largest SM and warp index seen.
+#[derive(Debug, Clone, Default)]
+pub struct WarpTable<T> {
+    rows: Vec<Vec<T>>,
+}
+
+impl<T: Copy + Default> WarpTable<T> {
+    /// An empty table.
+    #[must_use]
+    pub fn new() -> Self {
+        WarpTable { rows: Vec::new() }
+    }
+
+    /// The value for `warp` (`T::default()` if never written).
+    #[must_use]
+    pub fn get(&self, warp: GlobalWarpId) -> T {
+        self.rows.get(warp.sm()).and_then(|row| row.get(warp.warp())).copied().unwrap_or_default()
+    }
+
+    /// The value for `warp`, growing the table to hold it.
+    pub fn get_mut(&mut self, warp: GlobalWarpId) -> &mut T {
+        let (sm, w) = (warp.sm(), warp.warp());
+        if self.rows.len() <= sm {
+            self.rows.resize_with(sm + 1, Vec::new);
+        }
+        let row = &mut self.rows[sm];
+        if row.len() <= w {
+            row.resize(w + 1, T::default());
+        }
+        &mut row[w]
+    }
+}
+
 /// One 32 B data stripe: the payload of a single column access or
 /// fine-grained PIM command, viewed as [`LANES`] SIMD lanes of `u32`.
 ///
@@ -231,6 +269,18 @@ mod tests {
         assert_eq!(w.sm(), 7);
         assert_eq!(w.warp(), 42);
         assert_eq!(w.to_string(), "sm7.w42");
+    }
+
+    #[test]
+    fn warp_table_reads_default_until_written() {
+        let mut t = WarpTable::<u64>::new();
+        assert_eq!(t.get(GlobalWarpId::new(3, 5)), 0);
+        *t.get_mut(GlobalWarpId::new(3, 5)) += 2;
+        *t.get_mut(GlobalWarpId::new(0, 9)) += 1;
+        assert_eq!(t.get(GlobalWarpId::new(3, 5)), 2);
+        assert_eq!(t.get(GlobalWarpId::new(0, 9)), 1);
+        assert_eq!(t.get(GlobalWarpId::new(3, 4)), 0);
+        assert_eq!(t.get(GlobalWarpId::new(9, 0)), 0);
     }
 
     #[test]

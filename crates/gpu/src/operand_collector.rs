@@ -9,9 +9,10 @@
 //! preceding PIM requests into the memory pipe without halting issue for
 //! long (unlike a fence, which drains the whole core-to-memory path).
 
+use orderlight::hash::IntMap;
 use orderlight::message::MemReq;
-use orderlight::types::{ChannelId, CoreCycle, GlobalWarpId, MemGroupId};
-use std::collections::{HashMap, VecDeque};
+use orderlight::types::{ChannelId, CoreCycle, GlobalWarpId, MemGroupId, WarpTable};
+use std::collections::VecDeque;
 
 /// One resident collector-unit entry.
 #[derive(Debug, Clone)]
@@ -28,8 +29,8 @@ pub struct OperandCollector {
     entries: VecDeque<OcEntry>,
     capacity: usize,
     latency: CoreCycle,
-    pim_counts: HashMap<(ChannelId, MemGroupId), u32>,
-    warp_counts: HashMap<GlobalWarpId, u32>,
+    pim_counts: IntMap<(ChannelId, MemGroupId), u32>,
+    warp_counts: WarpTable<u32>,
 }
 
 impl OperandCollector {
@@ -45,8 +46,8 @@ impl OperandCollector {
             entries: VecDeque::new(),
             capacity,
             latency,
-            pim_counts: HashMap::new(),
-            warp_counts: HashMap::new(),
+            pim_counts: IntMap::default(),
+            warp_counts: WarpTable::new(),
         }
     }
 
@@ -79,7 +80,7 @@ impl OperandCollector {
         if let Some(key) = pim_key {
             *self.pim_counts.entry(key).or_insert(0) += 1;
         }
-        *self.warp_counts.entry(warp).or_insert(0) += 1;
+        *self.warp_counts.get_mut(warp) += 1;
         self.entries.push_back(OcEntry { exit_at: now + self.latency, req, warp, pim_key });
     }
 
@@ -93,7 +94,7 @@ impl OperandCollector {
     /// Requests resident from `warp` — the fence drain gate.
     #[must_use]
     pub fn warp_count(&self, warp: GlobalWarpId) -> u32 {
-        self.warp_counts.get(&warp).copied().unwrap_or(0)
+        self.warp_counts.get(warp)
     }
 
     /// Exit deadline of the oldest resident entry, if any. Entries
@@ -116,8 +117,7 @@ impl OperandCollector {
                 let c = self.pim_counts.get_mut(&key).expect("count tracked");
                 *c -= 1;
             }
-            let c = self.warp_counts.get_mut(&e.warp).expect("count tracked");
-            *c -= 1;
+            *self.warp_counts.get_mut(e.warp) -= 1;
         }
     }
 }

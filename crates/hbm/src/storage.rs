@@ -7,13 +7,13 @@
 //!
 //! Rows are allocated lazily; untouched memory reads as zero.
 
+use orderlight::hash::IntMap;
 use orderlight::types::{BankId, Stripe, BUS_BYTES};
-use std::collections::HashMap;
 
 /// Sparse functional store: `(bank, row) -> row bytes`.
 #[derive(Debug, Clone, Default)]
 pub struct FunctionalStore {
-    rows: HashMap<(BankId, u32), Vec<u8>>,
+    rows: IntMap<(BankId, u32), Vec<u8>>,
     row_bytes: usize,
 }
 
@@ -29,7 +29,7 @@ impl FunctionalStore {
             row_bytes > 0 && row_bytes.is_multiple_of(BUS_BYTES),
             "row_bytes must be a positive multiple of {BUS_BYTES}"
         );
-        FunctionalStore { rows: HashMap::new(), row_bytes }
+        FunctionalStore { rows: IntMap::default(), row_bytes }
     }
 
     /// Row length in bytes.

@@ -45,5 +45,5 @@ pub use ordering::{
     BackendStats, FenceTracker, GroupOrdering, MarkerAction, OrderingBackend, OrderingKind,
     RetireOutcome,
 };
-pub use queues::{QueueEntry, TransQueue};
+pub use queues::{QueueEntry, TransQueue, MAX_BANKS};
 pub use txn::Transaction;

@@ -2,7 +2,7 @@
 //! command queues, DRAM command issue, and the PIM unit hookup.
 
 use crate::ordering::{MarkerAction, OrderingBackend, OrderingKind};
-use crate::queues::{PendingReq, QueueEntry, TransQueue};
+use crate::queues::{PendingReq, QueueEntry, TransQueue, MAX_BANKS};
 use crate::txn::{Transaction, TxnKind};
 use orderlight::fsm::diverge;
 use orderlight::mapping::{AddressMapping, GroupMap};
@@ -142,6 +142,25 @@ enum Side {
     Write,
 }
 
+/// The banks whose head transaction can issue one kind of DRAM command
+/// this cycle.
+#[derive(Debug, Default, Clone, Copy)]
+struct ReadyBanks {
+    /// The head with the oldest arrival, the lowest bank on ties.
+    oldest: Option<(u64, BankId)>,
+    /// Every such bank, one bit each (the adversary picks among these).
+    banks: u64,
+}
+
+impl ReadyBanks {
+    fn add(&mut self, arrival: u64, bank: BankId) {
+        self.banks |= 1 << bank.0;
+        if self.oldest.is_none_or(|(a, _)| arrival < a) {
+            self.oldest = Some((arrival, bank));
+        }
+    }
+}
+
 /// One memory channel's controller with its DRAM channel and PIM unit.
 ///
 /// # Example
@@ -225,9 +244,13 @@ pub struct MemoryController {
 
 impl MemoryController {
     /// Creates a controller around `channel` and `pim`.
+    ///
+    /// # Panics
+    /// Panics if the channel has more than [`MAX_BANKS`] banks.
     #[must_use]
     pub fn new(cfg: McConfig, channel: Channel, pim: PimUnit) -> Self {
         let banks = channel.num_banks();
+        assert!(banks <= MAX_BANKS, "{banks} banks exceed the controller's {MAX_BANKS}-bank masks");
         MemoryController {
             read_q: TransQueue::new(cfg.queue_capacity),
             write_q: TransQueue::new(cfg.queue_capacity),
@@ -433,11 +456,15 @@ impl MemoryController {
             .or_else(|| self.channel.bank(bank).open_row())
     }
 
-    fn txn_fits(&self, p: &PendingReq) -> bool {
-        match p.loc {
-            Some(loc) => self.bank_q[loc.bank.index()].len() < self.cfg.bank_queue_capacity,
-            None => self.exec_q.len() < self.cfg.exec_queue_capacity,
-        }
+    /// The banks whose command queue has room for another transaction,
+    /// one bit each.
+    fn bank_room(&self) -> u64 {
+        let cap = self.cfg.bank_queue_capacity;
+        self.bank_q
+            .iter()
+            .enumerate()
+            .filter(|(_, q)| q.len() < cap)
+            .fold(0, |m, (b, _)| m | 1 << b)
     }
 
     fn is_row_hit(&self, p: &PendingReq) -> bool {
@@ -469,15 +496,27 @@ impl MemoryController {
             [Side::Read, Side::Write]
         };
         let adversarial = self.adversary.is_some();
+        let bank_room = self.bank_room();
+        let exec_room = self.exec_q.len() < self.cfg.exec_queue_capacity;
+        let fits = |p: &PendingReq| match p.loc {
+            Some(loc) => bank_room >> loc.bank.0 & 1 != 0,
+            None => exec_room,
+        };
         for side in order {
+            let q = self.queue(side);
+            // A queue with no request that fits a command queue cannot
+            // yield a candidate, and a scan that finds none draws nothing
+            // from the adversary, so skipping it changes nothing.
+            if !q.holds_request_for(bank_room, exec_room) {
+                continue;
+            }
             let mut first_fit = None;
             let mut row_hit = None;
             let mut candidates: Vec<usize> = Vec::new();
-            let q = self.queue(side);
             let elide = self.backend.elide_group();
             for (i, p) in q.eligible(|g| self.backend.group_blocked(g), elide, self.cfg.scan_depth)
             {
-                if !self.txn_fits(p) {
+                if !fits(p) {
                     continue;
                 }
                 if !self.backend.dequeue_allowed(p) {
@@ -717,58 +756,60 @@ impl MemoryController {
         self.stats.last_issue_cycle = now;
     }
 
-    /// Oldest bank whose head transaction can issue `needed` right now.
-    /// With an adversary attached, a uniform pick among all such banks
-    /// replaces the oldest-arrival preference.
-    fn pick_bank(&mut self, needed: NeededCommand, now: MemCycle) -> Option<BankId> {
-        let adversarial = self.adversary.is_some();
-        let mut best: Option<(u64, BankId)> = None;
-        let mut candidates: Vec<BankId> = Vec::new();
+    /// Classifies every bank's head transaction once, by the command it
+    /// needs next and whether that command can issue at `now`, into the
+    /// column, activate and precharge classes (in that order). A column
+    /// also needs the ordering backend's issue gate.
+    fn ready_banks(&self, now: MemCycle) -> [ReadyBanks; 3] {
+        let mut ready = [ReadyBanks::default(); 3];
         for (b, q) in self.bank_q.iter().enumerate() {
             let Some(head) = q.front() else { continue };
             let bank = BankId(b as u8);
-            if needed == NeededCommand::Column && !self.backend.issue_allowed(head) {
-                continue;
-            }
-            if self.channel.needed_command(bank, head.loc.row) != needed {
-                continue;
-            }
-            let cmd = match needed {
-                NeededCommand::Column => DramCommand::column(
-                    bank,
-                    if head.is_write() { ColKind::Write } else { ColKind::Read },
-                ),
-                NeededCommand::Activate => DramCommand::Activate { bank, row: head.loc.row },
-                NeededCommand::Precharge => DramCommand::Precharge { bank },
+            let (class, cmd) = match self.channel.needed_command(bank, head.loc.row) {
+                NeededCommand::Column => {
+                    if !self.backend.issue_allowed(head) {
+                        continue;
+                    }
+                    let kind = if head.is_write() { ColKind::Write } else { ColKind::Read };
+                    (0, DramCommand::column(bank, kind))
+                }
+                NeededCommand::Activate => (1, DramCommand::Activate { bank, row: head.loc.row }),
+                NeededCommand::Precharge => (2, DramCommand::Precharge { bank }),
             };
-            if !self.channel.can_issue(cmd, now) {
-                continue;
-            }
-            if adversarial {
-                candidates.push(bank);
-            }
-            if best.is_none_or(|(a, _)| head.arrival < a) {
-                best = Some((head.arrival, bank));
+            if self.channel.can_issue(cmd, now) {
+                ready[class].add(head.arrival, bank);
             }
         }
-        if let Some(rng) = self.adversary.as_mut() {
-            if !candidates.is_empty() {
-                return Some(candidates[rng.gen_index(candidates.len())]);
-            }
+        ready
+    }
+
+    /// The bank to issue to from one class of [`ready_banks`](Self::ready_banks):
+    /// the oldest head, or with an adversary attached a uniform pick
+    /// among the class (which draws nothing when the class is empty).
+    fn choose_bank(&mut self, ready: ReadyBanks) -> Option<BankId> {
+        let Some(rng) = self.adversary.as_mut() else {
+            return ready.oldest.map(|(_, b)| b);
+        };
+        if ready.banks == 0 {
             return None;
         }
-        best.map(|(_, b)| b)
+        let mut banks = ready.banks;
+        for _ in 0..rng.gen_index(banks.count_ones() as usize) {
+            banks &= banks - 1;
+        }
+        Some(BankId(banks.trailing_zeros() as u8))
     }
 
     /// Issues at most one command this cycle: column accesses first (they
     /// retire transactions), then execute-only PIM commands, then
     /// activates, then precharges.
     fn issue_phase(&mut self, now: MemCycle) {
-        if let Some(bank) = self.pick_bank(NeededCommand::Column, now) {
+        let [column, activate, precharge] = self.ready_banks(now);
+        if let Some(bank) = self.choose_bank(column) {
             let txn = self.bank_q[bank.index()].front().expect("picked bank has head");
             let kind = if txn.is_write() { ColKind::Write } else { ColKind::Read };
             let issued = self.channel.try_issue(DramCommand::column(bank, kind), now);
-            debug_assert!(issued, "pick_bank checked legality");
+            debug_assert!(issued, "ready_banks checked legality");
             let txn = self.bank_q[bank.index()].pop_front().expect("head exists");
             self.bank_queued -= 1;
             self.complete(txn, now);
@@ -779,7 +820,7 @@ impl MemoryController {
             self.complete(txn, now);
             return;
         }
-        if let Some(bank) = self.pick_bank(NeededCommand::Activate, now) {
+        if let Some(bank) = self.choose_bank(activate) {
             let row = self.bank_q[bank.index()].front().expect("head exists").loc.row;
             let issued = self.channel.try_issue(DramCommand::Activate { bank, row }, now);
             debug_assert!(issued);
@@ -788,7 +829,7 @@ impl MemoryController {
             self.stats.last_issue_cycle = now;
             return;
         }
-        if let Some(bank) = self.pick_bank(NeededCommand::Precharge, now) {
+        if let Some(bank) = self.choose_bank(precharge) {
             let issued = self.channel.try_issue(DramCommand::Precharge { bank }, now);
             debug_assert!(issued);
             self.record(now, || format!("PRE b{}", bank.0), None, None);
@@ -980,6 +1021,7 @@ impl std::fmt::Debug for MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orderlight::mapping::Location;
     use orderlight::message::{MarkerCopy, ReqMeta};
     use orderlight::packet::OrderLightPacket;
     use orderlight::types::{Addr, ChannelId, GlobalWarpId, MemGroupId, Stripe, TsSlot};
@@ -1263,6 +1305,127 @@ mod tests {
         m.push(pim_req(PimOp::Load, 0, 0, 0));
         let (_, _) = run_until_idle(&mut m);
         assert!(m.trace().is_empty());
+    }
+
+    /// The three-pass bank pick the one-pass [`MemoryController::ready_banks`]
+    /// replaced, kept as the reference it must agree with: the oldest
+    /// bank whose head can issue `needed` now, or with an adversary a
+    /// uniform pick among all such banks.
+    fn reference_pick_bank(
+        m: &mut MemoryController,
+        needed: NeededCommand,
+        now: MemCycle,
+    ) -> Option<BankId> {
+        let adversarial = m.adversary.is_some();
+        let mut best: Option<(u64, BankId)> = None;
+        let mut candidates: Vec<BankId> = Vec::new();
+        for (b, q) in m.bank_q.iter().enumerate() {
+            let Some(head) = q.front() else { continue };
+            let bank = BankId(b as u8);
+            if needed == NeededCommand::Column && !m.backend.issue_allowed(head) {
+                continue;
+            }
+            if m.channel.needed_command(bank, head.loc.row) != needed {
+                continue;
+            }
+            let cmd = match needed {
+                NeededCommand::Column => DramCommand::column(
+                    bank,
+                    if head.is_write() { ColKind::Write } else { ColKind::Read },
+                ),
+                NeededCommand::Activate => DramCommand::Activate { bank, row: head.loc.row },
+                NeededCommand::Precharge => DramCommand::Precharge { bank },
+            };
+            if !m.channel.can_issue(cmd, now) {
+                continue;
+            }
+            if adversarial {
+                candidates.push(bank);
+            }
+            if best.is_none_or(|(a, _)| head.arrival < a) {
+                best = Some((head.arrival, bank));
+            }
+        }
+        if let Some(rng) = m.adversary.as_mut() {
+            if candidates.is_empty() {
+                return None;
+            }
+            return Some(candidates[rng.gen_index(candidates.len())]);
+        }
+        best.map(|(_, b)| b)
+    }
+
+    /// A controller in a random bank state drawn from `seed`: open rows
+    /// and command timing left by random activates and column accesses,
+    /// and up to three queued transactions per bank with clashing
+    /// arrival stamps, under a random ordering backend. Returns it with
+    /// the cycle to pick at.
+    fn random_bank_state(seed: u64, adversary: Option<u64>) -> (MemoryController, MemCycle) {
+        let mut rng = Rng::new(seed);
+        let ordering = OrderingKind::ALL[rng.gen_index(OrderingKind::ALL.len())];
+        let cfg = McConfig { ordering, ..McConfig::default() };
+        let channel = Channel::new(TimingParams::hbm_table1(), 16, 2048);
+        let mut m = MemoryController::new(cfg, channel, PimUnit::new(TsSize::Half, 2048, 16));
+        if let Some(seed) = adversary {
+            m.set_adversary(seed);
+        }
+        for t in 0..80 {
+            let bank = BankId(rng.gen_index(16) as u8);
+            let cmd = match rng.gen_index(3) {
+                0 => DramCommand::Activate { bank, row: rng.gen_index(4) as u32 },
+                1 => DramCommand::column(bank, ColKind::Read),
+                _ => DramCommand::Precharge { bank },
+            };
+            m.channel.try_issue(cmd, t);
+        }
+        for b in 0..16u8 {
+            for _ in 0..rng.gen_index(4) {
+                let loc = Location { channel: ChannelId(0), bank: BankId(b), row: 0, col: 0 };
+                let loc = Location { row: rng.gen_index(4) as u32, ..loc };
+                let instr = |op| PimInstruction {
+                    op,
+                    addr: Addr(0),
+                    slot: TsSlot(0),
+                    group: MemGroupId(0),
+                };
+                let kind = match rng.gen_index(4) {
+                    0 => TxnKind::Pim(instr(PimOp::Load)),
+                    1 => TxnKind::Pim(instr(PimOp::Store)),
+                    2 => TxnKind::HostRead { reg: Reg(0) },
+                    _ => TxnKind::HostWrite { data: Stripe::splat(0) },
+                };
+                let meta = ReqMeta { warp: GlobalWarpId::new(0, b.into()), seq: rng.gen_range(3) };
+                let arrival = rng.gen_range(8);
+                let txn = Transaction { kind, loc, group: MemGroupId(0), meta, arrival };
+                m.bank_q[usize::from(b)].push_back(txn);
+                m.bank_queued += 1;
+            }
+        }
+        (m, 80 + rng.gen_range(40))
+    }
+
+    #[test]
+    fn one_pass_bank_pick_matches_the_three_pass_reference() {
+        let classes = [NeededCommand::Column, NeededCommand::Activate, NeededCommand::Precharge];
+        let mut picked = [0usize; 3];
+        for seed in 0..2000u64 {
+            let adversary = (seed % 2 == 1).then_some(seed ^ 0x5eed);
+            let (mut reference, now) = random_bank_state(seed, adversary);
+            let (mut one_pass, _) = random_bank_state(seed, adversary);
+            // Each class in issue order, as if every earlier class had
+            // come up empty: the pick and the adversary's draws agree.
+            for (i, ready) in one_pass.ready_banks(now).into_iter().enumerate() {
+                let expected = reference_pick_bank(&mut reference, classes[i], now);
+                assert_eq!(one_pass.choose_bank(ready), expected, "seed {seed}, {:?}", classes[i]);
+                picked[i] += usize::from(expected.is_some());
+            }
+            assert_eq!(
+                reference.adversary.as_mut().map(Rng::next_u64),
+                one_pass.adversary.as_mut().map(Rng::next_u64),
+                "seed {seed}: both drew equally often"
+            );
+        }
+        assert!(picked.iter().all(|&n| n > 100), "every class gets picked: {picked:?}");
     }
 
     #[test]

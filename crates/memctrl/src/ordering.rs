@@ -10,7 +10,7 @@ use crate::txn::Transaction;
 use orderlight::fsm::MergeFsm;
 use orderlight::message::{Marker, MarkerCopy, MarkerKey, ReqMeta};
 use orderlight::packet::OrderLightPacket;
-use orderlight::types::{GlobalWarpId, MemGroupId};
+use orderlight::types::{GlobalWarpId, MemGroupId, WarpTable};
 use std::collections::{HashMap, VecDeque};
 
 /// Maximum memory groups addressable by the 4-bit group-ID field.
@@ -236,8 +236,8 @@ struct PendingFence {
 /// issued count catches up.
 #[derive(Debug, Clone, Default)]
 pub struct FenceTracker {
-    arrived: HashMap<GlobalWarpId, u64>,
-    issued: HashMap<GlobalWarpId, u64>,
+    arrived: WarpTable<u64>,
+    issued: WarpTable<u64>,
     pending: Vec<PendingFence>,
     acks: u64,
 }
@@ -251,14 +251,14 @@ impl FenceTracker {
 
     /// Records a request from `warp` arriving at the controller.
     pub fn on_arrival(&mut self, warp: GlobalWarpId) {
-        *self.arrived.entry(warp).or_insert(0) += 1;
+        *self.arrived.get_mut(warp) += 1;
     }
 
     /// Registers a fence probe. Returns `true` if it can be acknowledged
     /// immediately (nothing outstanding).
     pub fn on_probe(&mut self, warp: GlobalWarpId, fence_id: u64) -> bool {
-        let target = self.arrived.get(&warp).copied().unwrap_or(0);
-        if self.issued.get(&warp).copied().unwrap_or(0) >= target {
+        let target = self.arrived.get(warp);
+        if self.issued.get(warp) >= target {
             self.acks += 1;
             true
         } else {
@@ -270,9 +270,12 @@ impl FenceTracker {
     /// Records a request from `warp` being issued to the DRAM; returns
     /// the `(warp, fence_id)` of every fence that thereby completes.
     pub fn on_issue(&mut self, warp: GlobalWarpId) -> Vec<(GlobalWarpId, u64)> {
-        let issued = self.issued.entry(warp).or_insert(0);
+        let issued = self.issued.get_mut(warp);
         *issued += 1;
         let now = *issued;
+        if self.pending.is_empty() {
+            return Vec::new();
+        }
         let mut done = Vec::new();
         self.pending.retain(|p| {
             if p.warp == warp && now >= p.target_issued {
@@ -296,9 +299,7 @@ impl FenceTracker {
     /// to the DRAM.
     #[must_use]
     pub fn outstanding(&self, warp: GlobalWarpId) -> u64 {
-        let arrived = self.arrived.get(&warp).copied().unwrap_or(0);
-        let issued = self.issued.get(&warp).copied().unwrap_or(0);
-        arrived.saturating_sub(issued)
+        self.arrived.get(warp).saturating_sub(self.issued.get(warp))
     }
 
     /// Total acknowledgements generated.
@@ -697,10 +698,11 @@ impl OrderingBackend for FenceBackend {
 pub struct SeqNumBackend {
     fences: FenceTracker,
     merge: MergeFsm,
-    /// Next sequence number each warp may dequeue.
-    expected_dequeue: HashMap<GlobalWarpId, u64>,
-    /// Next sequence number each warp may issue.
-    expected_issue: HashMap<GlobalWarpId, u64>,
+    /// Next sequence number each warp may dequeue, minus one (sequence
+    /// numbers start at 1, so the table's zero default expects 1).
+    expected_dequeue: WarpTable<u64>,
+    /// Next sequence number each warp may issue, minus one.
+    expected_issue: WarpTable<u64>,
     /// Mutation: requests of this group skip both sequence gates.
     elide: Option<MemGroupId>,
     edges_dropped: u64,
@@ -742,35 +744,30 @@ impl OrderingBackend for SeqNumBackend {
         if !p.pim || self.elide == Some(p.group) {
             return true;
         }
-        let expected = self.expected_dequeue.get(&p.meta.warp).copied().unwrap_or(1);
-        p.meta.seq == expected
+        p.meta.seq == self.expected_dequeue.get(p.meta.warp) + 1
     }
 
     fn on_dequeue(&mut self, p: &PendingReq) {
         if !p.pim {
             return;
         }
-        if self.elide == Some(p.group) {
-            let expected = self.expected_dequeue.get(&p.meta.warp).copied().unwrap_or(1);
-            if p.meta.seq != expected {
-                self.edges_dropped += 1;
-            }
+        if self.elide == Some(p.group) && p.meta.seq != self.expected_dequeue.get(p.meta.warp) + 1 {
+            self.edges_dropped += 1;
         }
-        self.expected_dequeue.insert(p.meta.warp, p.meta.seq + 1);
+        *self.expected_dequeue.get_mut(p.meta.warp) = p.meta.seq;
     }
 
     fn issue_allowed(&self, txn: &Transaction) -> bool {
         if !txn.is_pim() || self.elide == Some(txn.group) {
             return true;
         }
-        let expected = self.expected_issue.get(&txn.meta.warp).copied().unwrap_or(1);
-        txn.meta.seq == expected
+        txn.meta.seq == self.expected_issue.get(txn.meta.warp) + 1
     }
 
     fn on_retire(&mut self, txn: &Transaction) -> RetireOutcome {
         let credit = txn.is_pim();
         if credit {
-            self.expected_issue.insert(txn.meta.warp, txn.meta.seq + 1);
+            *self.expected_issue.get_mut(txn.meta.warp) = txn.meta.seq;
         }
         RetireOutcome { credit, fence_acks: self.fences.on_issue(txn.meta.warp) }
     }

@@ -76,11 +76,29 @@ pub enum QueueEntry {
     },
 }
 
+/// Most banks a channel may have: [`TransQueue`] keeps the banks its
+/// requests target as one bit each of a `u64`.
+pub const MAX_BANKS: usize = 64;
+
 /// A bounded FIFO transaction queue with marker-aware dequeue.
+///
+/// Besides the entries, the queue keeps three counts up to date on every
+/// push and removal, so the scheduler can tell in O(1) when a scan of it
+/// could not find anything: its marker copies, its requests per bank
+/// (with the banks that have any as a bit mask), and its execute-only
+/// requests.
 #[derive(Debug, Clone)]
 pub struct TransQueue {
     entries: VecDeque<QueueEntry>,
     capacity: usize,
+    /// Marker copies among `entries`.
+    markers: usize,
+    /// Requests among `entries` per target bank.
+    bank_reqs: [u32; MAX_BANKS],
+    /// Bit `b` is set iff `bank_reqs[b] > 0`.
+    bank_mask: u64,
+    /// Execute-only requests (no DRAM location) among `entries`.
+    exec_reqs: usize,
     occupancy_integral: u64,
     ticks: u64,
 }
@@ -93,7 +111,16 @@ impl TransQueue {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
-        TransQueue { entries: VecDeque::new(), capacity, occupancy_integral: 0, ticks: 0 }
+        TransQueue {
+            entries: VecDeque::new(),
+            capacity,
+            markers: 0,
+            bank_reqs: [0; MAX_BANKS],
+            bank_mask: 0,
+            exec_reqs: 0,
+            occupancy_integral: 0,
+            ticks: 0,
+        }
     }
 
     /// Whether another entry can be accepted.
@@ -128,7 +155,44 @@ impl TransQueue {
     /// backpressure upstream.
     pub fn push(&mut self, entry: QueueEntry) {
         assert!(self.has_space(), "transaction queue overflow");
+        match &entry {
+            QueueEntry::Marker { .. } => self.markers += 1,
+            QueueEntry::Request(p) => self.count_request(p, true),
+        }
         self.entries.push_back(entry);
+    }
+
+    /// Adds `p` to (`arrived`) or takes it from the per-bank and
+    /// execute-only counts.
+    fn count_request(&mut self, p: &PendingReq, arrived: bool) {
+        let Some(loc) = p.loc else {
+            if arrived {
+                self.exec_reqs += 1;
+            } else {
+                self.exec_reqs -= 1;
+            }
+            return;
+        };
+        let b = loc.bank.index();
+        if arrived {
+            self.bank_reqs[b] += 1;
+            self.bank_mask |= 1 << b;
+        } else {
+            self.bank_reqs[b] -= 1;
+            if self.bank_reqs[b] == 0 {
+                self.bank_mask &= !(1 << b);
+            }
+        }
+    }
+
+    /// Whether the queue holds a request that could move to a command
+    /// queue with room: one for a bank in `bank_room` (bit `b` set when
+    /// bank `b`'s command queue has room), or an execute-only one when
+    /// `exec_room`. When this is false, no FR-FCFS scan of the queue can
+    /// find a candidate, whatever the markers and ordering state.
+    #[must_use]
+    pub(crate) fn holds_request_for(&self, bank_room: u64, exec_room: bool) -> bool {
+        self.bank_mask & bank_room != 0 || (exec_room && self.exec_reqs > 0)
     }
 
     /// Records one cycle of occupancy statistics.
@@ -157,6 +221,9 @@ impl TransQueue {
 
     /// Index of the first marker copy, if any.
     fn first_marker_pos(&self) -> Option<usize> {
+        if self.markers == 0 {
+            return None;
+        }
         self.entries.iter().position(|e| matches!(e, QueueEntry::Marker { .. }))
     }
 
@@ -201,6 +268,7 @@ impl TransQueue {
             return false;
         }
         self.entries.remove(pos);
+        self.markers -= 1;
         true
     }
 
@@ -253,7 +321,10 @@ impl TransQueue {
     /// Panics if `index` does not hold a request.
     pub fn remove_request(&mut self, index: usize) -> PendingReq {
         match self.entries.remove(index) {
-            Some(QueueEntry::Request(p)) => p,
+            Some(QueueEntry::Request(p)) => {
+                self.count_request(&p, false);
+                p
+            }
             other => panic!("index {index} did not hold a request: {other:?}"),
         }
     }
@@ -404,5 +475,122 @@ mod tests {
         let mut q = TransQueue::new(1);
         q.push(req(0, 1));
         q.push(req(0, 2));
+    }
+
+    /// Recounts the queue's markers, per-bank requests, bank mask and
+    /// execute-only requests from its entries and checks the kept counts
+    /// against them, then checks `holds_request_for` against a scan for
+    /// a request that fits under random command-queue room.
+    fn assert_counts_match(q: &TransQueue, rng: &mut orderlight::rng::Rng) {
+        let mut markers = 0;
+        let mut bank_reqs = [0u32; MAX_BANKS];
+        let mut exec_reqs = 0;
+        for e in &q.entries {
+            match e {
+                QueueEntry::Marker { .. } => markers += 1,
+                QueueEntry::Request(PendingReq { loc: Some(loc), .. }) => {
+                    bank_reqs[loc.bank.index()] += 1;
+                }
+                QueueEntry::Request(PendingReq { loc: None, .. }) => exec_reqs += 1,
+            }
+        }
+        let bank_mask = (0..MAX_BANKS).filter(|&b| bank_reqs[b] > 0).fold(0u64, |m, b| m | 1 << b);
+        assert_eq!(q.markers, markers);
+        assert_eq!(q.bank_reqs, bank_reqs);
+        assert_eq!(q.bank_mask, bank_mask);
+        assert_eq!(q.exec_reqs, exec_reqs);
+        assert_eq!(
+            q.first_marker_pos(),
+            q.entries.iter().position(|e| matches!(e, QueueEntry::Marker { .. }))
+        );
+        for _ in 0..4 {
+            let bank_room = rng.next_u64() & 0xffff;
+            let exec_room = rng.gen_bool(1, 2);
+            let fits = q.entries.iter().any(|e| match e {
+                QueueEntry::Request(p) => {
+                    p.loc.map_or(exec_room, |l| bank_room >> l.bank.0 & 1 != 0)
+                }
+                QueueEntry::Marker { .. } => false,
+            });
+            assert_eq!(q.holds_request_for(bank_room, exec_room), fits);
+        }
+    }
+
+    #[test]
+    fn kept_counts_match_a_recount_under_random_operations() {
+        for seed in 0..32 {
+            let mut rng = orderlight::rng::Rng::new(0x9e37_79b9 ^ seed);
+            let mut q = TransQueue::new(24);
+            let arena = &mut Slab::new();
+            let mut number = 0;
+            for step in 0..400u64 {
+                match rng.gen_index(5) {
+                    0 | 1 if q.has_space() => {
+                        let loc = (!rng.gen_bool(1, 4)).then(|| Location {
+                            channel: ChannelId(0),
+                            bank: orderlight::types::BankId(rng.gen_index(16) as u8),
+                            row: rng.gen_index(8) as u32,
+                            col: 0,
+                        });
+                        q.push(QueueEntry::Request(PendingReq {
+                            req: arena.insert(()),
+                            pim: loc.is_none() || rng.gen_bool(1, 2),
+                            meta: ReqMeta { warp: GlobalWarpId(0), seq: step },
+                            loc,
+                            group: MemGroupId(rng.gen_index(4) as u8),
+                            arrival: step,
+                        }));
+                    }
+                    2 if q.has_space() => {
+                        number += 1;
+                        let packet = OrderLightPacket::new(
+                            ChannelId(0),
+                            MemGroupId(rng.gen_index(4) as u8),
+                            number,
+                        );
+                        let marker = if rng.gen_bool(1, 2) {
+                            Marker::OrderLight(packet)
+                        } else {
+                            Marker::Release(packet)
+                        };
+                        let copy = diverge(marker, 2).pop().unwrap();
+                        q.push(QueueEntry::Marker { copy, offered: false });
+                    }
+                    3 => {
+                        let requests: Vec<usize> = q
+                            .entries
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, e)| matches!(e, QueueEntry::Request(_)))
+                            .map(|(i, _)| i)
+                            .collect();
+                        if !requests.is_empty() {
+                            q.remove_request(requests[rng.gen_index(requests.len())]);
+                        }
+                    }
+                    _ => {
+                        // Pop the head marker by its key, or try a key
+                        // that matches nothing (which must change
+                        // nothing).
+                        let key = match q.first_marker_pos() {
+                            Some(pos) if rng.gen_bool(3, 4) => {
+                                let QueueEntry::Marker { copy, .. } = &q.entries[pos] else {
+                                    unreachable!()
+                                };
+                                copy.marker.key()
+                            }
+                            _ => Marker::OrderLight(OrderLightPacket::new(
+                                ChannelId(0),
+                                MemGroupId(0),
+                                u32::MAX,
+                            ))
+                            .key(),
+                        };
+                        q.pop_marker_by_key(&key);
+                    }
+                }
+                assert_counts_match(&q, &mut rng);
+            }
+        }
     }
 }

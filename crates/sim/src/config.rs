@@ -4,10 +4,10 @@ use orderlight::mapping::{AddressMapping, GroupMap};
 use orderlight::ConfigError;
 use orderlight_gpu::SmConfig;
 use orderlight_hbm::{RefreshParams, TimingParams};
-use orderlight_memctrl::McConfig;
+use orderlight_memctrl::{McConfig, MAX_BANKS};
 use orderlight_noc::PipeConfig;
 use orderlight_pim::TsSize;
-use orderlight_workloads::{OrderingMode, WorkloadId};
+use orderlight_workloads::{Layout, OrderingMode, WorkloadId};
 
 /// The full-system configuration. Defaults reproduce Table 1:
 ///
@@ -109,6 +109,12 @@ impl SystemConfig {
                  (banks_per_channel = {}, mapping expects {})",
                 self.banks_per_channel,
                 self.mapping.banks()
+            )));
+        }
+        if self.banks_per_channel > MAX_BANKS {
+            return Err(ConfigError::new(format!(
+                "too many banks for the controller (banks_per_channel = {}, valid range 1..={MAX_BANKS})",
+                self.banks_per_channel
             )));
         }
         if self.row_bytes != self.mapping.row_bytes() {
@@ -242,10 +248,22 @@ impl ExperimentConfig {
         }
     }
 
+    /// Banks of its memory group the workload's consecutive rows rotate
+    /// across: the whole group for host data (bank-level parallelism),
+    /// one bank for PIM (the paper's single-bank placement).
+    #[must_use]
+    pub fn bank_interleave(&self) -> u64 {
+        match self.mode {
+            ExecMode::Gpu => self.system.groups.banks_per_group() as u64,
+            ExecMode::Pim(_) => 1,
+        }
+    }
+
     /// Validates the experiment.
     ///
     /// # Errors
-    /// Returns [`ConfigError`] for invalid systems or a zero BMF/job.
+    /// Returns [`ConfigError`] for invalid systems, a zero BMF/job, or a
+    /// job whose data does not fit its memory group's banks.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.system.validate()?;
         if self.bmf == 0 {
@@ -260,7 +278,14 @@ impl ExperimentConfig {
                 self.data_bytes_per_channel
             )));
         }
-        Ok(())
+        Layout::checked_span(
+            &self.system.mapping,
+            &self.system.groups,
+            self.workload.spec().structures,
+            self.stripes_per_channel(),
+            self.bank_interleave(),
+        )
+        .map(|_| ())
     }
 }
 

@@ -38,10 +38,14 @@ use orderlight_workloads::WorkloadId;
 
 /// Default cycle budget for a scenario: generous headroom plus a
 /// per-stripe allowance (a run that exceeds it is treated as a
-/// deadlock).
+/// deadlock). It saturates at `u64::MAX` (no limit) for a job too large
+/// to count, which [`ExperimentConfig::validate`] rejects anyway.
 #[must_use]
 pub fn default_budget(exp: &ExperimentConfig) -> u64 {
-    200_000_000 + exp.stripes_per_channel() * 20_000
+    exp.stripes_per_channel()
+        .checked_mul(20_000)
+        .and_then(|allowance| allowance.checked_add(200_000_000))
+        .unwrap_or(u64::MAX)
 }
 
 /// A fully-specified, validated run. Build one with [`ScenarioBuilder`].
@@ -253,10 +257,12 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the data size in KiB per structure per channel.
+    /// Sets the data size in KiB per structure per channel. A size whose
+    /// byte count overflows `u64` saturates, and [`build`](Self::build)
+    /// then rejects it as too large for the banks.
     #[must_use]
     pub fn data_kb(self, kb: u64) -> Self {
-        self.data_bytes_per_channel(kb * 1024)
+        self.data_bytes_per_channel(kb.saturating_mul(1024))
     }
 
     /// Sets the sequence-number baseline's credit count.
@@ -375,6 +381,20 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(s.experiment().system.sms_used, SystemConfig::default().sms_used);
+    }
+
+    #[test]
+    fn oversized_jobs_saturate_the_budget_and_fail_validation() {
+        let mut exp = ExperimentConfig::new(WorkloadId::Add, ExecMode::Gpu);
+        exp.data_bytes_per_channel = 9_000_000_000_000_000 * 1024;
+        assert_eq!(default_budget(&exp), u64::MAX);
+        let err = ScenarioBuilder::from_experiment(exp).build().unwrap_err();
+        assert!(err.to_string().contains("exceeds the bank regions"), "got: {err}");
+        let err = ScenarioBuilder::new(WorkloadId::Add, ExecMode::Gpu)
+            .data_kb(u64::MAX)
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("exceeds the bank regions"), "got: {err}");
     }
 
     #[test]

@@ -323,7 +323,14 @@ impl ScenarioSpec {
                     message: "data_kb and data_bytes are mutually exclusive".to_string(),
                 })
             }
-            (Some(v), None) => spec.data_bytes_per_channel = uint_field(v, "data_kb")? * 1024,
+            (Some(v), None) => {
+                spec.data_bytes_per_channel = uint_field(v, "data_kb")?
+                    .checked_mul(1024)
+                    .ok_or_else(|| SchemaError::BadValue {
+                        field: "data_kb",
+                        message: "byte count exceeds u64".to_string(),
+                    })?;
+            }
             (None, Some(v)) => spec.data_bytes_per_channel = uint_field(v, "data_bytes")?,
             (None, None) => {}
         }

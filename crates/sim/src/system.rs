@@ -110,11 +110,9 @@ impl System {
         // parallelism and is processed by all configured warps; PIM uses
         // the paper's single-bank placement and one warp per channel.
         let total_warps = sys.sms_used * sys.warps_per_sm;
-        let (interleave, host_slices) = match exp.mode {
-            ExecMode::Gpu => {
-                (sys.groups.banks_per_group() as u64, (total_warps / sys.channels).max(1) as u64)
-            }
-            ExecMode::Pim(_) => (1, 1),
+        let host_slices = match exp.mode {
+            ExecMode::Gpu => (total_warps / sys.channels).max(1) as u64,
+            ExecMode::Pim(_) => 1,
         };
         let instance = WorkloadInstance::with_placement(
             exp.workload,
@@ -126,7 +124,7 @@ impl System {
                 ExecMode::Gpu => orderlight_workloads::OrderingMode::None,
                 ExecMode::Pim(mode) => mode,
             },
-            interleave,
+            exp.bank_interleave(),
             host_slices,
         );
         Self::assemble(exp, instance)

@@ -10,6 +10,7 @@
 
 use orderlight::mapping::{AddressMapping, GroupMap};
 use orderlight::types::{Addr, ChannelId, MemGroupId, BUS_BYTES};
+use orderlight::ConfigError;
 
 /// Placement of a kernel's data structures within each channel.
 #[derive(Debug, Clone)]
@@ -48,8 +49,9 @@ impl Layout {
     /// enabling bank-level parallelism.
     ///
     /// # Panics
-    /// Panics if `interleave` is zero or exceeds the group's banks, or if
-    /// the structures do not fit in the banks' row regions.
+    /// Panics if [`Layout::checked_span`] rejects the placement:
+    /// `interleave` is zero or exceeds the group's banks, or the
+    /// structures do not fit in the banks' row regions.
     #[must_use]
     pub fn with_interleave(
         mapping: AddressMapping,
@@ -59,22 +61,51 @@ impl Layout {
         stripes_per_structure: u64,
         interleave: u64,
     ) -> Self {
-        assert!(
-            interleave >= 1 && interleave <= groups.banks_per_group() as u64,
-            "interleave must be within the group's banks"
-        );
-        let row_bytes = mapping.row_bytes();
-        let rows = (stripes_per_structure * BUS_BYTES as u64).div_ceil(row_bytes);
-        // Rows per bank for one structure, rounded so streams of
-        // different structures never share a row.
-        let structure_span = rows.div_ceil(interleave) * row_bytes;
+        let structure_span =
+            Self::checked_span(&mapping, groups, structures, stripes_per_structure, interleave)
+                .unwrap_or_else(|e| panic!("{e}"));
         let base_offset = mapping.bank_base_offset(groups.first_bank_of(group));
-        assert!(
-            structure_span * structures as u64 <= mapping.bank_span_bytes(),
-            "kernel data ({} structures x {structure_span} B) exceeds the bank regions",
-            structures
-        );
         Layout { mapping, group, base_offset, structure_span, stripes_per_structure, interleave }
+    }
+
+    /// The bytes of each bank one structure spans when `structures`
+    /// structures of `stripes_per_structure` stripes rotate across
+    /// `interleave` banks of a group, rounded up to whole rows so streams
+    /// of different structures never share a row.
+    ///
+    /// # Errors
+    /// Returns [`ConfigError`] if `interleave` is zero or exceeds the
+    /// group's banks, or if the structures do not fit in the banks' row
+    /// regions (sizes that overflow `u64` do not fit either).
+    pub fn checked_span(
+        mapping: &AddressMapping,
+        groups: &GroupMap,
+        structures: usize,
+        stripes_per_structure: u64,
+        interleave: u64,
+    ) -> Result<u64, ConfigError> {
+        if interleave < 1 || interleave > groups.banks_per_group() as u64 {
+            return Err(ConfigError::new(format!(
+                "interleave must be within the group's banks (interleave = {interleave}, \
+                 banks per group = {})",
+                groups.banks_per_group()
+            )));
+        }
+        let row_bytes = mapping.row_bytes();
+        let capacity = mapping.bank_span_bytes();
+        let span = stripes_per_structure
+            .checked_mul(BUS_BYTES as u64)
+            .map(|bytes| bytes.div_ceil(row_bytes).div_ceil(interleave))
+            .and_then(|rows| rows.checked_mul(row_bytes));
+        match span {
+            Some(span) if span.checked_mul(structures as u64).is_some_and(|b| b <= capacity) => {
+                Ok(span)
+            }
+            _ => Err(ConfigError::new(format!(
+                "kernel data ({structures} structures x {stripes_per_structure} stripes \
+                 over {interleave} banks) exceeds the bank regions ({capacity} B per bank)"
+            ))),
+        }
     }
 
     /// The memory group the data lives in.

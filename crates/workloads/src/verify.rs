@@ -7,9 +7,9 @@
 //! must match exactly; an unordered one must not (paper Figure 5's
 //! "Functionally Incorrect" bar is asserted, not assumed).
 
+use orderlight::hash::{IntMap, IntSet};
 use orderlight::types::{Addr, Stripe};
 use orderlight::{InstrStream, KernelInstr, PimOp};
-use std::collections::{HashMap, HashSet};
 
 /// The sequential interpreter: one PIM unit's TS plus host registers.
 ///
@@ -34,8 +34,8 @@ use std::collections::{HashMap, HashSet};
 /// ```
 #[derive(Debug, Clone)]
 pub struct GoldenInterp {
-    mem: HashMap<u64, Stripe>,
-    written: HashSet<u64>,
+    mem: IntMap<u64, Stripe>,
+    written: IntSet<u64>,
     ts: Vec<Stripe>,
     regs: Vec<Stripe>,
 }
@@ -53,8 +53,8 @@ impl GoldenInterp {
     #[must_use]
     pub fn with_capacity(ts_slots: usize, mem: usize, written: usize) -> Self {
         GoldenInterp {
-            mem: HashMap::with_capacity(mem),
-            written: HashSet::with_capacity(written),
+            mem: IntMap::with_capacity_and_hasher(mem, Default::default()),
+            written: IntSet::with_capacity_and_hasher(written, Default::default()),
             ts: vec![Stripe::default(); ts_slots.max(1)],
             regs: vec![Stripe::default(); 64],
         }
@@ -73,7 +73,7 @@ impl GoldenInterp {
 
     /// Addresses the interpreted streams stored to.
     #[must_use]
-    pub fn written(&self) -> &HashSet<u64> {
+    pub fn written(&self) -> &IntSet<u64> {
         &self.written
     }
 

@@ -129,8 +129,40 @@ use orderlight_suite::trace::{
 };
 use orderlight_suite::workloads::WorkloadId;
 use std::collections::HashMap;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
+
+/// Writes to stdout. When the reader has gone away (`orderlight figure
+/// all | head -1`) the process ends quietly with status 0, as a filter
+/// should; any other write error ends it with status 1.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    let written = std::io::stdout().lock().write_fmt(args);
+    if let Err(e) = written {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -207,10 +239,10 @@ fn read_document(path: &str, wanted: &str, accept: impl Fn(&str) -> bool) -> Res
 }
 
 fn cmd_list() -> ExitCode {
-    println!("workloads (paper Table 2):");
+    outln!("workloads (paper Table 2):");
     for id in WorkloadId::ALL {
         let m = id.meta();
-        println!("  {:<8} {:<40} C:M {:<6} {:?}", m.name, m.description, m.ratio, m.suite);
+        outln!("  {:<8} {:<40} C:M {:<6} {:?}", m.name, m.description, m.ratio, m.suite);
     }
     ExitCode::SUCCESS
 }
@@ -220,30 +252,30 @@ fn cmd_taxonomy() -> ExitCode {
     for class in [PimClass::CGO_FGA, PimClass::CGO_CGA, PimClass::FGO_CGA, PimClass::FGO_FGA] {
         let names: Vec<&str> =
             literature().iter().filter(|d| d.class == class).map(|d| d.name).collect();
-        println!("{class}: {}", names.join(", "));
+        outln!("{class}: {}", names.join(", "));
     }
     ExitCode::SUCCESS
 }
 
 fn print_stats(stats: &RunStats) -> bool {
-    println!("  execution time        : {:.4} ms", stats.exec_time_ms);
-    println!("  core cycles           : {}", stats.core_cycles);
-    println!("  core stall cycles     : {}", stats.stall_cycles());
-    println!("  PIM command bandwidth : {:.3} GC/s", stats.command_bandwidth_gcs);
-    println!("  PIM data bandwidth    : {:.0} GB/s", stats.data_bandwidth_gbs);
-    println!(
+    outln!("  execution time        : {:.4} ms", stats.exec_time_ms);
+    outln!("  core cycles           : {}", stats.core_cycles);
+    outln!("  core stall cycles     : {}", stats.stall_cycles());
+    outln!("  PIM command bandwidth : {:.3} GC/s", stats.command_bandwidth_gcs);
+    outln!("  PIM data bandwidth    : {:.0} GB/s", stats.data_bandwidth_gbs);
+    outln!(
         "  ordering primitives   : {} ({:.3} per PIM instruction)",
         stats.sm.fences + stats.sm.orderlights,
         stats.primitives_per_pim_instr
     );
     if stats.sm.fences > 0 {
-        println!("  wait cycles per fence : {:.0}", stats.wait_cycles_per_fence());
+        outln!("  wait cycles per fence : {:.0}", stats.wait_cycles_per_fence());
     }
     if stats.is_correct() {
-        println!("  verification          : PASS ({} output stripes)", stats.verified_matches);
+        outln!("  verification          : PASS ({} output stripes)", stats.verified_matches);
         true
     } else {
-        println!(
+        outln!(
             "  verification          : FAIL ({} of {} stripes wrong)",
             stats.verified_mismatches,
             stats.verified_matches + stats.verified_mismatches
@@ -273,7 +305,7 @@ fn cmd_run(args: &[String], common: &CommonFlags) -> ExitCode {
         }
     }
 
-    println!("running {} ...", describe(&spec));
+    outln!("running {} ...", describe(&spec));
     match spec.build().map_err(|e| e.to_string()).and_then(|s| s.run().map_err(|e| e.to_string())) {
         Ok(stats) => {
             if print_stats(&stats) {
@@ -359,7 +391,7 @@ fn cmd_check(args: &[String], common: &CommonFlags) -> ExitCode {
     plan.seed = common.seed;
     plan.drop_edge = mutate;
 
-    println!(
+    outln!(
         "checking {} (faults: noc={} sched={} storm={} seed={}{}) ...",
         describe(&spec),
         plan.noc_jitter.is_some(),
@@ -384,13 +416,13 @@ fn cmd_check(args: &[String], common: &CommonFlags) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("  {}", outcome.summary());
+    outln!("  {}", outcome.summary());
     const SHOWN: usize = 12;
     for v in outcome.report.violations.iter().take(SHOWN) {
-        println!("  {v}");
+        outln!("  {v}");
     }
     if outcome.report.violations.len() > SHOWN {
-        println!("  ... and {} more violation(s)", outcome.report.violations.len() - SHOWN);
+        outln!("  ... and {} more violation(s)", outcome.report.violations.len() - SHOWN);
     }
     if mutate.is_some() {
         // Mutation self-test: success means the check *fired* on the
@@ -398,17 +430,17 @@ fn cmd_check(args: &[String], common: &CommonFlags) -> ExitCode {
         // sanity violation, or corrupted DRAM bytes, depending on where
         // the selected backend's elided edge surfaces.
         if outcome.edges_dropped > 0 && !outcome.is_clean() {
-            println!("  mutation gate         : PASS (oracle fired on the elided edge)");
+            outln!("  mutation gate         : PASS (oracle fired on the elided edge)");
             ExitCode::SUCCESS
         } else {
-            println!("  mutation gate         : FAIL (oracle stayed silent on a broken schedule)");
+            outln!("  mutation gate         : FAIL (oracle stayed silent on a broken schedule)");
             ExitCode::FAILURE
         }
     } else if outcome.is_clean() {
-        println!("  ordering check        : PASS");
+        outln!("  ordering check        : PASS");
         ExitCode::SUCCESS
     } else {
-        println!("  ordering check        : FAIL");
+        outln!("  ordering check        : FAIL");
         ExitCode::FAILURE
     }
 }
@@ -544,7 +576,7 @@ fn print_histogram(title: &str, hist: &Histogram) {
     if hist.total() == 0 {
         return;
     }
-    println!(
+    outln!(
         "\n{title} ({} samples, mean {:.1}, min {}, max {}):",
         hist.total(),
         hist.mean(),
@@ -552,7 +584,7 @@ fn print_histogram(title: &str, hist: &Histogram) {
         hist.max().unwrap_or(0)
     );
     let rows: Vec<(String, f64)> = hist.rows().into_iter().filter(|(_, v)| *v > 0.0).collect();
-    println!("{}", bar_chart(&rows, 40));
+    outln!("{}", bar_chart(&rows, 40));
 }
 
 /// Parses the flag set shared by `trace` and `profile`: an optional
@@ -614,7 +646,7 @@ fn cmd_trace(args: &[String], common: &CommonFlags) -> ExitCode {
         Err(code) => return code,
     };
 
-    println!("tracing {} ...", describe(&spec));
+    outln!("tracing {} ...", describe(&spec));
     let ring = Arc::new(RingSink::new(capacity));
     let traced = spec
         .builder()
@@ -631,9 +663,9 @@ fn cmd_trace(args: &[String], common: &CommonFlags) -> ExitCode {
     };
     let correct = print_stats(&stats);
     let events = ring.events();
-    println!("\ncaptured {} trace events ({} dropped)", events.len(), ring.dropped());
+    outln!("\ncaptured {} trace events ({} dropped)", events.len(), ring.dropped());
     if ring.dropped() > 0 {
-        println!(
+        outln!(
             "  WARNING: ring full, {} later events dropped — raise --events (current {capacity})",
             ring.dropped()
         );
@@ -643,7 +675,7 @@ fn cmd_trace(args: &[String], common: &CommonFlags) -> ExitCode {
         let n = events.iter().filter(|e| e.category() == cat).count();
         per_cat.push((cat.name().to_string(), n as f64));
     }
-    println!("{}", bar_chart(&per_cat, 40));
+    outln!("{}", bar_chart(&per_cat, 40));
 
     let mix: Vec<(String, f64)> = [
         DramCmdKind::Activate,
@@ -661,7 +693,7 @@ fn cmd_trace(args: &[String], common: &CommonFlags) -> ExitCode {
         (kind.mnemonic().to_string(), n as f64)
     })
     .collect();
-    println!("\nDRAM command mix:\n{}", bar_chart(&mix, 40));
+    outln!("\nDRAM command mix:\n{}", bar_chart(&mix, 40));
 
     print_histogram("fence wait latency [core cycles]", &fence_wait_histogram(&events));
     print_histogram("host read latency [memory cycles]", &host_read_histogram(&events));
@@ -675,7 +707,7 @@ fn cmd_trace(args: &[String], common: &CommonFlags) -> ExitCode {
     {
         return code;
     }
-    println!("\nwrote {trace_path} (open at https://ui.perfetto.dev) and {csv_path}");
+    outln!("\nwrote {trace_path} (open at https://ui.perfetto.dev) and {csv_path}");
     if correct {
         ExitCode::SUCCESS
     } else {
@@ -692,7 +724,7 @@ fn cmd_profile(args: &[String], common: &CommonFlags) -> ExitCode {
         Err(code) => return code,
     };
 
-    println!("profiling {} ...", describe(&spec));
+    outln!("profiling {} ...", describe(&spec));
     let ring = Arc::new(RingSink::new(capacity));
     let outcome = match spec
         .build()
@@ -706,16 +738,16 @@ fn cmd_profile(args: &[String], common: &CommonFlags) -> ExitCode {
         }
     };
     let correct = print_stats(&outcome.stats);
-    println!("\ncaptured {} trace events ({} dropped)", ring.len(), ring.dropped());
+    outln!("\ncaptured {} trace events ({} dropped)", ring.len(), ring.dropped());
     if ring.dropped() > 0 {
-        println!(
+        outln!(
             "  WARNING: ring full, {} later events dropped — the Chrome export is truncated; the profile itself streams and stays exact (raise --events, current {capacity})",
             ring.dropped()
         );
     }
-    println!();
-    print!("{}", outcome.report.to_text());
-    println!("\n{}", outcome.summary());
+    outln!();
+    out!("{}", outcome.report.to_text());
+    outln!("\n{}", outcome.summary());
 
     let profile_path = format!("{out}.profile.json");
     let trace_path = format!("{out}.trace.json");
@@ -726,7 +758,7 @@ fn cmd_profile(args: &[String], common: &CommonFlags) -> ExitCode {
     {
         return code;
     }
-    println!("wrote {profile_path} and {trace_path} (open at https://ui.perfetto.dev)");
+    outln!("wrote {profile_path} and {trace_path} (open at https://ui.perfetto.dev)");
     if !outcome.is_conserved() {
         eprintln!("profile FAILED its conservation invariant — see summary above");
         return ExitCode::FAILURE;
@@ -766,7 +798,7 @@ fn cmd_profile_verify(paths: &[String]) -> ExitCode {
             eprintln!("{path}: stall causes sum to {sum}, total says {total}");
             return ExitCode::FAILURE;
         }
-        println!("{path}: ok ({total} stall cycles attributed)");
+        outln!("{path}: ok ({total} stall cycles attributed)");
     }
     ExitCode::SUCCESS
 }
@@ -777,7 +809,7 @@ const SWEEP_CSV_HEADER: &str = "figure,workload,ts,mode,ordering,bmf,exec_ms,cmd
 fn emit_sweep_csv(figure: &str, rows: &[SweepPoint]) {
     for p in rows {
         let s = &p.stats;
-        println!(
+        outln!(
             "{figure},{},{},{},{},{},{:.6},{:.6},{:.6},{},{},{},{},{},{},{},{:.6},{}",
             p.workload,
             p.ts.replace(' ', ""),
@@ -862,7 +894,7 @@ fn cmd_sweep(args: &[String], jobs: usize) -> ExitCode {
     };
     eprintln!("sweeping {which} at {data_kb} KiB/structure/channel across {jobs} worker(s) ...");
     let pool = Pool::new(jobs);
-    println!("{SWEEP_CSV_HEADER}");
+    outln!("{SWEEP_CSV_HEADER}");
     for (name, specs) in figures {
         match run_points(&specs, &pool) {
             Ok(rows) => emit_sweep_csv(name, &rows),
@@ -891,8 +923,8 @@ fn cmd_figure(args: &[String], jobs: usize) -> ExitCode {
     }
     for (i, (id, print)) in chosen.into_iter().enumerate() {
         match print(data_kb * 1024, jobs) {
-            Ok(report) if i == 0 => print!("{report}"),
-            Ok(report) => print!("\n{report}"),
+            Ok(report) if i == 0 => out!("{report}"),
+            Ok(report) => out!("\n{report}"),
             Err(e) => {
                 eprintln!("{id}: {e}");
                 return ExitCode::FAILURE;
@@ -926,7 +958,7 @@ fn run_ordering_comparison(
     data_kb: u64,
     core: SimCore,
 ) -> Result<Vec<BackendRecord>, ExitCode> {
-    println!(
+    outln!(
         "comparing ordering backends on {workload} at {data_kb} KiB/structure/channel (core: {}):",
         core.as_str()
     );
@@ -934,12 +966,19 @@ fn run_ordering_comparison(
         eprintln!("{e}");
         ExitCode::FAILURE
     })?;
-    println!(
+    outln!(
         "  {:<12} {:>12} {:>10} {:>8} {:>9} {:>10} {:>8} {:>13}  verdict",
-        "backend", "cycles", "ms", "speedup", "packets", "fence_acks", "credits", "metadata_bits"
+        "backend",
+        "cycles",
+        "ms",
+        "speedup",
+        "packets",
+        "fence_acks",
+        "credits",
+        "metadata_bits"
     );
     for r in &records {
-        println!(
+        outln!(
             "  {:<12} {:>12} {:>10.4} {:>7.2}x {:>9} {:>10} {:>8} {:>13}  {}",
             r.ordering.to_string(),
             r.core_cycles,
@@ -1012,7 +1051,7 @@ fn cmd_compare_ordering(args: &[String], core: SimCore) -> ExitCode {
     if let Err(code) = write_json(&out, &doc) {
         return code;
     }
-    println!("wrote {out}");
+    outln!("wrote {out}");
     if records.iter().all(|r| r.clean) {
         ExitCode::SUCCESS
     } else {
@@ -1186,12 +1225,12 @@ fn nearest_rank(sorted: &[u64], pct: usize) -> u64 {
 /// threshold (only slowdowns count — a speedup is never a regression).
 fn compare_metric(label: &str, a: f64, b: f64, threshold_pct: f64) -> bool {
     if a <= 0.0 || b < 0.0 {
-        println!("  {label}: not comparable ({a} -> {b})");
+        outln!("  {label}: not comparable ({a} -> {b})");
         return false;
     }
     let pct = (b - a) / a * 100.0;
     let regressed = pct > threshold_pct;
-    println!(
+    outln!(
         "  {label}: {a:.6} -> {b:.6}  ({pct:+.1}%{})",
         if regressed { ", REGRESSION" } else { "" }
     );
@@ -1219,7 +1258,7 @@ fn cmd_bench_compare(a_path: &str, b_path: &str, threshold_pct: f64) -> ExitCode
             return ExitCode::FAILURE;
         }
     };
-    println!(
+    outln!(
         "comparing {a_path} ({}) -> {b_path} ({}), threshold {threshold_pct}%",
         a.get("schema").and_then(Value::as_str).unwrap_or("?"),
         b.get("schema").and_then(Value::as_str).unwrap_or("?"),
@@ -1259,7 +1298,7 @@ fn cmd_bench_compare(a_path: &str, b_path: &str, threshold_pct: f64) -> ExitCode
     let a_figs = figures(&a);
     for (name, b_cycle, b_event) in figures(&b) {
         let Some((_, a_cycle, a_event)) = a_figs.iter().find(|(n, ..)| *n == name) else {
-            println!("  {name}: only in {b_path}, skipped");
+            outln!("  {name}: only in {b_path}, skipped");
             continue;
         };
         regressed |=
@@ -1272,7 +1311,7 @@ fn cmd_bench_compare(a_path: &str, b_path: &str, threshold_pct: f64) -> ExitCode
         eprintln!("REGRESSION past {threshold_pct}% — see lines above");
         ExitCode::FAILURE
     } else {
-        println!("ok: no timing regressed past {threshold_pct}%");
+        outln!("ok: no timing regressed past {threshold_pct}%");
         ExitCode::SUCCESS
     }
 }
@@ -1350,7 +1389,7 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
     let data = data_kb * 1024;
     let figures = sweep_figures("all", data).expect("'all' is always known");
     let specs: Vec<JobSpec> = figures.iter().flat_map(|(_, s)| s.iter().copied()).collect();
-    println!(
+    outln!(
         "benchmarking sweep execution: {} points ({}) at {data_kb} KiB/structure/channel (core: {})",
         specs.len(),
         figures.iter().map(|(n, s)| format!("{n}={}", s.len())).collect::<Vec<_>>().join(", "),
@@ -1383,13 +1422,15 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
         point_us.push(u64::try_from(tp.elapsed().as_micros()).unwrap_or(u64::MAX));
     }
     let serial_s = t0.elapsed().as_secs_f64();
-    println!("  serial  : {serial_s:.3} s  ({:.2} points/s)", specs.len() as f64 / serial_s);
+    outln!("  serial  : {serial_s:.3} s  ({:.2} points/s)", specs.len() as f64 / serial_s);
     point_us.sort_unstable();
     let latency =
         [("p50", 50), ("p95", 95), ("p99", 99)].map(|(name, p)| (name, nearest_rank(&point_us, p)));
-    println!(
+    outln!(
         "  latency : per-point p50 {} us, p95 {} us, p99 {} us",
-        latency[0].1, latency[1].1, latency[2].1
+        latency[0].1,
+        latency[1].1,
+        latency[2].1
     );
 
     let pool = Pool::new(jobs);
@@ -1402,11 +1443,11 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
         }
     };
     let parallel_s = t1.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "  parallel: {parallel_s:.3} s  ({:.2} points/s) at --jobs {jobs}",
         specs.len() as f64 / parallel_s
     );
-    println!(
+    outln!(
         "  speedup : {:.2}x on a host with {} available core(s)",
         serial_s / parallel_s,
         available_jobs()
@@ -1414,7 +1455,7 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
 
     let identical = serial == parallel;
     if identical {
-        println!("  results : parallel run bit-identical to serial ({} points)", serial.len());
+        outln!("  results : parallel run bit-identical to serial ({} points)", serial.len());
     } else {
         for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
             if a != b {
@@ -1432,7 +1473,7 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
     // release mode rather than merely asserted in the test suite). The
     // extra fence-ts16 series is the fence-stall-dominated stress case
     // where the time-skip core pays off most.
-    println!("core comparison (serial, per figure):");
+    outln!("core comparison (serial, per figure):");
     let mut series: Vec<(&'static str, Vec<JobSpec>)> =
         figures.iter().map(|(name, specs)| (*name, specs.clone())).collect();
     series.push(("fence-ts16", fence_heavy_points(data)));
@@ -1447,7 +1488,7 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
             }
         };
         cores_identical &= same;
-        println!(
+        outln!(
             "  {name}: cycle {:.3} s, event {:.3} s -> {:.2}x event speedup ({} points{})",
             bench.cycle_s,
             bench.event_s,
@@ -1469,7 +1510,7 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
     // observability costs (profiled vs. unprofiled wall time).
     let mut profile_conserved = true;
     let profile_doc = if profile {
-        println!("observability (event core, serial, per figure):");
+        outln!("observability (event core, serial, per figure):");
         let mut entries = Vec::with_capacity(series.len());
         for (name, specs) in &series {
             let bench = match bench_figure_profile(name, specs) {
@@ -1480,7 +1521,7 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
                 }
             };
             profile_conserved &= bench.conserved;
-            println!(
+            outln!(
                 "  {name}: unprofiled {:.3} s, profiled {:.3} s -> {:.2}x overhead ({} points{})",
                 bench.unprofiled_s,
                 bench.profiled_s,
@@ -1543,7 +1584,7 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
     if let Err(code) = write_json(&out, &doc) {
         return code;
     }
-    println!("wrote {out}");
+    outln!("wrote {out}");
     if identical && cores_identical && profile_conserved && ordering_clean {
         ExitCode::SUCCESS
     } else {
@@ -1554,7 +1595,7 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
 /// `orderlight schema`: prints the accepted `orderlight/scenario/v1`
 /// wire schema — the contract `serve` enforces and `submit` speaks.
 fn cmd_schema() -> ExitCode {
-    print!("{}", schema_document());
+    out!("{}", schema_document());
     ExitCode::SUCCESS
 }
 
@@ -1604,7 +1645,7 @@ fn cmd_serve(args: &[String], common: &CommonFlags) -> ExitCode {
     match server.local_addr() {
         // Parsed by `ci.sh` and scripted clients; stdout is
         // line-buffered so the line is visible before the first accept.
-        Ok(bound) => println!("listening on {bound} ({} workers)", common.jobs.max(1)),
+        Ok(bound) => outln!("listening on {bound} ({} workers)", common.jobs.max(1)),
         Err(e) => {
             eprintln!("cannot read bound address: {e}");
             return ExitCode::FAILURE;
@@ -1735,7 +1776,7 @@ fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
                 .ok()
                 .and_then(|d| d.get("text").and_then(Value::as_str).map(ToString::to_string));
             match text {
-                Some(text) => print!("{text}"),
+                Some(text) => out!("{text}"),
                 None => {
                     eprintln!("no text exposition in reply: {last}");
                     return ExitCode::FAILURE;
@@ -1744,7 +1785,7 @@ fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
             return ExitCode::SUCCESS;
         }
         for reply in &replies {
-            println!("{reply}");
+            outln!("{reply}");
         }
         if admin == Some("stats") {
             if let Ok(doc) = json::parse(last) {
@@ -1773,7 +1814,7 @@ fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
             return code;
         }
     } else if local {
-        println!("{stats_json}");
+        outln!("{stats_json}");
     }
     ExitCode::SUCCESS
 }
@@ -1788,7 +1829,7 @@ fn print_stats_summary(doc: &Value) {
     let f = |k: &str| doc.get(k).and_then(Value::as_f64).unwrap_or(0.0);
     let max =
         if f("cache_max") == 0.0 { "unbounded".to_string() } else { format!("{}", f("cache_max")) };
-    println!(
+    outln!(
         "cache: {} scenarios (max {max}), hit ratio {:.2} ({} hits / {} misses), {} insertions, {} evictions",
         f("cache_size"),
         f("hit_ratio"),
@@ -1881,9 +1922,9 @@ fn cmd_top(args: &[String]) -> ExitCode {
         if count != 1 {
             // Repaint in place on live refresh; keep output plain for
             // a single snapshot so it stays pipeable.
-            print!("\x1b[2J\x1b[H");
+            out!("\x1b[2J\x1b[H");
         }
-        print!("{}", render_top(&addr, &stats, &metrics, &flight));
+        out!("{}", render_top(&addr, &stats, &metrics, &flight));
         screens += 1;
         if count > 0 && screens >= count {
             return ExitCode::SUCCESS;

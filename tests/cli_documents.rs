@@ -127,3 +127,34 @@ fn compare_ordering_records_every_backend_in_a_v5_document() {
     assert_eq!(backends, ["fence", "orderlight", "seqnum", "louvre", "bulk"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that stops early (`orderlight trace | head -1`) ends the
+/// binary quietly: status 0 and nothing on stderr, where every later
+/// write used to panic with "failed printing to stdout".
+#[test]
+fn closed_stdout_ends_the_binary_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    let dir = scratch("pipe");
+    let out = dir.join("add");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_orderlight"))
+        .args(["trace", "--data-kb", "4", "--out", path_str(&out)])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn orderlight");
+    let mut first = String::new();
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    stdout.read_line(&mut first).expect("first line");
+    assert!(first.starts_with("tracing"), "got {first:?}");
+    // The run, its charts and its histograms are all written after the
+    // reader is gone.
+    drop(stdout);
+    let mut stderr = String::new();
+    child.stderr.take().expect("piped stderr").read_to_string(&mut stderr).expect("stderr");
+    let status = child.wait().expect("orderlight exits");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(status.success(), "status {status}, stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -317,6 +317,45 @@ fn oversized_line_is_a_proto_error_and_a_concurrent_client_is_served_exactly() {
     shutdown(&addr, handle);
 }
 
+/// A scenario too large for the banks is a typed error reply, never a
+/// worker panic: `data_kb` values the layout cannot place (one that also
+/// overflows the default cycle budget) get a `config` error, and one
+/// whose byte count overflows `u64` a `schema` error. The workload and
+/// the order of the oversized requests are seeded; a concurrent
+/// well-behaved client is still served the exact direct-run result.
+#[test]
+fn oversized_scenarios_are_typed_errors_and_a_concurrent_client_is_served_exactly() {
+    let (addr, handle) = start_server(2);
+    let expected = direct_stats();
+    let mut rng = Rng::new(0x0b16_da7a);
+    let mut cases = [
+        (100_000_000u64, "config"),
+        (9_000_000_000_000_000, "config"),
+        (20_000_000_000_000_000, "schema"),
+    ];
+    rng.shuffle(&mut cases);
+    let workloads = ["Add", "Scale", "Triad", "Hist"];
+    std::thread::scope(|scope| {
+        let other = scope.spawn(|| result_of(&addr, &add_request()));
+        for (data_kb, kind) in cases {
+            let workload = workloads[rng.gen_index(workloads.len())];
+            let mode = if rng.gen_bool(1, 2) { "gpu" } else { "orderlight" };
+            let line = format!(
+                r#"{{"schema": "{SCENARIO_SCHEMA_V1}", "workload": "{workload}", "mode": "{mode}", "data_kb": {data_kb}}}"#
+            );
+            let doc = result_of(&addr, &line);
+            assert_eq!(doc.get("reply").and_then(json::Value::as_str), Some("error"), "{line}");
+            assert_eq!(doc.get("kind").and_then(json::Value::as_str), Some(kind), "{line}");
+        }
+        let ok = other.join().expect("client joins");
+        assert_eq!(ok.get("stats").expect("stats present").to_json(), expected);
+    });
+    let snap = metrics_snapshot(&addr);
+    assert_eq!(counter(&snap, "requests", "result"), 1.0);
+    assert_eq!(counter(&snap, "requests", "error"), 3.0);
+    shutdown(&addr, handle);
+}
+
 #[test]
 fn stats_command_reports_hits_misses_and_cache_occupancy() {
     let (addr, handle) = start_server(1);
