@@ -52,6 +52,7 @@ pub trait NextEvent {
 
 /// Folds two optional horizons into their minimum (`None` = drained).
 #[must_use]
+#[inline]
 pub fn min_horizon(a: Option<u64>, b: Option<u64>) -> Option<u64> {
     match (a, b) {
         (Some(x), Some(y)) => Some(x.min(y)),

@@ -26,6 +26,50 @@ pub struct Location {
     pub col: u16,
 }
 
+/// A fixed non-zero divisor. Dividing by a power of two — every
+/// dimension of the paper's configuration — is a shift and the
+/// remainder a mask; any other divisor uses the hardware division.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Divisor {
+    d: u64,
+    /// `log2(d)` for a power of two, else 64.
+    shift: u32,
+}
+
+impl Divisor {
+    /// Wraps `d`.
+    ///
+    /// # Panics
+    /// Panics if `d` is zero.
+    #[must_use]
+    pub fn new(d: u64) -> Divisor {
+        assert!(d > 0, "division by zero");
+        Divisor { d, shift: if d.is_power_of_two() { d.trailing_zeros() } else { 64 } }
+    }
+
+    /// `x / d`.
+    #[must_use]
+    #[inline]
+    pub fn quotient(self, x: u64) -> u64 {
+        if self.shift < 64 {
+            x >> self.shift
+        } else {
+            x / self.d
+        }
+    }
+
+    /// `x % d`.
+    #[must_use]
+    #[inline]
+    pub fn remainder(self, x: u64) -> u64 {
+        if self.shift < 64 {
+            x & (self.d - 1)
+        } else {
+            x % self.d
+        }
+    }
+}
+
 /// The address-interleaving scheme.
 ///
 /// # Example
@@ -51,6 +95,13 @@ pub struct AddressMapping {
     chunk_bytes: u64,
     row_bytes: u64,
     rows_per_bank: u64,
+    // The same dimensions as divisors, for the decode hot path.
+    channels_div: Divisor,
+    banks_div: Divisor,
+    chunk_div: Divisor,
+    row_div: Divisor,
+    /// One bank's row region (`row_bytes * rows_per_bank`).
+    span_div: Divisor,
 }
 
 impl AddressMapping {
@@ -58,8 +109,9 @@ impl AddressMapping {
     ///
     /// # Errors
     /// Returns [`ConfigError`] if any dimension is zero, if `chunk_bytes`
-    /// or `row_bytes` is not a multiple of the 32 B bus width, or if a
-    /// row does not hold a whole number of chunks.
+    /// or `row_bytes` is not a multiple of the 32 B bus width, if a row
+    /// does not hold a whole number of chunks, or if a bank's row region
+    /// overflows `u64`.
     pub fn new(
         channels: usize,
         banks: usize,
@@ -79,7 +131,21 @@ impl AddressMapping {
         if row_bytes == 0 || !row_bytes.is_multiple_of(chunk_bytes) {
             return Err(ConfigError::new("row_bytes must be a non-zero multiple of chunk_bytes"));
         }
-        Ok(AddressMapping { channels, banks, chunk_bytes, row_bytes, rows_per_bank })
+        let span = row_bytes
+            .checked_mul(rows_per_bank)
+            .ok_or_else(|| ConfigError::new("a bank's row region overflows u64"))?;
+        Ok(AddressMapping {
+            channels,
+            banks,
+            chunk_bytes,
+            row_bytes,
+            rows_per_bank,
+            channels_div: Divisor::new(channels as u64),
+            banks_div: Divisor::new(banks as u64),
+            chunk_div: Divisor::new(chunk_bytes),
+            row_div: Divisor::new(row_bytes),
+            span_div: Divisor::new(span),
+        })
     }
 
     /// The paper's configuration: 16 channels, 16 banks per channel,
@@ -130,18 +196,18 @@ impl AddressMapping {
     /// Flattens an address to its within-channel byte offset.
     #[must_use]
     pub fn channel_offset(&self, addr: Addr) -> u64 {
-        let chunk = addr.0 / self.chunk_bytes;
-        (chunk / self.channels as u64) * self.chunk_bytes + addr.0 % self.chunk_bytes
+        let chunk = self.chunk_div.quotient(addr.0);
+        self.channels_div.quotient(chunk) * self.chunk_bytes + self.chunk_div.remainder(addr.0)
     }
 
     /// Builds the global address of within-channel byte `offset` on
     /// `channel` — the inverse of [`channel_offset`](Self::channel_offset).
     #[must_use]
     pub fn compose(&self, channel: ChannelId, offset: u64) -> Addr {
-        let chunk = offset / self.chunk_bytes;
+        let chunk = self.chunk_div.quotient(offset);
         Addr(
             (chunk * self.channels as u64 + channel.0 as u64) * self.chunk_bytes
-                + offset % self.chunk_bytes,
+                + self.chunk_div.remainder(offset),
         )
     }
 
@@ -149,21 +215,19 @@ impl AddressMapping {
     /// modelled capacity wrap around the banks.
     #[must_use]
     pub fn decode(&self, addr: Addr) -> Location {
-        let chunk = addr.0 / self.chunk_bytes;
-        let channel = ChannelId((chunk % self.channels as u64) as u8);
+        let channel = self.channel_of(addr);
         let o = self.channel_offset(addr);
-        let span = self.bank_span_bytes();
-        let bank = BankId(((o / span) % self.banks as u64) as u8);
-        let within = o % span;
-        let row = (within / self.row_bytes) as u32;
-        let col = ((o % self.row_bytes) / BUS_BYTES as u64) as u16;
+        let bank = BankId(self.banks_div.remainder(self.span_div.quotient(o)) as u8);
+        let row = self.row_div.quotient(self.span_div.remainder(o)) as u32;
+        let col = (self.row_div.remainder(o) / BUS_BYTES as u64) as u16;
         Location { channel, bank, row, col }
     }
 
     /// The channel an address maps to (cheaper than a full decode).
     #[must_use]
+    #[inline]
     pub fn channel_of(&self, addr: Addr) -> ChannelId {
-        ChannelId(((addr.0 / self.chunk_bytes) % self.channels as u64) as u8)
+        ChannelId(self.channels_div.remainder(self.chunk_div.quotient(addr.0)) as u8)
     }
 
     /// The within-channel offset of the start of `bank`'s row region —
@@ -263,6 +327,22 @@ impl Default for GroupMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_bank_region_past_u64_is_rejected() {
+        assert!(AddressMapping::new(16, 16, 256, 2048, u64::MAX / 1024).is_err());
+    }
+
+    #[test]
+    fn divisor_matches_hardware_division() {
+        for d in [1u64, 2, 3, 7, 32, 48, 256, 1000, 1 << 40, u64::MAX] {
+            let div = Divisor::new(d);
+            for x in [0u64, 1, 5, 31, 32, 33, 255, 256, 4097, 1 << 41, u64::MAX - 1, u64::MAX] {
+                assert_eq!(div.quotient(x), x / d, "{x} / {d}");
+                assert_eq!(div.remainder(x), x % d, "{x} % {d}");
+            }
+        }
+    }
 
     #[test]
     fn chunks_interleave_across_channels() {

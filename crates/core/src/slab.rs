@@ -88,6 +88,7 @@ impl<T> Slab<T> {
     ///
     /// # Panics
     /// Panics if the slab would exceed `u32::MAX` slots.
+    #[inline]
     pub fn insert(&mut self, val: T) -> SlabRef {
         self.len += 1;
         if let Some(idx) = self.free.pop() {
@@ -116,6 +117,7 @@ impl<T> Slab<T> {
     /// Panics if `r` is stale (its value was removed, even if the slot
     /// was since reused — the generation check catches ABA reuse).
     #[must_use]
+    #[inline]
     pub fn get(&self, r: SlabRef) -> &T {
         self.slot(r).val.as_ref().expect("checked occupied")
     }
@@ -124,6 +126,7 @@ impl<T> Slab<T> {
     ///
     /// # Panics
     /// Panics if `r` is stale.
+    #[inline]
     pub fn get_mut(&mut self, r: SlabRef) -> &mut T {
         let slot = &mut self.slots[r.idx as usize];
         assert!(slot.gen == r.gen && slot.val.is_some(), "stale slab handle {r:?}");
@@ -135,6 +138,7 @@ impl<T> Slab<T> {
     ///
     /// # Panics
     /// Panics if `r` is stale.
+    #[inline]
     pub fn remove(&mut self, r: SlabRef) -> T {
         let slot = &mut self.slots[r.idx as usize];
         assert!(slot.gen == r.gen && slot.val.is_some(), "stale slab handle {r:?}");

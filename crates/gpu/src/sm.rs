@@ -265,11 +265,13 @@ impl Sm {
 
     /// Peeks the LDST queue head for routing to a memory pipe.
     #[must_use]
+    #[inline]
     pub fn peek_ldst(&self) -> Option<&MemReq> {
         self.ldst.front()
     }
 
     /// Pops the LDST queue head once the pipe accepted it.
+    #[inline]
     pub fn pop_ldst(&mut self) -> Option<MemReq> {
         self.ldst.pop_front()
     }
@@ -567,7 +569,8 @@ impl Sm {
     /// Advances the SM one core cycle: drains the operand collector into
     /// the LDST queue, counts fence stalls, and issues up to
     /// `issue_width` instructions round-robin across ready warps.
-    pub fn tick(&mut self, now: CoreCycle) {
+    /// Returns whether any instruction issued.
+    pub fn tick(&mut self, now: CoreCycle) -> bool {
         self.cur_cycle = now;
         // Operand collector -> LDST queue.
         let space = self.cfg.ldst_capacity - self.ldst.len();
@@ -594,11 +597,14 @@ impl Sm {
         // Issue round-robin across ready warps.
         let n = self.states.len();
         let mut issued = 0;
-        for k in 0..n {
+        // Round-robin from `rr`, wrapping without a division.
+        let mut next = self.rr;
+        for _ in 0..n {
             if issued >= self.cfg.issue_width {
                 break;
             }
-            let i = (self.rr + k) % n;
+            let i = next;
+            next = if i + 1 == n { 0 } else { i + 1 };
             let _ = self.cores[i].fetch(&mut self.curs[i], &mut self.states[i]);
             if self.states[i] != WarpState::Ready {
                 continue;
@@ -608,7 +614,7 @@ impl Sm {
                 self.stats.issued += 1;
             }
         }
-        self.rr = (self.rr + 1) % n.max(1);
+        self.rr = if self.rr + 1 >= n { 0 } else { self.rr + 1 };
 
         // Retirement is trace-only bookkeeping, so the scan is skipped
         // entirely when no real sink is attached.
@@ -625,6 +631,7 @@ impl Sm {
                 }
             }
         }
+        issued > 0
     }
 
     /// Advances the SM across a quiescent window of `span` cycles — one

@@ -41,18 +41,21 @@ impl<T> DelayQueue<T> {
 
     /// Whether another item can be pushed.
     #[must_use]
+    #[inline]
     pub fn has_space(&self) -> bool {
         self.items.len() < self.capacity
     }
 
     /// Number of items in flight.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.items.len()
     }
 
     /// Whether the queue is empty.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
@@ -69,6 +72,7 @@ impl<T> DelayQueue<T> {
     /// # Panics
     /// Panics if the queue is full — check [`has_space`](Self::has_space)
     /// first; the pipe applies backpressure upstream.
+    #[inline]
     pub fn push(&mut self, item: T, now: CoreCycle) {
         assert!(self.has_space(), "delay queue overflow");
         let extra = match &mut self.jitter {
@@ -83,6 +87,7 @@ impl<T> DelayQueue<T> {
 
     /// Peeks at the head if its latency has elapsed.
     #[must_use]
+    #[inline]
     pub fn peek_ready(&self, now: CoreCycle) -> Option<&T> {
         match self.items.front() {
             Some((ready, item)) if *ready <= now => Some(item),
@@ -91,6 +96,7 @@ impl<T> DelayQueue<T> {
     }
 
     /// Pops the head if its latency has elapsed.
+    #[inline]
     pub fn pop_ready(&mut self, now: CoreCycle) -> Option<T> {
         if self.peek_ready(now).is_some() {
             self.items.pop_front().map(|(_, item)| item)
@@ -103,6 +109,7 @@ impl<T> DelayQueue<T> {
     /// Items behind the head never matter: FIFO order means the head's
     /// deadline is the queue's earliest possible state change.
     #[must_use]
+    #[inline]
     pub fn next_ready(&self) -> Option<CoreCycle> {
         self.items.front().map(|(ready, _)| *ready)
     }

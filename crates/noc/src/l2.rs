@@ -210,37 +210,11 @@ impl L2Slice {
             .all(|s| matches!(s.peek_ready(now).map(|&r| arena.get(r)), Some(MemReq::Marker(_))))
     }
 
-    /// Quiescence horizon of the slice given its output queue: `now` if
-    /// a merge or forward could happen this cycle, otherwise the
-    /// earliest not-yet-ready sub-partition head deadline. A head that
-    /// is ready but blocked (marker waiting for its sibling copy, or
-    /// `out` full) contributes no event of its own — its unblocking is
-    /// some *other* component's advertised event.
+    /// The earliest head deadline among the sub-partitions (`None`
+    /// when the slice is empty).
     #[must_use]
-    pub fn next_event(
-        &self,
-        now: CoreCycle,
-        out: &DelayQueue<SlabRef>,
-        arena: &Slab<MemReq>,
-    ) -> Option<CoreCycle> {
-        if out.has_space() {
-            if self.merge_branch(now, arena) {
-                return Some(now);
-            }
-            if self.subs.iter().any(|s| {
-                matches!(s.peek_ready(now).map(|&r| arena.get(r)),
-                    Some(r) if !matches!(r, MemReq::Marker(_)))
-            }) {
-                return Some(now);
-            }
-        }
-        let mut h = None;
-        for s in &self.subs {
-            if s.peek_ready(now).is_none() {
-                h = min_horizon(h, s.next_ready());
-            }
-        }
-        h
+    pub fn next_ready(&self) -> Option<CoreCycle> {
+        self.subs.iter().fold(None, |h, s| min_horizon(h, s.next_ready()))
     }
 
     /// Advances the slice across a quiescent window of `span` cycles —

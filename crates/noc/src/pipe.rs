@@ -145,6 +145,7 @@ impl MemoryPipe {
 
     /// Whether a request can enter the pipe this cycle.
     #[must_use]
+    #[inline]
     pub fn can_push(&self) -> bool {
         self.icnt.has_space()
     }
@@ -153,6 +154,7 @@ impl MemoryPipe {
     ///
     /// # Panics
     /// Panics if [`can_push`](Self::can_push) is false.
+    #[inline]
     pub fn push_request(&mut self, req: MemReq, now: CoreCycle) {
         let handle = self.arena.insert(req);
         self.icnt.push(handle, now);
@@ -187,17 +189,20 @@ impl MemoryPipe {
 
     /// Peeks at the request ready to enter the memory controller.
     #[must_use]
+    #[inline]
     pub fn peek_mc(&self, now: CoreCycle) -> Option<&MemReq> {
         self.out.peek_ready(now).map(|&r| self.arena.get(r))
     }
 
     /// Pops the request ready to enter the memory controller, retiring
     /// its body from the arena.
+    #[inline]
     pub fn pop_mc(&mut self, now: CoreCycle) -> Option<MemReq> {
         self.out.pop_ready(now).map(|r| self.arena.remove(r))
     }
 
     /// Injects a response at the controller end.
+    #[inline]
     pub fn push_response(&mut self, resp: MemResp, now: CoreCycle) {
         // The response path is sized generously; if it ever fills we drop
         // to a panic rather than silently losing a response.
@@ -205,6 +210,7 @@ impl MemoryPipe {
     }
 
     /// Pops a response ready to be delivered to its SM.
+    #[inline]
     pub fn pop_response(&mut self, now: CoreCycle) -> Option<MemResp> {
         self.ret.pop_ready(now)
     }
@@ -252,28 +258,20 @@ impl MemoryPipe {
     }
 }
 
-/// Quiescence horizon of the whole pipe. `Some(now)` when any internal
-/// transfer could happen this cycle (interconnect head into a willing
-/// L2, an L2 merge or forward into a non-full out queue); otherwise the
-/// earliest head deadline among the stage queues. The L2-out and
-/// response heads are clamped to `now`: a ready out head is either
-/// consumable by the controller (the system pairs `peek_mc` with
-/// `can_accept`) or the controller is active and forces dense ticking
-/// anyway, and a ready response head is always deliverable.
+/// Quiescence horizon of the whole pipe: the earliest head deadline
+/// among the stage queues, clamped to `now`. A ready head may still be
+/// blocked (an L2 sub-partition or the out queue full, a marker copy
+/// waiting for its sibling, a controller that cannot accept), so the
+/// horizon can be early; an early horizon only costs a tick that moves
+/// nothing, which is exact, and a blocked pipe is rare outside cycles
+/// its busy controller runs anyway. Reading five queue heads is much
+/// cheaper than deciding whether each could move.
 impl NextEvent for MemoryPipe {
     fn next_event(&self, now: u64) -> Option<u64> {
-        let mut h = None;
-        match self.icnt.peek_ready(now) {
-            Some(&head) if self.l2.can_accept(self.arena.get(head)) => return Some(now),
-            // Ready but blocked: the sub-partition that refuses it is
-            // non-empty, so its own head deadline covers the unblocking.
-            Some(_) => {}
-            None => h = min_horizon(h, self.icnt.next_ready()),
-        }
-        h = min_horizon(h, self.l2.next_event(now, &self.out, &self.arena));
-        h = min_horizon(h, self.out.next_ready().map(|r| r.max(now)));
-        h = min_horizon(h, self.ret.next_ready().map(|r| r.max(now)));
-        h
+        [self.icnt.next_ready(), self.out.next_ready(), self.ret.next_ready()]
+            .into_iter()
+            .fold(self.l2.next_ready(), min_horizon)
+            .map(|ready| ready.max(now))
     }
 }
 

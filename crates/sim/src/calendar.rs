@@ -180,14 +180,29 @@ impl Calendar {
     /// Advances the window to the returned cycle, so subsequent
     /// schedules must target that cycle or later.
     pub fn pop_next(&mut self, due: &mut Vec<u32>) -> Option<u64> {
+        self.pop_next_by(self.base.wrapping_sub(1), due)
+    }
+
+    /// [`pop_next`](Self::pop_next), but only if the earliest scheduled
+    /// cycle is at or before `last` (which must not be behind the last
+    /// popped cycle). Otherwise pops nothing and returns `None`; if
+    /// something is scheduled, the window slides forward to `last`, so
+    /// subsequent schedules must target `last` or later.
+    pub fn pop_next_by(&mut self, last: u64, due: &mut Vec<u32>) -> Option<u64> {
         due.clear();
         // Pull `far` entries the window has slid onto (or, with an empty
         // ring, rebase straight onto the far minimum) before trusting
         // the ring scan.
         if self.head[FAR as usize] != NIL {
-            self.sync_far();
+            self.sync_far(last);
         }
         let (t, slot) = self.nearest_slot()?;
+        if t.wrapping_sub(self.base) > last.wrapping_sub(self.base) {
+            // `last` lies at or after `base` and before `t`, so every
+            // ring entry stays within the slid window.
+            self.base = last;
+            return None;
+        }
         self.base = t;
         self.clear_bit(slot);
         // Every component in the slot is due at `t`: ring entries are
@@ -206,37 +221,35 @@ impl Calendar {
     }
 
     /// The nearest occupied ring slot from `base` and the cycle its
-    /// components are due at.
+    /// components are due at: the first set bit at or after the base's
+    /// slot in its own leaf word, else in a later word, else — wrapping
+    /// once — the first set bit of the whole ring (which then lies
+    /// before the base's slot and maps to the window's later half).
     fn nearest_slot(&self) -> Option<(u64, usize)> {
         if self.top == 0 {
             return None;
         }
         let start = (self.base & (RING as u64 - 1)) as usize;
-        let mut best: Option<(u64, usize)> = None;
-        let mut top = self.top;
-        while top != 0 {
-            let w = top.trailing_zeros() as usize;
-            top &= top - 1;
-            let mut word = self.leaf[w];
-            while word != 0 {
-                let b = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let slot = w * 64 + b;
-                // Distance of this slot's in-window cycle from base.
-                let dist = ((slot + RING - start) % RING) as u64;
-                if best.is_none_or(|(c, _)| dist < c.wrapping_sub(self.base)) {
-                    best = Some((self.base.wrapping_add(dist), slot));
-                }
-            }
-        }
-        best
+        let (w0, b0) = (start / 64, start % 64);
+        let here = self.leaf[w0] & (u64::MAX << b0);
+        let slot = if here != 0 {
+            w0 * 64 + here.trailing_zeros() as usize
+        } else {
+            // Words strictly after `w0` (none when `w0` is the last).
+            let later = self.top & u64::MAX.checked_shl(w0 as u32 + 1).unwrap_or(0);
+            let w = if later != 0 { later } else { self.top }.trailing_zeros() as usize;
+            w * 64 + self.leaf[w].trailing_zeros() as usize
+        };
+        // Distance of the slot's in-window cycle from base.
+        let dist = ((slot + RING - start) % RING) as u64;
+        Some((self.base.wrapping_add(dist), slot))
     }
 
-    /// Rebases an empty ring onto the `far` minimum and migrates every
-    /// in-window `far` entry into the ring. `far` entries are never
-    /// behind `base` (the window never slides past a schedule), so the
-    /// minimum is a safe rebase target.
-    fn sync_far(&mut self) {
+    /// Rebases an empty ring onto the `far` minimum (but not past
+    /// `last`) and migrates every in-window `far` entry into the ring.
+    /// `far` entries are never behind `base` (the window never slides
+    /// past a schedule), so the minimum is a safe rebase target.
+    fn sync_far(&mut self, last: u64) {
         let mut min: Option<u64> = None;
         let mut comp = self.head[FAR as usize];
         while comp != NIL {
@@ -248,7 +261,8 @@ impl Calendar {
         }
         let Some(m) = min else { return };
         if self.top == 0 {
-            self.base = m;
+            self.base =
+                self.base.wrapping_add(m.wrapping_sub(self.base).min(last.wrapping_sub(self.base)));
         }
         if m.wrapping_sub(self.base) >= RING as u64 {
             return;
@@ -286,6 +300,10 @@ mod tests {
             if at.wrapping_sub(self.base) < e.wrapping_sub(self.base) {
                 *e = at;
             }
+        }
+
+        fn cancel(&mut self, comp: u32) {
+            self.scheduled.remove(&comp);
         }
 
         fn pop_next(&mut self) -> Option<(u64, Vec<u32>)> {
@@ -459,5 +477,85 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Seeded differential test of the calendar search against the
+    /// brute-force reference: random schedules (near, just past the
+    /// 4096-slot window, many rotations out), cancels, unbounded pops
+    /// and pops bounded by a `last` cycle must yield the same earliest
+    /// cycle and the exact same due set. The run must cover both rare
+    /// paths of the bitmap search: a pop that wraps past the end of the
+    /// ring, and components popped after migrating from `far`.
+    #[test]
+    fn search_matches_brute_force_across_wraps_and_far_migrations() {
+        const COMPONENTS: u32 = 40;
+        let (mut wraps, mut migrated) = (0u32, 0u32);
+        for seed in 0..24u64 {
+            let start = if seed % 3 == 2 { u64::MAX - 9000 } else { seed * 4093 };
+            let mut rng = Rng::new(0x5ea2_c4ca_1e4d ^ seed);
+            let mut cal = Calendar::new(COMPONENTS as usize, start);
+            let mut naive = Naive { base: start, ..Naive::default() };
+            let mut now = start;
+            let mut due = Vec::new();
+            for _ in 0..2000 {
+                match rng.next_u64() % 8 {
+                    0..=3 => {
+                        let comp = (rng.next_u64() % u64::from(COMPONENTS)) as u32;
+                        let at = now.wrapping_add(match rng.next_u64() % 4 {
+                            0 => 1 + rng.next_u64() % 16,
+                            1 => rng.next_u64() % 4096,
+                            2 => 4090 + rng.next_u64() % 12,
+                            _ => rng.next_u64() % 40_000,
+                        });
+                        cal.schedule(comp, at);
+                        naive.schedule(comp, at);
+                    }
+                    4 => {
+                        let comp = (rng.next_u64() % u64::from(COMPONENTS)) as u32;
+                        cal.cancel(comp);
+                        naive.cancel(comp);
+                    }
+                    pop => {
+                        let in_far: Vec<u32> =
+                            (0..COMPONENTS).filter(|&c| cal.slot_of[c as usize] == FAR).collect();
+                        let base_slot = cal.base & (RING as u64 - 1);
+                        // Bounded pops ask for the next cycle, or a few ahead.
+                        let last = (pop == 5).then(|| now.wrapping_add(rng.next_u64() % 8));
+                        let want = naive.pop_next();
+                        let want = match (last, want) {
+                            (Some(last), Some((t, comps)))
+                                if t.wrapping_sub(now) > last.wrapping_sub(now) =>
+                            {
+                                // Not due by `last`: the reference keeps it.
+                                for &c in &comps {
+                                    naive.scheduled.insert(c, t);
+                                }
+                                naive.base = last;
+                                None
+                            }
+                            (_, w) => w,
+                        };
+                        let got = match last {
+                            Some(last) => cal.pop_next_by(last, &mut due),
+                            None => cal.pop_next(&mut due),
+                        };
+                        let got = got.map(|t| {
+                            due.sort_unstable();
+                            (t, due.clone())
+                        });
+                        assert_eq!(got, want, "seed {seed} diverged at now {now}");
+                        if let Some((t, comps)) = got {
+                            wraps += u32::from((t & (RING as u64 - 1)) < base_slot);
+                            migrated += comps.iter().filter(|c| in_far.contains(c)).count() as u32;
+                            now = t;
+                        } else if let Some(last) = last {
+                            now = last;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(wraps > 0, "no pop wrapped past the end of the ring");
+        assert!(migrated > 0, "no component was popped after a far migration");
     }
 }

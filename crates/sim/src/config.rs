@@ -259,13 +259,32 @@ impl ExperimentConfig {
         }
     }
 
+    /// Rejects a sequence-number run without buffer credits: every warp
+    /// would wait forever for one.
+    ///
+    /// # Errors
+    /// Returns [`ConfigError`] when the mode is seqnum and
+    /// `seq_credits` is zero.
+    pub fn validate_credits(&self) -> Result<(), ConfigError> {
+        if self.mode == ExecMode::Pim(OrderingMode::SeqNum) && self.seq_credits == 0 {
+            return Err(ConfigError::new(
+                "seqnum credits must be positive (credits = 0, valid range 1..): \
+                 a warp without a buffer credit can never issue",
+            ));
+        }
+        Ok(())
+    }
+
     /// Validates the experiment.
     ///
     /// # Errors
-    /// Returns [`ConfigError`] for invalid systems, a zero BMF/job, or a
-    /// job whose data does not fit its memory group's banks.
+    /// Returns [`ConfigError`] for invalid systems, a seqnum run without
+    /// credits ([`validate_credits`](Self::validate_credits)), a zero
+    /// BMF/job, or a job whose data does not fit its memory group's
+    /// banks.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.system.validate()?;
+        self.validate_credits()?;
         if self.bmf == 0 {
             return Err(ConfigError::new(format!(
                 "bmf must be positive (bmf = {}, valid range 1..)",
@@ -336,6 +355,19 @@ mod tests {
             ..ExperimentConfig::new(WorkloadId::Add, ExecMode::Gpu)
         };
         assert_eq!(g.stripes_per_channel(), g.data_bytes_per_channel / 32);
+    }
+
+    #[test]
+    fn seqnum_without_credits_is_rejected() {
+        let mut e = ExperimentConfig::new(WorkloadId::Add, ExecMode::Pim(OrderingMode::SeqNum));
+        e.data_bytes_per_channel = 8 * 1024;
+        e.validate().unwrap();
+        e.seq_credits = 0;
+        let err = e.validate().unwrap_err();
+        assert!(err.to_string().contains("credits"), "{err}");
+        // Credits only gate the seqnum baseline.
+        e.mode = ExecMode::Pim(OrderingMode::OrderLight);
+        e.validate().unwrap();
     }
 
     #[test]

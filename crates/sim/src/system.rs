@@ -77,23 +77,101 @@ pub struct System {
     resps: Vec<MemResp>,
 }
 
-/// Scratch state of one event-core run: the calendar of per-component
-/// wake-ups, each component's lazy sync point (the first cycle of its
-/// clock domain not yet accounted to it), and the per-cycle due/touched
-/// masks. Component ids are `0..sms`, then pipes, then controllers.
+/// Scratch state of one event-core run: the wake-ups (the next-cycle
+/// lane, then the calendar), each component's lazy sync point (the
+/// first cycle of its clock domain not yet accounted to it), the
+/// per-cycle due/touched sets, and the standing set of SMs with a
+/// queued LDST head. Component ids are `0..sms`, then pipes, then
+/// controllers.
 struct EventState {
+    /// Wake-ups after the next cycle.
     cal: Calendar,
     due: Vec<u32>,
+    /// The next-cycle lane: components woken for the cycle after the
+    /// one executing. The busy common case skips the calendar's list
+    /// operations, and a component is never in both.
+    next_sm: Bits,
+    next_pipe: Bits,
+    next_mc: Bits,
     sm_synced: Vec<CoreCycle>,
     pipe_synced: Vec<CoreCycle>,
     mc_synced: Vec<MemCycle>,
-    due_sm: Vec<bool>,
-    due_pipe: Vec<bool>,
-    touched_sm: Vec<bool>,
-    touched_pipe: Vec<bool>,
-    touched_mc: Vec<bool>,
-    pushed_pipe: Vec<bool>,
-    delivered_sm: Vec<bool>,
+    /// SMs to tick this cycle.
+    due_sm: Bits,
+    /// Pipes to tick this cycle: due, or pushed by the LDST drain.
+    due_pipe: Bits,
+    /// Controllers to tick on this cycle's memory ticks: due, or
+    /// pushed by ingest (the set phase 4 ticks and then re-registers).
+    due_mc: Bits,
+    touched_sm: Bits,
+    touched_pipe: Bits,
+    /// SMs whose LDST queue holds a head. Set when a tick leaves one
+    /// queued, cleared when a drain empties the queue; it persists
+    /// across cycles.
+    ldst_head: Bits,
+}
+
+/// Wakes component `id` (index `i` of its kind) at `at`: the next cycle
+/// `next` through `lane` — dropping any later calendar entry, since the
+/// component is ticked and re-registered at `next` anyway — and any
+/// later cycle through the calendar.
+fn wake(cal: &mut Calendar, lane: &mut Bits, id: usize, i: usize, at: CoreCycle, next: CoreCycle) {
+    if at == next {
+        lane.insert(i);
+        cal.cancel(id as u32);
+    } else {
+        cal.schedule(id as u32, at);
+    }
+}
+
+/// Runs `$body` for each member `$i` of the [`Bits`] `$set`, in
+/// ascending order — the dense core's order. Each word is read when the
+/// visit reaches it, so the body may remove members but must not insert
+/// any.
+macro_rules! for_each_member {
+    ($set:expr, |$i:ident| $body:block) => {{
+        let mut w = 0;
+        while w < $set.words.len() {
+            let mut word = $set.words[w];
+            while word != 0 {
+                let $i = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                $body
+            }
+            w += 1;
+        }
+    }};
+}
+
+/// A fixed-capacity set of component indices.
+struct Bits {
+    words: Vec<u64>,
+}
+
+impl Bits {
+    fn new(len: usize) -> Bits {
+        Bits { words: vec![0; len.div_ceil(64)] }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
 }
 
 impl System {
@@ -145,6 +223,7 @@ impl System {
         instance: WorkloadInstance,
     ) -> Result<System, ConfigError> {
         exp.system.validate()?;
+        exp.validate_credits()?;
         let ExecMode::Pim(mode) = exp.mode else {
             return Err(ConfigError::new("custom kernels support PIM modes only"));
         };
@@ -468,6 +547,9 @@ impl System {
     /// touching any component — the event core's components account for
     /// skipped windows lazily, each when it is next involved.
     fn jump_clocks(&mut self, span: u64) {
+        if span == 0 {
+            return;
+        }
         let total = u128::from(self.clock_acc) + u128::from(span) * u128::from(self.mem_hz);
         self.clock_acc = (total % u128::from(self.core_hz)) as u64;
         self.mem_now += (total / u128::from(self.core_hz)) as u64;
@@ -531,21 +613,32 @@ impl System {
         let mut ev = EventState {
             cal: Calendar::new(total, self.now),
             due: Vec::with_capacity(total),
+            next_sm: Bits::new(n_sms),
+            next_pipe: Bits::new(n_pipes),
+            next_mc: Bits::new(n_mcs),
             sm_synced: vec![self.now; n_sms],
             pipe_synced: vec![self.now; n_pipes],
             mc_synced: vec![self.mem_now; n_mcs],
-            due_sm: vec![false; n_sms],
-            due_pipe: vec![false; n_pipes],
-            touched_sm: vec![false; n_sms],
-            touched_pipe: vec![false; n_pipes],
-            touched_mc: vec![false; n_mcs],
-            pushed_pipe: vec![false; n_pipes],
-            delivered_sm: vec![false; n_sms],
+            due_sm: Bits::new(n_sms),
+            due_pipe: Bits::new(n_pipes),
+            due_mc: Bits::new(n_mcs),
+            touched_sm: Bits::new(n_sms),
+            touched_pipe: Bits::new(n_pipes),
+            ldst_head: Bits::new(n_sms),
         };
+        for (s, sm) in self.sms.iter().enumerate() {
+            if sm.peek_ldst().is_some() {
+                ev.ldst_head.insert(s);
+            }
+        }
         // Bootstrap: everyone wakes on the first cycle (equivalent to a
         // dense step) and re-registers its true horizon from there.
-        for c in 0..total {
-            ev.cal.schedule(c as u32, self.now);
+        for (lane, n) in
+            [(&mut ev.next_sm, n_sms), (&mut ev.next_pipe, n_pipes), (&mut ev.next_mc, n_mcs)]
+        {
+            for i in 0..n {
+                lane.insert(i);
+            }
         }
         loop {
             if self.is_done() {
@@ -567,17 +660,22 @@ impl System {
             if self.now >= max_core_cycles {
                 return Err(self.budget_error());
             }
-            let Some(t) = ev.cal.pop_next(&mut ev.due) else {
-                // No component will ever act again, yet the system is
-                // not drained: burn the budget so the deadlock error
-                // fires at the same cycle as the dense core's.
-                self.jump_clocks(max_core_cycles - self.now);
-                continue;
+            // A woken lane makes `now` the next executed cycle; the
+            // calendar then contributes only components due at `now`.
+            let lane = !(ev.next_sm.is_empty() && ev.next_pipe.is_empty() && ev.next_mc.is_empty());
+            let last = if lane { self.now } else { max_core_cycles - 1 };
+            let t = match ev.cal.pop_next_by(last, &mut ev.due) {
+                Some(t) => t,
+                None if lane => self.now,
+                None => {
+                    // No component will act within the budget, yet the
+                    // system is not drained: burn the budget so the
+                    // deadlock error fires at the same cycle as the
+                    // dense core's.
+                    self.jump_clocks(max_core_cycles - self.now);
+                    continue;
+                }
             };
-            if t >= max_core_cycles {
-                self.jump_clocks(max_core_cycles - self.now);
-                continue;
-            }
             debug_assert!(t >= self.now, "calendar may not fire in the past");
             self.jump_clocks(t - self.now);
             if let Some(log) = self.skip_log.as_mut() {
@@ -590,45 +688,65 @@ impl System {
     /// Executes core cycle `t` touching only due or woken components,
     /// in exactly [`step_cycle`](Self::step_cycle)'s phase and index
     /// order. `self.now` must equal `t` on entry and is `t + 1` after.
+    ///
+    /// Every set is visited in ascending index order, so the work is
+    /// O(due) — proportional to the components that act — not
+    /// O(components). A component may be ticked on a cycle where it
+    /// does nothing: the dense core ticks every component every cycle,
+    /// so an extra tick is always exact; only a skipped tick needs a
+    /// horizon to justify it.
     fn step_event_cycle(&mut self, t: CoreCycle, ev: &mut EventState) {
         let n_sms = self.sms.len();
-        let n_pipes = self.pipes.len();
         let pipe_base = n_sms;
-        let mc_base = n_sms + n_pipes;
-        for m in [&mut ev.due_sm, &mut ev.touched_sm, &mut ev.delivered_sm] {
-            m.fill(false);
+        let mc_base = n_sms + self.pipes.len();
+        // The lane (woken for this cycle) seeds the due sets, and
+        // empties for the next cycle.
+        std::mem::swap(&mut ev.due_sm, &mut ev.next_sm);
+        std::mem::swap(&mut ev.due_pipe, &mut ev.next_pipe);
+        std::mem::swap(&mut ev.due_mc, &mut ev.next_mc);
+        for m in [
+            &mut ev.next_sm,
+            &mut ev.next_pipe,
+            &mut ev.next_mc,
+            &mut ev.touched_sm,
+            &mut ev.touched_pipe,
+        ] {
+            m.clear();
         }
-        for m in [&mut ev.due_pipe, &mut ev.touched_pipe, &mut ev.pushed_pipe] {
-            m.fill(false);
-        }
-        ev.touched_mc.fill(false);
         for i in 0..ev.due.len() {
             let c = ev.due[i] as usize;
             if c < pipe_base {
-                ev.due_sm[c] = true;
+                ev.due_sm.insert(c);
             } else if c < mc_base {
-                ev.due_pipe[c - pipe_base] = true;
+                ev.due_pipe.insert(c - pipe_base);
+            } else {
+                ev.due_mc.insert(c - mc_base);
             }
-            // A due controller only forces the cycle to execute; phase 4
-            // re-derives per-tick activity from `next_event` directly.
         }
 
-        // 1. Due SMs issue.
-        for s in 0..n_sms {
-            if !ev.due_sm[s] {
-                continue;
-            }
+        // 1. Due SMs issue. An SM that issued, or (phase 5) took a
+        //    delivery, may have readied, unblocked or completed a warp,
+        //    which the next dense tick acts on: it wakes next cycle
+        //    without a horizon scan. Unconditional (not gated on what
+        //    happened or on a sink), so skip decisions are
+        //    observation-independent. A due SM has no calendar entry.
+        for_each_member!(ev.due_sm, |s| {
             self.catch_up_sm(ev, s, t);
-            self.sms[s].tick(t);
+            if self.sms[s].tick(t) {
+                ev.next_sm.insert(s);
+            }
             ev.sm_synced[s] = t + 1;
-            ev.touched_sm[s] = true;
-        }
+            ev.touched_sm.insert(s);
+            if self.sms[s].peek_ldst().is_some() {
+                ev.ldst_head.insert(s);
+            }
+        });
 
         // 2. LDST queues drain into the per-channel pipes. Contents-
-        //    driven, so every SM participates (a blocked head from an
-        //    earlier cycle drains the moment its pipe has space, exactly
-        //    as in the dense loop).
-        for s in 0..n_sms {
+        //    driven, so every SM with a queued head participates (a
+        //    blocked head from an earlier cycle drains the moment its
+        //    pipe has space, exactly as in the dense loop).
+        for_each_member!(ev.ldst_head, |s| {
             for _ in 0..LDST_DRAIN_PER_CYCLE {
                 let Some(head) = self.sms[s].peek_ldst() else { break };
                 let ch = self.channel_of(head).index();
@@ -642,23 +760,22 @@ impl System {
                 let req = self.sms[s].pop_ldst().expect("peeked head");
                 self.catch_up_pipe(ev, ch, t);
                 self.pipes[ch].push_request(req, t);
-                ev.touched_sm[s] = true;
-                ev.touched_pipe[ch] = true;
-                ev.pushed_pipe[ch] = true;
+                ev.touched_sm.insert(s);
+                ev.due_pipe.insert(ch);
             }
-        }
+            if self.sms[s].peek_ldst().is_none() {
+                ev.ldst_head.remove(s);
+            }
+        });
 
         // 3. Due (or freshly pushed) pipes advance; ready heads enter
         //    the controllers, whose arrival cursor first catches up to
         //    the memory tick a dense run would have it at.
-        for ch in 0..n_pipes {
-            if !(ev.due_pipe[ch] || ev.pushed_pipe[ch]) {
-                continue;
-            }
+        for_each_member!(ev.due_pipe, |ch| {
             self.catch_up_pipe(ev, ch, t);
             self.pipes[ch].tick(t);
             ev.pipe_synced[ch] = t + 1;
-            ev.touched_pipe[ch] = true;
+            ev.touched_pipe.insert(ch);
             for _ in 0..MC_INGEST_PER_CYCLE {
                 let Some(head) = self.pipes[ch].peek_mc(t) else { break };
                 if !self.mcs[ch].can_accept(head) {
@@ -667,27 +784,25 @@ impl System {
                 let req = self.pipes[ch].pop_mc(t).expect("peeked head");
                 self.catch_up_mc(ev, ch, self.mem_now);
                 self.mcs[ch].push(req);
-                ev.touched_mc[ch] = true;
+                ev.due_mc.insert(ch);
             }
-        }
+        });
 
-        // 4. Memory clock domain: tick the controllers that act on each
-        //    accumulated memory cycle (an idle controller's tick is pure
-        //    bookkeeping, reproduced in closed form when it next syncs).
+        // 4. Memory clock domain: on each accumulated memory cycle, tick
+        //    the controllers that are due or that ingest fed. Any other
+        //    controller is quiescent (its standing wake-up is later), and
+        //    an idle tick is pure bookkeeping, reproduced in closed form
+        //    when it next syncs.
         self.clock_acc += self.mem_hz;
         while self.clock_acc >= self.core_hz {
             self.clock_acc -= self.core_hz;
             let m = self.mem_now;
-            for ch in 0..self.mcs.len() {
-                if self.mcs[ch].next_event(m) != Some(m) {
-                    continue;
-                }
+            for_each_member!(ev.due_mc, |ch| {
                 self.catch_up_mc(ev, ch, m);
                 // Taken out for the loop, whose catch-up borrows `self`.
                 let mut resps = std::mem::take(&mut self.resps);
                 self.mcs[ch].tick(m, &mut resps);
                 ev.mc_synced[ch] = m + 1;
-                ev.touched_mc[ch] = true;
                 for resp in resps.drain(..) {
                     // The receiving pipe must have accounted cycle `t`
                     // (dense pipes tick in phase 3, before responses
@@ -695,74 +810,69 @@ impl System {
                     // response.
                     self.catch_up_pipe(ev, ch, t + 1);
                     self.pipes[ch].push_response(resp, t);
-                    ev.touched_pipe[ch] = true;
+                    ev.touched_pipe.insert(ch);
                 }
                 self.resps = resps;
-            }
+            });
             self.mem_now += 1;
         }
 
         // 5. Responses return to their SMs. Only touched pipes can hold
         //    a ready response: a return path's ready deadline is itself
         //    a calendar event, so its pipe is due the cycle it matures.
-        for ch in 0..n_pipes {
-            if !ev.touched_pipe[ch] {
-                continue;
-            }
+        for_each_member!(ev.touched_pipe, |ch| {
             while let Some(resp) = self.pipes[ch].pop_response(t) {
                 let s = resp.warp().sm();
                 self.catch_up_sm(ev, s, t + 1);
                 self.sms[s].deliver(resp);
-                ev.touched_sm[s] = true;
-                ev.delivered_sm[s] = true;
+                ev.touched_sm.insert(s);
+                wake(&mut ev.cal, &mut ev.next_sm, s, s, t + 1, t + 1);
             }
-        }
+        });
 
         self.now = t + 1;
 
         // Re-register every touched component's horizon. Untouched
         // components keep their standing wake-ups, which remain valid:
         // nothing they depend on changed.
-        for s in 0..n_sms {
-            if !ev.touched_sm[s] {
+        for_each_member!(ev.touched_sm, |s| {
+            if ev.next_sm.contains(s) {
                 continue;
             }
-            if ev.delivered_sm[s] {
-                // A delivery may have readied or completed a warp; the
-                // next dense tick issues or retires it. Unconditional
-                // (not gated on what the delivery did or on a sink), so
-                // skip decisions are observation-independent.
-                ev.cal.schedule(s as u32, t + 1);
-            } else if let Some(at) = self.sms[s].next_event(t + 1) {
-                ev.cal.schedule(s as u32, at);
+            if let Some(at) = self.sms[s].next_event(t + 1) {
+                wake(&mut ev.cal, &mut ev.next_sm, s, s, at, t + 1);
             }
-        }
-        for ch in 0..n_pipes {
-            if !ev.touched_pipe[ch] {
-                continue;
-            }
+        });
+        for_each_member!(ev.touched_pipe, |ch| {
             if let Some(at) = self.pipes[ch].next_event(t + 1) {
-                ev.cal.schedule((pipe_base + ch) as u32, at);
+                wake(&mut ev.cal, &mut ev.next_pipe, pipe_base + ch, ch, at, t + 1);
             }
-        }
-        for ch in 0..self.mcs.len() {
-            if !ev.touched_mc[ch] {
-                continue;
-            }
-            if let Some(m) = self.mcs[ch].next_event(self.mem_now) {
-                let at = self.core_cycle_for_mem_event(m);
-                ev.cal.schedule((mc_base + ch) as u32, at);
-            }
-        }
+        });
+        // Most active controllers are due at the very next memory tick,
+        // so its core cycle is mapped once.
+        let mut next_tick_at = None;
+        for_each_member!(ev.due_mc, |ch| {
+            let Some(m) = self.mcs[ch].next_event(self.mem_now) else { continue };
+            let at = if m == self.mem_now {
+                *next_tick_at.get_or_insert_with(|| self.core_cycle_for_mem_event(m))
+            } else {
+                self.core_cycle_for_mem_event(m)
+            };
+            wake(&mut ev.cal, &mut ev.next_mc, mc_base + ch, ch, at, t + 1);
+        });
         // The LDST-to-pipe hand-off has no single owner: an SM whose
         // queued head faces a pipe with space acts next cycle (covers
         // both rate-limit leftovers and pipes that just freed space).
-        for s in 0..n_sms {
-            let Some(head) = self.sms[s].peek_ldst() else { continue };
+        debug_assert!(
+            (0..n_sms).all(|s| ev.ldst_head.contains(s) == self.sms[s].peek_ldst().is_some()),
+            "the LDST-head set disagrees with the SMs' queues"
+        );
+        for_each_member!(ev.ldst_head, |s| {
+            let head = self.sms[s].peek_ldst().expect("LDST-head set member");
             if self.pipes[self.channel_of(head).index()].can_push() {
-                ev.cal.schedule(s as u32, t + 1);
+                wake(&mut ev.cal, &mut ev.next_sm, s, s, t + 1, t + 1);
             }
-        }
+        });
     }
 
     /// Starts or stops recording the event core's executed-cycle

@@ -69,6 +69,38 @@ impl Histogram {
         Histogram::new(edges)
     }
 
+    /// A log-linear (HDR-style) histogram: each octave `[2^k, 2^(k+1))`
+    /// for `k < octaves` splits into `per_octave` equal-width buckets
+    /// (at least one value wide), plus a first bucket for 0 and 1. A
+    /// bucket's upper edge then overstates any value in it by at most a
+    /// factor `1 + 1/per_octave`, so [`percentile`](Self::percentile)
+    /// is within 6.25% of the exact nearest-rank value at 16 per
+    /// octave, where doubling edges allow 2x.
+    ///
+    /// # Panics
+    /// Panics if `per_octave` is not a power of two or `octaves` is not
+    /// in `1..64`.
+    #[must_use]
+    pub fn log_linear(per_octave: u64, octaves: u32) -> Self {
+        assert!(
+            per_octave.is_power_of_two() && (1..64).contains(&octaves),
+            "log-linear histogram shape"
+        );
+        let mut edges = vec![1];
+        for k in 0..octaves {
+            let low = 1u64 << k;
+            // Equal widths of `low / per_octave`, or of one value while
+            // the octave holds fewer values than buckets.
+            let width = (low >> per_octave.trailing_zeros()).max(1);
+            let mut edge = low;
+            while edge < 2 * low {
+                edge += width;
+                edges.push(edge);
+            }
+        }
+        Histogram::new(edges)
+    }
+
     /// Records one value.
     pub fn record(&mut self, value: u64) {
         let idx = self.edges.partition_point(|&e| e < value);
@@ -263,14 +295,13 @@ pub struct ShardedHistogram {
 }
 
 impl ShardedHistogram {
-    /// A sharded doubling-edge histogram (see
-    /// [`Histogram::exponential`]). `shards` is clamped to at least 1.
+    /// A sharded histogram whose every shard starts as a copy of
+    /// `empty`, which fixes the bucket edges. `shards` is clamped to at
+    /// least 1.
     #[must_use]
-    pub fn exponential(shards: usize, first: u64, count: usize) -> Self {
+    pub fn new(shards: usize, empty: &Histogram) -> Self {
         let shards = shards.max(1);
-        ShardedHistogram {
-            shards: (0..shards).map(|_| Mutex::new(Histogram::exponential(first, count))).collect(),
-        }
+        ShardedHistogram { shards: (0..shards).map(|_| Mutex::new(empty.clone())).collect() }
     }
 
     /// Records one value into the calling thread's shard.
@@ -355,25 +386,18 @@ impl MetricsRegistry {
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
-    /// The sharded histogram named `name`, created with doubling edges
-    /// (`first`, `2*first`, …; `count` edges, `shards` shards) on first
-    /// use. Later calls return the existing histogram regardless of
-    /// shape arguments.
+    /// The sharded histogram named `name`, created on first use with
+    /// `shards` shards and the bucket edges of `empty`. Later calls
+    /// return the existing histogram regardless of shape arguments.
     ///
     /// # Panics
     /// Panics if the registry mutex is poisoned.
     #[must_use]
-    pub fn histogram(
-        &self,
-        name: &str,
-        shards: usize,
-        first: u64,
-        count: usize,
-    ) -> Arc<ShardedHistogram> {
+    pub fn histogram(&self, name: &str, shards: usize, empty: &Histogram) -> Arc<ShardedHistogram> {
         let mut map = self.histograms.lock().expect("metrics registry lock");
         Arc::clone(
             map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(ShardedHistogram::exponential(shards, first, count))),
+                .or_insert_with(|| Arc::new(ShardedHistogram::new(shards, empty))),
         )
     }
 
@@ -498,6 +522,54 @@ mod tests {
     }
 
     #[test]
+    fn log_linear_edges_split_each_octave() {
+        let h = Histogram::log_linear(4, 4);
+        // Unit-wide buckets until an octave holds more than 4 values.
+        assert_eq!(h.edges(), &[1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16]);
+        let h = Histogram::log_linear(16, 63);
+        assert!(h.edges().windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(*h.edges().last().unwrap(), 1u64 << 63);
+    }
+
+    /// Seeded samples over six decades: every log-linear percentile is
+    /// at or above the exact nearest-rank value and within 1/16 of it.
+    #[test]
+    fn log_linear_percentiles_are_within_a_sixteenth_of_nearest_rank() {
+        // SplitMix64 (this crate has no dependencies to borrow one from).
+        let mut state = 0x0516_0c7a_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for round in 0..20 {
+            let mut h = Histogram::log_linear(16, 40);
+            let n = 1 + next() % 500;
+            let mut samples: Vec<u64> = (0..n)
+                .map(|_| {
+                    let decade = 10u64.pow((next() % 6) as u32);
+                    decade + next() % (9 * decade)
+                })
+                .collect();
+            for &v in &samples {
+                h.record(v);
+            }
+            samples.sort_unstable();
+            for p in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
+                let rank = ((p * n as f64).ceil() as usize).max(1);
+                let exact = samples[rank - 1];
+                let est = h.percentile(p).expect("non-empty");
+                assert!(
+                    est >= exact && est as f64 <= exact as f64 * (1.0 + 1.0 / 16.0),
+                    "round {round}: p{p} estimate {est} vs exact {exact}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn mean_and_empty_behaviour() {
         let mut h = Histogram::new(vec![10]);
         assert_eq!(h.mean(), 0.0);
@@ -594,7 +666,7 @@ mod tests {
 
     #[test]
     fn sharded_histogram_merges_across_threads() {
-        let h = Arc::new(ShardedHistogram::exponential(4, 1, 16));
+        let h = Arc::new(ShardedHistogram::new(4, &Histogram::exponential(1, 16)));
         std::thread::scope(|scope| {
             for t in 0..8u64 {
                 let h = Arc::clone(&h);
@@ -619,7 +691,7 @@ mod tests {
         a.add(2);
         b.inc();
         reg.gauge("queue.depth").set(4);
-        reg.histogram("timing.run_us", 2, 1, 16).record(12);
+        reg.histogram("timing.run_us", 2, &Histogram::exponential(1, 16)).record(12);
         let snap = reg.snapshot_value();
         let requests = snap.get("requests").expect("requests group");
         assert_eq!(requests.get("result").and_then(Value::as_f64), Some(3.0));
@@ -638,7 +710,7 @@ mod tests {
     fn text_exposition_flattens_names() {
         let reg = MetricsRegistry::new();
         reg.counter("cache.hits").inc();
-        reg.histogram("timing.queue_wait_us", 1, 1, 4).record(3);
+        reg.histogram("timing.queue_wait_us", 1, &Histogram::exponential(1, 4)).record(3);
         let text = reg.to_text();
         assert!(text.contains("orderlight_cache_hits 1\n"), "{text}");
         assert!(text.contains("orderlight_timing_queue_wait_us_count 1\n"), "{text}");

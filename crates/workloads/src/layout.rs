@@ -8,7 +8,7 @@
 //! exactly the behaviour Figure 11 analyses — and by confining a memory
 //! group's data to that group's banks.
 
-use orderlight::mapping::{AddressMapping, GroupMap};
+use orderlight::mapping::{AddressMapping, Divisor, GroupMap};
 use orderlight::types::{Addr, ChannelId, MemGroupId, BUS_BYTES};
 use orderlight::ConfigError;
 
@@ -25,6 +25,10 @@ pub struct Layout {
     /// single-bank PIM placement; the group's bank count for host data,
     /// which wants bank-level parallelism).
     interleave: u64,
+    // `interleave` and the mapping's stripes per row as divisors, for
+    // the address hot path.
+    interleave_div: Divisor,
+    stripes_per_row: Divisor,
 }
 
 impl Layout {
@@ -65,7 +69,16 @@ impl Layout {
             Self::checked_span(&mapping, groups, structures, stripes_per_structure, interleave)
                 .unwrap_or_else(|e| panic!("{e}"));
         let base_offset = mapping.bank_base_offset(groups.first_bank_of(group));
-        Layout { mapping, group, base_offset, structure_span, stripes_per_structure, interleave }
+        Layout {
+            interleave_div: Divisor::new(interleave),
+            stripes_per_row: Divisor::new(mapping.stripes_per_row()),
+            mapping,
+            group,
+            base_offset,
+            structure_span,
+            stripes_per_structure,
+            interleave,
+        }
     }
 
     /// The bytes of each bank one structure spans when `structures`
@@ -134,11 +147,10 @@ impl Layout {
     #[must_use]
     pub fn addr(&self, channel: ChannelId, structure: usize, stripe: u64) -> Addr {
         let row_bytes = self.mapping.row_bytes();
-        let spr = self.mapping.stripes_per_row();
-        let row_seq = stripe / spr;
-        let col = stripe % spr;
-        let bank_off = row_seq % self.interleave;
-        let row = row_seq / self.interleave;
+        let row_seq = self.stripes_per_row.quotient(stripe);
+        let col = self.stripes_per_row.remainder(stripe);
+        let bank_off = self.interleave_div.remainder(row_seq);
+        let row = self.interleave_div.quotient(row_seq);
         let offset = self.base_offset
             + bank_off * self.mapping.bank_span_bytes()
             + structure as u64 * self.structure_span

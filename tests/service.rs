@@ -356,6 +356,44 @@ fn oversized_scenarios_are_typed_errors_and_a_concurrent_client_is_served_exactl
     shutdown(&addr, handle);
 }
 
+/// A seqnum scenario with zero buffer credits can never issue, so it is
+/// a typed `config` error before it runs, whatever the core or budget.
+/// It used to pass validation: the event core failed at its budget, but
+/// the dense core spun until it (minutes at the default budget, forever
+/// near `u64::MAX`). Workload, data size and budget are seeded; a
+/// concurrent well-behaved client is still served the exact direct-run
+/// result, before and after.
+#[test]
+fn seqnum_without_credits_is_a_config_error_and_a_concurrent_client_is_served_exactly() {
+    let (addr, handle) = start_server(2);
+    let expected = direct_stats();
+    let mut rng = Rng::new(0x5e9c_0000_c4ed);
+    let workloads = ["Add", "Scale", "Triad", "Hist"];
+    std::thread::scope(|scope| {
+        let other =
+            scope.spawn(|| [result_of(&addr, &add_request()), result_of(&addr, &add_request())]);
+        for _ in 0..3 {
+            let workload = workloads[rng.gen_index(workloads.len())];
+            let data_kb = [4, 8, 16][rng.gen_index(3)];
+            // 9e15 is the largest integer the schema accepts.
+            let budget = if rng.gen_bool(1, 2) { 9_000_000_000_000_000u64 } else { 200_000_000 };
+            let line = format!(
+                r#"{{"schema": "{SCENARIO_SCHEMA_V1}", "workload": "{workload}", "mode": "seqnum", "data_kb": {data_kb}, "credits": 0, "budget": {budget}}}"#
+            );
+            let doc = result_of(&addr, &line);
+            assert_eq!(doc.get("reply").and_then(json::Value::as_str), Some("error"), "{line}");
+            assert_eq!(doc.get("kind").and_then(json::Value::as_str), Some("config"), "{line}");
+        }
+        for ok in other.join().expect("client joins") {
+            assert_eq!(ok.get("stats").expect("stats present").to_json(), expected);
+        }
+    });
+    let snap = metrics_snapshot(&addr);
+    assert_eq!(counter(&snap, "requests", "result"), 2.0);
+    assert_eq!(counter(&snap, "requests", "error"), 3.0);
+    shutdown(&addr, handle);
+}
+
 #[test]
 fn stats_command_reports_hits_misses_and_cache_occupancy() {
     let (addr, handle) = start_server(1);
