@@ -28,9 +28,12 @@ echo "==> cargo build --release"
 cargo build --release
 
 # Every paper table, figure and ablation printer behind
-# `orderlight figure` must run to completion at a small job size.
-echo "==> orderlight figure all (every paper report, 8 KiB)"
-./target/release/orderlight figure all --data-kb 8 > /dev/null
+# `orderlight figure` must run to completion at a small job size and
+# print exactly the committed transcript: the printers share one
+# memoising runner, and sharing must not change a byte.
+echo "==> orderlight figure all (every paper report, 8 KiB, cmp against the golden transcript)"
+./target/release/orderlight figure all --data-kb 8 --jobs 2 | cmp - tests/golden/figure_all_8k.txt \
+    || { echo "figure all differs from tests/golden/figure_all_8k.txt"; exit 1; }
 
 # A reader that stops early must end the binary quietly: writes to a
 # closed stdout used to panic, printing a backtrace on stderr.

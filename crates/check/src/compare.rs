@@ -123,8 +123,7 @@ pub fn compare_backends(
         let scenario = ScenarioBuilder::new(workload, ExecMode::Pim(mode))
             .data_kb(data_kb)
             .core(core)
-            .build()
-            .map_err(|e| SimError::config(e.to_string()))?;
+            .build()?;
         let outcome = check_scenario(&scenario)?;
         let stats = &outcome.stats;
         let cycles = stats.core_cycles;

@@ -98,9 +98,7 @@ pub fn profile_points(specs: &[JobSpec], pool: &Pool) -> Result<Vec<ProfileOutco
             .iter()
             .map(|spec| {
                 move || -> Result<ProfileOutcome, SimError> {
-                    let scenario =
-                        spec.builder().build().map_err(|e| SimError::config(e.to_string()))?;
-                    profile_scenario(&scenario)
+                    profile_scenario(&spec.builder().build()?)
                 }
             })
             .collect::<Vec<_>>(),

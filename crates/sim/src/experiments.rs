@@ -1,20 +1,21 @@
 //! Canned experiment runners — one per table/figure of the paper's
 //! evaluation (see DESIGN.md's per-experiment index).
 //!
-//! Every sweep is expressed in two stages so it can run in parallel:
-//! a `*_points` function **enumerates** the design points as
-//! [`JobSpec`]s, and [`run_points`] executes them through a
-//! [`Pool`] of scoped threads. Results are returned
-//! in enumeration order and are bit-identical to the serial loop
-//! ([`run_points_serial`]) at any worker count: a run's RNG streams are
-//! seeded from the point spec (workload/channel/slice), never from
-//! worker identity, and each run owns its whole `System`, so nothing
-//! observable leaks between concurrent runs. `tests/
-//! parallel_equivalence.rs` enforces the contract.
+//! Every sweep is expressed in two stages: a `*_points` function
+//! **enumerates** the design points as [`JobSpec`]s (the ablations
+//! build [`Scenario`]s), and a [`Runner`] executes them. The runner
+//! runs each distinct scenario once, keyed by
+//! [`Scenario::canonical_hash`], through a [`Pool`] of scoped threads.
+//! Results are returned in enumeration order and are bit-identical to
+//! the serial loop ([`run_points_serial`]) at any worker count: a run's
+//! RNG streams are seeded from the point spec (workload/channel/slice),
+//! never from worker identity, and each run owns its whole `System`, so
+//! nothing observable leaks between concurrent runs.
+//! `tests/parallel_equivalence.rs` enforces the contract.
 
 use crate::config::{ExecMode, ExperimentConfig, SystemConfig};
 use crate::pool::Pool;
-use crate::scenario::ScenarioBuilder;
+use crate::scenario::{Scenario, ScenarioBuilder};
 use crate::stats::RunStats;
 use crate::system::SimError;
 use orderlight::mapping::{AddressMapping, GroupMap};
@@ -26,6 +27,7 @@ use orderlight_hbm::{Channel, ColKind, DramCommand, TimingParams};
 use orderlight_memctrl::{IssueRecord, McConfig, MemoryController};
 use orderlight_pim::{PimUnit, TsSize};
 use orderlight_workloads::{OrderingMode, WorkloadId};
+use std::collections::{HashMap, HashSet};
 
 /// One point of a design-space sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,67 +72,6 @@ pub fn apply_sm_policy(exp: &mut ExperimentConfig) {
     }
 }
 
-/// Builds, runs and verifies one experiment. Thin wrapper over
-/// [`ScenarioBuilder`] — prefer building a
-/// [`Scenario`](crate::scenario::Scenario) directly in new code.
-///
-/// # Errors
-/// Returns [`SimError`] if the system fails to drain.
-pub fn run_experiment(exp: ExperimentConfig) -> Result<RunStats, SimError> {
-    ScenarioBuilder::from_experiment(exp)
-        .build()
-        .map_err(|e| SimError::config(e.to_string()))?
-        .run()
-}
-
-/// Like [`run_experiment`], but keeps the caller's SM allocation
-/// instead of applying the paper's GPU SM policy — for hosts (e.g. the
-/// CPU study) whose allocation is part of the configuration. Thin
-/// wrapper over [`ScenarioBuilder::keep_sm_allocation`].
-///
-/// # Errors
-/// Returns [`SimError`] if the system fails to drain.
-pub fn run_experiment_fixed(exp: ExperimentConfig) -> Result<RunStats, SimError> {
-    ScenarioBuilder::from_experiment(exp)
-        .keep_sm_allocation()
-        .build()
-        .map_err(|e| SimError::config(e.to_string()))?
-        .run()
-}
-
-/// Like [`run_experiment`], but with `sink` attached to every SM,
-/// controller and DRAM channel before the run. Returns the statistics
-/// together with the system's clock domains, which exporters need to
-/// place core- and memory-clocked events on one time axis. Thin
-/// wrapper over [`ScenarioBuilder::trace`].
-///
-/// # Errors
-/// Returns [`SimError`] if the system fails to drain.
-pub fn run_experiment_traced(
-    exp: ExperimentConfig,
-    sink: orderlight_trace::SharedSink,
-) -> Result<(RunStats, orderlight_trace::ClockDomains), SimError> {
-    ScenarioBuilder::from_experiment(exp)
-        .trace(sink)
-        .build()
-        .map_err(|e| SimError::config(e.to_string()))?
-        .run_with_clocks()
-}
-
-/// Runs one `(workload, ts, mode, bmf)` point.
-///
-/// # Errors
-/// Propagates [`SimError`] from the run.
-pub fn run_point(
-    workload: WorkloadId,
-    ts: TsSize,
-    mode: ExecMode,
-    bmf: u32,
-    data_bytes_per_channel: u64,
-) -> Result<SweepPoint, SimError> {
-    JobSpec { workload, ts, mode, bmf, data_bytes_per_channel }.run()
-}
-
 /// The full specification of one independent sweep point — everything a
 /// worker thread needs to reproduce the run. Seeding is derived from
 /// these fields alone (the workload generators hash workload, channel
@@ -173,8 +114,12 @@ impl JobSpec {
     /// # Errors
     /// Propagates [`SimError`] from the run.
     pub fn run(&self) -> Result<SweepPoint, SimError> {
-        let stats = self.builder().build().map_err(|e| SimError::config(e.to_string()))?.run()?;
-        Ok(SweepPoint {
+        Ok(self.point(self.builder().build()?.run()?))
+    }
+
+    /// This point's labels around `stats`.
+    fn point(&self, stats: RunStats) -> SweepPoint {
+        SweepPoint {
             workload: self.workload.to_string(),
             ts: match self.mode {
                 ExecMode::Gpu => "-".to_string(),
@@ -184,23 +129,98 @@ impl JobSpec {
             ordering: self.mode.ordering_backend().to_string(),
             bmf: self.bmf,
             stats,
-        })
+        }
     }
 }
 
-/// Executes `specs` through `pool`, returning results in input order.
-/// On failure the error reported is the *first failing spec in input
-/// order* (not completion order), keeping even the error path
-/// deterministic.
+/// The one sweep runner: a memo of finished runs in front of a [`Pool`].
 ///
-/// # Errors
-/// Propagates the first [`SimError`] in input order.
-pub fn run_points(specs: &[JobSpec], pool: &Pool) -> Result<Vec<SweepPoint>, SimError> {
-    pool.run(specs.iter().map(|s| move || s.run()).collect::<Vec<_>>()).into_iter().collect()
+/// Each distinct scenario runs at most once per `Runner`, however many
+/// sweeps ask for it: the memo is keyed by [`Scenario::canonical_hash`],
+/// the key the service cache already trusts, since a run's
+/// [`RunStats`] are a pure function of exactly the hashed fields. Figures
+/// that share design points (Fig. 5's fence bars, Fig. 10's Add column
+/// and Fig. 13's BMF-16 row; Figs. 10a and 10b) therefore share runs
+/// when they share a runner.
+///
+/// The hash leaves out the execution core, so the memo does too: a
+/// caller that switches the core to compare cores must not carry a
+/// runner across the switch (`orderlight bench` times its per-core legs
+/// with [`run_points_serial`]). Likewise a trace sink on a scenario
+/// whose result is already memoised observes nothing.
+#[derive(Debug)]
+pub struct Runner {
+    pool: Pool,
+    memo: HashMap<u64, RunStats>,
 }
 
-/// The reference serial loop. [`run_points`] at any worker count is
-/// asserted bit-identical to this by `tests/parallel_equivalence.rs`.
+impl Runner {
+    /// An empty runner that executes new scenarios through `pool`.
+    #[must_use]
+    pub fn new(pool: Pool) -> Runner {
+        Runner { pool, memo: HashMap::new() }
+    }
+
+    /// How many distinct scenarios have run to completion.
+    #[must_use]
+    pub fn memoised(&self) -> usize {
+        self.memo.len()
+    }
+
+    /// Returns one result per scenario, in input order. Every scenario
+    /// not yet memoised runs once, in one [`Pool::run`] batch; only
+    /// successes are memoised, so a failed scenario runs again when it
+    /// is asked for again.
+    ///
+    /// # Errors
+    /// The first failure in input order (never completion order), so
+    /// the error path is deterministic at any worker count too.
+    pub fn run(&mut self, scenarios: &[Scenario]) -> Result<Vec<RunStats>, SimError> {
+        let hashes: Vec<u64> = scenarios.iter().map(Scenario::canonical_hash).collect();
+        let mut queued = HashSet::new();
+        let fresh: Vec<usize> = (0..scenarios.len())
+            .filter(|&i| !self.memo.contains_key(&hashes[i]) && queued.insert(hashes[i]))
+            .collect();
+        let outcomes = self.pool.run(
+            fresh
+                .iter()
+                .map(|&i| {
+                    let scenario = &scenarios[i];
+                    move || scenario.run()
+                })
+                .collect::<Vec<_>>(),
+        );
+        let mut failed = HashMap::new();
+        for (&i, outcome) in fresh.iter().zip(outcomes) {
+            match outcome {
+                Ok(stats) => {
+                    self.memo.insert(hashes[i], stats);
+                }
+                Err(e) => {
+                    failed.insert(hashes[i], e);
+                }
+            }
+        }
+        hashes.iter().map(|h| self.memo.get(h).cloned().ok_or_else(|| failed[h].clone())).collect()
+    }
+
+    /// [`Runner::run`] over sweep points, labelled as [`JobSpec::run`]
+    /// labels them.
+    ///
+    /// # Errors
+    /// The first spec in input order that fails validation, before
+    /// anything runs; else the first failing run in input order.
+    pub fn points(&mut self, specs: &[JobSpec]) -> Result<Vec<SweepPoint>, SimError> {
+        let scenarios =
+            specs.iter().map(|spec| spec.builder().build()).collect::<Result<Vec<_>, _>>()?;
+        let stats = self.run(&scenarios)?;
+        Ok(specs.iter().zip(stats).map(|(spec, stats)| spec.point(stats)).collect())
+    }
+}
+
+/// The reference serial loop: no pool and no memo. [`Runner`] at any
+/// worker count is asserted bit-identical to it by
+/// `tests/parallel_equivalence.rs`.
 ///
 /// # Errors
 /// Propagates the first [`SimError`].
@@ -208,19 +228,9 @@ pub fn run_points_serial(specs: &[JobSpec]) -> Result<Vec<SweepPoint>, SimError>
     specs.iter().map(JobSpec::run).collect()
 }
 
-/// Runs a batch of fully-specified experiments through `pool`,
-/// preserving input order (the ablation sweeps' analogue of
-/// [`run_points`]).
-///
-/// # Errors
-/// Propagates the first [`SimError`] in input order.
-pub fn run_experiments(
-    exps: Vec<ExperimentConfig>,
-    pool: &Pool,
-) -> Result<Vec<RunStats>, SimError> {
-    pool.run(exps.into_iter().map(|e| move || run_experiment(e)).collect::<Vec<_>>())
-        .into_iter()
-        .collect()
+/// Builds each experiment as a [`Scenario`], with the paper's SM policy.
+fn scenarios(exps: impl IntoIterator<Item = ExperimentConfig>) -> Result<Vec<Scenario>, SimError> {
+    exps.into_iter().map(|exp| Ok(ScenarioBuilder::from_experiment(exp).build()?)).collect()
 }
 
 /// Enumerates Figure 5's design points: fence overhead for the
@@ -267,15 +277,6 @@ pub fn fence_heavy_points(data_bytes_per_channel: u64) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Figure 5: fence overhead for the vector-add kernel — execution time
-/// and waiting cycles per fence — run across `jobs` workers.
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn fig05(data_bytes_per_channel: u64, jobs: usize) -> Result<Vec<SweepPoint>, SimError> {
-    run_points(&fig05_points(data_bytes_per_channel), &Pool::new(jobs))
-}
-
 /// Enumerates Figures 10a/10b: every stream kernel at every TS size
 /// under fence and OrderLight, plus the GPU baseline.
 #[must_use]
@@ -292,15 +293,6 @@ pub fn fig10_points(data_bytes_per_channel: u64) -> Vec<JobSpec> {
     points
 }
 
-/// Figures 10a/10b: the stream benchmark sweep, run across `jobs`
-/// workers.
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn fig10(data_bytes_per_channel: u64, jobs: usize) -> Result<Vec<SweepPoint>, SimError> {
-    run_points(&fig10_points(data_bytes_per_channel), &Pool::new(jobs))
-}
-
 /// Enumerates Figure 12: the application kernels, fence vs OrderLight
 /// at every TS size.
 #[must_use]
@@ -314,16 +306,6 @@ pub fn fig12_points(data_bytes_per_channel: u64) -> Vec<JobSpec> {
         }
     }
     points
-}
-
-/// Figure 12: the application-kernel sweep (fence vs OrderLight at every
-/// TS size), whose `primitives_per_pim_instr` reproduces the line plot,
-/// run across `jobs` workers.
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn fig12(data_bytes_per_channel: u64, jobs: usize) -> Result<Vec<SweepPoint>, SimError> {
-    run_points(&fig12_points(data_bytes_per_channel), &Pool::new(jobs))
 }
 
 /// Enumerates Figure 13: the bandwidth-multiplication-factor sweep
@@ -345,15 +327,6 @@ pub fn fig13_points(data_bytes_per_channel: u64) -> Vec<JobSpec> {
         }
     }
     points
-}
-
-/// Figure 13: the bandwidth-multiplication-factor sweep (4x/8x/16x) for
-/// the Add kernel under fence and OrderLight, run across `jobs` workers.
-///
-/// # Errors
-/// Propagates [`SimError`].
-pub fn fig13(data_bytes_per_channel: u64, jobs: usize) -> Result<Vec<SweepPoint>, SimError> {
-    run_points(&fig13_points(data_bytes_per_channel), &Pool::new(jobs))
 }
 
 /// Figure 11: the DRAM timing window — analytic and micro-simulated.
@@ -512,14 +485,14 @@ pub struct ArbitrationAblation {
     pub pim_exec_cycles: u64,
 }
 
-/// Runs the arbitration ablation (see [`ArbitrationAblation`]) across
-/// `jobs` workers.
+/// Runs the arbitration ablation (see [`ArbitrationAblation`]) through
+/// `runner`.
 ///
 /// # Errors
 /// Propagates [`SimError`].
 pub fn ablation_arbitration(
     data_bytes_per_channel: u64,
-    jobs: usize,
+    runner: &mut Runner,
 ) -> Result<ArbitrationAblation, SimError> {
     // Fine-grained: host traffic to memory group 1 interleaves with the
     // PIM kernel in group 0. We approximate the host stream with the
@@ -532,7 +505,7 @@ pub fn ablation_arbitration(
     // Coarse-grained: the host waits out the whole PIM kernel.
     let mut pim = ExperimentConfig::new(WorkloadId::Add, ExecMode::Pim(OrderingMode::OrderLight));
     pim.data_bytes_per_channel = data_bytes_per_channel;
-    let stats = run_experiments(vec![gpu, pim], &Pool::new(jobs))?;
+    let stats = runner.run(&scenarios([gpu, pim])?)?;
     let (gpu_stats, pim_stats) = (&stats[0], &stats[1]);
     let fga_mean = if gpu_stats.mc.host_reads == 0 {
         0.0
@@ -572,7 +545,7 @@ pub struct SeqNumRow {
 pub fn ablation_seqnum(
     data_bytes_per_channel: u64,
     ts: TsSize,
-    jobs: usize,
+    runner: &mut Runner,
 ) -> Result<Vec<SeqNumRow>, SimError> {
     let mut base = ExperimentConfig::new(WorkloadId::Add, ExecMode::Pim(OrderingMode::OrderLight));
     base.ts_size = ts;
@@ -585,7 +558,7 @@ pub fn ablation_seqnum(
         exp.seq_credits = credits;
         exps.push(exp);
     }
-    let stats = run_experiments(exps, &Pool::new(jobs))?;
+    let stats = runner.run(&scenarios(exps)?)?;
     let mut rows = Vec::new();
     let ol = &stats[0];
     rows.push(SeqNumRow {
@@ -627,22 +600,21 @@ pub struct FenceScopeAblation {
     pub l2_ack_mismatches: u64,
 }
 
-/// Runs the fence-scope ablation on the Add kernel across `jobs`
-/// workers.
+/// Runs the fence-scope ablation on the Add kernel through `runner`.
 ///
 /// # Errors
 /// Propagates [`SimError`].
 pub fn ablation_fence_scope(
     data_bytes_per_channel: u64,
     ts: TsSize,
-    jobs: usize,
+    runner: &mut Runner,
 ) -> Result<FenceScopeAblation, SimError> {
     let mut exp = ExperimentConfig::new(WorkloadId::Add, ExecMode::Pim(OrderingMode::Fence));
     exp.ts_size = ts;
     exp.data_bytes_per_channel = data_bytes_per_channel;
     let strict_exp = exp.clone();
     exp.system.pipe.fence_ack_at_l2 = true;
-    let stats = run_experiments(vec![strict_exp, exp], &Pool::new(jobs))?;
+    let stats = runner.run(&scenarios([strict_exp, exp])?)?;
     let (strict, loose) = (&stats[0], &stats[1]);
     Ok(FenceScopeAblation {
         dram_issue_ms: strict.exec_time_ms,
@@ -709,27 +681,24 @@ pub struct CpuHostRow {
 pub fn ablation_cpu_host(
     data_bytes_per_channel: u64,
     ts: TsSize,
-    jobs: usize,
+    runner: &mut Runner,
 ) -> Result<Vec<CpuHostRow>, SimError> {
     const MODES: [OrderingMode; 2] = [OrderingMode::Fence, OrderingMode::OrderLight];
-    let exps: Vec<ExperimentConfig> = MODES
+    let scenarios = MODES
         .into_iter()
         .map(|mode| {
-            let mut exp = ExperimentConfig::new(WorkloadId::Add, ExecMode::Pim(mode));
-            exp.system = cpu_host_config();
-            exp.ts_size = ts;
-            exp.data_bytes_per_channel = data_bytes_per_channel;
-            exp
+            ScenarioBuilder::new(WorkloadId::Add, ExecMode::Pim(mode))
+                // The CPU allocation is part of this system: `system`
+                // skips the GPU SM policy.
+                .system(cpu_host_config())
+                .ts_size(ts)
+                .data_bytes_per_channel(data_bytes_per_channel)
+                .build()
         })
-        .collect();
-    // CPU allocation is fixed; skip the GPU SM policy.
-    let stats: Result<Vec<RunStats>, SimError> = Pool::new(jobs)
-        .run(exps.into_iter().map(|e| move || run_experiment_fixed(e)).collect::<Vec<_>>())
-        .into_iter()
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(MODES
         .into_iter()
-        .zip(stats?)
+        .zip(runner.run(&scenarios)?)
         .map(|(mode, s)| CpuHostRow {
             label: format!("cpu {mode}"),
             exec_time_ms: s.exec_time_ms,
@@ -765,7 +734,7 @@ pub struct SchedulerRow {
 /// Propagates [`SimError`].
 pub fn ablation_scheduler(
     data_bytes_per_channel: u64,
-    jobs: usize,
+    runner: &mut Runner,
 ) -> Result<Vec<SchedulerRow>, SimError> {
     let mut labels = Vec::new();
     let mut exps = Vec::new();
@@ -789,7 +758,7 @@ pub fn ablation_scheduler(
     for bq in [1usize, 2, 4, 8] {
         enumerate(format!("bank_queue={bq}"), 16, bq);
     }
-    let stats = run_experiments(exps, &Pool::new(jobs))?;
+    let stats = runner.run(&scenarios(exps)?)?;
     Ok(labels
         .into_iter()
         .zip(stats.chunks_exact(2))
@@ -823,7 +792,7 @@ pub struct RefreshRow {
 /// Propagates [`SimError`].
 pub fn ablation_refresh(
     data_bytes_per_channel: u64,
-    jobs: usize,
+    runner: &mut Runner,
 ) -> Result<Vec<RefreshRow>, SimError> {
     let settings = [
         ("no refresh (paper)", None),
@@ -839,7 +808,7 @@ pub fn ablation_refresh(
             exp
         })
         .collect();
-    let stats = run_experiments(exps, &Pool::new(jobs))?;
+    let stats = runner.run(&scenarios(exps)?)?;
     Ok(settings
         .iter()
         .zip(stats)
@@ -871,7 +840,7 @@ pub struct PagePolicyRow {
 /// Propagates [`SimError`].
 pub fn ablation_page_policy(
     data_bytes_per_channel: u64,
-    jobs: usize,
+    runner: &mut Runner,
 ) -> Result<Vec<PagePolicyRow>, SimError> {
     use orderlight_memctrl::PagePolicy;
     let mut labels = Vec::new();
@@ -885,7 +854,7 @@ pub fn ablation_page_policy(
             exps.push(exp);
         }
     }
-    let stats = run_experiments(exps, &Pool::new(jobs))?;
+    let stats = runner.run(&scenarios(exps)?)?;
     Ok(labels
         .into_iter()
         .zip(stats)
@@ -974,26 +943,60 @@ mod tests {
         assert!(bmfs.starts_with(&[4; 8]) && bmfs.ends_with(&[16; 8]));
     }
 
+    /// Fig. 5's four fence bars are Fig. 13's BMF-16 fence row.
     #[test]
-    fn run_points_is_bit_identical_to_the_serial_loop() {
-        // The cheapest two-point slice of fig05 at a tiny job size; the
-        // full-figure equivalence matrix lives in
-        // `tests/parallel_equivalence.rs`.
-        let specs = &fig05_points(4 * 1024)[..2];
-        let serial = run_points_serial(specs).unwrap();
-        let pooled = run_points(specs, &Pool::new(2)).unwrap();
-        assert_eq!(serial, pooled);
+    fn runner_runs_each_distinct_scenario_once() {
+        let data = 4 * 1024;
+        let (fig05, fig13) = (fig05_points(data), fig13_points(data));
+        let mut runner = Runner::new(Pool::new(2));
+        let (a, b) = (runner.points(&fig05).unwrap(), runner.points(&fig13).unwrap());
+        assert_eq!(runner.memoised(), 5 + 24 - 4);
+        assert_eq!(runner.points(&fig05).unwrap(), a);
+        assert_eq!(runner.points(&fig13).unwrap(), b);
+        assert_eq!(runner.memoised(), 25, "a repeated call runs nothing new");
+        let (serial05, serial13) =
+            (run_points_serial(&fig05).unwrap(), run_points_serial(&fig13).unwrap());
+        for workers in [1, 2, 8] {
+            let mut runner = Runner::new(Pool::new(workers));
+            assert_eq!(runner.points(&fig05).unwrap(), serial05, "workers={workers}");
+            assert_eq!(runner.points(&fig13).unwrap(), serial13, "workers={workers}");
+        }
     }
 
     #[test]
-    fn run_point_produces_consistent_labels() {
-        let p = run_point(
-            WorkloadId::Scale,
-            TsSize::Quarter,
-            ExecMode::Pim(OrderingMode::OrderLight),
-            16,
-            8 * 1024,
-        )
+    fn runner_reports_the_first_failure_in_input_order_and_forgets_it() {
+        let build = |wl: WorkloadId, budget: u64| {
+            ScenarioBuilder::new(wl, ExecMode::Pim(OrderingMode::OrderLight))
+                .data_kb(4)
+                .budget(budget)
+                .build()
+                .unwrap()
+        };
+        let (ok, copy_fails, add_fails) = (
+            build(WorkloadId::Add, 50_000_000),
+            build(WorkloadId::Copy, 10),
+            build(WorkloadId::Add, 10),
+        );
+        let expected = add_fails.run().unwrap_err();
+        assert_ne!(expected, copy_fails.run().unwrap_err());
+        let batch = [ok, add_fails.clone(), copy_fails, add_fails];
+        for workers in [1, 2, 8] {
+            let mut runner = Runner::new(Pool::new(workers));
+            assert_eq!(runner.run(&batch).unwrap_err(), expected, "workers={workers}");
+            assert_eq!(runner.memoised(), 1, "only the success is memoised");
+        }
+    }
+
+    #[test]
+    fn job_spec_run_produces_consistent_labels() {
+        let p = JobSpec {
+            workload: WorkloadId::Scale,
+            ts: TsSize::Quarter,
+            mode: ExecMode::Pim(OrderingMode::OrderLight),
+            bmf: 16,
+            data_bytes_per_channel: 8 * 1024,
+        }
+        .run()
         .unwrap();
         assert_eq!(p.workload, "Scale");
         assert_eq!(p.ts, "1/4 RB");

@@ -1,9 +1,11 @@
 //! The paper's evaluation as text reports: one printer per table,
 //! figure and ablation, looked up by id in [`FIGURES`] and printed by
 //! `orderlight figure <id>`. Each printer runs its experiment from
-//! [`crate::experiments`] and returns the report text.
+//! [`crate::experiments`] through the caller's [`Runner`] and returns
+//! the report text; printers that share a runner share the runs of
+//! their common design points.
 
-use crate::experiments::{self, SweepPoint};
+use crate::experiments::{self, Runner, SweepPoint};
 use crate::report::{bar_chart, f3, format_table, speedup};
 use crate::stats::RunStats;
 use crate::system::SimError;
@@ -12,9 +14,9 @@ use orderlight_pim::TsSize;
 use orderlight_workloads::WorkloadId;
 use std::fmt::Write;
 
-/// A report printer: bytes per data structure per channel and sweep
-/// workers in, report text out.
-pub type Printer = fn(u64, usize) -> Result<String, SimError>;
+/// A report printer: bytes per data structure per channel and the
+/// sweep runner in, report text out.
+pub type Printer = fn(u64, &mut Runner) -> Result<String, SimError>;
 
 /// Every report, by id, in paper order.
 pub const FIGURES: [(&str, Printer); 16] = [
@@ -112,7 +114,7 @@ fn verdict(correct: bool) -> &'static str {
 }
 
 /// Table 1: the simulator configuration in force.
-fn table1(_: u64, _: usize) -> Result<String, SimError> {
+fn table1(_: u64, _: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(out, "Table 1 — simulator configuration\n");
     let rows: Vec<Vec<String>> =
@@ -123,7 +125,7 @@ fn table1(_: u64, _: usize) -> Result<String, SimError> {
 
 /// Table 2: the workload suite, with the structural compute/memory
 /// counts of the kernel specifications alongside the paper's ratios.
-fn table2(_: u64, _: usize) -> Result<String, SimError> {
+fn table2(_: u64, _: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(out, "Table 2 — workload summary\n");
     let rows: Vec<Vec<String>> = WorkloadId::ALL
@@ -149,14 +151,14 @@ fn table2(_: u64, _: usize) -> Result<String, SimError> {
 /// Figure 5: fence overhead for the vector-add kernel — execution time
 /// for no ordering (functionally incorrect) and fences at every TS
 /// size, with the waiting cycles per fence.
-fn fig05(data: u64, jobs: usize) -> Result<String, SimError> {
+fn fig05(data: u64, runner: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(
         out,
         "Figure 5 — fence overhead, vector_add (Add), BMF=16, {} KiB/structure/channel\n",
         data / 1024
     );
-    let rows = experiments::fig05(data, jobs)?;
+    let rows = runner.points(&experiments::fig05_points(data))?;
     let label = |p: &SweepPoint, unordered: &str| {
         if p.mode == "pim-none" {
             unordered.to_string()
@@ -197,7 +199,7 @@ fn fig05(data: u64, jobs: usize) -> Result<String, SimError> {
 /// Figure 7: one vector-add tile's memory-controller issue trace under
 /// a fence (the core stalls between phases) and under OrderLight (the
 /// tile streams and the packets enforce the phase boundaries).
-fn fig07(_: u64, _: usize) -> Result<String, SimError> {
+fn fig07(_: u64, _: &mut Runner) -> Result<String, SimError> {
     let f = experiments::fig07();
     let mut out = String::new();
     let n = experiments::FIG07_STRIPES;
@@ -225,14 +227,14 @@ fn fig07(_: u64, _: usize) -> Result<String, SimError> {
 /// Figure 10a: PIM command bandwidth (GC/s) and PIM data bandwidth
 /// (GB/s) for the stream benchmark, fence vs OrderLight, across TS
 /// sizes.
-fn fig10a(data: u64, jobs: usize) -> Result<String, SimError> {
+fn fig10a(data: u64, runner: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(
         out,
         "Figure 10a — stream benchmark: PIM command & data bandwidth, BMF=16, {} KiB/structure/channel\n",
         data / 1024
     );
-    let rows = experiments::fig10(data, jobs)?;
+    let rows = runner.points(&experiments::fig10_points(data))?;
     let mut table = Vec::new();
     let mut ratios = Vec::new();
     for c in pivot(&rows, &names(&WorkloadId::STREAMS), |p| p.workload.clone()) {
@@ -267,14 +269,14 @@ fn fig10a(data: u64, jobs: usize) -> Result<String, SimError> {
 
 /// Figure 10b: execution time and core stall cycles for the stream
 /// benchmark — GPU baseline vs fence vs OrderLight.
-fn fig10b(data: u64, jobs: usize) -> Result<String, SimError> {
+fn fig10b(data: u64, runner: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(
         out,
         "Figure 10b — stream benchmark: execution time and core stall cycles, BMF=16, {} KiB/structure/channel\n",
         data / 1024
     );
-    let rows = experiments::fig10(data, jobs)?;
+    let rows = runner.points(&experiments::fig10_points(data))?;
     let gpu_ms = |workload: &str| {
         rows.iter()
             .find(|p| p.mode == "gpu" && p.workload == workload)
@@ -321,7 +323,7 @@ fn fig10b(data: u64, jobs: usize) -> Result<String, SimError> {
 /// Figure 11: the DRAM timing window for streaming 8 column writes
 /// through one row — analytically from the Table 1 parameters and by
 /// micro-simulating the bank state machine.
-fn fig11(_: u64, _: usize) -> Result<String, SimError> {
+fn fig11(_: u64, _: &mut Runner) -> Result<String, SimError> {
     let t = TimingParams::hbm_table1();
     let f = experiments::fig11();
     let mut out = String::new();
@@ -348,14 +350,14 @@ fn fig11(_: u64, _: usize) -> Result<String, SimError> {
 /// Figure 12: execution-time improvement of OrderLight over fence for
 /// the application kernels, plus the ordering primitives per PIM
 /// instruction.
-fn fig12(data: u64, jobs: usize) -> Result<String, SimError> {
+fn fig12(data: u64, runner: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(
         out,
         "Figure 12 — application kernels: fence vs OrderLight, BMF=16, {} KiB/structure/channel\n",
         data / 1024
     );
-    let rows = experiments::fig12(data, jobs)?;
+    let rows = runner.points(&experiments::fig12_points(data))?;
     let cells = pivot(&rows, &names(&WorkloadId::APPS), |p| p.workload.clone());
     let mut table = Vec::new();
     let mut improvements = Vec::new();
@@ -399,10 +401,10 @@ fn fig12(data: u64, jobs: usize) -> Result<String, SimError> {
 
 /// Figure 13: fence vs OrderLight across bandwidth multiplication
 /// factors (4x/8x/16x) for the Add kernel.
-fn fig13(data: u64, jobs: usize) -> Result<String, SimError> {
+fn fig13(data: u64, runner: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(out, "Figure 13 — BMF sweep, Add kernel, {} KiB/structure/channel\n", data / 1024);
-    let rows = experiments::fig13(data, jobs)?;
+    let rows = runner.points(&experiments::fig13_points(data))?;
     let bmfs = ["4x", "8x", "16x"].map(String::from);
     let mut table = Vec::new();
     let mut ratios = Vec::new();
@@ -427,10 +429,10 @@ fn fig13(data: u64, jobs: usize) -> Result<String, SimError> {
 /// arbitration host requests interleave with PIM commands; under
 /// coarse-grained arbitration the host is locked out of memory for the
 /// whole PIM computation.
-fn ablation_arbitration(data: u64, jobs: usize) -> Result<String, SimError> {
+fn ablation_arbitration(data: u64, runner: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(out, "Arbitration-granularity ablation, {} KiB/structure/channel\n", data / 1024);
-    let a = experiments::ablation_arbitration(data, jobs)?;
+    let a = experiments::ablation_arbitration(data, runner)?;
     outln!(
         out,
         "  fine-grained arbitration : mean host read service latency = {:.0} memory cycles",
@@ -454,10 +456,10 @@ fn ablation_arbitration(data: u64, jobs: usize) -> Result<String, SimError> {
 /// The CPU-host study (paper Conclusion): OrderLight on an out-of-order
 /// CPU host, where a fence still costs a core-to-memory round trip of
 /// about 100 cycles.
-fn ablation_cpu_host(data: u64, jobs: usize) -> Result<String, SimError> {
+fn ablation_cpu_host(data: u64, runner: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(out, "OoO-CPU host, Add kernel, TS=1/8 RB, {} KiB/structure/channel\n", data / 1024);
-    let rows = experiments::ablation_cpu_host(data, TsSize::Eighth, jobs)?;
+    let rows = experiments::ablation_cpu_host(data, TsSize::Eighth, runner)?;
     for r in &rows {
         outln!(
             out,
@@ -479,11 +481,11 @@ fn ablation_cpu_host(data: u64, jobs: usize) -> Result<String, SimError> {
 /// Fence scope (paper Section 4.3): a fence acknowledged at the L2 is
 /// much cheaper than one that waits for issue to DRAM, but it gives no
 /// ordering guarantee at the memory controller.
-fn ablation_fence_scope(data: u64, jobs: usize) -> Result<String, SimError> {
+fn ablation_fence_scope(data: u64, runner: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(out, "Fence-scope ablation, Add kernel, {} KiB/structure/channel\n", data / 1024);
     for ts in TsSize::ALL {
-        let a = experiments::ablation_fence_scope(data, ts, jobs)?;
+        let a = experiments::ablation_fence_scope(data, ts, runner)?;
         outln!(
             out,
             "  TS {:>7}: issue-to-DRAM fence {:>7.4} ms ({:>4.0} cyc/fence, {}) | L2-ack fence {:>7.4} ms ({:>4.0} cyc/fence, {})",
@@ -510,10 +512,10 @@ fn ablation_fence_scope(data: u64, jobs: usize) -> Result<String, SimError> {
 
 /// Row-buffer page policy: open-page versus closed-page, on a streaming
 /// and an irregular kernel.
-fn ablation_page_policy(data: u64, jobs: usize) -> Result<String, SimError> {
+fn ablation_page_policy(data: u64, runner: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(out, "Page-policy ablation, OrderLight, {} KiB/structure/channel\n", data / 1024);
-    let rows = experiments::ablation_page_policy(data, jobs)?;
+    let rows = experiments::ablation_page_policy(data, runner)?;
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| vec![r.label.clone(), f3(r.exec_time_ms), r.activates.to_string()])
@@ -530,14 +532,14 @@ fn ablation_page_policy(data: u64, jobs: usize) -> Result<String, SimError> {
 /// DRAM refresh, which the paper's methodology ignores: the Add kernel
 /// under OrderLight with all-bank refresh off versus HBM2-like
 /// tREFI = 3.9 us / tRFC = 350 ns.
-fn ablation_refresh(data: u64, jobs: usize) -> Result<String, SimError> {
+fn ablation_refresh(data: u64, runner: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(
         out,
         "DRAM refresh ablation, Add kernel, OrderLight, {} KiB/structure/channel\n",
         data / 1024
     );
-    let rows = experiments::ablation_refresh(data, jobs)?;
+    let rows = experiments::ablation_refresh(data, runner)?;
     for r in &rows {
         outln!(
             out,
@@ -560,14 +562,14 @@ fn ablation_refresh(data: u64, jobs: usize) -> Result<String, SimError> {
 
 /// Memory-controller scheduler knobs (FR-FCFS scan depth, per-bank
 /// command-queue capacity) swept under OrderLight on the Add kernel.
-fn ablation_scheduler(data: u64, jobs: usize) -> Result<String, SimError> {
+fn ablation_scheduler(data: u64, runner: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(
         out,
         "Controller scheduler knobs, Add kernel, OrderLight, {} KiB/structure/channel\n",
         data / 1024
     );
-    let rows = experiments::ablation_scheduler(data, jobs)?;
+    let rows = experiments::ablation_scheduler(data, runner)?;
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -591,14 +593,14 @@ fn ablation_scheduler(data: u64, jobs: usize) -> Result<String, SimError> {
 /// Related work (paper Section 8.1): OrderLight versus the
 /// sequence-number approach of Kim et al., whose credit round trips
 /// throttle command bandwidth when the memory-side buffer is small.
-fn ablation_seqnum(data: u64, jobs: usize) -> Result<String, SimError> {
+fn ablation_seqnum(data: u64, runner: &mut Runner) -> Result<String, SimError> {
     let mut out = String::new();
     outln!(
         out,
         "Sequence-number (Kim et al.) vs OrderLight, Add kernel, TS=1/8 RB, {} KiB/structure/channel\n",
         data / 1024
     );
-    let rows = experiments::ablation_seqnum(data, TsSize::Eighth, jobs)?;
+    let rows = experiments::ablation_seqnum(data, TsSize::Eighth, runner)?;
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

@@ -15,17 +15,18 @@
 //!
 //! [`scenario::ScenarioBuilder`] is the typed front door: one builder
 //! collects the workload, execution mode, kernel parameters, system
-//! overrides, execution core, worker count, trace sink and fault plan,
-//! validates them together, and hands back a runnable
-//! [`Scenario`].
+//! overrides, execution core, trace sink and fault plan, validates them
+//! together, and hands back a runnable [`Scenario`].
 //!
-//! [`experiments`] packages a canned runner for every figure and table
-//! of the paper's evaluation. Each sweep enumerates its design points
-//! first ([`experiments::JobSpec`]) and executes them through the
-//! [`pool`] — a dependency-free scoped-thread pool whose results are
-//! bit-identical to the serial loop at any worker count. [`figures`]
-//! turns those runners into the paper's printed tables and figures,
-//! one printer per id.
+//! [`experiments`] packages a canned experiment for every figure and
+//! table of the paper's evaluation. Each sweep enumerates its design
+//! points first ([`experiments::JobSpec`]) and executes them through
+//! one [`experiments::Runner`]: it runs each distinct scenario once,
+//! memoised by [`Scenario::canonical_hash`], on the [`pool`] — a
+//! dependency-free scoped-thread pool whose results are bit-identical
+//! to the serial loop at any worker count. [`figures`] turns those
+//! experiments into the paper's printed tables and figures, one printer
+//! per id.
 
 pub mod calendar;
 pub mod cli;

@@ -2,12 +2,13 @@
 //!
 //! [`ScenarioBuilder`] gathers everything a run needs — workload,
 //! execution mode, kernel parameters, system overrides, execution core,
-//! worker count, trace sink, fault plan and cycle budget — into one
-//! validated [`Scenario`]. It replaces the historical pattern of
-//! mutating an [`ExperimentConfig`] field by field and threading core /
-//! jobs / sink selections through ad-hoc arguments and environment
-//! variables: the CLI and the experiment runners all build a
-//! `Scenario` and call [`Scenario::run`].
+//! trace sink, fault plan and cycle budget — into one validated
+//! [`Scenario`]. It replaces the historical pattern of mutating an
+//! [`ExperimentConfig`] field by field and threading core / sink
+//! selections through ad-hoc arguments and environment variables: the
+//! CLI and the experiment runners all build a `Scenario` and call
+//! [`Scenario::run`]. A single run has no worker count: sweeps run
+//! their scenarios through [`crate::experiments::Runner`].
 //!
 //! ```
 //! use orderlight_sim::scenario::ScenarioBuilder;
@@ -27,7 +28,6 @@
 use crate::config::{ExecMode, ExperimentConfig, SystemConfig};
 use crate::core_select::{resolve_core, SimCore};
 use crate::experiments::apply_sm_policy;
-use crate::pool::{resolve_jobs, Pool};
 use crate::stats::RunStats;
 use crate::system::{SimError, System};
 use orderlight::fault::FaultPlan;
@@ -53,7 +53,6 @@ pub fn default_budget(exp: &ExperimentConfig) -> u64 {
 pub struct Scenario {
     exp: ExperimentConfig,
     core: Option<SimCore>,
-    jobs: Option<usize>,
     faults: FaultPlan,
     sink: Option<SharedSink>,
     budget: Option<u64>,
@@ -80,20 +79,6 @@ impl Scenario {
         resolve_core(self.core)
     }
 
-    /// The worker count for sweeps: the builder's explicit choice, else
-    /// the `ORDERLIGHT_JOBS` / available-parallelism chain of
-    /// [`resolve_jobs`].
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        resolve_jobs(self.jobs)
-    }
-
-    /// A [`Pool`] sized to [`Scenario::jobs`].
-    #[must_use]
-    pub fn pool(&self) -> Pool {
-        Pool::new(self.jobs())
-    }
-
     /// The cycle budget: the builder's explicit choice, else
     /// [`default_budget`].
     #[must_use]
@@ -109,8 +94,7 @@ impl Scenario {
     /// # Errors
     /// Returns [`SimError`] if the experiment fails to build.
     pub fn system(&self) -> Result<System, SimError> {
-        let mut sys =
-            System::build(self.exp.clone()).map_err(|e| SimError::config(e.to_string()))?;
+        let mut sys = System::build(self.exp.clone())?;
         sys.apply_faults(&self.faults);
         if let Some(sink) = &self.sink {
             sys.attach_sink(sink.clone());
@@ -139,10 +123,10 @@ impl Scenario {
     /// field changes the hash.
     ///
     /// Execution knobs that provably do *not* affect results are
-    /// excluded: the core (cycle/event bit-identity contract), the
-    /// worker count (pool purity contract) and the trace sink
-    /// (observe-only contract). This is what makes a cache reply exact:
-    /// `System::run` is a pure function of exactly the hashed fields.
+    /// excluded: the core (cycle/event bit-identity contract) and the
+    /// trace sink (observe-only contract). This is what makes a cache
+    /// reply exact: `System::run` is a pure function of exactly the
+    /// hashed fields.
     #[must_use]
     pub fn canonical_hash(&self) -> u64 {
         let mut h = fold_str(0x6f72_6465_726c_6967, "orderlight/scenario/v1");
@@ -205,7 +189,6 @@ pub struct ScenarioBuilder {
     exp: ExperimentConfig,
     sm_policy: bool,
     core: Option<SimCore>,
-    jobs: Option<usize>,
     faults: FaultPlan,
     sink: Option<SharedSink>,
     budget: Option<u64>,
@@ -229,7 +212,6 @@ impl ScenarioBuilder {
             exp,
             sm_policy: true,
             core: None,
-            jobs: None,
             faults: FaultPlan::none(),
             sink: None,
             budget: None,
@@ -306,14 +288,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Pins the sweep worker count (otherwise the [`resolve_jobs`]
-    /// chain decides).
-    #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs);
-        self
-    }
-
     /// Installs a fault plan (see [`FaultPlan`]); [`FaultPlan::none`]
     /// by default.
     #[must_use]
@@ -353,12 +327,12 @@ impl ScenarioBuilder {
     /// Returns [`ConfigError`] naming the offending value if the
     /// assembled experiment is inconsistent.
     pub fn build(self) -> Result<Scenario, ConfigError> {
-        let ScenarioBuilder { mut exp, sm_policy, core, jobs, faults, sink, budget } = self;
+        let ScenarioBuilder { mut exp, sm_policy, core, faults, sink, budget } = self;
         if sm_policy {
             apply_sm_policy(&mut exp);
         }
         exp.validate()?;
-        Ok(Scenario { exp, core, jobs, faults, sink, budget })
+        Ok(Scenario { exp, core, faults, sink, budget })
     }
 }
 
@@ -407,20 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_run_matches_the_legacy_path() {
-        let mut exp =
-            ExperimentConfig::new(WorkloadId::Add, ExecMode::Pim(OrderingMode::OrderLight));
-        exp.data_bytes_per_channel = 8 * 1024;
-        let legacy = crate::experiments::run_experiment(exp).unwrap();
-        let scenario =
-            ScenarioBuilder::new(WorkloadId::Add, ExecMode::Pim(OrderingMode::OrderLight))
-                .data_kb(8)
-                .build()
-                .unwrap();
-        assert_eq!(scenario.run().unwrap(), legacy);
-    }
-
-    #[test]
     fn fault_seed_reseeds_without_toggling_layers() {
         let s = ScenarioBuilder::new(WorkloadId::Add, ExecMode::Pim(OrderingMode::OrderLight))
             .faults(FaultPlan::stress(7))
@@ -451,9 +411,9 @@ mod tests {
             .collect();
         assert_eq!(hashes[0], hashes[1], "data_kb vs data_bytes must not matter");
         assert_eq!(hashes[0], hashes[2], "explicit defaults must not matter");
-        // Execution knobs excluded from the key: core and jobs.
+        // The execution core is excluded from the key.
         let base = ScenarioSpec::parse_str(texts[0]).unwrap();
-        let tuned = base.builder().core(SimCore::Cycle).jobs(7).build().unwrap();
+        let tuned = base.builder().core(SimCore::Cycle).build().unwrap();
         assert_eq!(tuned.canonical_hash(), hashes[0]);
     }
 

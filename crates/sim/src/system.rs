@@ -39,13 +39,12 @@ impl SimError {
     fn new(message: impl Into<String>) -> Self {
         SimError { message: message.into() }
     }
+}
 
-    /// Wraps a configuration problem as a simulation error — used by
-    /// harness crates that fold a build failure into the run's error
-    /// channel.
-    #[must_use]
-    pub fn config(message: impl Into<String>) -> Self {
-        SimError::new(message)
+/// Folds a build failure into the run's error channel, keeping its text.
+impl From<ConfigError> for SimError {
+    fn from(e: ConfigError) -> Self {
+        SimError::new(e.to_string())
     }
 }
 

@@ -14,7 +14,7 @@
 
 use orderlight_suite::pim::TsSize;
 use orderlight_suite::sim::config::ExecMode;
-use orderlight_suite::sim::experiments::run_point;
+use orderlight_suite::sim::experiments::JobSpec;
 use orderlight_suite::workloads::{OrderingMode, WorkloadId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,9 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut prim_per_instr = Vec::new();
     for ts in TsSize::ALL {
         let fence =
-            run_point(WorkloadId::GenFil, ts, ExecMode::Pim(OrderingMode::Fence), 16, data)?;
+            JobSpec::new(WorkloadId::GenFil, ts, ExecMode::Pim(OrderingMode::Fence), data).run()?;
         let ol =
-            run_point(WorkloadId::GenFil, ts, ExecMode::Pim(OrderingMode::OrderLight), 16, data)?;
+            JobSpec::new(WorkloadId::GenFil, ts, ExecMode::Pim(OrderingMode::OrderLight), data)
+                .run()?;
         assert!(fence.stats.is_correct() && ol.stats.is_correct());
         prim_per_instr.push(ol.stats.primitives_per_pim_instr);
         println!(

@@ -12,7 +12,7 @@
 
 use orderlight_suite::pim::TsSize;
 use orderlight_suite::sim::config::ExecMode;
-use orderlight_suite::sim::experiments::run_point;
+use orderlight_suite::sim::experiments::JobSpec;
 use orderlight_suite::workloads::{OrderingMode, WorkloadId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let meta = wl.meta();
         println!("{} — {} (compute:memory {})", meta.name, meta.description, meta.ratio);
         for ts in TsSize::ALL {
-            let fence = run_point(wl, ts, ExecMode::Pim(OrderingMode::Fence), 16, data)?;
-            let ol = run_point(wl, ts, ExecMode::Pim(OrderingMode::OrderLight), 16, data)?;
+            let fence = JobSpec::new(wl, ts, ExecMode::Pim(OrderingMode::Fence), data).run()?;
+            let ol = JobSpec::new(wl, ts, ExecMode::Pim(OrderingMode::OrderLight), data).run()?;
             assert!(fence.stats.is_correct() && ol.stats.is_correct());
             println!(
                 "  TS {:>7}: fence {:>7.4} ms | OrderLight {:>7.4} ms | speedup {:>5.1}x | {:.3} primitives/instr",

@@ -68,7 +68,9 @@
 //! `sweep` regenerates the design-space sweeps behind Figures 5/10/12/13
 //! as CSV on stdout, executed across `--jobs` workers (default: the
 //! host's available parallelism, or `ORDERLIGHT_JOBS`). Results are
-//! bit-identical to serial execution at any worker count.
+//! bit-identical to serial execution at any worker count. `sweep` and
+//! `figure` each run every distinct design point once, however many of
+//! the chosen figures share it.
 //!
 //! `check` runs the workload with the happens-before ordering oracle
 //! observing every memory controller and cross-checks the final DRAM
@@ -86,10 +88,11 @@
 //! metadata cost per backend into a `bench-sweep/v5` JSON document.
 //! It exits non-zero if any backend's run was not violation-free.
 //!
-//! `bench` times the same sweep serially and in parallel, verifies the
-//! two result sets are bit-identical, prints wall-clock/points-per-sec/
-//! speedup, and writes a machine-readable `BENCH_sweep.json` so the
-//! perf trajectory of the sweep engine is recorded over time. It also
+//! `bench` times the distinct points of the four figure sweeps serially
+//! and in parallel, verifies the two result sets are bit-identical,
+//! prints wall-clock/points-per-sec/speedup, and writes a
+//! machine-readable `BENCH_sweep.json` so the perf trajectory of the
+//! sweep engine is recorded over time. It also
 //! times every figure under the cycle core and the event core and
 //! cross-checks them point by point. With `--profile` it additionally
 //! re-runs every figure under the event core with the stall profiler
@@ -111,8 +114,8 @@ use orderlight_suite::profile::{
 use orderlight_suite::sim::cli::{take_common_flags, CommonFlags};
 use orderlight_suite::sim::core_select::{set_core_override, SimCore};
 use orderlight_suite::sim::experiments::{
-    fence_heavy_points, fig05_points, fig10_points, fig12_points, fig13_points, run_points,
-    run_points_serial, JobSpec, SweepPoint,
+    fence_heavy_points, fig05_points, fig10_points, fig12_points, fig13_points, run_points_serial,
+    JobSpec, Runner, SweepPoint,
 };
 use orderlight_suite::sim::figures::FIGURES;
 use orderlight_suite::sim::pool::{available_jobs, Pool};
@@ -171,6 +174,12 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The bytes of a `--data-kb` or `ORDERLIGHT_DATA_KB` value: `None`
+/// unless it is a KiB count whose byte count fits a `u64`.
+fn kib_bytes(value: &str) -> Option<u64> {
+    value.parse::<u64>().ok()?.checked_mul(1024)
+}
+
 /// The scenario a run-style command starts from: the
 /// `orderlight/scenario/v1` defaults for `Add` at `data_kb` KiB per
 /// structure per channel, under the shared `--ordering` mode if given.
@@ -190,12 +199,7 @@ fn apply_common_flag(spec: &mut ScenarioSpec, flag: &str, value: &str) -> Option
         "--mode" | "-m" => parse_mode(value).map(|m| spec.mode = m).is_some(),
         "--ts" => parse_ts(value).map(|t| spec.ts = t).is_some(),
         "--bmf" => value.parse().map(|v| spec.bmf = v).is_ok(),
-        "--data-kb" => value
-            .parse::<u64>()
-            .ok()
-            .and_then(|kb| kb.checked_mul(1024))
-            .map(|bytes| spec.data_bytes_per_channel = bytes)
-            .is_some(),
+        "--data-kb" => kib_bytes(value).map(|bytes| spec.data_bytes_per_channel = bytes).is_some(),
         "--credits" => value.parse().map(|v| spec.seq_credits = v).is_ok(),
         _ => return None,
     })
@@ -850,20 +854,31 @@ fn sweep_figures(which: &str, data: u64) -> Option<Vec<(&'static str, Vec<JobSpe
     }
 }
 
-/// `ORDERLIGHT_DATA_KB`, or `default_kb` when unset/unparsable.
-fn env_data_kb(default_kb: u64) -> u64 {
-    std::env::var("ORDERLIGHT_DATA_KB").ok().and_then(|v| v.parse().ok()).unwrap_or(default_kb)
+/// The per-channel job size: the `--data-kb` bytes if the flag was
+/// given, else those of `ORDERLIGHT_DATA_KB`, else `default_kb` KiB. An
+/// `ORDERLIGHT_DATA_KB` that is not a valid size is a usage error.
+fn data_bytes(flag: Option<u64>, default_kb: u64) -> Result<u64, ExitCode> {
+    if let Some(bytes) = flag {
+        return Ok(bytes);
+    }
+    let Ok(value) = std::env::var("ORDERLIGHT_DATA_KB") else {
+        return Ok(default_kb * 1024);
+    };
+    kib_bytes(&value).ok_or_else(|| {
+        eprintln!("invalid value '{value}' for ORDERLIGHT_DATA_KB");
+        usage()
+    })
 }
 
 /// Parses `[NAME] [--data-kb N]`: an optional leading positional and
-/// the per-channel job size in KiB (default `ORDERLIGHT_DATA_KB`, else
-/// 256).
-fn name_and_data_kb(args: &[String]) -> Result<(Option<&str>, u64), ExitCode> {
+/// the per-channel job size in bytes (default `ORDERLIGHT_DATA_KB`, else
+/// 256 KiB).
+fn name_and_data(args: &[String]) -> Result<(Option<&str>, u64), ExitCode> {
     let (name, rest) = match args.split_first() {
         Some((first, rest)) if !first.starts_with('-') => (Some(first.as_str()), rest),
         _ => (None, args),
     };
-    let mut data_kb = env_data_kb(256);
+    let mut data = None;
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let Some(value) = it.next() else {
@@ -874,29 +889,32 @@ fn name_and_data_kb(args: &[String]) -> Result<(Option<&str>, u64), ExitCode> {
             eprintln!("unknown flag {flag}");
             return Err(usage());
         }
-        let Ok(kb) = value.parse() else {
+        let Some(bytes) = kib_bytes(value) else {
             eprintln!("invalid value '{value}' for {flag}");
             return Err(usage());
         };
-        data_kb = kb;
+        data = Some(bytes);
     }
-    Ok((name, data_kb))
+    Ok((name, data_bytes(data, 256)?))
 }
 
 fn cmd_sweep(args: &[String], jobs: usize) -> ExitCode {
-    let (which, data_kb) = match name_and_data_kb(args) {
-        Ok((which, data_kb)) => (which.unwrap_or("all"), data_kb),
+    let (which, data) = match name_and_data(args) {
+        Ok((which, data)) => (which.unwrap_or("all"), data),
         Err(code) => return code,
     };
-    let Some(figures) = sweep_figures(which, data_kb * 1024) else {
+    let Some(figures) = sweep_figures(which, data) else {
         eprintln!("unknown sweep '{which}' (expected fig05|fig10|fig12|fig13|all)");
         return usage();
     };
-    eprintln!("sweeping {which} at {data_kb} KiB/structure/channel across {jobs} worker(s) ...");
-    let pool = Pool::new(jobs);
+    eprintln!(
+        "sweeping {which} at {} KiB/structure/channel across {jobs} worker(s) ...",
+        data / 1024
+    );
+    let mut runner = Runner::new(Pool::new(jobs));
     outln!("{SWEEP_CSV_HEADER}");
     for (name, specs) in figures {
-        match run_points(&specs, &pool) {
+        match runner.points(&specs) {
             Ok(rows) => emit_sweep_csv(name, &rows),
             Err(e) => {
                 eprintln!("{e}");
@@ -908,10 +926,11 @@ fn cmd_sweep(args: &[String], jobs: usize) -> ExitCode {
 }
 
 /// Prints the report of one paper table, figure or ablation by id, or
-/// of every one in paper order for `all`.
+/// of every one in paper order for `all`. The chosen printers share one
+/// runner, so a design point they have in common runs once.
 fn cmd_figure(args: &[String], jobs: usize) -> ExitCode {
-    let (which, data_kb) = match name_and_data_kb(args) {
-        Ok((Some(which), data_kb)) => (which, data_kb),
+    let (which, data) = match name_and_data(args) {
+        Ok((Some(which), data)) => (which, data),
         Ok((None, _)) => return usage(),
         Err(code) => return code,
     };
@@ -921,8 +940,9 @@ fn cmd_figure(args: &[String], jobs: usize) -> ExitCode {
         eprintln!("unknown figure '{which}' (expected {}|all)", ids.join("|"));
         return usage();
     }
+    let mut runner = Runner::new(Pool::new(jobs));
     for (i, (id, print)) in chosen.into_iter().enumerate() {
-        match print(data_kb * 1024, jobs) {
+        match print(data, &mut runner) {
             Ok(report) if i == 0 => out!("{report}"),
             Ok(report) => out!("\n{report}"),
             Err(e) => {
@@ -1006,7 +1026,7 @@ fn run_ordering_comparison(
 /// a correct backend and a broken one is not a comparison.
 fn cmd_compare_ordering(args: &[String], core: SimCore) -> ExitCode {
     let mut workload = WorkloadId::Add;
-    let mut data_kb = env_data_kb(8);
+    let mut data = None;
     let mut out = "BENCH_sweep.json".to_string();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -1022,7 +1042,7 @@ fn cmd_compare_ordering(args: &[String], core: SimCore) -> ExitCode {
                 }
                 None => false,
             },
-            "--data-kb" => value.parse().map(|v| data_kb = v).is_ok(),
+            "--data-kb" => kib_bytes(value).map(|bytes| data = Some(bytes)).is_some(),
             "--out" | "-o" => {
                 out.clone_from(value);
                 true
@@ -1037,6 +1057,10 @@ fn cmd_compare_ordering(args: &[String], core: SimCore) -> ExitCode {
             return usage();
         }
     }
+    let data_kb = match data_bytes(data, 8) {
+        Ok(data) => data / 1024,
+        Err(code) => return code,
+    };
     let records = match run_ordering_comparison(workload, data_kb, core) {
         Ok(r) => r,
         Err(code) => return code,
@@ -1321,7 +1345,7 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
     let mut quick = false;
     let mut profile = false;
     let mut out = "BENCH_sweep.json".to_string();
-    let mut data_kb: Option<u64> = None;
+    let mut data: Option<u64> = None;
     let mut compare: Option<(String, String)> = None;
     let mut threshold_pct = 20.0f64;
     let mut it = args.iter();
@@ -1363,7 +1387,7 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
                 }
             },
             "--data-kb" => match it.next() {
-                Some(v) => v.parse().map(|n| data_kb = Some(n)).is_ok(),
+                Some(v) => kib_bytes(v).map(|bytes| data = Some(bytes)).is_some(),
                 None => {
                     eprintln!("missing value for {flag}");
                     return usage();
@@ -1385,12 +1409,24 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
     // The quick profile is the CI smoke: every figure sweep, but at a
     // reduced job size (seconds instead of minutes), still exercising
     // GPU/fence/OrderLight/unordered modes end to end.
-    let data_kb = data_kb.unwrap_or_else(|| env_data_kb(if quick { 8 } else { 32 }));
-    let data = data_kb * 1024;
+    let data = match data_bytes(data, if quick { 8 } else { 32 }) {
+        Ok(data) => data,
+        Err(code) => return code,
+    };
+    let data_kb = data / 1024;
     let figures = sweep_figures("all", data).expect("'all' is always known");
-    let specs: Vec<JobSpec> = figures.iter().flat_map(|(_, s)| s.iter().copied()).collect();
+    // The timed legs run each distinct point once, as `figure` and
+    // `sweep` do: Fig. 5's fence bars and Fig. 13's BMF-16 row are Fig.
+    // 10 points. Every spec field is part of the scenario hash, so equal
+    // specs are exactly the shared points.
+    let mut specs: Vec<JobSpec> = Vec::new();
+    for spec in figures.iter().flat_map(|(_, s)| s) {
+        if !specs.contains(spec) {
+            specs.push(*spec);
+        }
+    }
     outln!(
-        "benchmarking sweep execution: {} points ({}) at {data_kb} KiB/structure/channel (core: {})",
+        "benchmarking sweep execution: {} distinct points ({}) at {data_kb} KiB/structure/channel (core: {})",
         specs.len(),
         figures.iter().map(|(n, s)| format!("{n}={}", s.len())).collect::<Vec<_>>().join(", "),
         core.as_str(),
@@ -1433,9 +1469,8 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
         latency[2].1
     );
 
-    let pool = Pool::new(jobs);
     let t1 = std::time::Instant::now();
-    let parallel = match run_points(&specs, &pool) {
+    let parallel = match Runner::new(Pool::new(jobs)).points(&specs) {
         Ok(rows) => rows,
         Err(e) => {
             eprintln!("parallel sweep failed: {e}");

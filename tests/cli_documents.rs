@@ -158,3 +158,26 @@ fn closed_stdout_ends_the_binary_quietly() {
     assert!(status.success(), "status {status}, stderr: {stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `--data-kb` or `ORDERLIGHT_DATA_KB` whose byte count overflows
+/// `u64` is a usage error: 2^54 + 1 KiB used to wrap to 1 KiB, and
+/// `figure` and `sweep` silently ran and labelled a 1 KiB sweep.
+#[test]
+fn overflowing_data_kb_is_rejected_before_anything_runs() {
+    const KB: &str = "18014398509481985";
+    for args in [["figure", "fig05"], ["sweep", "fig05"]] {
+        let by_flag = orderlight(&[args[0], args[1], "--data-kb", KB]);
+        let by_env = Command::new(env!("CARGO_BIN_EXE_orderlight"))
+            .args(args)
+            .env("ORDERLIGHT_DATA_KB", KB)
+            .output()
+            .expect("run orderlight");
+        for (run, source) in [(by_flag, "--data-kb"), (by_env, "ORDERLIGHT_DATA_KB")] {
+            assert!(!run.status.success(), "{args:?} with {source} must fail");
+            let stdout = String::from_utf8_lossy(&run.stdout);
+            assert!(stdout.is_empty(), "{args:?} with {source} printed {stdout:?}");
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert!(stderr.contains(&format!("invalid value '{KB}' for {source}")), "{stderr}");
+        }
+    }
+}

@@ -5,15 +5,21 @@
 use orderlight_suite::pim::TsSize;
 use orderlight_suite::sim::experiments::{
     ablation_arbitration, ablation_cpu_host, ablation_fence_scope, ablation_page_policy,
-    ablation_refresh, ablation_scheduler, ablation_seqnum, fig05, fig07, fig10, fig11, fig12,
-    fig13, table1, FIG07_STRIPES,
+    ablation_refresh, ablation_scheduler, ablation_seqnum, fig05_points, fig07, fig10_points,
+    fig11, fig12_points, fig13_points, table1, Runner, FIG07_STRIPES,
 };
+use orderlight_suite::sim::Pool;
 
 const DATA: u64 = 32 * 1024;
 
+/// A one-worker runner, as the serial loop runs.
+fn runner() -> Runner {
+    Runner::new(Pool::new(1))
+}
+
 #[test]
 fn fig05_shape() {
-    let rows = fig05(DATA, 1).expect("runs");
+    let rows = runner().points(&fig05_points(DATA)).expect("runs");
     assert_eq!(rows.len(), 5, "NoFence + 4 fence TS points");
     assert!(!rows[0].stats.is_correct(), "unordered bar is incorrect");
     // Execution time falls monotonically with TS under fences.
@@ -51,7 +57,7 @@ fn fig07_fence_drains_each_phase_and_orderlight_streams_the_tile() {
 #[test]
 #[ignore = "tier 2: full Figure 10 sweep (~9 s debug); run via --include-ignored or ORDERLIGHT_TIER2=1 ./ci.sh"]
 fn fig10_shape() {
-    let rows = fig10(DATA, 1).expect("runs");
+    let rows = runner().points(&fig10_points(DATA)).expect("runs");
     // 5 kernels x (1 GPU + 4 TS x 2 modes).
     assert_eq!(rows.len(), 5 * 9);
     for p in &rows {
@@ -83,7 +89,7 @@ fn fig11_exact() {
 #[test]
 #[ignore = "tier 2: full Figure 12 sweep (~12 s debug); run via --include-ignored or ORDERLIGHT_TIER2=1 ./ci.sh"]
 fn fig12_shape() {
-    let rows = fig12(DATA, 1).expect("runs");
+    let rows = runner().points(&fig12_points(DATA)).expect("runs");
     assert_eq!(rows.len(), 7 * 4 * 2);
     for p in &rows {
         assert!(p.stats.is_correct(), "{} {} {}", p.workload, p.ts, p.mode);
@@ -105,7 +111,7 @@ fn fig12_shape() {
 #[test]
 #[ignore = "tier 2: full Figure 13 sweep (~10 s debug); run via --include-ignored or ORDERLIGHT_TIER2=1 ./ci.sh"]
 fn fig13_shape() {
-    let rows = fig13(DATA, 1).expect("runs");
+    let rows = runner().points(&fig13_points(DATA)).expect("runs");
     assert_eq!(rows.len(), 3 * 4 * 2);
     for p in &rows {
         assert!(p.stats.is_correct());
@@ -124,7 +130,7 @@ fn fig13_shape() {
 
 #[test]
 fn arbitration_ablation_orders_of_magnitude() {
-    let a = ablation_arbitration(DATA, 1).expect("runs");
+    let a = ablation_arbitration(DATA, &mut runner()).expect("runs");
     assert!(a.fga_mean_host_latency > 0.0);
     assert!(
         a.cga_host_wait_cycles as f64 > 20.0 * a.fga_mean_host_latency,
@@ -134,7 +140,7 @@ fn arbitration_ablation_orders_of_magnitude() {
 
 #[test]
 fn fence_scope_ablation_trades_cost_for_guarantee() {
-    let a = ablation_fence_scope(DATA, TsSize::Eighth, 1).expect("runs");
+    let a = ablation_fence_scope(DATA, TsSize::Eighth, &mut runner()).expect("runs");
     assert!(a.dram_issue_correct, "issue-to-DRAM fence is always safe");
     assert!(a.l2_ack_wait < a.dram_issue_wait, "the serialization-point fence must be cheaper");
     assert!(a.l2_ack_ms < a.dram_issue_ms);
@@ -142,7 +148,7 @@ fn fence_scope_ablation_trades_cost_for_guarantee() {
 
 #[test]
 fn seqnum_ablation_converges_to_orderlight() {
-    let rows = ablation_seqnum(DATA, TsSize::Eighth, 1).expect("runs");
+    let rows = ablation_seqnum(DATA, TsSize::Eighth, &mut runner()).expect("runs");
     assert_eq!(rows[0].label, "orderlight");
     for r in &rows {
         assert!(r.correct, "{}", r.label);
@@ -160,7 +166,7 @@ fn seqnum_ablation_converges_to_orderlight() {
 
 #[test]
 fn cpu_host_study_transfers() {
-    let rows = ablation_cpu_host(DATA, TsSize::Eighth, 1).expect("runs");
+    let rows = ablation_cpu_host(DATA, TsSize::Eighth, &mut runner()).expect("runs");
     assert!(rows.iter().all(|r| r.correct));
     let fence = &rows[0];
     let ol = &rows[1];
@@ -174,7 +180,7 @@ fn cpu_host_study_transfers() {
 
 #[test]
 fn refresh_ablation_bounded_by_trfc_over_trefi() {
-    let rows = ablation_refresh(DATA, 1).expect("runs");
+    let rows = ablation_refresh(DATA, &mut runner()).expect("runs");
     assert!(rows.iter().all(|r| r.correct), "refresh never breaks ordering");
     let slowdown = rows[1].exec_time_ms / rows[0].exec_time_ms;
     assert!((1.0..1.15).contains(&slowdown), "refresh steals at most ~tRFC/tREFI: {slowdown}");
@@ -182,7 +188,7 @@ fn refresh_ablation_bounded_by_trfc_over_trefi() {
 
 #[test]
 fn scheduler_ablation_scan_depth_matters_for_host() {
-    let rows = ablation_scheduler(32 * 1024, 1).expect("runs");
+    let rows = ablation_scheduler(32 * 1024, &mut runner()).expect("runs");
     let host_ms =
         |label: &str| rows.iter().find(|r| r.label == label).map(|r| r.host_exec_ms).expect("row");
     assert!(
@@ -198,7 +204,7 @@ fn scheduler_ablation_scan_depth_matters_for_host() {
 
 #[test]
 fn page_policy_is_a_noop_for_ordered_pim() {
-    let rows = ablation_page_policy(DATA, 1).expect("runs");
+    let rows = ablation_page_policy(DATA, &mut runner()).expect("runs");
     // (Add, Open) vs (Add, Closed) within 5%.
     assert!((rows[0].exec_time_ms - rows[1].exec_time_ms).abs() < 0.05 * rows[0].exec_time_ms);
 }

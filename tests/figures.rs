@@ -4,7 +4,9 @@
 //! are tier 2 (`cargo test -- --ignored`, or `ORDERLIGHT_TIER2=1
 //! ./ci.sh`).
 
+use orderlight_suite::sim::experiments::Runner;
 use orderlight_suite::sim::figures::FIGURES;
+use orderlight_suite::sim::Pool;
 
 const DATA: u64 = 8 * 1024;
 
@@ -34,16 +36,22 @@ fn the_table_lists_every_report_once() {
     );
 }
 
-/// Runs the printer for `id` and checks the report's shape: a title
-/// line, then a blank line, then the body, ending in a newline.
-fn report(id: &str) -> String {
+/// Runs the printer for `id` through `runner` and checks the report's
+/// shape: a title line, then a blank line, then the body, ending in a
+/// newline.
+fn report_with(id: &str, runner: &mut Runner) -> String {
     let (_, print) = FIGURES.iter().find(|(name, _)| *name == id).expect("id is registered");
-    let out = print(DATA, 2).unwrap_or_else(|e| panic!("{id}: {e}"));
+    let out = print(DATA, runner).unwrap_or_else(|e| panic!("{id}: {e}"));
     let mut lines = out.lines();
     assert!(!lines.next().unwrap_or_default().is_empty(), "{id}: title line");
     assert_eq!(lines.next(), Some(""), "{id}: blank line after the title");
     assert!(out.ends_with('\n') && out.lines().count() > 4, "{id}:\n{out}");
     out
+}
+
+/// [`report_with`] through a fresh runner.
+fn report(id: &str) -> String {
+    report_with(id, &mut Runner::new(Pool::new(2)))
 }
 
 #[test]
@@ -56,10 +64,16 @@ fn cheap_printers_render() {
     assert!(fig07.contains("finished in 96 memory cycles"), "{fig07}");
 }
 
+/// Every printer renders the same text through one shared runner (as
+/// `orderlight figure all` runs them) as through a fresh runner of its
+/// own, and the shared runner runs each distinct design point once.
 #[test]
-#[ignore = "tier 2: every sweep-backed report (~5 s debug); run via --include-ignored or ORDERLIGHT_TIER2=1 ./ci.sh"]
+#[ignore = "tier 2: every sweep-backed report, twice (~10 s debug); run via --include-ignored or ORDERLIGHT_TIER2=1 ./ci.sh"]
 fn sweep_printers_render() {
+    let mut shared = Runner::new(Pool::new(2));
     for (id, _) in FIGURES {
-        report(id);
+        assert_eq!(report_with(id, &mut shared), report(id), "{id}: shared vs fresh runner");
     }
+    // 215 points across the printers; 145 distinct scenarios.
+    assert_eq!(shared.memoised(), 145);
 }

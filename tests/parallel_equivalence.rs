@@ -1,8 +1,8 @@
 //! Determinism contract of the parallel sweep engine (the headline
 //! guarantee of the job pool): executing a figure's design points
-//! through [`Pool`] at any worker count is **bit-identical** to the
-//! classic serial loop — every `SweepPoint` field, every stats counter,
-//! and the result ordering.
+//! through a [`Runner`] on a [`Pool`] of any worker count is
+//! **bit-identical** to the classic serial loop — every `SweepPoint`
+//! field, every stats counter, and the result ordering.
 //!
 //! The sweeps run at a reduced per-channel data size; the Figure 5
 //! sweep plus the purity and error-ordering checks stay in the fast
@@ -13,7 +13,7 @@
 
 use orderlight_suite::sim::config::{ExecMode, ExperimentConfig};
 use orderlight_suite::sim::experiments::{
-    fig05_points, fig10_points, fig12_points, run_points, run_points_serial, JobSpec, SweepPoint,
+    fig05_points, fig10_points, fig12_points, run_points_serial, JobSpec, Runner, SweepPoint,
 };
 use orderlight_suite::sim::pool::Pool;
 use orderlight_suite::sim::{RunStats, System};
@@ -31,7 +31,7 @@ fn assert_bit_identical(figure: &str, specs: &[JobSpec]) {
     let serial: Vec<SweepPoint> = run_points_serial(specs).expect("serial sweep runs");
     assert_eq!(serial.len(), specs.len(), "{figure}: one point per spec");
     for workers in WORKER_COUNTS {
-        let parallel = run_points(specs, &Pool::new(workers)).expect("parallel sweep runs");
+        let parallel = Runner::new(Pool::new(workers)).points(specs).expect("parallel sweep runs");
         // Vec<SweepPoint> equality covers ordering plus every field of
         // every point (workload, ts, mode, bmf and the full RunStats).
         assert_eq!(
@@ -95,7 +95,7 @@ fn first_error_in_input_order_at_any_worker_count() {
     specs[3].data_bytes_per_channel = 0;
     let serial_err = run_points_serial(&specs).expect_err("zero-sized point must fail");
     for workers in WORKER_COUNTS {
-        let err = run_points(&specs, &Pool::new(workers)).expect_err("must fail");
+        let err = Runner::new(Pool::new(workers)).points(&specs).expect_err("must fail");
         assert_eq!(
             format!("{err}"),
             format!("{serial_err}"),

@@ -3,9 +3,10 @@
 //! well-formed, parseable JSON covering every event category.
 
 use orderlight_suite::sim::config::{ExecMode, ExperimentConfig};
-use orderlight_suite::sim::experiments::{run_experiment, run_experiment_traced};
+use orderlight_suite::sim::{RunStats, ScenarioBuilder};
 use orderlight_suite::trace::json::{self, Value};
 use orderlight_suite::trace::{ChromeTraceBuilder, EventCategory, RingSink, TraceEvent};
+use orderlight_suite::trace::{ClockDomains, SharedSink};
 use orderlight_suite::workloads::{OrderingMode, WorkloadId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -16,15 +17,28 @@ fn small_exp(mode: OrderingMode) -> ExperimentConfig {
     exp
 }
 
+/// Runs `mode`'s small experiment with `sink` attached.
+fn run_traced(mode: OrderingMode, sink: SharedSink) -> (RunStats, ClockDomains) {
+    ScenarioBuilder::from_experiment(small_exp(mode))
+        .trace(sink)
+        .build()
+        .expect("valid scenario")
+        .run_with_clocks()
+        .expect("traced drains")
+}
+
 /// Tracing is observe-only: a run with a recording sink attached is
 /// cycle-identical to the default NopSink run, down to every statistic.
 #[test]
 fn recording_sink_does_not_perturb_the_simulation() {
     for mode in [OrderingMode::OrderLight, OrderingMode::Fence] {
-        let baseline = run_experiment(small_exp(mode)).expect("baseline drains");
+        let baseline = ScenarioBuilder::from_experiment(small_exp(mode))
+            .build()
+            .expect("valid scenario")
+            .run()
+            .expect("baseline drains");
         let ring = Arc::new(RingSink::new(1 << 22));
-        let (traced, _clocks) =
-            run_experiment_traced(small_exp(mode), ring.clone()).expect("traced drains");
+        let (traced, _clocks) = run_traced(mode, ring.clone());
         assert_eq!(baseline, traced, "{mode}: instrumented run diverged");
         assert!(!ring.is_empty(), "{mode}: the run must emit events");
         assert_eq!(ring.dropped(), 0, "{mode}: capacity must hold the whole run");
@@ -36,8 +50,7 @@ fn recording_sink_does_not_perturb_the_simulation() {
 #[test]
 fn chrome_export_round_trips_with_full_category_coverage() {
     let ring = Arc::new(RingSink::new(1 << 22));
-    let (stats, clocks) =
-        run_experiment_traced(small_exp(OrderingMode::Fence), ring.clone()).expect("drains");
+    let (stats, clocks) = run_traced(OrderingMode::Fence, ring.clone());
     assert!(stats.is_correct());
     let events = ring.events();
 
@@ -89,7 +102,7 @@ fn chrome_export_round_trips_with_full_category_coverage() {
 fn trace_contents_distinguish_the_ordering_primitives() {
     let run = |mode| {
         let ring = Arc::new(RingSink::new(1 << 22));
-        run_experiment_traced(small_exp(mode), ring.clone()).expect("drains");
+        run_traced(mode, ring.clone());
         ring.events()
     };
     let fence = run(OrderingMode::Fence);
