@@ -196,32 +196,6 @@ impl Stripe {
         Stripe([v; LANES])
     }
 
-    /// Builds a stripe from raw little-endian bytes.
-    ///
-    /// # Panics
-    /// Panics if `bytes.len() != BUS_BYTES`.
-    #[must_use]
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        assert_eq!(bytes.len(), BUS_BYTES, "stripe must be {BUS_BYTES} bytes");
-        let mut lanes = [0u32; LANES];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(&bytes[i * LANE_BYTES..(i + 1) * LANE_BYTES]);
-            *lane = u32::from_le_bytes(b);
-        }
-        Stripe(lanes)
-    }
-
-    /// Serialises the stripe to little-endian bytes.
-    #[must_use]
-    pub fn to_bytes(self) -> [u8; BUS_BYTES] {
-        let mut out = [0u8; BUS_BYTES];
-        for (i, lane) in self.0.iter().enumerate() {
-            out[i * LANE_BYTES..(i + 1) * LANE_BYTES].copy_from_slice(&lane.to_le_bytes());
-        }
-        out
-    }
-
     /// Applies a binary lane-wise function against another stripe.
     #[must_use]
     pub fn zip_map(self, rhs: Stripe, f: impl Fn(u32, u32) -> u32) -> Stripe {
@@ -284,12 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn stripe_byte_roundtrip() {
-        let s = Stripe([1, 2, 3, 4, 5, 6, 7, 0xdead_beef]);
-        assert_eq!(Stripe::from_bytes(&s.to_bytes()), s);
-    }
-
-    #[test]
     fn stripe_zip_map_adds() {
         let a = Stripe::splat(3);
         let b = Stripe::splat(4);
@@ -300,12 +268,6 @@ mod tests {
     fn stripe_map_scales() {
         let a = Stripe::splat(3);
         assert_eq!(a.map(|x| x.wrapping_mul(2)), Stripe::splat(6));
-    }
-
-    #[test]
-    #[should_panic(expected = "stripe must be")]
-    fn stripe_from_bytes_wrong_len_panics() {
-        let _ = Stripe::from_bytes(&[0u8; 16]);
     }
 
     #[test]

@@ -23,5 +23,5 @@ pub mod sm;
 pub mod warp;
 
 pub use operand_collector::OperandCollector;
-pub use sm::{Sm, SmConfig, SmStats};
+pub use sm::{Sm, SmConfig, SmStats, MAX_WARPS_PER_SM};
 pub use warp::{Warp, WarpCore, WarpState};

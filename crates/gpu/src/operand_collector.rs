@@ -105,11 +105,11 @@ impl OperandCollector {
         self.entries.front().map(|e| e.exit_at)
     }
 
-    /// Moves requests whose residency elapsed into the LDST queue, in
-    /// order, while `accept` keeps taking them.
-    pub fn drain(&mut self, now: CoreCycle, mut accept: impl FnMut(&MemReq) -> bool) {
-        while let Some(head) = self.entries.front() {
-            if head.exit_at > now || !accept(&head.req) {
+    /// Hands up to `budget` requests whose residency elapsed to `take`
+    /// (the LDST queue), in order, by value.
+    pub fn drain(&mut self, now: CoreCycle, budget: usize, mut take: impl FnMut(MemReq)) {
+        for _ in 0..budget {
+            if self.entries.front().is_none_or(|head| head.exit_at > now) {
                 break;
             }
             let e = self.entries.pop_front().expect("front exists");
@@ -118,6 +118,7 @@ impl OperandCollector {
                 *c -= 1;
             }
             *self.warp_counts.get_mut(e.warp) -= 1;
+            take(e.req);
         }
     }
 }
@@ -150,15 +151,9 @@ mod tests {
         assert_eq!(oc.pim_count(key.0, key.1), 2);
         assert_eq!(oc.warp_count(GlobalWarpId(0)), 2);
         let mut taken = Vec::new();
-        oc.drain(2, |r| {
-            taken.push(r.clone());
-            true
-        });
+        oc.drain(2, usize::MAX, |r| taken.push(r));
         assert!(taken.is_empty(), "latency not elapsed");
-        oc.drain(3, |r| {
-            taken.push(r.clone());
-            true
-        });
+        oc.drain(3, usize::MAX, |r| taken.push(r));
         assert_eq!(taken.len(), 2);
         assert_eq!(oc.pim_count(key.0, key.1), 0);
         assert_eq!(oc.warp_count(GlobalWarpId(0)), 0);
@@ -170,15 +165,7 @@ mod tests {
         let mut oc = OperandCollector::new(4, 0);
         oc.allocate(pim_req(1), GlobalWarpId(0), None, 0);
         oc.allocate(pim_req(2), GlobalWarpId(0), None, 0);
-        let mut budget = 1;
-        oc.drain(0, |_| {
-            if budget > 0 {
-                budget -= 1;
-                true
-            } else {
-                false
-            }
-        });
+        oc.drain(0, 1, |_| {});
         assert_eq!(oc.warp_count(GlobalWarpId(0)), 1, "second entry stayed");
     }
 

@@ -22,6 +22,10 @@ use orderlight_trace::{
 };
 use std::collections::VecDeque;
 
+/// Most warps one SM can run: the scheduler keeps one bit per warp in a
+/// `u64` mask.
+pub const MAX_WARPS_PER_SM: usize = 64;
+
 /// SM configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SmConfig {
@@ -130,6 +134,22 @@ impl StallCause {
     }
 }
 
+/// Whether `instr` cannot issue until a register in the `pending`
+/// scoreboard mask receives its load data. Depends on nothing but the
+/// instruction and the mask, which is what lets [`Sm`] keep the answer
+/// as a per-warp bit instead of recomputing it every cycle.
+fn waits_on_reg(instr: KernelInstr, pending: u64) -> bool {
+    match instr {
+        KernelInstr::Load { reg, .. } | KernelInstr::Store { reg, .. } => {
+            reg_is_pending(pending, reg)
+        }
+        KernelInstr::Compute { dst, a, b, .. } => {
+            reg_is_pending(pending, a) || reg_is_pending(pending, b) || reg_is_pending(pending, dst)
+        }
+        KernelInstr::Pim(_) | KernelInstr::Ordering(_) => false,
+    }
+}
+
 /// An open run of contiguous stall cycles for one cause, awaiting
 /// emission as a single batched [`TraceEvent::CoreStall`].
 #[derive(Debug, Clone, Copy)]
@@ -170,11 +190,10 @@ struct StallRun {
 /// ```
 pub struct Sm {
     // Per-warp state, struct-of-arrays: the every-cycle scheduler scans
-    // (ready-warp walk, parked-fence count, horizon probe) read
-    // `states`/`curs`/`pendings` as contiguous arrays; the cold bulk of
-    // each warp (program stream, register file, counters) sits in
-    // `cores` and is only touched when an instruction actually issues
-    // or data arrives.
+    // (ready-warp walk, horizon probe) read `states`/`curs`/`pendings`
+    // as contiguous arrays; the cold bulk of each warp (program stream,
+    // register file, counters) sits in `cores` and is only touched when
+    // an instruction actually issues or data arrives.
     cores: Vec<WarpCore>,
     states: Vec<WarpState>,
     curs: Vec<Option<KernelInstr>>,
@@ -186,7 +205,18 @@ pub struct Sm {
     stats: SmStats,
     credits: Vec<u32>,
     sink: SharedSink,
+    // `sink.is_enabled()`, read once in `set_sink`: the hot paths test
+    // this flag instead of making a dynamic call per would-be event.
+    traced: bool,
     retired: Vec<bool>,
+    // Kept state, updated where it changes instead of rescanned every
+    // tick (DESIGN.md, "Kept state"). Bit `i` of `regwait` is set iff
+    // warp `i` is Ready and its fetched instruction waits on a pending
+    // register (`refresh_regwait` after every `try_issue`, `deliver`
+    // and `is_done` fetch). `fence_parked` counts the warps in
+    // `WaitFence` (up at a fence issue, down at its releasing ack).
+    regwait: u64,
+    fence_parked: u64,
     // Cycle of the most recent tick; stamps events emitted from
     // `deliver`, which has no cycle parameter.
     cur_cycle: CoreCycle,
@@ -200,9 +230,14 @@ pub struct Sm {
 
 impl Sm {
     /// Creates an SM running `warps`.
+    ///
+    /// # Panics
+    /// Panics if there are more than [`MAX_WARPS_PER_SM`] warps: the
+    /// scheduler keeps one bit per warp in a `u64`.
     #[must_use]
     pub fn new(cfg: SmConfig, warps: Vec<Warp>) -> Self {
         let n = warps.len();
+        assert!(n <= MAX_WARPS_PER_SM, "{n} warps exceed the SM's {MAX_WARPS_PER_SM}-warp masks");
         let sm_id = warps.first().map_or(0, |w| w.id().sm() as u32);
         let mut cores = Vec::with_capacity(n);
         let mut states = Vec::with_capacity(n);
@@ -215,7 +250,9 @@ impl Sm {
             curs.push(cur);
             pendings.push(pending);
         }
-        Sm {
+        let fence_parked =
+            states.iter().filter(|s| matches!(s, WarpState::WaitFence { .. })).count() as u64;
+        let mut sm = Sm {
             oc: OperandCollector::new(cfg.oc_capacity, cfg.oc_latency),
             ldst: VecDeque::new(),
             credits: vec![cfg.credits.unwrap_or(0); n],
@@ -229,16 +266,37 @@ impl Sm {
             rr: 0,
             stats: SmStats::default(),
             sink: nop_sink(),
+            traced: false,
             cur_cycle: 0,
             stall_runs: [None; 6],
+            regwait: 0,
+            fence_parked,
+        };
+        for i in 0..n {
+            sm.refresh_regwait(i);
         }
+        sm
     }
 
     /// Attaches a trace sink. The default [`orderlight_trace::NopSink`]
     /// makes tracing free; sinks only observe, so attaching one never
     /// changes simulated behaviour.
     pub fn set_sink(&mut self, sink: SharedSink) {
+        self.traced = sink.is_enabled();
         self.sink = sink;
+    }
+
+    /// Recomputes warp `i`'s bit of the `regwait` mask. Call after
+    /// anything that may change the warp's state, fetched head or
+    /// pending-register mask.
+    fn refresh_regwait(&mut self, i: usize) {
+        let blocked = self.states[i] == WarpState::Ready
+            && self.curs[i].is_some_and(|instr| waits_on_reg(instr, self.pendings[i]));
+        if blocked {
+            self.regwait |= 1 << i;
+        } else {
+            self.regwait &= !(1 << i);
+        }
     }
 
     /// Activity counters.
@@ -257,7 +315,11 @@ impl Sm {
     #[must_use]
     pub fn is_done(&mut self) -> bool {
         let all_done = (0..self.cores.len()).all(|i| {
-            let _ = self.cores[i].fetch(&mut self.curs[i], &mut self.states[i]);
+            // Only an empty head slot can fetch (and so change the warp).
+            if self.curs[i].is_none() {
+                let _ = self.cores[i].fetch(&mut self.curs[i], &mut self.states[i]);
+                self.refresh_regwait(i);
+            }
             self.states[i] == WarpState::Done
         });
         all_done && self.oc.is_empty() && self.ldst.is_empty()
@@ -282,18 +344,23 @@ impl Sm {
         match resp {
             MemResp::LoadData { reg, data, .. } => {
                 self.cores[i].write_reg(&mut self.pendings[i], reg, data);
+                self.refresh_regwait(i);
             }
             MemResp::FenceAck { fence_id, .. } => {
                 let id = self.cores[i].id();
                 let head_empty = self.curs[i].is_none();
                 let released = self.cores[i].fence_ack(fence_id, head_empty, &mut self.states[i]);
-                if released && self.sink.is_enabled() {
-                    self.sink.emit(TraceEvent::FenceStallEnd {
-                        cycle: self.cur_cycle,
-                        sm: id.sm() as u32,
-                        warp: id.0,
-                        fence_id,
-                    });
+                if released {
+                    self.fence_parked -= 1;
+                    self.refresh_regwait(i);
+                    if self.traced {
+                        self.sink.emit(TraceEvent::FenceStallEnd {
+                            cycle: self.cur_cycle,
+                            sm: id.sm() as u32,
+                            warp: id.0,
+                            fence_id,
+                        });
+                    }
                 }
             }
             MemResp::Credit { .. } => self.credits[i] += 1,
@@ -305,7 +372,7 @@ impl Sm {
     }
 
     fn trace_issue(&self, now: CoreCycle, id: orderlight::types::GlobalWarpId, kind: InstrKind) {
-        if self.sink.is_enabled() {
+        if self.traced {
             self.sink.emit(TraceEvent::WarpIssue {
                 cycle: now,
                 sm: id.sm() as u32,
@@ -323,6 +390,9 @@ impl Sm {
     /// resolves those by materialising the stream.
     fn issue_block(&self, i: usize) -> Option<StallCause> {
         let instr = self.curs[i]?;
+        if waits_on_reg(instr, self.pendings[i]) {
+            return Some(StallCause::RegWait);
+        }
         match instr {
             KernelInstr::Pim(_) => {
                 if self.cfg.credits.is_some() && self.credits[i] == 0 {
@@ -353,30 +423,20 @@ impl Sm {
                     None
                 }
             }
-            KernelInstr::Load { reg, .. } | KernelInstr::Store { reg, .. } => {
-                if reg_is_pending(self.pendings[i], reg) {
-                    Some(StallCause::RegWait)
-                } else if !self.oc.has_space() {
-                    Some(StallCause::Structural)
-                } else {
-                    None
-                }
+            KernelInstr::Load { .. } | KernelInstr::Store { .. } => {
+                (!self.oc.has_space()).then_some(StallCause::Structural)
             }
-            KernelInstr::Compute { dst, a, b, .. } => {
-                let p = self.pendings[i];
-                if reg_is_pending(p, a) || reg_is_pending(p, b) || reg_is_pending(p, dst) {
-                    Some(StallCause::RegWait)
-                } else {
-                    None
-                }
-            }
+            KernelInstr::Compute { .. } => None,
         }
     }
 
-    /// Charges a span of `cycles` stall cycles starting at `now` to the
-    /// counter `cause` maps to, mirroring every charged cycle into the
-    /// batched [`TraceEvent::CoreStall`] stream when a sink is attached.
-    fn charge(&mut self, cause: StallCause, now: CoreCycle, cycles: u64) {
+    /// Charges `warps` warps stalled for the `span` cycles starting at
+    /// `now` to the counter `cause` maps to, mirroring every charged
+    /// cycle into the batched [`TraceEvent::CoreStall`] stream when a
+    /// sink is attached. One call for several warps equals one call per
+    /// warp: only a call that opens a new run can emit.
+    fn charge(&mut self, cause: StallCause, now: CoreCycle, span: u64, warps: u64) {
+        let cycles = span * warps;
         match cause {
             StallCause::CreditWait => self.stats.credit_wait_cycles += cycles,
             StallCause::Structural => self.stats.structural_stall_cycles += cycles,
@@ -384,8 +444,8 @@ impl Sm {
             StallCause::FenceDrain => self.stats.fence_stall_cycles += cycles,
             StallCause::RegWait => self.stats.reg_wait_cycles += cycles,
         }
-        if self.sink.is_enabled() {
-            self.note_stall(cause.trace_cause(), now, now + cycles - 1, cycles);
+        if self.traced {
+            self.note_stall(cause.trace_cause(), now, now + span - 1, cycles);
         }
     }
 
@@ -419,7 +479,7 @@ impl Sm {
     /// every charged cycle; calling it mid-run is harmless (runs simply
     /// close early).
     pub fn flush_stall_runs(&mut self) {
-        if !self.sink.is_enabled() {
+        if !self.traced {
             return;
         }
         for (slot, cause) in TraceCause::ALL.iter().enumerate() {
@@ -438,7 +498,7 @@ impl Sm {
     /// whether an instruction issued.
     fn try_issue(&mut self, i: usize, now: CoreCycle) -> bool {
         if let Some(cause) = self.issue_block(i) {
-            self.charge(cause, now, 1);
+            self.charge(cause, now, 1, 1);
             return false;
         }
         let Some(instr) = self.cores[i].fetch(&mut self.curs[i], &mut self.states[i]) else {
@@ -470,7 +530,7 @@ impl Sm {
                 }));
                 self.stats.orderlights += 1;
                 self.trace_issue(now, id, InstrKind::OrderLight);
-                if self.sink.is_enabled() {
+                if self.traced {
                     self.sink.emit(TraceEvent::PacketCreated {
                         cycle: now,
                         channel: channel.0,
@@ -497,7 +557,7 @@ impl Sm {
                 }));
                 self.stats.orderlights += 1;
                 self.trace_issue(now, id, InstrKind::OrderLight);
-                if self.sink.is_enabled() {
+                if self.traced {
                     self.sink.emit(TraceEvent::PacketCreated {
                         cycle: now,
                         channel: channel.0,
@@ -515,6 +575,7 @@ impl Sm {
                 let id = self.cores[i].id();
                 let channel = self.cores[i].channel();
                 let fence_id = self.cores[i].enter_fence(&mut self.states[i]);
+                self.fence_parked += 1;
                 self.cores[i].advance(&mut self.curs[i], &mut self.states[i]);
                 self.ldst.push_back(MemReq::Marker(MarkerCopy {
                     marker: Marker::FenceProbe { warp: id, fence_id, channel },
@@ -522,7 +583,7 @@ impl Sm {
                 }));
                 self.stats.fences += 1;
                 self.trace_issue(now, id, InstrKind::Fence);
-                if self.sink.is_enabled() {
+                if self.traced {
                     self.sink.emit(TraceEvent::FenceStallBegin {
                         cycle: now,
                         sm: id.sm() as u32,
@@ -571,40 +632,50 @@ impl Sm {
     /// `issue_width` instructions round-robin across ready warps.
     /// Returns whether any instruction issued.
     pub fn tick(&mut self, now: CoreCycle) -> bool {
-        self.cur_cycle = now;
-        // Operand collector -> LDST queue.
-        let space = self.cfg.ldst_capacity - self.ldst.len();
-        let mut budget = space;
-        let ldst = &mut self.ldst;
-        self.oc.drain(now, |req| {
-            if budget == 0 {
-                return false;
-            }
-            budget -= 1;
-            ldst.push_back(req.clone());
-            true
-        });
+        self.drain_collector(now);
+        self.charge_fence_wait(now, self.fence_parked);
+        let issued = self.issue_round(now);
+        self.end_tick(now);
+        issued
+    }
 
-        // Fence-stall accounting: every warp parked at a fence burns a
-        // stall cycle (the paper's "waiting cycles per fence").
-        let parked =
-            self.states.iter().filter(|s| matches!(s, WarpState::WaitFence { .. })).count() as u64;
+    /// Starts a tick: operand collector -> LDST queue.
+    fn drain_collector(&mut self, now: CoreCycle) {
+        self.cur_cycle = now;
+        let ldst = &mut self.ldst;
+        self.oc.drain(now, self.cfg.ldst_capacity - ldst.len(), |req| ldst.push_back(req));
+    }
+
+    /// Fence-stall accounting: each of the `parked` warps parked at a
+    /// fence burns a stall cycle (the paper's "waiting cycles per
+    /// fence").
+    fn charge_fence_wait(&mut self, now: CoreCycle, parked: u64) {
         self.stats.fence_stall_cycles += parked;
-        if parked > 0 && self.sink.is_enabled() {
+        if parked > 0 && self.traced {
             self.note_stall(TraceCause::FenceWait, now, now, parked);
         }
+    }
 
-        // Issue round-robin across ready warps.
+    /// Issues up to `issue_width` instructions round-robin across ready
+    /// warps, from `rr`, wrapping without a division; returns whether
+    /// any issued. A run of warps in the `regwait` mask can only charge
+    /// a register-wait cycle each, so it is charged with one call at the
+    /// run's place in the scan.
+    fn issue_round(&mut self, now: CoreCycle) -> bool {
         let n = self.states.len();
         let mut issued = 0;
-        // Round-robin from `rr`, wrapping without a division.
         let mut next = self.rr;
-        for _ in 0..n {
-            if issued >= self.cfg.issue_width {
-                break;
-            }
+        let mut left = n;
+        while left > 0 && issued < self.cfg.issue_width {
             let i = next;
-            next = if i + 1 == n { 0 } else { i + 1 };
+            let run = ((!(self.regwait >> i)).trailing_zeros() as usize).min(left);
+            let step = run.max(1);
+            left -= step;
+            next = if i + step == n { 0 } else { i + step };
+            if run > 0 {
+                self.charge(StallCause::RegWait, now, 1, run as u64);
+                continue;
+            }
             let _ = self.cores[i].fetch(&mut self.curs[i], &mut self.states[i]);
             if self.states[i] != WarpState::Ready {
                 continue;
@@ -613,12 +684,19 @@ impl Sm {
                 issued += 1;
                 self.stats.issued += 1;
             }
+            self.refresh_regwait(i);
         }
-        self.rr = if self.rr + 1 >= n { 0 } else { self.rr + 1 };
+        issued > 0
+    }
 
+    /// Ends a tick: advances the round-robin pointer and traces warps
+    /// that retired.
+    fn end_tick(&mut self, now: CoreCycle) {
+        let n = self.states.len();
+        self.rr = if self.rr + 1 >= n { 0 } else { self.rr + 1 };
         // Retirement is trace-only bookkeeping, so the scan is skipped
         // entirely when no real sink is attached.
-        if self.sink.is_enabled() {
+        if self.traced {
             for i in 0..self.states.len() {
                 if !self.retired[i] && self.states[i] == WarpState::Done {
                     self.retired[i] = true;
@@ -631,7 +709,6 @@ impl Sm {
                 }
             }
         }
-        issued > 0
     }
 
     /// Advances the SM across a quiescent window of `span` cycles — one
@@ -657,11 +734,20 @@ impl Sm {
     /// across activity, which violates the quiescence contract.
     pub fn skip_quiescent(&mut self, now: CoreCycle, span: u64) {
         self.cur_cycle = now + span - 1;
+        // Every `regwait` warp charges at the first one's place.
+        let first_regwait = self.regwait.trailing_zeros() as usize;
         for i in 0..self.states.len() {
+            if self.regwait >> i & 1 != 0 {
+                if i == first_regwait {
+                    let warps = u64::from(self.regwait.count_ones());
+                    self.charge(StallCause::RegWait, now, span, warps);
+                }
+                continue;
+            }
             match self.states[i] {
                 WarpState::WaitFence { .. } => {
                     self.stats.fence_stall_cycles += span;
-                    if self.sink.is_enabled() {
+                    if self.traced {
                         self.note_stall(TraceCause::FenceWait, now, now + span - 1, span);
                     }
                 }
@@ -669,7 +755,7 @@ impl Sm {
                     let cause = self
                         .issue_block(i)
                         .expect("quiescent window skipped across an issuable warp");
-                    self.charge(cause, now, span);
+                    self.charge(cause, now, span, 1);
                 }
                 WarpState::Done => {}
             }
@@ -698,8 +784,10 @@ impl NextEvent for Sm {
             // Ready head into a full LDST queue: unblocked by the
             // system's LDST-to-pipe pairing, not by this SM.
         }
+        // A `regwait` warp is blocked until a load delivers, which
+        // the pipe advertises.
         for i in 0..self.states.len() {
-            if self.states[i] != WarpState::Ready {
+            if self.regwait >> i & 1 != 0 || self.states[i] != WarpState::Ready {
                 continue;
             }
             let needs_fetch = self.curs[i].is_none() && !self.cores[i].exhausted();
@@ -724,6 +812,8 @@ impl std::fmt::Debug for Sm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orderlight::message::MarkerCopy;
+    use orderlight::rng::Rng;
     use orderlight::types::{Addr, ChannelId, GlobalWarpId, MemGroupId, Stripe, TsSlot};
     use orderlight::{AluOp, PimInstruction, PimOp, Reg, VecStream};
 
@@ -893,6 +983,215 @@ mod tests {
             s.structural_stall_cycles
         );
         assert_eq!(by_cause.values().sum::<u64>(), s.total_stalls(), "no cycle lost or invented");
+    }
+
+    /// The tick the kept `regwait` mask and `fence_parked` count
+    /// replaced, kept as the reference they must agree with: it counts
+    /// the fence-parked warps and visits every warp in the round-robin
+    /// scan.
+    impl Sm {
+        fn tick_plain(&mut self, now: CoreCycle) -> bool {
+            self.drain_collector(now);
+            let parked =
+                self.states.iter().filter(|s| matches!(s, WarpState::WaitFence { .. })).count();
+            self.charge_fence_wait(now, parked as u64);
+            let n = self.states.len();
+            let mut issued = 0;
+            let mut next = self.rr;
+            for _ in 0..n {
+                if issued >= self.cfg.issue_width {
+                    break;
+                }
+                let i = next;
+                next = if i + 1 == n { 0 } else { i + 1 };
+                let _ = self.cores[i].fetch(&mut self.curs[i], &mut self.states[i]);
+                if self.states[i] != WarpState::Ready {
+                    continue;
+                }
+                if self.try_issue(i, now) {
+                    issued += 1;
+                    self.stats.issued += 1;
+                }
+            }
+            self.end_tick(now);
+            issued > 0
+        }
+
+        /// Asserts the kept `regwait` mask and `fence_parked` count
+        /// equal a recount over every warp.
+        fn assert_kept_state(&self, at: &str) {
+            let mut regwait = 0u64;
+            for i in 0..self.states.len() {
+                if self.states[i] == WarpState::Ready
+                    && self.issue_block(i) == Some(StallCause::RegWait)
+                {
+                    regwait |= 1 << i;
+                }
+            }
+            let parked =
+                self.states.iter().filter(|s| matches!(s, WarpState::WaitFence { .. })).count();
+            assert_eq!((self.regwait, self.fence_parked), (regwait, parked as u64), "{at}");
+        }
+    }
+
+    /// A random instruction over four registers, so register waits are
+    /// frequent.
+    fn random_instr(rng: &mut Rng) -> KernelInstr {
+        let mut reg = || Reg(rng.gen_index(4) as u8);
+        let (a, b, c) = (reg(), reg(), reg());
+        match rng.gen_index(8) {
+            0 | 1 => KernelInstr::Load { addr: Addr(rng.gen_range(64) * 32), reg: a },
+            2 => KernelInstr::Store { addr: Addr(rng.gen_range(64) * 32), reg: a },
+            3 | 4 => KernelInstr::Compute { op: AluOp::Add, dst: a, a: b, b: c },
+            5 => pim(rng.gen_range(64) * 32),
+            6 => KernelInstr::Ordering(OrderingInstr::Fence),
+            _ => KernelInstr::Ordering(OrderingInstr::OrderLight {
+                group: MemGroupId(rng.gen_index(2) as u8),
+            }),
+        }
+    }
+
+    /// What a skipped window keeps of an event stream: the `CoreStall`
+    /// runs cause by cause, and every other event but `WarpRetire` in
+    /// order. A skip charges warps in index order where a tick scans
+    /// from the round-robin pointer, so runs of different causes may
+    /// close in another order, and a retire is stamped by whichever
+    /// tick scans for it (see [`Sm::skip_quiescent`]).
+    fn skip_view(events: &[TraceEvent]) -> (Vec<Vec<TraceEvent>>, Vec<TraceEvent>) {
+        let mut stalls = vec![Vec::new(); TraceCause::ALL.len()];
+        let mut rest = Vec::new();
+        for &e in events {
+            match e {
+                TraceEvent::CoreStall { cause, .. } => stalls[cause as usize].push(e),
+                TraceEvent::WarpRetire { .. } => {}
+                _ => rest.push(e),
+            }
+        }
+        (stalls, rest)
+    }
+
+    #[test]
+    fn kept_warp_masks_match_the_plain_scan() {
+        use orderlight_trace::RingSink;
+        use std::sync::Arc;
+        let (mut reg_waits, mut skips) = (0, 0);
+        for seed in 0..300u64 {
+            let mut rng = Rng::new(seed);
+            // Every third seed ticks every cycle, so its whole event
+            // stream must match in order.
+            let dense_only = seed % 3 == 0;
+            let n = if seed % 5 == 0 { 64 } else { 1 + rng.gen_index(64) };
+            let cfg = SmConfig {
+                oc_capacity: 1 + rng.gen_index(6),
+                oc_latency: rng.gen_range(4),
+                ldst_capacity: 1 + rng.gen_index(4),
+                issue_width: 1 + rng.gen_index(3),
+                credits: None,
+            };
+            let programs: Vec<Vec<KernelInstr>> = (0..n)
+                .map(|_| (0..rng.gen_index(24)).map(|_| random_instr(&mut rng)).collect())
+                .collect();
+            // Some warps start with a load outstanding, so their first
+            // fetch (possibly by `is_done`) can meet a register wait.
+            let preloaded: Vec<Option<(u64, Reg)>> = (0..n)
+                .map(|_| {
+                    rng.gen_bool(1, 4).then(|| (rng.gen_range(100), Reg(rng.gen_index(4) as u8)))
+                })
+                .collect();
+            let build = || {
+                let warps = programs
+                    .iter()
+                    .zip(&preloaded)
+                    .enumerate()
+                    .map(|(w, (p, pre))| {
+                        let id = GlobalWarpId::new(0, w);
+                        let program = Box::new(VecStream::new(p.clone()));
+                        let mut warp = Warp::new(id, ChannelId((w % 4) as u8), program);
+                        if let Some((_, reg)) = pre {
+                            warp.mark_pending(*reg);
+                        }
+                        warp
+                    })
+                    .collect();
+                let ring = Arc::new(RingSink::new(1 << 20));
+                let mut sm = Sm::new(cfg, warps);
+                sm.set_sink(ring.clone());
+                (sm, ring)
+            };
+            let (mut kept, kept_ring) = build();
+            let (mut plain, plain_ring) = build();
+            // Responses in flight: (due cycle, response), delivered to both.
+            let mut inflight: Vec<(u64, MemResp)> = (0..n)
+                .filter_map(|w| {
+                    let (due, reg) = preloaded[w]?;
+                    let warp = GlobalWarpId::new(0, w);
+                    Some((due, MemResp::LoadData { warp, reg, data: Stripe::splat(7) }))
+                })
+                .collect();
+            let mut now = 0;
+            while now < 600 {
+                inflight.sort_by_key(|(due, _)| *due);
+                let at = format!("seed {seed} cycle {now}");
+                while inflight.first().is_some_and(|(due, _)| *due <= now) {
+                    let (_, resp) = inflight.remove(0);
+                    kept.deliver(resp);
+                    plain.deliver(resp);
+                    kept.assert_kept_state(&at);
+                }
+                if now == 0 || rng.gen_bool(1, 8) {
+                    assert_eq!(kept.is_done(), plain.is_done(), "{at}");
+                    kept.assert_kept_state(&at);
+                }
+                let horizon = kept.next_event(now).unwrap_or(u64::MAX);
+                if horizon > now && !dense_only && rng.gen_bool(1, 2) {
+                    // A quiescent window, bounded by the next response.
+                    let due = inflight.first().map_or(u64::MAX, |(due, _)| *due);
+                    let end = horizon.min(due).min(now + 1 + rng.gen_range(40));
+                    kept.skip_quiescent(now, end - now);
+                    for t in now..end {
+                        assert!(
+                            !plain.tick_plain(t),
+                            "seed {seed}: skipped across an issue at {t}"
+                        );
+                    }
+                    kept.assert_kept_state(&at);
+                    skips += 1;
+                    now = end;
+                    continue;
+                }
+                assert_eq!(kept.tick(now), plain.tick_plain(now), "{at}");
+                kept.assert_kept_state(&at);
+                for _ in 0..rng.gen_index(3) {
+                    let req = kept.pop_ldst();
+                    assert_eq!(req, plain.pop_ldst(), "{at}");
+                    let due = now + 1 + rng.gen_range(30);
+                    match req {
+                        Some(MemReq::HostRead { reg, meta, .. }) => {
+                            let data = Stripe::splat(rng.next_u64() as u32);
+                            inflight.push((due, MemResp::LoadData { warp: meta.warp, reg, data }));
+                        }
+                        Some(MemReq::Marker(MarkerCopy {
+                            marker: Marker::FenceProbe { warp, fence_id, .. },
+                            ..
+                        })) => inflight.push((due, MemResp::FenceAck { warp, fence_id })),
+                        _ => {}
+                    }
+                }
+                now += 1;
+            }
+            kept.flush_stall_runs();
+            plain.flush_stall_runs();
+            assert_eq!(kept.stats(), plain.stats(), "seed {seed}");
+            assert_eq!(kept.warp_states(), plain.warp_states(), "seed {seed}");
+            let (kept_events, plain_events) = (kept_ring.events(), plain_ring.events());
+            if dense_only {
+                assert_eq!(kept_events, plain_events, "seed {seed}");
+            } else {
+                assert_eq!(skip_view(&kept_events), skip_view(&plain_events), "seed {seed}");
+            }
+            reg_waits += kept.stats().reg_wait_cycles;
+        }
+        assert!(reg_waits > 10_000 && skips > 1_000, "coverage: {reg_waits} waits, {skips} skips");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::bank::Bank;
 use crate::command::{ColKind, DramCommand};
-use crate::storage::FunctionalStore;
+use crate::storage::{FunctionalStore, RowSlot};
 use crate::timing::TimingParams;
 use orderlight::fault::RefreshStorm;
 use orderlight::rng::Rng;
@@ -62,6 +62,15 @@ pub struct Channel {
     /// Earliest cycle for the next ACT on the channel (tRRD).
     next_act_any: MemCycle,
     store: FunctionalStore,
+    /// Per bank, the store slot of its open row, resolved by the first
+    /// column access after the activate that opened it, so a row is
+    /// looked up once per activation, the way a row buffer is filled.
+    /// Kept state (DESIGN.md, "Kept state"): cleared wherever a row
+    /// closes (precharge, refresh), so an activate always finds its
+    /// bank's slot clear. A column read of a row the store has not
+    /// materialised leaves it clear: absence is never cached, so a
+    /// later [`store_mut`](Self::store_mut) write to the row is seen.
+    open_slots: Vec<Option<RowSlot>>,
     col_commands: u64,
     refresh: Option<RefreshParams>,
     /// Fault injection: when set, each fired refresh re-arms the next
@@ -73,6 +82,8 @@ pub struct Channel {
     refresh_until: Option<MemCycle>,
     refreshes: u64,
     sink: SharedSink,
+    /// `sink.is_enabled()`, read once in [`set_sink`](Self::set_sink).
+    traced: bool,
     channel_id: u8,
 }
 
@@ -107,6 +118,7 @@ impl Channel {
             next_col: 0,
             next_act_any: 0,
             store: FunctionalStore::new(row_bytes),
+            open_slots: vec![None; n_banks],
             col_commands: 0,
             refresh_due: refresh.map_or(0, |r| r.interval),
             refresh,
@@ -114,6 +126,7 @@ impl Channel {
             refresh_until: None,
             refreshes: 0,
             sink: nop_sink(),
+            traced: false,
             channel_id: 0,
         }
     }
@@ -140,6 +153,7 @@ impl Channel {
     /// Attaches a trace sink, tagging this channel's DRAM-command events
     /// with `channel`. Sinks only observe; timing is unchanged.
     pub fn set_sink(&mut self, sink: SharedSink, channel: u8) {
+        self.traced = sink.is_enabled();
         self.sink = sink;
         self.channel_id = channel;
     }
@@ -183,17 +197,18 @@ impl Channel {
             }
             for b in 0..self.banks.len() {
                 if self.banks[b].open_row().is_some() {
-                    if self.sink.is_enabled() {
+                    if self.traced {
                         self.trace_row_close(BankId(b as u8), now);
                     }
                     self.banks[b].precharge(now, &t);
                 }
             }
+            self.open_slots.fill(None);
             // Saturating like the bank timers: a refresh window or due
             // time past `u64::MAX` clamps to "never" instead of
             // wrapping behind `now`.
             self.refresh_until = Some(now.saturating_add(r.rfc));
-            if self.sink.is_enabled() {
+            if self.traced {
                 self.sink.emit(TraceEvent::RefreshWindow {
                     cycle: now,
                     channel: self.channel_id,
@@ -287,7 +302,7 @@ impl Channel {
             return false;
         }
         let t = self.timing;
-        let traced = self.sink.is_enabled();
+        let traced = self.traced;
         match cmd {
             DramCommand::Activate { bank, row } => {
                 self.banks[bank.index()].activate(row, now, &t);
@@ -314,6 +329,7 @@ impl Channel {
                     });
                 }
                 self.banks[bank.index()].precharge(now, &t);
+                self.open_slots[bank.index()] = None;
             }
             DramCommand::Column { bank, kind } => {
                 let row = self.banks[bank.index()].open_row().expect("checked open");
@@ -337,15 +353,35 @@ impl Channel {
         true
     }
 
+    /// The store slot of `bank`'s open row, resolved at the first column
+    /// access after the activate. With `create` a row the store does not
+    /// hold is materialised; without it the answer is `None` and stays
+    /// unresolved.
+    ///
+    /// # Panics
+    /// Panics if the bank has no open row.
+    fn open_slot(&mut self, bank: BankId, create: bool) -> Option<RowSlot> {
+        let b = bank.index();
+        if self.open_slots[b].is_none() {
+            let row = self.banks[b].open_row().expect("column access requires an open row");
+            self.open_slots[b] = if create {
+                Some(self.store.slot_or_insert(bank, row))
+            } else {
+                self.store.slot(bank, row)
+            };
+        }
+        self.open_slots[b]
+    }
+
     /// Reads the stripe at `col` of the *open* row of `bank` (the data
     /// transfer accompanying a column-read command).
     ///
     /// # Panics
     /// Panics if the bank has no open row.
     #[must_use]
-    pub fn read_open_row(&self, bank: BankId, col: u16) -> Stripe {
-        let row = self.bank(bank).open_row().expect("read requires an open row");
-        self.store.read(bank, row, col)
+    pub fn read_open_row(&mut self, bank: BankId, col: u16) -> Stripe {
+        self.open_slot(bank, false)
+            .map_or_else(Stripe::default, |slot| self.store.read_slot(slot, col))
     }
 
     /// Writes the stripe at `col` of the *open* row of `bank`.
@@ -353,8 +389,8 @@ impl Channel {
     /// # Panics
     /// Panics if the bank has no open row.
     pub fn write_open_row(&mut self, bank: BankId, col: u16, data: Stripe) {
-        let row = self.banks[bank.index()].open_row().expect("write requires an open row");
-        self.store.write(bank, row, col, data);
+        let slot = self.open_slot(bank, true).expect("created on demand");
+        self.store.write_slot(slot, col, data);
     }
 
     /// Direct access to the functional store (initialisation, final
@@ -364,7 +400,10 @@ impl Channel {
         &self.store
     }
 
-    /// Mutable access to the functional store.
+    /// Mutable access to the functional store. A write through it is
+    /// seen by the next open-row access: rows keep their slots, and a
+    /// row the store did not hold was never cached as absent. The store
+    /// must not be replaced while a bank has a row open.
     pub fn store_mut(&mut self) -> &mut FunctionalStore {
         &mut self.store
     }
@@ -524,6 +563,63 @@ mod tests {
             c2.maintain(now);
         }
         assert!(c2.can_issue(DramCommand::Activate { bank: BankId(1), row: 0 }, 120));
+    }
+
+    #[test]
+    fn open_row_slots_follow_act_pre_refresh_and_store_writes() {
+        use std::collections::HashMap;
+        let refresh = RefreshParams { interval: 300, rfc: 12 };
+        let mut resolved = 0;
+        for seed in 0..100u64 {
+            let mut rng = Rng::new(seed);
+            // Four banks of three 8-column rows, so rows clash often.
+            let mut c = Channel::with_refresh(TimingParams::hbm_table1(), 4, 256, Some(refresh));
+            let mut model: HashMap<(BankId, u32, u16), Stripe> = HashMap::new();
+            for now in 0..3000 {
+                c.maintain(now);
+                let bank = BankId(rng.gen_index(4) as u8);
+                let (row, col) = (rng.gen_index(3) as u32, rng.gen_index(8) as u16);
+                let data = Stripe::splat(rng.next_u64() as u32);
+                match rng.gen_index(12) {
+                    0 | 1 => {
+                        c.try_issue(DramCommand::Activate { bank, row }, now);
+                    }
+                    2 => {
+                        c.try_issue(DramCommand::Precharge { bank }, now);
+                    }
+                    3 => {
+                        c.store_mut().write(bank, row, col, data);
+                        model.insert((bank, row, col), data);
+                    }
+                    _ => {
+                        let Some(open) = c.bank(bank).open_row() else { continue };
+                        if rng.gen_bool(1, 2) {
+                            c.write_open_row(bank, col, data);
+                            model.insert((bank, open, col), data);
+                        } else {
+                            let expected = model.get(&(bank, open, col)).copied();
+                            assert_eq!(
+                                c.read_open_row(bank, col),
+                                expected.unwrap_or_default(),
+                                "seed {seed} cycle {now}"
+                            );
+                        }
+                    }
+                }
+                // A resolved slot is always the open row's slot.
+                for (b, slot) in c.open_slots.iter().enumerate() {
+                    let Some(slot) = *slot else { continue };
+                    let open = c.banks[b].open_row().expect("a resolved slot has an open row");
+                    assert_eq!(c.store.slot(BankId(b as u8), open), Some(slot), "seed {seed}");
+                    resolved += 1;
+                }
+            }
+            assert!(c.refreshes() > 0, "seed {seed}: no refresh exercised");
+            for (&(bank, row, col), &data) in &model {
+                assert_eq!(c.store().read(bank, row, col), data, "seed {seed}");
+            }
+        }
+        assert!(resolved > 10_000, "coverage: {resolved} resolved slots");
     }
 
     #[test]

@@ -5,15 +5,25 @@
 //! observable — a reordered PIM command stream produces wrong bytes, not
 //! just wrong statistics (paper Figure 5's "Functionally Incorrect" bar).
 //!
-//! Rows are allocated lazily; untouched memory reads as zero.
+//! Rows are allocated lazily; untouched memory reads as zero. A row is
+//! held as its stripes' `u32` lanes, the form every access reads and
+//! writes, so no access converts bytes.
 
 use orderlight::hash::IntMap;
 use orderlight::types::{BankId, Stripe, BUS_BYTES};
 
-/// Sparse functional store: `(bank, row) -> row bytes`.
+/// Where one materialised row lives in a [`FunctionalStore`]. A row
+/// keeps its slot for the store's lifetime (rows are never removed or
+/// moved), so a channel can resolve an open row's slot once per
+/// activation and reuse it for every column access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RowSlot(u32);
+
+/// Sparse functional store: `(bank, row) -> row stripes`.
 #[derive(Debug, Clone, Default)]
 pub struct FunctionalStore {
-    rows: IntMap<(BankId, u32), Vec<u8>>,
+    slots: IntMap<(BankId, u32), RowSlot>,
+    rows: Vec<Box<[Stripe]>>,
     row_bytes: usize,
 }
 
@@ -29,7 +39,7 @@ impl FunctionalStore {
             row_bytes > 0 && row_bytes.is_multiple_of(BUS_BYTES),
             "row_bytes must be a positive multiple of {BUS_BYTES}"
         );
-        FunctionalStore { rows: IntMap::default(), row_bytes }
+        FunctionalStore { slots: IntMap::default(), rows: Vec::new(), row_bytes }
     }
 
     /// Row length in bytes.
@@ -50,20 +60,17 @@ impl FunctionalStore {
     /// Panics if `col` is beyond the row.
     #[must_use]
     pub fn read(&self, bank: BankId, row: u32, col: u16) -> Stripe {
-        let off = col as usize * BUS_BYTES;
-        assert!(off + BUS_BYTES <= self.row_bytes, "column {col} beyond row");
-        match self.rows.get(&(bank, row)) {
-            Some(bytes) => Stripe::from_bytes(&bytes[off..off + BUS_BYTES]),
-            None => Stripe::default(),
-        }
+        self.check_col(col);
+        self.slot(bank, row).map_or_else(Stripe::default, |slot| self.read_slot(slot, col))
     }
 
     /// All materialised rows in `(bank, row)` order — a deterministic
-    /// whole-store view for byte-level comparison of two stores (the
+    /// whole-store view for comparing two stores lane by lane (the
     /// cycle-vs-event differential tests).
     #[must_use]
-    pub fn rows_sorted(&self) -> Vec<((BankId, u32), &[u8])> {
-        let mut v: Vec<_> = self.rows.iter().map(|(k, d)| (*k, d.as_slice())).collect();
+    pub fn rows_sorted(&self) -> Vec<((BankId, u32), &[Stripe])> {
+        let mut v: Vec<_> =
+            self.slots.iter().map(|(k, slot)| (*k, &*self.rows[slot.0 as usize])).collect();
         v.sort_unstable_by_key(|((bank, row), _)| (bank.0, *row));
         v
     }
@@ -73,11 +80,45 @@ impl FunctionalStore {
     /// # Panics
     /// Panics if `col` is beyond the row.
     pub fn write(&mut self, bank: BankId, row: u32, col: u16, data: Stripe) {
-        let off = col as usize * BUS_BYTES;
-        assert!(off + BUS_BYTES <= self.row_bytes, "column {col} beyond row");
-        let row_bytes = self.row_bytes;
-        let bytes = self.rows.entry((bank, row)).or_insert_with(|| vec![0u8; row_bytes]);
-        bytes[off..off + BUS_BYTES].copy_from_slice(&data.to_bytes());
+        self.check_col(col);
+        let slot = self.slot_or_insert(bank, row);
+        self.write_slot(slot, col, data);
+    }
+
+    fn check_col(&self, col: u16) {
+        assert!((col as usize + 1) * BUS_BYTES <= self.row_bytes, "column {col} beyond row");
+    }
+
+    /// The slot of `(bank, row)`, if the row is materialised.
+    pub(crate) fn slot(&self, bank: BankId, row: u32) -> Option<RowSlot> {
+        self.slots.get(&(bank, row)).copied()
+    }
+
+    /// The slot of `(bank, row)`, materialising a zero row if needed.
+    pub(crate) fn slot_or_insert(&mut self, bank: BankId, row: u32) -> RowSlot {
+        if let Some(slot) = self.slot(bank, row) {
+            return slot;
+        }
+        let slot = RowSlot(u32::try_from(self.rows.len()).expect("fewer than 2^32 rows"));
+        self.rows.push(vec![Stripe::default(); self.row_bytes / BUS_BYTES].into_boxed_slice());
+        self.slots.insert((bank, row), slot);
+        slot
+    }
+
+    /// Reads the stripe at `col` of the row in `slot`.
+    ///
+    /// # Panics
+    /// Panics if `col` is beyond the row.
+    pub(crate) fn read_slot(&self, slot: RowSlot, col: u16) -> Stripe {
+        self.rows[slot.0 as usize][col as usize]
+    }
+
+    /// Writes the stripe at `col` of the row in `slot`.
+    ///
+    /// # Panics
+    /// Panics if `col` is beyond the row.
+    pub(crate) fn write_slot(&mut self, slot: RowSlot, col: u16, data: Stripe) {
+        self.rows[slot.0 as usize][col as usize] = data;
     }
 }
 

@@ -225,6 +225,13 @@ pub struct MemoryController {
     /// check the event core's horizon makes every hop is O(1), not a
     /// scan over every bank's queue.
     bank_queued: usize,
+    /// Banks whose command queue has room for another transaction, and
+    /// banks whose command queue is non-empty, one bit each. Kept state
+    /// (DESIGN.md, "Kept state"): only [`push_bank`](Self::push_bank)
+    /// and [`pop_bank`](Self::pop_bank) change a bank queue's length,
+    /// and they update both masks.
+    room: u64,
+    busy: u64,
     exec_q: VecDeque<Transaction>,
     backend: Box<dyn OrderingBackend>,
     arrival_seq: u64,
@@ -234,6 +241,8 @@ pub struct MemoryController {
     stats: McStats,
     trace: Vec<IssueRecord>,
     sink: SharedSink,
+    /// `sink.is_enabled()`, read once in [`set_sink`](Self::set_sink).
+    traced: bool,
     channel_id: u8,
     /// Fault injection: adversarial scheduler tie-breaks. When set, the
     /// FR-FCFS pick chooses uniformly among *eligible* candidates
@@ -257,6 +266,9 @@ impl MemoryController {
             arena: Slab::with_capacity(2 * cfg.queue_capacity),
             bank_q: (0..banks).map(|_| VecDeque::new()).collect(),
             bank_queued: 0,
+            // One bit per bank; a channel has 1..=MAX_BANKS banks.
+            room: if cfg.bank_queue_capacity > 0 { u64::MAX >> (64 - banks) } else { 0 },
+            busy: 0,
             exec_q: VecDeque::new(),
             backend: cfg.ordering.build(),
             arrival_seq: 0,
@@ -266,6 +278,7 @@ impl MemoryController {
             stats: McStats::default(),
             trace: Vec::new(),
             sink: nop_sink(),
+            traced: false,
             channel_id: 0,
             adversary: None,
             cfg,
@@ -308,6 +321,7 @@ impl MemoryController {
     /// unchanged.
     pub fn set_sink(&mut self, sink: SharedSink, channel: u8) {
         self.channel.set_sink(sink.clone(), channel);
+        self.traced = sink.is_enabled();
         self.sink = sink;
         self.channel_id = channel;
     }
@@ -353,7 +367,7 @@ impl MemoryController {
         match req {
             MemReq::Marker(copy) => match copy.marker {
                 Marker::OrderLight(ref packet) | Marker::Release(ref packet) => {
-                    if self.sink.is_enabled() {
+                    if self.traced {
                         self.sink.emit(TraceEvent::PacketEnqueued {
                             cycle: self.arrival_cycle,
                             channel: self.channel_id,
@@ -379,7 +393,7 @@ impl MemoryController {
                     if self.backend.on_probe(warp, fence_id) {
                         self.stats.fence_acks += 1;
                         self.out.push(MemResp::FenceAck { warp, fence_id });
-                        if self.sink.is_enabled() {
+                        if self.traced {
                             self.sink.emit(TraceEvent::FenceAck {
                                 cycle: self.arrival_cycle,
                                 channel: self.channel_id,
@@ -412,7 +426,7 @@ impl MemoryController {
                 // recorded *before* this request's own enqueue event so
                 // the oracle's pre-set covers exactly the older requests.
                 if let Some(number) = self.backend.on_arrival(meta, group, pim, write_like) {
-                    if self.sink.is_enabled() {
+                    if self.traced {
                         self.sink.emit(TraceEvent::PacketEnqueued {
                             cycle: self.arrival_cycle,
                             channel: self.channel_id,
@@ -421,7 +435,7 @@ impl MemoryController {
                         });
                     }
                 }
-                if self.sink.is_enabled() {
+                if self.traced {
                     self.sink.emit(TraceEvent::ReqEnqueued {
                         cycle: self.arrival_cycle,
                         channel: self.channel_id,
@@ -456,15 +470,32 @@ impl MemoryController {
             .or_else(|| self.channel.bank(bank).open_row())
     }
 
-    /// The banks whose command queue has room for another transaction,
-    /// one bit each.
-    fn bank_room(&self) -> u64 {
-        let cap = self.cfg.bank_queue_capacity;
-        self.bank_q
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| q.len() < cap)
-            .fold(0, |m, (b, _)| m | 1 << b)
+    /// Appends `txn` to its bank's command queue.
+    fn push_bank(&mut self, txn: Transaction) {
+        let b = txn.loc.bank.index();
+        self.bank_q[b].push_back(txn);
+        self.bank_queued += 1;
+        self.busy |= 1 << b;
+        if self.bank_q[b].len() >= self.cfg.bank_queue_capacity {
+            self.room &= !(1 << b);
+        }
+    }
+
+    /// Pops the head of `bank`'s command queue.
+    ///
+    /// # Panics
+    /// Panics if the queue is empty.
+    fn pop_bank(&mut self, bank: BankId) -> Transaction {
+        let b = bank.index();
+        let txn = self.bank_q[b].pop_front().expect("head exists");
+        self.bank_queued -= 1;
+        if self.bank_q[b].is_empty() {
+            self.busy &= !(1 << b);
+        }
+        if self.bank_q[b].len() < self.cfg.bank_queue_capacity {
+            self.room |= 1 << b;
+        }
+        txn
     }
 
     fn is_row_hit(&self, p: &PendingReq) -> bool {
@@ -496,7 +527,7 @@ impl MemoryController {
             [Side::Read, Side::Write]
         };
         let adversarial = self.adversary.is_some();
-        let bank_room = self.bank_room();
+        let bank_room = self.room;
         let exec_room = self.exec_q.len() < self.cfg.exec_queue_capacity;
         let fits = |p: &PendingReq| match p.loc {
             Some(loc) => bank_room >> loc.bank.0 & 1 != 0,
@@ -549,7 +580,7 @@ impl MemoryController {
     /// Completes a marker merge: records the [`TraceEvent::PacketMerged`]
     /// event and pops the marker's copies from both transaction queues.
     fn finish_merge(&mut self, key: &MarkerKey, packet: &OrderLightPacket) {
-        if self.sink.is_enabled() {
+        if self.traced {
             self.sink.emit(TraceEvent::PacketMerged {
                 cycle: self.arrival_cycle,
                 channel: self.channel_id,
@@ -610,7 +641,7 @@ impl MemoryController {
         for _ in 0..self.cfg.dequeues_per_cycle {
             let Some((side, index)) = self.pick_dequeue() else { break };
             let p = self.queue_mut(side).remove_request(index);
-            if self.sink.is_enabled() {
+            if self.traced {
                 self.sink.emit(TraceEvent::SchedDecision {
                     cycle: self.arrival_cycle,
                     channel: self.channel_id,
@@ -624,7 +655,7 @@ impl MemoryController {
             }
             self.backend.on_dequeue(&p);
             let meta = p.meta;
-            if self.sink.is_enabled() {
+            if self.traced {
                 self.sink.emit(TraceEvent::ReqDequeued {
                     cycle: self.arrival_cycle,
                     channel: self.channel_id,
@@ -644,8 +675,7 @@ impl MemoryController {
             match p.loc {
                 Some(loc) => {
                     let txn = Transaction { kind, loc, group: p.group, meta, arrival: p.arrival };
-                    self.bank_q[loc.bank.index()].push_back(txn);
-                    self.bank_queued += 1;
+                    self.push_bank(txn);
                 }
                 None => {
                     // Execute-only PIM command: no DRAM access. `loc` is a
@@ -694,7 +724,7 @@ impl MemoryController {
                         // Execute-only (no DRAM access).
                         self.pim.apply(op, instr.slot, None);
                         self.stats.exec_commands += 1;
-                        if self.sink.is_enabled() {
+                        if self.traced {
                             self.sink.emit(TraceEvent::DramCmd {
                                 cycle: now,
                                 channel: self.channel_id,
@@ -712,7 +742,7 @@ impl MemoryController {
                 self.stats.host_reads += 1;
                 self.stats.col_reads += 1;
                 self.stats.host_read_latency_sum += now.saturating_sub(txn.arrival);
-                if self.sink.is_enabled() {
+                if self.traced {
                     self.sink.emit(TraceEvent::HostReadDone {
                         cycle: now,
                         channel: self.channel_id,
@@ -728,7 +758,7 @@ impl MemoryController {
             }
         }
         let outcome = self.backend.on_retire(&txn);
-        if self.sink.is_enabled() {
+        if self.traced {
             self.sink.emit(TraceEvent::ReqIssued {
                 cycle: now,
                 channel: self.channel_id,
@@ -744,7 +774,7 @@ impl MemoryController {
         for (warp, fence_id) in outcome.fence_acks {
             self.stats.fence_acks += 1;
             self.out.push(MemResp::FenceAck { warp, fence_id });
-            if self.sink.is_enabled() {
+            if self.traced {
                 self.sink.emit(TraceEvent::FenceAck {
                     cycle: now,
                     channel: self.channel_id,
@@ -762,8 +792,11 @@ impl MemoryController {
     /// also needs the ordering backend's issue gate.
     fn ready_banks(&self, now: MemCycle) -> [ReadyBanks; 3] {
         let mut ready = [ReadyBanks::default(); 3];
-        for (b, q) in self.bank_q.iter().enumerate() {
-            let Some(head) = q.front() else { continue };
+        let mut busy = self.busy;
+        while busy != 0 {
+            let b = busy.trailing_zeros() as usize;
+            busy &= busy - 1;
+            let head = self.bank_q[b].front().expect("busy bank has a head");
             let bank = BankId(b as u8);
             let (class, cmd) = match self.channel.needed_command(bank, head.loc.row) {
                 NeededCommand::Column => {
@@ -810,8 +843,7 @@ impl MemoryController {
             let kind = if txn.is_write() { ColKind::Write } else { ColKind::Read };
             let issued = self.channel.try_issue(DramCommand::column(bank, kind), now);
             debug_assert!(issued, "ready_banks checked legality");
-            let txn = self.bank_q[bank.index()].pop_front().expect("head exists");
-            self.bank_queued -= 1;
+            let txn = self.pop_bank(bank);
             self.complete(txn, now);
             return;
         }
@@ -866,7 +898,7 @@ impl MemoryController {
         self.write_q.record_tick();
         // Periodic occupancy sample for counter tracks (every 64 memory
         // cycles keeps trace volume proportional to runtime, not work).
-        if self.sink.is_enabled() && now.is_multiple_of(SAMPLE_STRIDE) {
+        if self.traced && now.is_multiple_of(SAMPLE_STRIDE) {
             self.sink.emit(TraceEvent::QueueSample {
                 cycle: now,
                 channel: self.channel_id,
@@ -905,7 +937,7 @@ impl MemoryController {
             self.channel.next_refresh_event(now).is_none_or(|due| due >= now + ticks),
             "skip_ticks window crosses a refresh trigger"
         );
-        if self.sink.is_enabled() {
+        if self.traced {
             let read_q = self.read_q.len() as u32;
             let write_q = self.write_q.len() as u32;
             let mut cycle = now.next_multiple_of(SAMPLE_STRIDE);
@@ -936,9 +968,9 @@ impl MemoryController {
     #[must_use]
     pub fn is_idle(&self) -> bool {
         debug_assert_eq!(
-            self.bank_queued,
-            self.bank_q.iter().map(VecDeque::len).sum::<usize>(),
-            "bank_queued counter out of sync"
+            (self.bank_queued, self.room, self.busy),
+            self.recount_bank_state(),
+            "kept bank-queue state out of sync"
         );
         self.bank_queued == 0
             && self.read_q.is_empty()
@@ -946,6 +978,19 @@ impl MemoryController {
             && self.exec_q.is_empty()
             && self.backend.is_idle()
             && self.out.is_empty()
+    }
+
+    /// `(bank_queued, room, busy)` recounted from the bank queues — what
+    /// the kept fields must always equal.
+    fn recount_bank_state(&self) -> (usize, u64, u64) {
+        let cap = self.cfg.bank_queue_capacity;
+        self.bank_q.iter().enumerate().fold((0, 0, 0), |(n, room, busy), (b, q)| {
+            (
+                n + q.len(),
+                room | u64::from(q.len() < cap) << b,
+                busy | u64::from(!q.is_empty()) << b,
+            )
+        })
     }
 
     /// Activity counters.
@@ -1397,8 +1442,7 @@ mod tests {
                 let meta = ReqMeta { warp: GlobalWarpId::new(0, b.into()), seq: rng.gen_range(3) };
                 let arrival = rng.gen_range(8);
                 let txn = Transaction { kind, loc, group: MemGroupId(0), meta, arrival };
-                m.bank_q[usize::from(b)].push_back(txn);
-                m.bank_queued += 1;
+                m.push_bank(txn);
             }
         }
         (m, 80 + rng.gen_range(40))
@@ -1426,6 +1470,64 @@ mod tests {
             );
         }
         assert!(picked.iter().all(|&n| n > 100), "every class gets picked: {picked:?}");
+    }
+
+    #[test]
+    fn kept_bank_masks_match_a_recount() {
+        let mut full_banks = 0;
+        for seed in 0..60u64 {
+            let mut rng = Rng::new(seed);
+            let cfg = McConfig {
+                ordering: OrderingKind::ALL[rng.gen_index(OrderingKind::ALL.len())],
+                bank_queue_capacity: 1 + rng.gen_index(4),
+                ..McConfig::default()
+            };
+            let mapping = cfg.mapping.clone();
+            let channel = Channel::new(TimingParams::hbm_table1(), 16, 2048);
+            let mut m = MemoryController::new(cfg, channel, PimUnit::new(TsSize::Half, 2048, 16));
+            if seed % 2 == 1 {
+                m.set_adversary(seed);
+            }
+            let mut seqs = [1u64; 4];
+            let mut out = Vec::new();
+            let mut now = 0;
+            while now < 1500 || !m.is_idle() {
+                for _ in 0..if now < 1500 { rng.gen_index(3) } else { 0 } {
+                    let w = rng.gen_index(4);
+                    let meta = ReqMeta { warp: GlobalWarpId::new(0, w), seq: seqs[w] };
+                    let addr = mapping.compose(ChannelId(0), rng.gen_range(1 << 15) * 32);
+                    let pim = |op| MemReq::Pim {
+                        instr: PimInstruction { op, addr, slot: TsSlot(0), group: MemGroupId(0) },
+                        meta,
+                    };
+                    // Warps 0 and 1 are PIM warps, 2 and 3 host warps.
+                    let req = match (w, rng.gen_bool(1, 2)) {
+                        (0 | 1, true) => pim(PimOp::Load),
+                        (0 | 1, false) => pim(PimOp::Store),
+                        (_, true) => MemReq::HostRead { addr, reg: Reg(0), meta },
+                        (_, false) => MemReq::HostWrite { addr, data: Stripe::splat(0), meta },
+                    };
+                    if m.can_accept(&req) {
+                        m.push(req);
+                        seqs[w] += 1;
+                    }
+                }
+                m.tick(now, &mut out);
+                assert_eq!(
+                    (m.bank_queued, m.room, m.busy),
+                    m.recount_bank_state(),
+                    "seed {seed} cycle {now}"
+                );
+                full_banks += (!m.room & 0xffff).count_ones();
+                now += 1;
+                assert!(
+                    now < 100_000,
+                    "seed {seed} {:?}: controller did not drain",
+                    m.cfg.ordering
+                );
+            }
+        }
+        assert!(full_banks > 1000, "coverage: {full_banks} full-bank cycles");
     }
 
     #[test]

@@ -106,6 +106,8 @@ pub struct MemoryPipe {
     out: DelayQueue<SlabRef>,
     ret: DelayQueue<MemResp>,
     sink: SharedSink,
+    /// `sink.is_enabled()`, read once in [`set_sink`](Self::set_sink).
+    traced: bool,
     channel_id: u8,
 }
 
@@ -120,6 +122,7 @@ impl MemoryPipe {
             out: DelayQueue::new(cfg.l2_out_latency, cfg.l2_out_capacity),
             ret: DelayQueue::new(cfg.return_latency, cfg.return_capacity),
             sink: nop_sink(),
+            traced: false,
             channel_id: 0,
         }
     }
@@ -128,6 +131,7 @@ impl MemoryPipe {
     /// with `channel`. Sinks only observe; attaching one never changes
     /// pipe behaviour.
     pub fn set_sink(&mut self, sink: SharedSink, channel: u8) {
+        self.traced = sink.is_enabled();
         self.sink = sink;
         self.channel_id = channel;
     }
@@ -162,7 +166,7 @@ impl MemoryPipe {
 
     /// Advances the pipe's internal stages one core cycle.
     pub fn tick(&mut self, now: CoreCycle) {
-        if self.sink.is_enabled() && now.is_multiple_of(SAMPLE_STRIDE) {
+        if self.traced && now.is_multiple_of(SAMPLE_STRIDE) {
             self.sink.emit(TraceEvent::PipeSample {
                 cycle: now,
                 channel: self.channel_id,
@@ -240,7 +244,7 @@ impl MemoryPipe {
     /// the event core's sample stream is byte-identical to the dense
     /// core's.
     pub fn skip_quiescent(&mut self, now: CoreCycle, span: u64) {
-        if self.sink.is_enabled() {
+        if self.traced {
             let in_flight = (self.icnt.len() + self.l2.len() + self.out.len()) as u32;
             let returning = self.ret.len() as u32;
             let mut cycle = now.next_multiple_of(SAMPLE_STRIDE);

@@ -2,7 +2,7 @@
 
 use orderlight::mapping::{AddressMapping, GroupMap};
 use orderlight::ConfigError;
-use orderlight_gpu::SmConfig;
+use orderlight_gpu::{SmConfig, MAX_WARPS_PER_SM};
 use orderlight_hbm::{RefreshParams, TimingParams};
 use orderlight_memctrl::{McConfig, MAX_BANKS};
 use orderlight_noc::PipeConfig;
@@ -122,6 +122,13 @@ impl SystemConfig {
                 "row size must match the address mapping (row_bytes = {}, mapping expects {})",
                 self.row_bytes,
                 self.mapping.row_bytes()
+            )));
+        }
+        if self.warps_per_sm > MAX_WARPS_PER_SM {
+            return Err(ConfigError::new(format!(
+                "too many warps per SM for the scheduler \
+                 (warps_per_sm = {}, valid range 1..={MAX_WARPS_PER_SM})",
+                self.warps_per_sm
             )));
         }
         if self.sms_used * self.warps_per_sm < self.channels {
@@ -339,6 +346,16 @@ mod tests {
         assert!(c.validate().is_err());
         let c = SystemConfig { sms_used: 1, warps_per_sm: 2, ..SystemConfig::default() };
         assert!(c.validate().is_err(), "cannot cover 16 channels");
+    }
+
+    #[test]
+    fn warps_per_sm_is_bounded_by_the_scheduler_masks() {
+        let at_bound =
+            SystemConfig { sms_used: 1, warps_per_sm: MAX_WARPS_PER_SM, ..SystemConfig::default() };
+        at_bound.validate().unwrap();
+        let over = SystemConfig { warps_per_sm: MAX_WARPS_PER_SM + 1, ..at_bound };
+        let err = over.validate().unwrap_err();
+        assert!(err.to_string().contains("warps_per_sm = 65"), "{err}");
     }
 
     #[test]

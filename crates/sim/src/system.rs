@@ -327,7 +327,7 @@ impl System {
     /// and `WarpRetire` stamps may differ across cores; see DESIGN.md,
     /// "Skip-boundary event synthesis").
     /// The default sink is [`orderlight_trace::NopSink`], which costs a
-    /// single `is_enabled()` check per would-be event.
+    /// test of a flag each component caches when the sink is attached.
     pub fn attach_sink(&mut self, sink: orderlight_trace::SharedSink) {
         for sm in &mut self.sms {
             sm.set_sink(sink.clone());

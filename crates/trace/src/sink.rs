@@ -17,9 +17,11 @@ pub trait TraceSink: Send + Sync + std::fmt::Debug {
     /// Consumes one event.
     fn emit(&self, event: TraceEvent);
 
-    /// Whether emitting is worthwhile. Call sites use this to skip event
-    /// construction entirely on the hot path; [`NopSink`] returns
-    /// `false`.
+    /// Whether emitting is worthwhile; [`NopSink`] returns `false`.
+    ///
+    /// The answer must be fixed for the sink's lifetime: components
+    /// read it once, when the sink is attached, and on the hot path test
+    /// the cached flag instead of calling this per would-be event.
     fn is_enabled(&self) -> bool {
         true
     }

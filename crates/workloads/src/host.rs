@@ -127,7 +127,6 @@ impl HostKernelGen {
                     Addressing::Random { per: RandomPer::Stripe, .. } => 0,
                 };
                 // All operand loads first (memory-level parallelism)...
-                let mut stripes = Vec::with_capacity(n as usize);
                 for s in 0..n {
                     let stripe = match addressing {
                         Addressing::Random { per: RandomPer::Stripe, span_rows } => {
@@ -135,7 +134,6 @@ impl HostKernelGen {
                         }
                         _ => tile_base + s,
                     };
-                    stripes.push(stripe);
                     let addr = self.layout.addr(self.channel, structure, stripe);
                     self.buf.push_back(KernelInstr::Load { addr, reg: Self::operand(s) });
                 }

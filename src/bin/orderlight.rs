@@ -1184,25 +1184,35 @@ impl ProfileBench {
     }
 }
 
+/// Repetitions of each timed leg in [`bench_figure_profile`].
+const PROFILE_REPS: usize = 5;
+
 /// Profiles one figure's sweep under the event core: times an
 /// unprofiled serial leg against a profiled serial leg, folds the
 /// per-cause stall totals, and computes the attribution deltas
 /// (attributed minus the SMs' own counters — exactly zero, cause by
-/// cause, when conservation holds).
+/// cause, when conservation holds). The legs alternate
+/// [`PROFILE_REPS`] times and each keeps its fastest repetition: a
+/// small figure's leg lasts milliseconds, so one sample of each would
+/// let host noise, not the profiler, decide the ratio.
 fn bench_figure_profile(figure: &'static str, specs: &[JobSpec]) -> Result<ProfileBench, ExitCode> {
     set_core_override(Some(SimCore::Event));
-    let t0 = std::time::Instant::now();
-    if let Err(e) = run_points_serial(specs) {
-        eprintln!("{figure} unprofiled event-core leg failed: {e}");
-        return Err(ExitCode::FAILURE);
+    let (mut unprofiled_s, mut profiled_s) = (f64::INFINITY, f64::INFINITY);
+    let mut outcomes = Vec::new();
+    for _ in 0..PROFILE_REPS {
+        let t0 = std::time::Instant::now();
+        if let Err(e) = run_points_serial(specs) {
+            eprintln!("{figure} unprofiled event-core leg failed: {e}");
+            return Err(ExitCode::FAILURE);
+        }
+        unprofiled_s = unprofiled_s.min(t0.elapsed().as_secs_f64());
+        let t1 = std::time::Instant::now();
+        outcomes = profile_points(specs, &Pool::new(1)).map_err(|e| {
+            eprintln!("{figure} profiled event-core leg failed: {e}");
+            ExitCode::FAILURE
+        })?;
+        profiled_s = profiled_s.min(t1.elapsed().as_secs_f64());
     }
-    let unprofiled_s = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let outcomes = profile_points(specs, &Pool::new(1)).map_err(|e| {
-        eprintln!("{figure} profiled event-core leg failed: {e}");
-        ExitCode::FAILURE
-    })?;
-    let profiled_s = t1.elapsed().as_secs_f64();
 
     let mut stalls = [0u64; StallCause::ALL.len()];
     // The equations with zero on both sides, to sum the points into.

@@ -25,6 +25,7 @@
 
 use orderlight_suite::core::fault::FaultPlan;
 use orderlight_suite::core::rng::Rng;
+use orderlight_suite::core::types::{BankId, Stripe};
 use orderlight_suite::hbm::RefreshParams;
 use orderlight_suite::memctrl::McStats;
 use orderlight_suite::pim::TsSize;
@@ -148,7 +149,7 @@ struct CaseDigest {
     label: String,
     stats: RunStats,
     channel_stats: Vec<McStats>,
-    dram_rows: Vec<((orderlight_suite::core::types::BankId, u32), Vec<u8>)>,
+    dram_rows: Vec<((BankId, u32), Vec<Stripe>)>,
     report_json: String,
 }
 
