@@ -82,9 +82,14 @@ fi
 echo "==> horizon fuzz gauntlet (tier 1: small prefix, release)"
 cargo test --release --test horizon_fuzz -q
 
+# Tier 2 runs the full gauntlet under the `release-checked` profile:
+# release code generation with every `debug_assert` live, so the
+# controller's bank-mask recount (`recount_bank_state`), the ordering
+# backend's `inflight_total` recount and the event core's LDST-head set
+# check run on all 64 cases.
 if [[ "${ORDERLIGHT_TIER2:-0}" != "0" ]]; then
-    echo "==> horizon fuzz gauntlet (tier 2: full 64 cases, release)"
-    cargo test --release --test horizon_fuzz -q -- --include-ignored
+    echo "==> horizon fuzz gauntlet (tier 2: full 64 cases, release + debug assertions)"
+    cargo test --profile release-checked --test horizon_fuzz -q -- --include-ignored
 fi
 
 # Ordering-violation oracle gate, per backend: every ordering backend
@@ -105,13 +110,13 @@ done
 # Cross-primitive comparison smoke: one checked run per backend,
 # recording speedup vs. the fence baseline, violation-freedom and
 # in-band metadata cost. Exits non-zero if any backend's run is dirty;
-# the grep then gates on the records actually landing in the v5 JSON
+# the grep then gates on the records actually landing in the v6 JSON
 # (canonical JSON: compact, keys sorted).
 echo "==> orderlight compare-ordering (cross-primitive smoke)"
 tmpcmp="$(mktemp)"
 ./target/release/orderlight compare-ordering --data-kb 8 --out "$tmpcmp"
-grep -q '"schema":"orderlight/bench-sweep/v5"' "$tmpcmp" \
-    || { echo "compare-ordering did not write a v5 document"; exit 1; }
+grep -q '"schema":"orderlight/bench-sweep/v6"' "$tmpcmp" \
+    || { echo "compare-ordering did not write a v6 document"; exit 1; }
 for backend in orderlight fence seqnum louvre bulk; do
     grep -q "\"ordering\":\"$backend\"" "$tmpcmp" \
         || { echo "compare-ordering is missing the $backend record"; exit 1; }
@@ -201,18 +206,18 @@ grep -q "^requests " "$tmpdir/top.out" && grep -q "^cache " "$tmpdir/top.out" \
 wait "$serve_pid" || { echo "serve did not exit cleanly"; exit 1; }
 trap 'rm -rf "$tmpdir"' EXIT
 
-# Sweep regression benchmark: re-runs every figure sweep serial vs
-# parallel AND cycle-core vs event-core in release mode, failing on
-# any bit-level mismatch. `--profile` additionally re-runs each figure
-# under the event core with the profiler attached (failing on any
-# conservation violation) and records per-cause stall deltas plus the
-# observability overhead in the schema-v5 JSON, alongside the
-# per-backend ordering comparison records.
-echo "==> orderlight bench --quick --profile (sweep + core + observability regression)"
-./target/release/orderlight bench --quick --profile --out BENCH_sweep.json
+# Cross-core and profile regression gate: re-runs every figure series
+# under the cycle core, the event core and a worker pool in release
+# mode, failing on any bit-level mismatch, and under the event core
+# with the profiler attached, failing on any conservation violation.
+# Records per-cause stall deltas, the observability overhead and the
+# event-core speedup in the schema-v6 JSON, alongside the per-backend
+# ordering comparison records.
+echo "==> orderlight bench (core + pool + observability regression)"
+./target/release/orderlight bench --out BENCH_sweep.json
 echo "    wrote BENCH_sweep.json"
-grep -q '"schema":"orderlight/bench-sweep/v5"' BENCH_sweep.json \
-    || { echo "bench did not write a v5 document"; exit 1; }
+grep -q '"schema":"orderlight/bench-sweep/v6"' BENCH_sweep.json \
+    || { echo "bench did not write a v6 document"; exit 1; }
 grep -q '"ordering":"louvre"' BENCH_sweep.json \
     || { echo "bench JSON is missing the per-backend ordering records"; exit 1; }
 
@@ -223,7 +228,7 @@ json_num() {
 
 # Observability overhead budget: the profiled event-core fig05 sweep
 # must cost at most 1.5x its unprofiled wall time. The bench record is
-# canonical JSON (compact, keys sorted), so in the fig05 profile entry
+# canonical JSON (compact, keys sorted), so in the fig05 entry
 # "overhead" directly follows "figure" and grep suffices. A missing
 # entry fails the gate. The two wall times the ratio divides are
 # printed beside it, so a ratio that moved because one side changed

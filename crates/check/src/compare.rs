@@ -85,8 +85,9 @@ pub struct BackendRecord {
 }
 
 impl BackendRecord {
-    /// The record as one entry of the `ordering` array in
-    /// `orderlight/bench-sweep/v5` documents.
+    /// The record as one entry of the `ordering` array in the
+    /// `orderlight/bench-sweep/v6` documents of `compare-ordering` and
+    /// `bench`.
     #[must_use]
     pub fn to_value(&self) -> Value {
         Value::obj([

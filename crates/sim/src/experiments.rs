@@ -144,10 +144,12 @@ impl JobSpec {
 /// when they share a runner.
 ///
 /// The hash leaves out the execution core, so the memo does too: a
-/// caller that switches the core to compare cores must not carry a
-/// runner across the switch (`orderlight bench` times its per-core legs
-/// with [`run_points_serial`]). Likewise a trace sink on a scenario
-/// whose result is already memoised observes nothing.
+/// caller comparing cores pins the core on each scenario and must not
+/// carry a runner from one core's scenarios to the other's
+/// (`orderlight bench` runs its per-core legs serially through
+/// [`Scenario::run`] and gives each series' pooled leg a fresh runner).
+/// Likewise a trace sink on a scenario whose result is already memoised
+/// observes nothing.
 #[derive(Debug)]
 pub struct Runner {
     pool: Pool,
@@ -260,8 +262,8 @@ pub fn fig05_points(data_bytes_per_channel: u64) -> Vec<JobSpec> {
 /// where a fence round trip punctuates every 128 B tile and cores
 /// spend most cycles stalled (the paper's worst case, Figure 5's
 /// leftmost fence bar). This is the event core's best case, so
-/// `orderlight bench` reports its cycle-vs-event speedup as a series
-/// of its own.
+/// `orderlight bench` runs it as a series of its own, whose
+/// cycle-vs-event speedup `ci.sh` gates.
 #[must_use]
 pub fn fence_heavy_points(data_bytes_per_channel: u64) -> Vec<JobSpec> {
     [WorkloadId::Scale, WorkloadId::Copy, WorkloadId::Daxpy, WorkloadId::Triad, WorkloadId::Add]

@@ -75,9 +75,9 @@
 //! is exact, LRU eviction ([`Server::with_cache_max`]) is purely a
 //! memory/latency trade: an evicted scenario recomputes bit-identically.
 //!
-//! The bench suite's `point_latency_us` percentiles become the service
-//! SLO: every result reply carries the p50/p95/p99 of request latency
-//! so far, and `{"cmd":"stats"}` exposes hit/miss counters.
+//! Every result reply carries the service SLO, the p50/p95/p99 of
+//! request latency so far, and `{"cmd":"stats"}` exposes hit/miss
+//! counters.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};

@@ -1,0 +1,338 @@
+//! The checks behind `orderlight bench`: the ones no wall-clock
+//! benchmark can make, because they compare simulated results, not
+//! timings.
+//!
+//! Each series of design points ([`run_series`]) runs
+//!
+//! - serially under the cycle core and under the event core, which must
+//!   agree point by point (the quiescence contract);
+//! - through a [`Runner`] on `--jobs` workers, which must agree with the
+//!   serial event-core run (the determinism contract);
+//! - under the event core with the stall profiler attached, whose
+//!   attribution must conserve every point's own stall counters.
+//!
+//! The cycle-vs-event and profiled-vs-unprofiled legs are timed too, for
+//! the two ratios `ci.sh` gates: the event core's speedup on the
+//! fence-heavy series and the profiler's overhead on Figure 5. Sweep
+//! throughput is perfbench's job (its `gpu-host` workload).
+//!
+//! [`document`] assembles the `orderlight/bench-sweep/v6` record and
+//! [`compare`] diffs two of them exactly, skipping only [`SKIPPED_KEYS`].
+
+use crate::profile::{profile_scenario, ProfileOutcome, ProfileReport};
+use crate::sim::experiments::{JobSpec, Runner};
+use crate::sim::system::SimError;
+use crate::sim::{Pool, RunStats, Scenario, SimCore};
+use crate::trace::json::Value;
+use crate::trace::StallCause;
+use std::collections::BTreeSet;
+use std::time::Instant;
+
+/// The schema tag of `compare-ordering` and `bench` documents.
+pub const BENCH_SCHEMA: &str = "orderlight/bench-sweep/v6";
+
+/// Repetitions of each leg of the profiler-overhead ratio.
+pub const PROFILE_REPS: usize = 5;
+
+/// The keys [`compare`] skips: wall times and the ratios taken from
+/// them, which differ between any two runs, and the two execution
+/// settings results do not depend on (`jobs` by the determinism
+/// contract, `core` by the quiescence contract).
+pub const SKIPPED_KEYS: [&str; 10] = [
+    "cycle_seconds",
+    "event_seconds",
+    "cycle_points_per_sec",
+    "event_points_per_sec",
+    "event_speedup",
+    "unprofiled_seconds",
+    "profiled_seconds",
+    "overhead",
+    "jobs",
+    "core",
+];
+
+/// What the legs of one series found.
+#[derive(Debug, Clone)]
+pub struct SeriesBench {
+    /// The series name (`fig05`, ..., `fence-ts16`).
+    pub figure: &'static str,
+    /// How many design points the series has.
+    pub points: usize,
+    /// The sum of the points' [`RunStats::core_cycles`].
+    pub core_cycles: u64,
+    /// Wall time of the serial cycle-core leg.
+    pub cycle_s: f64,
+    /// Wall time of the serial event-core leg.
+    pub event_s: f64,
+    /// Fastest of [`PROFILE_REPS`] unprofiled event-core legs.
+    pub unprofiled_s: f64,
+    /// Fastest of [`PROFILE_REPS`] profiled event-core legs.
+    pub profiled_s: f64,
+    /// Whether the cycle and event cores agreed on every point.
+    pub cores_identical: bool,
+    /// Whether the pooled run agreed with the serial event-core run.
+    pub parallel_identical: bool,
+    /// Whether every point's attribution conserved its own counters.
+    pub conserved: bool,
+    /// One line per point that broke one of those contracts.
+    pub problems: Vec<String>,
+    /// Attributed stall cycles per cause, in [`StallCause::ALL`] order.
+    pub stalls: [u64; StallCause::ALL.len()],
+    /// Attributed minus counted, per equation of
+    /// [`ProfileReport::conservation`], summed over the points.
+    pub deltas: [(&'static str, i64); 6],
+}
+
+impl SeriesBench {
+    /// The cycle core's wall time over the event core's.
+    #[must_use]
+    pub fn event_speedup(&self) -> f64 {
+        ratio(self.cycle_s, self.event_s)
+    }
+
+    /// The profiled leg's wall time over the unprofiled leg's.
+    #[must_use]
+    pub fn overhead(&self) -> f64 {
+        ratio(self.profiled_s, self.unprofiled_s)
+    }
+
+    /// The series as one entry of the document's `figures` array.
+    #[must_use]
+    pub fn to_value(&self) -> Value {
+        let points = self.points as f64;
+        let stalls = StallCause::ALL.iter().zip(self.stalls).map(|(c, v)| (c.label(), v.into()));
+        let deltas = self.deltas.map(|(name, d)| (name, d.into()));
+        Value::obj([
+            ("figure", self.figure.into()),
+            ("points", self.points.into()),
+            ("core_cycles", self.core_cycles.into()),
+            ("cycle_seconds", self.cycle_s.into()),
+            ("event_seconds", self.event_s.into()),
+            ("cycle_points_per_sec", ratio(points, self.cycle_s).into()),
+            ("event_points_per_sec", ratio(points, self.event_s).into()),
+            ("event_speedup", self.event_speedup().into()),
+            ("unprofiled_seconds", self.unprofiled_s.into()),
+            ("profiled_seconds", self.profiled_s.into()),
+            ("overhead", self.overhead().into()),
+            ("conserved", self.conserved.into()),
+            ("stalls", Value::obj(stalls)),
+            ("stall_deltas", Value::obj(deltas)),
+        ])
+    }
+}
+
+/// `a / b`, or 0 when `b` is not positive.
+fn ratio(a: f64, b: f64) -> f64 {
+    if b > 0.0 {
+        a / b
+    } else {
+        0.0
+    }
+}
+
+/// Runs `f` and returns its result with the wall time it took.
+fn timed<T>(f: impl FnOnce() -> Result<T, SimError>) -> Result<(T, f64), SimError> {
+    let start = Instant::now();
+    let value = f()?;
+    Ok((value, start.elapsed().as_secs_f64()))
+}
+
+/// Runs every scenario in order on the calling thread.
+fn serial(scenarios: &[Scenario]) -> Result<Vec<RunStats>, SimError> {
+    scenarios.iter().map(Scenario::run).collect()
+}
+
+/// Runs the legs of one series (see the module docs). Every scenario
+/// pins its core, so nothing process-wide is switched.
+///
+/// # Errors
+/// The first spec that fails validation, or the first run that fails.
+pub fn run_series(
+    figure: &'static str,
+    specs: &[JobSpec],
+    jobs: usize,
+) -> Result<SeriesBench, SimError> {
+    let on = |core| -> Result<Vec<Scenario>, SimError> {
+        Ok(specs.iter().map(|s| s.builder().core(core).build()).collect::<Result<_, _>>()?)
+    };
+    let (cycle, event) = (on(SimCore::Cycle)?, on(SimCore::Event)?);
+    let (cycle_stats, cycle_s) = timed(|| serial(&cycle))?;
+    let (event_stats, event_s) = timed(|| serial(&event))?;
+    let pooled = Runner::new(Pool::new(jobs)).run(&event)?;
+
+    // The legs alternate and each keeps its fastest repetition: a small
+    // series lasts milliseconds, so one sample of each would let host
+    // noise, not the profiler, decide the ratio.
+    let (mut unprofiled_s, mut profiled_s) = (f64::INFINITY, f64::INFINITY);
+    let mut outcomes = Vec::new();
+    for _ in 0..PROFILE_REPS {
+        unprofiled_s = unprofiled_s.min(timed(|| serial(&event))?.1);
+        let (profiled, s) = timed(|| event.iter().map(profile_scenario).collect())?;
+        (outcomes, profiled_s) = (profiled, profiled_s.min(s));
+    }
+
+    let mut problems = Vec::new();
+    let mut agree = |other: &[RunStats], what: &str| {
+        let before = problems.len();
+        for (i, p) in specs.iter().enumerate().filter(|&(i, _)| other[i] != event_stats[i]) {
+            let at =
+                format!("{figure} point {i} ({} {} {} bmf={})", p.workload, p.ts, p.mode, p.bmf);
+            problems.push(format!("MISMATCH at {at}: {what}"));
+        }
+        problems.len() == before
+    };
+    let cores_identical = agree(&cycle_stats, "event core diverges from cycle core");
+    let parallel_identical = agree(&pooled, "pooled run diverges from serial");
+    let conserved = outcomes.iter().all(ProfileOutcome::is_conserved);
+    let mut stalls = [0u64; StallCause::ALL.len()];
+    // The equations with zero on both sides, to sum the points into.
+    let mut sums = ProfileReport::default().conservation(&RunStats::default());
+    for (i, o) in outcomes.iter().enumerate() {
+        for (slot, cause) in StallCause::ALL.into_iter().enumerate() {
+            stalls[slot] += o.report.stall(cause);
+        }
+        for (sum, (_, attributed, counted)) in sums.iter_mut().zip(o.report.conservation(&o.stats))
+        {
+            sum.1 += attributed;
+            sum.2 += counted;
+        }
+        if !o.is_conserved() {
+            problems.push(format!("{figure} point {i}: {}", o.summary()));
+        }
+    }
+    let signed = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
+    Ok(SeriesBench {
+        figure,
+        points: specs.len(),
+        core_cycles: event_stats.iter().map(|s| s.core_cycles).sum(),
+        cycle_s,
+        event_s,
+        unprofiled_s,
+        profiled_s,
+        cores_identical,
+        parallel_identical,
+        conserved,
+        problems,
+        stalls,
+        deltas: sums
+            .map(|(name, attributed, counted)| (name, signed(attributed) - signed(counted))),
+    })
+}
+
+/// The `orderlight/bench-sweep/v6` record of a bench run: the series,
+/// the three verdicts over all of them, and the per-backend ordering
+/// records (run on `core`).
+#[must_use]
+pub fn document(
+    data_kb: u64,
+    jobs: usize,
+    core: SimCore,
+    series: &[SeriesBench],
+    ordering: Value,
+) -> Value {
+    Value::obj([
+        ("schema", BENCH_SCHEMA.into()),
+        ("data_kb", data_kb.into()),
+        ("jobs", jobs.into()),
+        ("core", core.as_str().into()),
+        ("figures", Value::Arr(series.iter().map(SeriesBench::to_value).collect())),
+        ("cores_identical", series.iter().all(|s| s.cores_identical).into()),
+        ("identical", series.iter().all(|s| s.parallel_identical).into()),
+        ("conserved", series.iter().all(|s| s.conserved).into()),
+        ("ordering", ordering),
+    ])
+}
+
+/// A document [`compare`] cannot read: its `schema` tag is not
+/// [`BENCH_SCHEMA`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SchemaError {
+    /// Which document: 0 for the first, 1 for the second.
+    pub index: usize,
+    /// The tag it carries, if any.
+    pub found: Option<String>,
+}
+
+impl std::fmt::Display for SchemaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let tag = self.found.as_deref().unwrap_or("(none)");
+        write!(f, "schema tag '{tag}' is not {BENCH_SCHEMA}")
+    }
+}
+
+impl std::error::Error for SchemaError {}
+
+/// One path at which two documents differ, with each side's value
+/// (`None` where the path is absent).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Difference {
+    /// Dotted path; array entries are named by their `figure` or
+    /// `ordering` label, else by index (`figures[fig05].stalls.fence_wait`).
+    pub path: String,
+    /// The first document's value.
+    pub a: Option<Value>,
+    /// The second document's value.
+    pub b: Option<Value>,
+}
+
+/// Every path outside [`SKIPPED_KEYS`] at which `a` and `b` differ, in
+/// path order. Results are deterministic, so any difference is real and
+/// no threshold applies.
+///
+/// # Errors
+/// [`SchemaError`] if either document is not a [`BENCH_SCHEMA`] record.
+pub fn compare(a: &Value, b: &Value) -> Result<Vec<Difference>, SchemaError> {
+    for (index, doc) in [a, b].into_iter().enumerate() {
+        let found = doc.get("schema").and_then(Value::as_str);
+        if found != Some(BENCH_SCHEMA) {
+            return Err(SchemaError { index, found: found.map(str::to_string) });
+        }
+    }
+    let mut out = Vec::new();
+    diff(String::new(), Some(a), Some(b), &mut out);
+    Ok(out)
+}
+
+/// An array entry's `figure` or `ordering` label.
+fn label(entry: &Value) -> Option<&str> {
+    entry.get("figure").or_else(|| entry.get("ordering")).and_then(Value::as_str)
+}
+
+/// An array's entries, each named for a [`Difference`] path by its
+/// [`label`], else (no label, or one an earlier entry took) its index.
+fn named(entries: &[Value]) -> Vec<(String, &Value)> {
+    let named = entries.iter().enumerate().map(|(i, e)| {
+        let name = label(e).filter(|&n| !entries[..i].iter().any(|p| label(p) == Some(n)));
+        (name.map_or(i.to_string(), str::to_string), e)
+    });
+    named.collect()
+}
+
+/// Appends every difference between `a` and `b` below `path`.
+fn diff(path: String, a: Option<&Value>, b: Option<&Value>, out: &mut Vec<Difference>) {
+    match (a, b) {
+        (Some(Value::Obj(a)), Some(Value::Obj(b))) => {
+            let keys: BTreeSet<&String> = a.keys().chain(b.keys()).collect();
+            for key in keys.into_iter().filter(|k| !SKIPPED_KEYS.contains(&k.as_str())) {
+                let child = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
+                diff(child, a.get(key), b.get(key), out);
+            }
+        }
+        (Some(Value::Arr(a)), Some(Value::Arr(b))) => {
+            let (a, b) = (named(a), named(b));
+            let mut names: Vec<&str> = a.iter().map(|(n, _)| n.as_str()).collect();
+            for (n, _) in &b {
+                if !names.contains(&n.as_str()) {
+                    names.push(n);
+                }
+            }
+            for name in names {
+                let a = a.iter().find(|(n, _)| n == name).map(|e| e.1);
+                let b = b.iter().find(|(n, _)| n == name).map(|e| e.1);
+                diff(format!("{path}[{name}]"), a, b, out);
+            }
+        }
+        _ if a == b => {}
+        _ => out.push(Difference { path, a: a.cloned(), b: b.cloned() }),
+    }
+}

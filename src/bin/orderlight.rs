@@ -9,8 +9,8 @@
 //! orderlight sweep [fig05|fig10|fig12|fig13|all] [--data-kb N]
 //! orderlight figure ID|all [--data-kb N]
 //! orderlight compare-ordering [--workload NAME] [--data-kb N] [--out PATH]
-//! orderlight bench [--quick] [--profile] [--data-kb N] [--out PATH]
-//! orderlight bench --compare A.json B.json [--threshold PCT]
+//! orderlight bench [--data-kb N] [--out PATH]
+//! orderlight bench --compare A.json B.json
 //! orderlight serve [--addr HOST:PORT]
 //! orderlight submit [run flags] [--budget N] --addr HOST:PORT [--out PATH]
 //! orderlight schema
@@ -46,7 +46,7 @@
 //! orderlight run --workload KMeans --mode fence --ts 2 --data-kb 512
 //! orderlight trace Add --mode fence --data-kb 16 --out /tmp/add_fence
 //! orderlight sweep fig10 --jobs 8 > fig10.csv
-//! orderlight bench --quick --out BENCH_sweep.json
+//! orderlight bench --out BENCH_sweep.json
 //! ```
 //!
 //! `trace` runs the workload with a recording sink attached and writes
@@ -85,40 +85,32 @@
 //! controller ordering backend (fence, orderlight, seqnum, louvre,
 //! bulk) with the happens-before oracle attached and records speedup
 //! over the fence baseline, violation-freedom, and in-band ordering
-//! metadata cost per backend into a `bench-sweep/v5` JSON document.
+//! metadata cost per backend into a `bench-sweep/v6` JSON document.
 //! It exits non-zero if any backend's run was not violation-free.
 //!
-//! `bench` times the distinct points of the four figure sweeps serially
-//! and in parallel, verifies the two result sets are bit-identical,
-//! prints wall-clock/points-per-sec/speedup, and writes a
-//! machine-readable `BENCH_sweep.json` so the perf trajectory of the
-//! sweep engine is recorded over time. It also
-//! times every figure under the cycle core and the event core and
-//! cross-checks them point by point. With `--profile` it additionally
-//! re-runs every figure under the event core with the stall profiler
-//! attached, records per-cause stall totals, the attribution deltas
-//! against the SMs' own counters (zero when conservation holds), and
-//! the observability overhead (profiled vs. unprofiled wall time) into
-//! the JSON, failing on any conservation violation. With `--compare`
-//! it instead diffs two previously written `BENCH_sweep.json` files
-//! (any schema >= v2): per-figure wall-time and point-latency
-//! p50/p95/p99 deltas, exiting non-zero when the newer file regresses
-//! past `--threshold` percent (default 20). Exits non-zero on any
-//! parallel/serial or cycle/event mismatch.
+//! `bench` runs every figure series (and the fence-heavy `fence-ts16`
+//! series) under the cycle core, the event core, a `--jobs` pool and the
+//! stall profiler, plus the `compare-ordering` records, and writes them
+//! to `BENCH_sweep.json`. It exits non-zero if the cores or the pool
+//! disagree on a single point, if a stall cycle goes unattributed, or
+//! if a backend is dirty. Its two timed ratios (event-core speedup,
+//! profiler overhead) exist for `ci.sh`'s gates; sweep throughput is
+//! measured by perfbench. `bench --compare A B` reports every
+//! deterministic field (stalls, cycles, verdicts, ordering records)
+//! that differs between two such files and exits non-zero if one does.
 
+use orderlight_suite::bench::{self, BENCH_SCHEMA};
 use orderlight_suite::check::{check_scenario, compare_backends, BackendRecord};
 use orderlight_suite::core::fault::{DropEdge, FaultPlan, NocJitter, RefreshStorm};
-use orderlight_suite::profile::{
-    profile_points, profile_scenario_with, ProfileReport, PROFILE_SCHEMA,
-};
+use orderlight_suite::profile::{profile_scenario_with, PROFILE_SCHEMA};
 use orderlight_suite::sim::cli::{take_common_flags, CommonFlags};
-use orderlight_suite::sim::core_select::{set_core_override, SimCore};
+use orderlight_suite::sim::core_select::SimCore;
 use orderlight_suite::sim::experiments::{
-    fence_heavy_points, fig05_points, fig10_points, fig12_points, fig13_points, run_points_serial,
-    JobSpec, Runner, SweepPoint,
+    fence_heavy_points, fig05_points, fig10_points, fig12_points, fig13_points, JobSpec, Runner,
+    SweepPoint,
 };
 use orderlight_suite::sim::figures::FIGURES;
-use orderlight_suite::sim::pool::{available_jobs, Pool};
+use orderlight_suite::sim::pool::Pool;
 use orderlight_suite::sim::report::bar_chart;
 use orderlight_suite::sim::schema::{
     parse_mode, parse_ts, parse_workload, schema_document, stats_to_value, ScenarioSpec,
@@ -169,7 +161,7 @@ macro_rules! outln {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  orderlight run [--workload NAME] [--mode gpu|none|fence|orderlight|seqnum|louvre|bulk]\n                 [--ts 16|8|4|2] [--bmf N] [--data-kb N] [--credits N]\n  orderlight check [run flags] [--faults none|noc|sched|storm|all[,..]] [--mutate CH:G]\n  orderlight trace [WORKLOAD] [run flags] [--out PATH] [--events N]\n  orderlight profile [WORKLOAD] [run flags] [--out PATH] [--events N]\n  orderlight profile-verify PROFILE.json [..]\n  orderlight sweep [fig05|fig10|fig12|fig13|all] [--data-kb N]\n  orderlight figure ID|all [--data-kb N]\n  orderlight compare-ordering [--workload NAME] [--data-kb N] [--out PATH]\n  orderlight bench [--quick] [--profile] [--data-kb N] [--out PATH]\n  orderlight bench --compare A.json B.json [--threshold PCT]\n  orderlight serve [--addr HOST:PORT] [--cache-max N] [--slow-ms N] [--no-telemetry]\n  orderlight submit [run flags] [--budget N] --addr HOST:PORT [--out PATH] [--span-trace PATH]\n  orderlight submit [run flags] [--budget N] --local [--out PATH]\n  orderlight submit --addr HOST:PORT --shutdown | --stats | --metrics | --metrics-text | --flightrec\n  orderlight top --addr HOST:PORT [--interval-ms N] [--count N | --once]\n  orderlight schema\n  orderlight list\n  orderlight taxonomy\nevery subcommand accepts the shared flags --jobs/-j N, --core cycle|event,\n--seed N and --ordering MODE (see `orderlight schema` for the wire surface)"
+        "usage:\n  orderlight run [--workload NAME] [--mode gpu|none|fence|orderlight|seqnum|louvre|bulk]\n                 [--ts 16|8|4|2] [--bmf N] [--data-kb N] [--credits N]\n  orderlight check [run flags] [--faults none|noc|sched|storm|all[,..]] [--mutate CH:G]\n  orderlight trace [WORKLOAD] [run flags] [--out PATH] [--events N]\n  orderlight profile [WORKLOAD] [run flags] [--out PATH] [--events N]\n  orderlight profile-verify PROFILE.json [..]\n  orderlight sweep [fig05|fig10|fig12|fig13|all] [--data-kb N]\n  orderlight figure ID|all [--data-kb N]\n  orderlight compare-ordering [--workload NAME] [--data-kb N] [--out PATH]\n  orderlight bench [--data-kb N] [--out PATH]\n  orderlight bench --compare A.json B.json\n  orderlight serve [--addr HOST:PORT] [--cache-max N] [--slow-ms N] [--no-telemetry]\n  orderlight submit [run flags] [--budget N] --addr HOST:PORT [--out PATH] [--span-trace PATH]\n  orderlight submit [run flags] [--budget N] --local [--out PATH]\n  orderlight submit --addr HOST:PORT --shutdown | --stats | --metrics | --metrics-text | --flightrec\n  orderlight top --addr HOST:PORT [--interval-ms N] [--count N | --once]\n  orderlight schema\n  orderlight list\n  orderlight taxonomy\nevery subcommand accepts the shared flags --jobs/-j N, --core cycle|event,\n--seed N and --ordering MODE (see `orderlight schema` for the wire surface)"
     );
     ExitCode::from(2)
 }
@@ -230,15 +222,19 @@ fn write_json(path: &str, doc: &Value) -> Result<(), ExitCode> {
     write_file(path, doc.to_json() + "\n")
 }
 
-/// Reads `path` as a JSON document whose `schema` tag passes `accept`;
-/// `wanted` names the accepted tags in the error.
-fn read_document(path: &str, wanted: &str, accept: impl Fn(&str) -> bool) -> Result<Value, String> {
+/// Reads `path` as a JSON document.
+fn read_json(path: &str) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: does not parse: {e}"))?;
+    json::parse(&text).map_err(|e| format!("{path}: does not parse: {e}"))
+}
+
+/// Reads `path` as a JSON document tagged `schema`.
+fn read_document(path: &str, schema: &str) -> Result<Value, String> {
+    let doc = read_json(path)?;
     match doc.get("schema").and_then(Value::as_str) {
-        Some(tag) if accept(tag) => Ok(doc),
-        Some(tag) => Err(format!("{path}: schema '{tag}' is not {wanted}")),
-        None => Err(format!("{path}: no schema tag (want {wanted})")),
+        Some(tag) if tag == schema => Ok(doc),
+        Some(tag) => Err(format!("{path}: schema '{tag}' is not {schema}")),
+        None => Err(format!("{path}: no schema tag (want {schema})")),
     }
 }
 
@@ -784,7 +780,7 @@ fn cmd_profile_verify(paths: &[String]) -> ExitCode {
         return usage();
     }
     for path in paths {
-        let doc = match read_document(path, PROFILE_SCHEMA, |tag| tag == PROFILE_SCHEMA) {
+        let doc = match read_document(path, PROFILE_SCHEMA) {
             Ok(doc) => doc,
             Err(e) => {
                 eprintln!("{e}");
@@ -954,19 +950,7 @@ fn cmd_figure(args: &[String], jobs: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The schema tag of `compare-ordering` and `bench` documents.
-const BENCH_SCHEMA: &str = "orderlight/bench-sweep/v5";
-
-/// `a / b`, or 0 when `b` is not positive.
-fn ratio(a: f64, b: f64) -> f64 {
-    if b > 0.0 {
-        a / b
-    } else {
-        0.0
-    }
-}
-
-/// The `ordering` array of a `bench-sweep/v5` document.
+/// The `ordering` array of a `bench-sweep/v6` document.
 fn ordering_array(records: &[BackendRecord]) -> Value {
     Value::Arr(records.iter().map(BackendRecord::to_value).collect())
 }
@@ -1021,7 +1005,7 @@ fn run_ordering_comparison(
 /// `orderlight compare-ordering`: the cross-primitive comparison as a
 /// first-class subcommand. Runs every ordering backend over the same
 /// workload with the happens-before oracle attached and writes the
-/// per-backend records as a `bench-sweep/v5` document. Exits non-zero
+/// per-backend records as a `bench-sweep/v6` document. Exits non-zero
 /// if any backend's run was not violation-free — a comparison between
 /// a correct backend and a broken one is not a comparison.
 fn cmd_compare_ordering(args: &[String], core: SimCore) -> ExitCode {
@@ -1084,553 +1068,123 @@ fn cmd_compare_ordering(args: &[String], core: SimCore) -> ExitCode {
     }
 }
 
-/// One figure's cycle-core-vs-event-core serial timing.
-struct CoreBench {
-    figure: &'static str,
-    points: usize,
-    cycle_s: f64,
-    event_s: f64,
-}
-
-impl CoreBench {
-    /// Event-core speedup over the cycle core (wall-clock ratio).
-    fn speedup(&self) -> f64 {
-        ratio(self.cycle_s, self.event_s)
-    }
-
-    fn to_value(&self) -> Value {
-        let points = self.points as f64;
-        Value::obj([
-            ("figure", self.figure.into()),
-            ("points", self.points.into()),
-            ("cycle_seconds", self.cycle_s.into()),
-            ("event_seconds", self.event_s.into()),
-            ("cycle_points_per_sec", ratio(points, self.cycle_s).into()),
-            ("event_points_per_sec", ratio(points, self.event_s).into()),
-            ("event_speedup", self.speedup().into()),
-        ])
-    }
-}
-
-/// Times one figure's sweep serially under each core and cross-checks
-/// the two result sets point by point. Leaves the process core override
-/// on whatever core ran last; the caller restores it.
-fn bench_figure_cores(
-    figure: &'static str,
-    specs: &[JobSpec],
-) -> Result<(CoreBench, bool), ExitCode> {
-    let leg = |core: SimCore| {
-        set_core_override(Some(core));
-        let t = std::time::Instant::now();
-        let rows = run_points_serial(specs).map_err(|e| {
-            eprintln!("{figure} {}-core sweep failed: {e}", core.as_str());
-            ExitCode::FAILURE
-        })?;
-        Ok::<_, ExitCode>((rows, t.elapsed().as_secs_f64()))
+/// `orderlight bench --compare A.json B.json`: prints every path at
+/// which the two records differ outside [`bench::SKIPPED_KEYS`], with both
+/// values, and exits non-zero if there is one.
+fn cmd_bench_compare(paths: [&str; 2]) -> ExitCode {
+    let differences = match (read_json(paths[0]), read_json(paths[1])) {
+        (Ok(a), Ok(b)) => bench::compare(&a, &b).map_err(|e| format!("{}: {e}", paths[e.index])),
+        (Err(e), _) | (_, Err(e)) => Err(e),
     };
-    let (cycle_rows, cycle_s) = leg(SimCore::Cycle)?;
-    let (event_rows, event_s) = leg(SimCore::Event)?;
-    let identical = cycle_rows == event_rows;
-    if !identical {
-        for (i, (c, e)) in cycle_rows.iter().zip(&event_rows).enumerate() {
-            if c != e {
-                eprintln!(
-                    "  MISMATCH at {figure} point {i} ({} {} {} bmf={}): event core diverges from cycle core",
-                    c.workload, c.ts, c.mode, c.bmf
-                );
-            }
-        }
-    }
-    let bench = CoreBench { figure, points: specs.len(), cycle_s, event_s };
-    Ok((bench, identical))
-}
-
-/// One figure's event-core observability measurement from `bench
-/// --profile`: per-cause stall totals, attribution deltas against the
-/// SMs' own counters, and the profiled-vs-unprofiled overhead.
-struct ProfileBench {
-    figure: &'static str,
-    points: usize,
-    unprofiled_s: f64,
-    profiled_s: f64,
-    /// Attributed cycles per cause, in [`StallCause::ALL`] order.
-    stalls: [u64; StallCause::ALL.len()],
-    /// Attributed minus counted, per equation of
-    /// [`ProfileReport::conservation`]. All zero exactly when
-    /// conservation holds.
-    deltas: [(&'static str, i64); 6],
-    conserved: bool,
-}
-
-impl ProfileBench {
-    /// Profiled over unprofiled wall time; 1.0 means free observability.
-    fn overhead(&self) -> f64 {
-        ratio(self.profiled_s, self.unprofiled_s)
-    }
-
-    fn to_value(&self) -> Value {
-        let stalls = StallCause::ALL.iter().zip(self.stalls).map(|(c, v)| (c.label(), v.into()));
-        let deltas = self.deltas.map(|(name, d)| (name, d.into()));
-        Value::obj([
-            ("figure", self.figure.into()),
-            ("points", self.points.into()),
-            ("unprofiled_seconds", self.unprofiled_s.into()),
-            ("profiled_seconds", self.profiled_s.into()),
-            ("overhead", self.overhead().into()),
-            ("conserved", self.conserved.into()),
-            ("stalls", Value::obj(stalls)),
-            ("stall_deltas", Value::obj(deltas)),
-        ])
-    }
-}
-
-/// Repetitions of each timed leg in [`bench_figure_profile`].
-const PROFILE_REPS: usize = 5;
-
-/// Profiles one figure's sweep under the event core: times an
-/// unprofiled serial leg against a profiled serial leg, folds the
-/// per-cause stall totals, and computes the attribution deltas
-/// (attributed minus the SMs' own counters — exactly zero, cause by
-/// cause, when conservation holds). The legs alternate
-/// [`PROFILE_REPS`] times and each keeps its fastest repetition: a
-/// small figure's leg lasts milliseconds, so one sample of each would
-/// let host noise, not the profiler, decide the ratio.
-fn bench_figure_profile(figure: &'static str, specs: &[JobSpec]) -> Result<ProfileBench, ExitCode> {
-    set_core_override(Some(SimCore::Event));
-    let (mut unprofiled_s, mut profiled_s) = (f64::INFINITY, f64::INFINITY);
-    let mut outcomes = Vec::new();
-    for _ in 0..PROFILE_REPS {
-        let t0 = std::time::Instant::now();
-        if let Err(e) = run_points_serial(specs) {
-            eprintln!("{figure} unprofiled event-core leg failed: {e}");
-            return Err(ExitCode::FAILURE);
-        }
-        unprofiled_s = unprofiled_s.min(t0.elapsed().as_secs_f64());
-        let t1 = std::time::Instant::now();
-        outcomes = profile_points(specs, &Pool::new(1)).map_err(|e| {
-            eprintln!("{figure} profiled event-core leg failed: {e}");
-            ExitCode::FAILURE
-        })?;
-        profiled_s = profiled_s.min(t1.elapsed().as_secs_f64());
-    }
-
-    let mut stalls = [0u64; StallCause::ALL.len()];
-    // The equations with zero on both sides, to sum the points into.
-    let mut sums = ProfileReport::default().conservation(&RunStats::default());
-    let mut conserved = true;
-    for (i, o) in outcomes.iter().enumerate() {
-        for (slot, cause) in StallCause::ALL.into_iter().enumerate() {
-            stalls[slot] += o.report.stall(cause);
-        }
-        for (sum, (_, attributed, counted)) in sums.iter_mut().zip(o.report.conservation(&o.stats))
-        {
-            sum.1 += attributed;
-            sum.2 += counted;
-        }
-        if !o.is_conserved() {
-            conserved = false;
-            eprintln!("  {figure} point {i}: {}", o.summary());
-        }
-    }
-    let signed = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-    let deltas =
-        sums.map(|(name, attributed, counted)| (name, signed(attributed) - signed(counted)));
-    Ok(ProfileBench {
-        figure,
-        points: specs.len(),
-        unprofiled_s,
-        profiled_s,
-        stalls,
-        deltas,
-        conserved,
-    })
-}
-
-/// The nearest-rank `pct` percentile of ascending `sorted` samples:
-/// the smallest sample with at least `pct`% of all samples at or below
-/// it (0 when there are none).
-fn nearest_rank(sorted: &[u64], pct: usize) -> u64 {
-    let rank = (pct * sorted.len()).div_ceil(100).clamp(1, sorted.len().max(1));
-    sorted.get(rank - 1).copied().unwrap_or(0)
-}
-
-/// One metric's before/after pair for `bench --compare`: prints the
-/// delta and reports whether the newer value regressed past the
-/// threshold (only slowdowns count — a speedup is never a regression).
-fn compare_metric(label: &str, a: f64, b: f64, threshold_pct: f64) -> bool {
-    if a <= 0.0 || b < 0.0 {
-        outln!("  {label}: not comparable ({a} -> {b})");
-        return false;
-    }
-    let pct = (b - a) / a * 100.0;
-    let regressed = pct > threshold_pct;
-    outln!(
-        "  {label}: {a:.6} -> {b:.6}  ({pct:+.1}%{})",
-        if regressed { ", REGRESSION" } else { "" }
-    );
-    regressed
-}
-
-/// `orderlight bench --compare A.json B.json`: diffs two bench record
-/// files (schema `orderlight/bench-sweep/v2` or later — older files
-/// simply lack the point-latency percentiles), printing per-figure
-/// cycle/event wall-time deltas and the top-level wall-time and
-/// p50/p95/p99 latency deltas. Exits non-zero if any timing in `B`
-/// regresses more than `threshold_pct` percent over `A`.
-fn cmd_bench_compare(a_path: &str, b_path: &str, threshold_pct: f64) -> ExitCode {
-    let load = |path: &str| {
-        read_document(path, "orderlight/bench-sweep/v2 or later", |tag| {
-            tag.strip_prefix("orderlight/bench-sweep/v")
-                .and_then(|v| v.parse::<u32>().ok())
-                .is_some_and(|v| v >= 2)
-        })
-    };
-    let (a, b) = match (load(a_path), load(b_path)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
+    let differences = match differences {
+        Ok(d) => d,
+        Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    outln!(
-        "comparing {a_path} ({}) -> {b_path} ({}), threshold {threshold_pct}%",
-        a.get("schema").and_then(Value::as_str).unwrap_or("?"),
-        b.get("schema").and_then(Value::as_str).unwrap_or("?"),
-    );
-
-    let mut regressed = false;
-    for key in ["serial_seconds", "parallel_seconds"] {
-        if let (Some(av), Some(bv)) =
-            (a.get(key).and_then(Value::as_f64), b.get(key).and_then(Value::as_f64))
-        {
-            regressed |= compare_metric(key, av, bv, threshold_pct);
-        }
+    let show = |v: &Option<Value>| v.as_ref().map_or("absent".to_string(), Value::to_json);
+    for d in &differences {
+        outln!("  {}: {} -> {}", d.path, show(&d.a), show(&d.b));
     }
-    for pct in ["p50", "p95", "p99"] {
-        let lat = |doc: &Value| {
-            doc.get("point_latency_us").and_then(|l| l.get(pct)).and_then(Value::as_f64)
-        };
-        if let (Some(av), Some(bv)) = (lat(&a), lat(&b)) {
-            regressed |= compare_metric(&format!("point_latency_us.{pct}"), av, bv, threshold_pct);
-        }
-    }
-
-    let figures = |doc: &Value| -> Vec<(String, f64, f64)> {
-        doc.get("figures")
-            .and_then(Value::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|f| {
-                Some((
-                    f.get("figure")?.as_str()?.to_string(),
-                    f.get("cycle_seconds")?.as_f64()?,
-                    f.get("event_seconds")?.as_f64()?,
-                ))
-            })
-            .collect()
-    };
-    let a_figs = figures(&a);
-    for (name, b_cycle, b_event) in figures(&b) {
-        let Some((_, a_cycle, a_event)) = a_figs.iter().find(|(n, ..)| *n == name) else {
-            outln!("  {name}: only in {b_path}, skipped");
-            continue;
-        };
-        regressed |=
-            compare_metric(&format!("{name}.cycle_seconds"), *a_cycle, b_cycle, threshold_pct);
-        regressed |=
-            compare_metric(&format!("{name}.event_seconds"), *a_event, b_event, threshold_pct);
-    }
-
-    if regressed {
-        eprintln!("REGRESSION past {threshold_pct}% — see lines above");
-        ExitCode::FAILURE
-    } else {
-        outln!("ok: no timing regressed past {threshold_pct}%");
+    if differences.is_empty() {
+        outln!("ok: {} and {} agree outside the skipped keys", paths[0], paths[1]);
         ExitCode::SUCCESS
+    } else {
+        eprintln!("{} difference(s) between {} and {}", differences.len(), paths[0], paths[1]);
+        ExitCode::FAILURE
     }
 }
 
 fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
     let (jobs, core) = (common.jobs, common.core);
-    let mut quick = false;
-    let mut profile = false;
     let mut out = "BENCH_sweep.json".to_string();
     let mut data: Option<u64> = None;
-    let mut compare: Option<(String, String)> = None;
-    let mut threshold_pct = 20.0f64;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let ok = match flag.as_str() {
-            "--quick" => {
-                quick = true;
-                true
+        let value = match flag.as_str() {
+            "--compare" => {
+                let [a, b] = it.as_slice() else {
+                    eprintln!("--compare takes exactly two BENCH_sweep.json paths");
+                    return usage();
+                };
+                return cmd_bench_compare([a, b]);
             }
-            "--profile" => {
-                profile = true;
-                true
-            }
-            "--compare" => match (it.next(), it.next()) {
-                (Some(a), Some(b)) => {
-                    compare = Some((a.clone(), b.clone()));
-                    true
-                }
-                _ => {
-                    eprintln!("--compare needs two BENCH_sweep.json paths");
-                    return usage();
-                }
-            },
-            "--threshold" => match it.next() {
-                Some(v) => v.parse().map(|n: f64| threshold_pct = n).is_ok(),
-                None => {
-                    eprintln!("missing value for {flag}");
-                    return usage();
-                }
-            },
-            "--out" | "-o" => match it.next() {
-                Some(v) => {
-                    out.clone_from(v);
-                    true
-                }
-                None => {
-                    eprintln!("missing value for {flag}");
-                    return usage();
-                }
-            },
-            "--data-kb" => match it.next() {
-                Some(v) => kib_bytes(v).map(|bytes| data = Some(bytes)).is_some(),
-                None => {
-                    eprintln!("missing value for {flag}");
-                    return usage();
-                }
-            },
+            "--out" | "-o" | "--data-kb" => it.next(),
             _ => {
                 eprintln!("unknown flag {flag}");
                 return usage();
             }
         };
+        let ok = match value {
+            Some(v) if flag == "--data-kb" => {
+                kib_bytes(v).map(|bytes| data = Some(bytes)).is_some()
+            }
+            Some(v) => {
+                out.clone_from(v);
+                true
+            }
+            None => false,
+        };
         if !ok {
-            eprintln!("invalid value for {flag}");
+            eprintln!("missing or invalid value for {flag}");
             return usage();
         }
     }
-    if let Some((a, b)) = compare {
-        return cmd_bench_compare(&a, &b, threshold_pct);
-    }
-    // The quick profile is the CI smoke: every figure sweep, but at a
-    // reduced job size (seconds instead of minutes), still exercising
-    // GPU/fence/OrderLight/unordered modes end to end.
-    let data = match data_bytes(data, if quick { 8 } else { 32 }) {
+    let data = match data_bytes(data, 8) {
         Ok(data) => data,
         Err(code) => return code,
     };
     let data_kb = data / 1024;
-    let figures = sweep_figures("all", data).expect("'all' is always known");
-    // The timed legs run each distinct point once, as `figure` and
-    // `sweep` do: Fig. 5's fence bars and Fig. 13's BMF-16 row are Fig.
-    // 10 points. Every spec field is part of the scenario hash, so equal
-    // specs are exactly the shared points.
-    let mut specs: Vec<JobSpec> = Vec::new();
-    for spec in figures.iter().flat_map(|(_, s)| s) {
-        if !specs.contains(spec) {
-            specs.push(*spec);
-        }
-    }
+    let mut series = sweep_figures("all", data).expect("'all' is always known");
+    series.push(("fence-ts16", fence_heavy_points(data)));
     outln!(
-        "benchmarking sweep execution: {} distinct points ({}) at {data_kb} KiB/structure/channel (core: {})",
-        specs.len(),
-        figures.iter().map(|(n, s)| format!("{n}={}", s.len())).collect::<Vec<_>>().join(", "),
-        core.as_str(),
+        "benchmarking {} series at {data_kb} KiB/structure/channel: cycle vs event core, \
+         serial vs --jobs {jobs}, profiled vs unprofiled (event core)",
+        series.len()
     );
-
-    // Untimed warm-up pass: the first sweep pays one-off costs (heap
-    // growth, page faults) that would otherwise be billed entirely to
-    // the serial leg and inflate the reported speedup.
-    if let Err(e) = run_points_serial(&specs) {
-        eprintln!("warm-up sweep failed: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    // The timed serial leg runs point by point (the same loop
-    // `run_points_serial` performs) so each point's wall latency is
-    // kept for the exact p50/p95/p99 summary.
-    let t0 = std::time::Instant::now();
-    let mut point_us = Vec::with_capacity(specs.len());
-    let mut serial = Vec::with_capacity(specs.len());
-    for spec in &specs {
-        let tp = std::time::Instant::now();
-        match spec.run() {
-            Ok(row) => serial.push(row),
+    let mut benches = Vec::with_capacity(series.len());
+    let mut passed = true;
+    for (name, specs) in &series {
+        let s = match bench::run_series(name, specs, jobs) {
+            Ok(s) => s,
             Err(e) => {
-                eprintln!("serial sweep failed: {e}");
+                eprintln!("{name}: {e}");
                 return ExitCode::FAILURE;
             }
-        }
-        point_us.push(u64::try_from(tp.elapsed().as_micros()).unwrap_or(u64::MAX));
-    }
-    let serial_s = t0.elapsed().as_secs_f64();
-    outln!("  serial  : {serial_s:.3} s  ({:.2} points/s)", specs.len() as f64 / serial_s);
-    point_us.sort_unstable();
-    let latency =
-        [("p50", 50), ("p95", 95), ("p99", 99)].map(|(name, p)| (name, nearest_rank(&point_us, p)));
-    outln!(
-        "  latency : per-point p50 {} us, p95 {} us, p99 {} us",
-        latency[0].1,
-        latency[1].1,
-        latency[2].1
-    );
-
-    let t1 = std::time::Instant::now();
-    let parallel = match Runner::new(Pool::new(jobs)).points(&specs) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("parallel sweep failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let parallel_s = t1.elapsed().as_secs_f64();
-    outln!(
-        "  parallel: {parallel_s:.3} s  ({:.2} points/s) at --jobs {jobs}",
-        specs.len() as f64 / parallel_s
-    );
-    outln!(
-        "  speedup : {:.2}x on a host with {} available core(s)",
-        serial_s / parallel_s,
-        available_jobs()
-    );
-
-    let identical = serial == parallel;
-    if identical {
-        outln!("  results : parallel run bit-identical to serial ({} points)", serial.len());
-    } else {
-        for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-            if a != b {
-                eprintln!(
-                    "  MISMATCH at point {i} ({} {} {} bmf={}): parallel result diverges from serial",
-                    a.workload, a.ts, a.mode, a.bmf
-                );
-            }
-        }
-        eprintln!("  results : PARALLEL/SERIAL MISMATCH — determinism contract violated");
-    }
-
-    // Cycle-core vs event-core: per-figure serial timings plus a
-    // point-by-point cross-check (the quiescence contract, measured in
-    // release mode rather than merely asserted in the test suite). The
-    // extra fence-ts16 series is the fence-stall-dominated stress case
-    // where the time-skip core pays off most.
-    outln!("core comparison (serial, per figure):");
-    let mut series: Vec<(&'static str, Vec<JobSpec>)> =
-        figures.iter().map(|(name, specs)| (*name, specs.clone())).collect();
-    series.push(("fence-ts16", fence_heavy_points(data)));
-    let mut cores_identical = true;
-    let mut fig_benches = Vec::with_capacity(series.len());
-    for (name, specs) in &series {
-        let (bench, same) = match bench_figure_cores(name, specs) {
-            Ok(x) => x,
-            Err(code) => {
-                set_core_override(Some(core));
-                return code;
-            }
         };
-        cores_identical &= same;
+        for problem in &s.problems {
+            eprintln!("  {problem}");
+        }
+        passed &= s.cores_identical && s.parallel_identical && s.conserved;
         outln!(
-            "  {name}: cycle {:.3} s, event {:.3} s -> {:.2}x event speedup ({} points{})",
-            bench.cycle_s,
-            bench.event_s,
-            bench.speedup(),
-            bench.points,
-            if same { "" } else { ", MISMATCH" },
+            "  {name}: {} points, {} core cycles; cycle {:.3} s, event {:.3} s -> {:.2}x event \
+             speedup; profiled {:.3} s, unprofiled {:.3} s -> {:.2}x overhead",
+            s.points,
+            s.core_cycles,
+            s.cycle_s,
+            s.event_s,
+            s.event_speedup(),
+            s.profiled_s,
+            s.unprofiled_s,
+            s.overhead(),
         );
-        fig_benches.push(bench);
+        benches.push(s);
     }
-    set_core_override(Some(core));
-    if !cores_identical {
-        eprintln!("  results : CYCLE/EVENT MISMATCH — quiescence contract violated");
-    }
-
-    // `--profile`: close the bench→profile loop. Each figure re-runs
-    // under the event core with the stall profiler attached; the JSON
-    // records what the stalls are (per cause), that the attribution
-    // conserves the SMs' own counters (deltas of zero), and what the
-    // observability costs (profiled vs. unprofiled wall time).
-    let mut profile_conserved = true;
-    let profile_doc = if profile {
-        outln!("observability (event core, serial, per figure):");
-        let mut entries = Vec::with_capacity(series.len());
-        for (name, specs) in &series {
-            let bench = match bench_figure_profile(name, specs) {
-                Ok(b) => b,
-                Err(code) => {
-                    set_core_override(Some(core));
-                    return code;
-                }
-            };
-            profile_conserved &= bench.conserved;
-            outln!(
-                "  {name}: unprofiled {:.3} s, profiled {:.3} s -> {:.2}x overhead ({} points{})",
-                bench.unprofiled_s,
-                bench.profiled_s,
-                bench.overhead(),
-                bench.points,
-                if bench.conserved { "" } else { ", NOT CONSERVED" },
-            );
-            entries.push(bench);
-        }
-        set_core_override(Some(core));
-        if !profile_conserved {
-            eprintln!("  results : CONSERVATION VIOLATED — see per-point summaries above");
-        }
-        let overall_unprofiled: f64 = entries.iter().map(|b| b.unprofiled_s).sum();
-        let overall_profiled: f64 = entries.iter().map(|b| b.profiled_s).sum();
-        Value::obj([
-            ("core", "event".into()),
-            ("overhead", ratio(overall_profiled, overall_unprofiled).into()),
-            ("conserved", profile_conserved.into()),
-            ("figures", Value::Arr(entries.iter().map(ProfileBench::to_value).collect())),
-        ])
-    } else {
-        Value::Null
-    };
-
-    // Cross-primitive ordering comparison: one checked run per backend
-    // at the bench job size, recorded per backend in the JSON so the
-    // speedup/violation/metadata trajectory is versioned alongside the
-    // timing trajectory.
-    let ordering_records = match run_ordering_comparison(WorkloadId::Add, data_kb, core) {
+    let records = match run_ordering_comparison(WorkloadId::Add, data_kb, core) {
         Ok(r) => r,
         Err(code) => return code,
     };
-    let ordering_clean = ordering_records.iter().all(|r| r.clean);
-    if !ordering_clean {
-        eprintln!("  results : ORDERING COMPARISON DIRTY — a backend failed its checked run");
+    if !records.iter().all(|r| r.clean) {
+        eprintln!("  results : ORDERING COMPARISON DIRTY: a backend failed its checked run");
+        passed = false;
     }
-
-    let points = specs.len() as f64;
-    let doc = Value::obj([
-        ("schema", BENCH_SCHEMA.into()),
-        ("quick", quick.into()),
-        ("data_kb", data_kb.into()),
-        ("jobs", jobs.into()),
-        ("core", core.as_str().into()),
-        ("available_parallelism", available_jobs().into()),
-        ("figures", Value::Arr(fig_benches.iter().map(CoreBench::to_value).collect())),
-        ("points", specs.len().into()),
-        ("serial_seconds", serial_s.into()),
-        ("parallel_seconds", parallel_s.into()),
-        ("serial_points_per_sec", ratio(points, serial_s).into()),
-        ("parallel_points_per_sec", ratio(points, parallel_s).into()),
-        ("point_latency_us", Value::obj(latency.map(|(name, us)| (name, us.into())))),
-        ("speedup", ratio(serial_s, parallel_s).into()),
-        ("identical", identical.into()),
-        ("cores_identical", cores_identical.into()),
-        ("profile", profile_doc),
-        ("ordering", ordering_array(&ordering_records)),
-    ]);
+    let doc = bench::document(data_kb, jobs, core, &benches, ordering_array(&records));
     if let Err(code) = write_json(&out, &doc) {
         return code;
     }
     outln!("wrote {out}");
-    if identical && cores_identical && profile_conserved && ordering_clean {
+    if passed {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -2089,23 +1643,5 @@ fn main() -> ExitCode {
         Some("list") => cmd_list(),
         Some("taxonomy") => cmd_taxonomy(),
         _ => usage(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::nearest_rank;
-
-    #[test]
-    fn nearest_rank_picks_the_smallest_sample_covering_the_share() {
-        let sorted = [15, 20, 35, 40, 50];
-        let at = |pct| nearest_rank(&sorted, pct);
-        assert_eq!(
-            [at(0), at(5), at(30), at(40), at(50), at(95), at(100)],
-            [15, 15, 20, 20, 35, 50, 50]
-        );
-        let hundred: Vec<u64> = (1..=100).collect();
-        assert_eq!([50, 95, 99].map(|p| nearest_rank(&hundred, p)), [50, 95, 99]);
-        assert_eq!(nearest_rank(&[], 50), 0);
     }
 }

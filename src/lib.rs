@@ -5,8 +5,9 @@
 //! Computations* (Nag & Balasubramonian, MICRO 2021).
 //!
 //! This crate re-exports the whole workspace behind one dependency and
-//! hosts the runnable examples (`examples/`) and the cross-crate
-//! integration tests (`tests/`). The layering, bottom to top:
+//! hosts the runnable examples (`examples/`), the cross-crate
+//! integration tests (`tests/`) and the checks behind `orderlight
+//! bench` ([`mod@bench`]). The layering, bottom to top:
 //!
 //! | re-export | crate | contents |
 //! |---|---|---|
@@ -52,3 +53,5 @@ pub use orderlight_profile as profile;
 pub use orderlight_sim as sim;
 pub use orderlight_trace as trace;
 pub use orderlight_workloads as workloads;
+
+pub mod bench;

@@ -1,7 +1,7 @@
 //! The documents the `orderlight` binary writes: the per-epoch
 //! `counters.csv` of `trace`, the `orderlight/profile/v1` report that
-//! `profile-verify` re-checks, and the `orderlight/bench-sweep/v5`
-//! record of `compare-ordering`. Every JSON document built through the
+//! `profile-verify` re-checks, and the `orderlight/bench-sweep/v6`
+//! record of `compare-ordering` that `bench --compare` reads. Every JSON document built through the
 //! canonical writer is a fixed point of `parse` followed by `to_json`.
 //! (The Chrome traces `trace` and `profile` also write are streamed row
 //! by row and are not canonical, so they are not checked here.)
@@ -108,7 +108,7 @@ fn profile_verify_accepts_the_report_and_rejects_a_tampered_total() {
 }
 
 #[test]
-fn compare_ordering_records_every_backend_in_a_v5_document() {
+fn compare_ordering_records_every_backend_in_a_bench_document() {
     let dir = scratch("compare");
     let out = dir.join("cmp.json");
     assert_ok(
@@ -116,7 +116,7 @@ fn compare_ordering_records_every_backend_in_a_v5_document() {
         "compare-ordering",
     );
     let doc = canonical(&out);
-    assert_eq!(doc.get("schema").and_then(Value::as_str), Some("orderlight/bench-sweep/v5"));
+    assert_eq!(doc.get("schema").and_then(Value::as_str), Some("orderlight/bench-sweep/v6"));
     let backends: Vec<&str> = doc
         .get("ordering")
         .and_then(Value::as_array)
@@ -125,6 +125,29 @@ fn compare_ordering_records_every_backend_in_a_v5_document() {
         .map(|r| r.get("ordering").and_then(Value::as_str).expect("backend label"))
         .collect();
     assert_eq!(backends, ["fence", "orderlight", "seqnum", "louvre", "bulk"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `bench` lost its `--quick`, `--profile` and `--threshold` knobs: each
+/// is a usage error before anything runs. `--compare` is exact, so a
+/// record compared with itself passes.
+#[test]
+fn bench_rejects_the_removed_knobs_and_compares_a_record_with_itself() {
+    for args in [
+        &["bench", "--quick"][..],
+        &["bench", "--profile"],
+        &["bench", "--compare", "a.json", "b.json", "--threshold", "5"],
+    ] {
+        let run = orderlight(args);
+        assert_eq!(run.status.code(), Some(2), "{args:?}");
+        assert!(run.stdout.is_empty(), "{args:?} printed {}", String::from_utf8_lossy(&run.stdout));
+    }
+    let dir = scratch("bench-compare");
+    let record = dir.join("record.json");
+    std::fs::write(&record, "{\"schema\":\"orderlight/bench-sweep/v6\",\"data_kb\":8}\n")
+        .expect("write record");
+    let path = path_str(&record);
+    assert_ok(&orderlight(&["bench", "--compare", path, path]), "bench --compare X X");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

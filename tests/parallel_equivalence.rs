@@ -9,7 +9,7 @@
 //! tier, while the larger Figure 10/12 sweeps are tier 2 (`#[ignore]`,
 //! run with `--include-ignored` or `ORDERLIGHT_TIER2=1 ./ci.sh`).
 //! `ci.sh` additionally cross-checks serial vs. parallel over all four
-//! figures in release mode through `orderlight bench --quick`.
+//! figures in release mode through `orderlight bench`.
 
 use orderlight_suite::sim::config::{ExecMode, ExperimentConfig};
 use orderlight_suite::sim::experiments::{
