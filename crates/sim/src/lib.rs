@@ -29,7 +29,6 @@
 //! per id.
 
 pub mod calendar;
-pub mod cli;
 pub mod config;
 pub mod core_select;
 pub mod experiments;

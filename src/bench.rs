@@ -11,10 +11,11 @@
 //! - under the event core with the stall profiler attached, whose
 //!   attribution must conserve every point's own stall counters.
 //!
-//! The cycle-vs-event and profiled-vs-unprofiled legs are timed too, for
-//! the two ratios `ci.sh` gates: the event core's speedup on the
-//! fence-heavy series and the profiler's overhead on Figure 5. Sweep
-//! throughput is perfbench's job (its `gpu-host` workload).
+//! The cycle-core, event-core and profiled legs alternate for
+//! [`PROFILE_REPS`] repetitions and each keeps its fastest, for the two
+//! ratios `ci.sh` gates: the event core's speedup on the fence-heavy
+//! series and the profiler's overhead on Figure 5. Sweep throughput is
+//! perfbench's job (its `gpu-host` workload).
 //!
 //! [`document`] assembles the `orderlight/bench-sweep/v6` record and
 //! [`compare`] diffs two of them exactly, skipping only [`SKIPPED_KEYS`].
@@ -31,7 +32,7 @@ use std::time::Instant;
 /// The schema tag of `compare-ordering` and `bench` documents.
 pub const BENCH_SCHEMA: &str = "orderlight/bench-sweep/v6";
 
-/// Repetitions of each leg of the profiler-overhead ratio.
+/// Repetitions of each timed leg.
 pub const PROFILE_REPS: usize = 5;
 
 /// The keys [`compare`] skips: wall times and the ratios taken from
@@ -60,12 +61,11 @@ pub struct SeriesBench {
     pub points: usize,
     /// The sum of the points' [`RunStats::core_cycles`].
     pub core_cycles: u64,
-    /// Wall time of the serial cycle-core leg.
+    /// Fastest of [`PROFILE_REPS`] serial cycle-core legs.
     pub cycle_s: f64,
-    /// Wall time of the serial event-core leg.
+    /// Fastest of [`PROFILE_REPS`] serial event-core legs, which are
+    /// also the unprofiled legs of the profiler-overhead ratio.
     pub event_s: f64,
-    /// Fastest of [`PROFILE_REPS`] unprofiled event-core legs.
-    pub unprofiled_s: f64,
     /// Fastest of [`PROFILE_REPS`] profiled event-core legs.
     pub profiled_s: f64,
     /// Whether the cycle and event cores agreed on every point.
@@ -90,10 +90,11 @@ impl SeriesBench {
         ratio(self.cycle_s, self.event_s)
     }
 
-    /// The profiled leg's wall time over the unprofiled leg's.
+    /// The profiled leg's wall time over the unprofiled (event-core)
+    /// leg's.
     #[must_use]
     pub fn overhead(&self) -> f64 {
-        ratio(self.profiled_s, self.unprofiled_s)
+        ratio(self.profiled_s, self.event_s)
     }
 
     /// The series as one entry of the document's `figures` array.
@@ -111,7 +112,7 @@ impl SeriesBench {
             ("cycle_points_per_sec", ratio(points, self.cycle_s).into()),
             ("event_points_per_sec", ratio(points, self.event_s).into()),
             ("event_speedup", self.event_speedup().into()),
-            ("unprofiled_seconds", self.unprofiled_s.into()),
+            ("unprofiled_seconds", self.event_s.into()),
             ("profiled_seconds", self.profiled_s.into()),
             ("overhead", self.overhead().into()),
             ("conserved", self.conserved.into()),
@@ -156,20 +157,22 @@ pub fn run_series(
         Ok(specs.iter().map(|s| s.builder().core(core).build()).collect::<Result<_, _>>()?)
     };
     let (cycle, event) = (on(SimCore::Cycle)?, on(SimCore::Event)?);
-    let (cycle_stats, cycle_s) = timed(|| serial(&cycle))?;
-    let (event_stats, event_s) = timed(|| serial(&event))?;
-    let pooled = Runner::new(Pool::new(jobs)).run(&event)?;
 
     // The legs alternate and each keeps its fastest repetition: a small
     // series lasts milliseconds, so one sample of each would let host
-    // noise, not the profiler, decide the ratio.
-    let (mut unprofiled_s, mut profiled_s) = (f64::INFINITY, f64::INFINITY);
-    let mut outcomes = Vec::new();
-    for _ in 0..PROFILE_REPS {
-        unprofiled_s = unprofiled_s.min(timed(|| serial(&event))?.1);
-        let (profiled, s) = timed(|| event.iter().map(profile_scenario).collect())?;
-        (outcomes, profiled_s) = (profiled, profiled_s.min(s));
+    // noise, not the core or the profiler, decide a ratio.
+    let (mut cycle_s, mut event_s, mut profiled_s) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut cycle_stats, mut event_stats, mut outcomes) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..PROFILE_REPS {
+        let (cycled, c) = timed(|| serial(&cycle))?;
+        let (evented, e) = timed(|| serial(&event))?;
+        let (profiled, p) = timed(|| event.iter().map(profile_scenario).collect())?;
+        (cycle_s, event_s, profiled_s) = (cycle_s.min(c), event_s.min(e), profiled_s.min(p));
+        if rep == 0 {
+            (cycle_stats, event_stats, outcomes) = (cycled, evented, profiled);
+        }
     }
+    let pooled = Runner::new(Pool::new(jobs)).run(&event)?;
 
     let mut problems = Vec::new();
     let mut agree = |other: &[RunStats], what: &str| {
@@ -207,7 +210,6 @@ pub fn run_series(
         core_cycles: event_stats.iter().map(|s| s.core_cycles).sum(),
         cycle_s,
         event_s,
-        unprofiled_s,
         profiled_s,
         cores_identical,
         parallel_identical,

@@ -1,35 +1,20 @@
 //! `orderlight` — command-line driver for the simulator.
 //!
-//! ```text
-//! orderlight run [--workload NAME] [--mode gpu|none|fence|orderlight|seqnum|louvre|bulk]
-//!                [--ts 16|8|4|2] [--bmf N] [--data-kb N] [--verbose]
-//! orderlight check [run flags] [--faults none|noc|sched|storm|all] [--mutate CH:G]
-//! orderlight trace [WORKLOAD] [run flags] [--out PATH] [--events N]
-//! orderlight profile [WORKLOAD] [run flags] [--out PATH] [--events N]
-//! orderlight sweep [fig05|fig10|fig12|fig13|all] [--data-kb N]
-//! orderlight figure ID|all [--data-kb N]
-//! orderlight compare-ordering [--workload NAME] [--data-kb N] [--out PATH]
-//! orderlight bench [--data-kb N] [--out PATH]
-//! orderlight bench --compare A.json B.json
-//! orderlight serve [--addr HOST:PORT]
-//! orderlight submit [run flags] [--budget N] --addr HOST:PORT [--out PATH]
-//! orderlight schema
-//! orderlight list
-//! orderlight taxonomy
-//! ```
+//! Run it without arguments for the synopsis of every subcommand.
 //!
-//! Every subcommand also accepts the shared execution flags, parsed
-//! once by `sim::cli` before dispatch: `--jobs N` / `-j N` (worker
-//! count, or `ORDERLIGHT_JOBS`), `--core cycle|event` (default: event,
-//! or `ORDERLIGHT_CORE`), `--seed N` (master fault seed) and
-//! `--ordering MODE` (default execution mode for run-style commands).
-//! `--core` selects the dense per-cycle simulation core or the
-//! bit-identical event-driven time-skip core (see `DESIGN.md`,
-//! "Quiescence contract"). Traced and profiled runs honour the selected
-//! core too: skip boundaries synthesize the periodic trace events, so
-//! the event core feeds a sink the same events the dense core emits and
-//! profile reports are byte-identical across cores (use `--core cycle`
-//! as an explicit opt-out when debugging the dense loop itself).
+//! Each subcommand accepts only the flags it reads, parsed by
+//! [`orderlight_suite::cli`]; any other flag is a usage error (exit 2).
+//! The run flags are `--workload`/`-w`, `--mode`/`-m`, `--ts`, `--bmf`,
+//! `--data-kb` and `--credits`. `--jobs N` / `-j N` is the worker count
+//! (else `ORDERLIGHT_JOBS`, else the host's available parallelism).
+//! `--core cycle|event` (else `ORDERLIGHT_CORE`, else event) selects the
+//! dense per-cycle simulation core or the bit-identical event-driven
+//! time-skip core (see `DESIGN.md`, "Quiescence contract"). Traced and
+//! profiled runs honour the selected core too: skip boundaries
+//! synthesize the periodic trace events, so the event core feeds a sink
+//! the same events the dense core emits and profile reports are
+//! byte-identical across cores (use `--core cycle` as an explicit
+//! opt-out when debugging the dense loop itself).
 //!
 //! `serve` runs the simulation-as-a-service daemon: newline-delimited
 //! `orderlight/scenario/v1` JSON requests in, typed JSON replies out,
@@ -101,16 +86,16 @@
 
 use orderlight_suite::bench::{self, BENCH_SCHEMA};
 use orderlight_suite::check::{check_scenario, compare_backends, BackendRecord};
+use orderlight_suite::cli::{self, Args, Flag, UsageError, CORE, DATA_KB, JOBS, RUN};
 use orderlight_suite::core::fault::{DropEdge, FaultPlan, NocJitter, RefreshStorm};
 use orderlight_suite::profile::{profile_scenario_with, PROFILE_SCHEMA};
-use orderlight_suite::sim::cli::{take_common_flags, CommonFlags};
-use orderlight_suite::sim::core_select::SimCore;
+use orderlight_suite::sim::core_select::{resolve_core, set_core_override, SimCore};
 use orderlight_suite::sim::experiments::{
     fence_heavy_points, fig05_points, fig10_points, fig12_points, fig13_points, JobSpec, Runner,
     SweepPoint,
 };
 use orderlight_suite::sim::figures::FIGURES;
-use orderlight_suite::sim::pool::Pool;
+use orderlight_suite::sim::pool::{resolve_jobs, Pool};
 use orderlight_suite::sim::report::bar_chart;
 use orderlight_suite::sim::schema::{
     parse_mode, parse_ts, parse_workload, schema_document, stats_to_value, ScenarioSpec,
@@ -124,6 +109,7 @@ use orderlight_suite::trace::{
 };
 use orderlight_suite::workloads::WorkloadId;
 use std::collections::HashMap;
+use std::error::Error;
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -161,10 +147,46 @@ macro_rules! outln {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  orderlight run [--workload NAME] [--mode gpu|none|fence|orderlight|seqnum|louvre|bulk]\n                 [--ts 16|8|4|2] [--bmf N] [--data-kb N] [--credits N]\n  orderlight check [run flags] [--faults none|noc|sched|storm|all[,..]] [--mutate CH:G]\n  orderlight trace [WORKLOAD] [run flags] [--out PATH] [--events N]\n  orderlight profile [WORKLOAD] [run flags] [--out PATH] [--events N]\n  orderlight profile-verify PROFILE.json [..]\n  orderlight sweep [fig05|fig10|fig12|fig13|all] [--data-kb N]\n  orderlight figure ID|all [--data-kb N]\n  orderlight compare-ordering [--workload NAME] [--data-kb N] [--out PATH]\n  orderlight bench [--data-kb N] [--out PATH]\n  orderlight bench --compare A.json B.json\n  orderlight serve [--addr HOST:PORT] [--cache-max N] [--slow-ms N] [--no-telemetry]\n  orderlight submit [run flags] [--budget N] --addr HOST:PORT [--out PATH] [--span-trace PATH]\n  orderlight submit [run flags] [--budget N] --local [--out PATH]\n  orderlight submit --addr HOST:PORT --shutdown | --stats | --metrics | --metrics-text | --flightrec\n  orderlight top --addr HOST:PORT [--interval-ms N] [--count N | --once]\n  orderlight schema\n  orderlight list\n  orderlight taxonomy\nevery subcommand accepts the shared flags --jobs/-j N, --core cycle|event,\n--seed N and --ordering MODE (see `orderlight schema` for the wire surface)"
+        "usage:
+  orderlight run [run flags] [--core C]
+  orderlight check [run flags] [--core C] [--faults none|noc|sched|storm|all[,..]] [--mutate CH:G] [--seed N]
+  orderlight trace [WORKLOAD] [run flags] [--core C] [--out PATH] [--events N]
+  orderlight profile [WORKLOAD] [run flags] [--core C] [--out PATH] [--events N]
+  orderlight profile-verify PROFILE.json [..]
+  orderlight sweep [fig05|fig10|fig12|fig13|all] [--data-kb N] [--jobs N] [--core C]
+  orderlight figure ID|all [--data-kb N] [--jobs N] [--core C]
+  orderlight compare-ordering [--workload NAME] [--data-kb N] [--out PATH] [--core C]
+  orderlight bench [--data-kb N] [--out PATH] [--jobs N] [--core C]
+  orderlight bench --compare A.json B.json
+  orderlight serve [--addr HOST:PORT] [--cache-max N] [--slow-ms N] [--no-telemetry] [--jobs N] [--core C]
+  orderlight submit [run flags] [--core C] [--budget N] --addr HOST:PORT [--out PATH] [--span-trace PATH]
+  orderlight submit [run flags] [--core C] [--budget N] --local [--out PATH]
+  orderlight submit --addr HOST:PORT --shutdown | --stats | --metrics | --metrics-text | --flightrec
+  orderlight top --addr HOST:PORT [--interval-ms N] [--count N | --once]
+  orderlight schema | list | taxonomy
+run flags: [--workload/-w NAME] [--mode/-m gpu|none|fence|orderlight|seqnum|louvre|bulk]
+  [--ts 16|8|4|2] [--bmf N] [--data-kb N] [--credits N]
+--core cycle|event (or ORDERLIGHT_CORE), --jobs/-j N (or ORDERLIGHT_JOBS); a subcommand
+accepts only the flags listed for it (see `orderlight schema` for the wire surface)"
     );
     ExitCode::from(2)
 }
+
+/// What a subcommand returns: its exit code, or a usage error, which
+/// `main` prints above the synopsis before it exits with status 2.
+type Outcome = Result<ExitCode, Box<dyn Error>>;
+
+/// Success if `passed`, else failure.
+fn exit(passed: bool) -> ExitCode {
+    if passed {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// `--out PATH` / `-o PATH`.
+const OUT: Flag = cli::value(&["--out", "-o"]);
 
 /// The bytes of a `--data-kb` or `ORDERLIGHT_DATA_KB` value: `None`
 /// unless it is a KiB count whose byte count fits a `u64`.
@@ -172,29 +194,34 @@ fn kib_bytes(value: &str) -> Option<u64> {
     value.parse::<u64>().ok()?.checked_mul(1024)
 }
 
-/// The scenario a run-style command starts from: the
-/// `orderlight/scenario/v1` defaults for `Add` at `data_kb` KiB per
-/// structure per channel, under the shared `--ordering` mode if given.
-fn default_spec(common: &CommonFlags, data_kb: u64) -> ScenarioSpec {
-    let spec = ScenarioSpec {
-        data_bytes_per_channel: data_kb * 1024,
-        ..ScenarioSpec::new(WorkloadId::Add)
-    };
-    ScenarioSpec { mode: common.ordering.unwrap_or(spec.mode), ..spec }
+/// The scenario a run-style command runs: the `orderlight/scenario/v1`
+/// defaults for `workload` at `data_kb` KiB per structure per channel,
+/// under the run flags.
+fn run_spec(flags: &Args, workload: WorkloadId, data_kb: u64) -> Result<ScenarioSpec, UsageError> {
+    let spec = ScenarioSpec::new(workload);
+    Ok(ScenarioSpec {
+        workload: flags.get("--workload", parse_workload)?.unwrap_or(workload),
+        mode: flags.get("--mode", parse_mode)?.unwrap_or(spec.mode),
+        ts: flags.get("--ts", parse_ts)?.unwrap_or(spec.ts),
+        bmf: flags.parsed("--bmf")?.unwrap_or(spec.bmf),
+        data_bytes_per_channel: flags.get("--data-kb", kib_bytes)?.unwrap_or(data_kb * 1024),
+        seq_credits: flags.parsed("--credits")?.unwrap_or(spec.seq_credits),
+        ..spec
+    })
 }
 
-/// Applies one common experiment flag. `Some(ok)` when the flag is
-/// recognised; `None` for flags the caller must handle itself.
-fn apply_common_flag(spec: &mut ScenarioSpec, flag: &str, value: &str) -> Option<bool> {
-    Some(match flag {
-        "--workload" | "-w" => parse_workload(value).map(|w| spec.workload = w).is_some(),
-        "--mode" | "-m" => parse_mode(value).map(|m| spec.mode = m).is_some(),
-        "--ts" => parse_ts(value).map(|t| spec.ts = t).is_some(),
-        "--bmf" => value.parse().map(|v| spec.bmf = v).is_ok(),
-        "--data-kb" => kib_bytes(value).map(|bytes| spec.data_bytes_per_channel = bytes).is_some(),
-        "--credits" => value.parse().map(|v| spec.seq_credits = v).is_ok(),
-        _ => return None,
-    })
+/// The `--core` choice (else `ORDERLIGHT_CORE`, else event), installed
+/// as the process default that `Runner` and the service read.
+fn install_core(flags: &Args) -> Result<SimCore, UsageError> {
+    let core = resolve_core(flags.get("--core", |v| SimCore::parse(v).ok())?);
+    set_core_override(Some(core));
+    Ok(core)
+}
+
+/// The `--jobs` worker count (else `ORDERLIGHT_JOBS`, else the host's
+/// available parallelism).
+fn jobs(flags: &Args) -> Result<usize, UsageError> {
+    Ok(resolve_jobs(flags.parsed("--jobs")?))
 }
 
 /// How the run-style commands announce a scenario.
@@ -284,41 +311,25 @@ fn print_stats(stats: &RunStats) -> bool {
     }
 }
 
-fn cmd_run(args: &[String], common: &CommonFlags) -> ExitCode {
-    let mut spec = default_spec(common, 256);
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let Some(value) = it.next() else {
-            eprintln!("missing value for {flag}");
-            return usage();
-        };
-        match apply_common_flag(&mut spec, flag, value) {
-            Some(true) => {}
-            Some(false) => {
-                eprintln!("invalid value '{value}' for {flag}");
-                return usage();
-            }
-            None => {
-                eprintln!("unknown flag {flag}");
-                return usage();
-            }
-        }
-    }
-
+fn cmd_run(args: &[String]) -> Outcome {
+    let flags = cli::parse(args, 0, &[RUN, CORE])?;
+    let spec = run_spec(&flags, WorkloadId::Add, 256)?;
+    install_core(&flags)?;
     outln!("running {} ...", describe(&spec));
-    match spec.build().map_err(|e| e.to_string()).and_then(|s| s.run().map_err(|e| e.to_string())) {
-        Ok(stats) => {
-            if print_stats(&stats) {
-                ExitCode::SUCCESS
-            } else {
+    Ok(
+        match spec
+            .build()
+            .map_err(|e| e.to_string())
+            .and_then(|s| s.run().map_err(|e| e.to_string()))
+        {
+            Ok(stats) if print_stats(&stats) => ExitCode::SUCCESS,
+            Ok(_) => ExitCode::FAILURE,
+            Err(e) => {
+                eprintln!("{e}");
                 ExitCode::FAILURE
             }
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
+        },
+    )
 }
 
 /// Parses a `--faults` spec: a comma-separated subset of
@@ -348,48 +359,19 @@ fn parse_mutate(spec: &str) -> Option<DropEdge> {
     Some(DropEdge { channel: ch.parse().ok()?, group: g.parse().ok()? })
 }
 
-fn cmd_check(args: &[String], common: &CommonFlags) -> ExitCode {
+fn cmd_check(args: &[String]) -> Outcome {
+    const CHECK: &[Flag] =
+        &[cli::value(&["--faults", "-f"]), cli::value(&["--mutate"]), cli::value(&["--seed"])];
+    let flags = cli::parse(args, 0, &[RUN, CORE, CHECK])?;
     // Keep the default checked run small: the oracle retains per-request
     // state and the default job is CI-speed at 64 KiB.
-    let mut spec = default_spec(common, 64);
-    let mut plan = FaultPlan::none();
-    let mut mutate: Option<DropEdge> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let Some(value) = it.next() else {
-            eprintln!("missing value for {flag}");
-            return usage();
-        };
-        let ok = match flag.as_str() {
-            "--faults" | "-f" => match parse_faults(value) {
-                Some(p) => {
-                    plan = p;
-                    true
-                }
-                None => false,
-            },
-            "--mutate" => match parse_mutate(value) {
-                Some(edge) => {
-                    mutate = Some(edge);
-                    true
-                }
-                None => false,
-            },
-            _ => match apply_common_flag(&mut spec, flag, value) {
-                Some(ok) => ok,
-                None => {
-                    eprintln!("unknown flag {flag}");
-                    return usage();
-                }
-            },
-        };
-        if !ok {
-            eprintln!("invalid value '{value}' for {flag}");
-            return usage();
-        }
-    }
-    plan.seed = common.seed;
-    plan.drop_edge = mutate;
+    let spec = run_spec(&flags, WorkloadId::Add, 64)?;
+    let plan = FaultPlan {
+        seed: flags.parsed("--seed")?.unwrap_or(0),
+        drop_edge: flags.get("--mutate", parse_mutate)?,
+        ..flags.get("--faults", parse_faults)?.unwrap_or_else(FaultPlan::none)
+    };
+    install_core(&flags)?;
 
     outln!(
         "checking {} (faults: noc={} sched={} storm={} seed={}{}) ...",
@@ -413,7 +395,7 @@ fn cmd_check(args: &[String], common: &CommonFlags) -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     outln!("  {}", outcome.summary());
@@ -424,25 +406,23 @@ fn cmd_check(args: &[String], common: &CommonFlags) -> ExitCode {
     if outcome.report.violations.len() > SHOWN {
         outln!("  ... and {} more violation(s)", outcome.report.violations.len() - SHOWN);
     }
-    if mutate.is_some() {
+    let passed = if plan.drop_edge.is_some() {
         // Mutation self-test: success means the check *fired* on the
         // deliberately broken schedule — via an oracle edge, a backend
         // sanity violation, or corrupted DRAM bytes, depending on where
         // the selected backend's elided edge surfaces.
-        if outcome.edges_dropped > 0 && !outcome.is_clean() {
+        let fired = outcome.edges_dropped > 0 && !outcome.is_clean();
+        if fired {
             outln!("  mutation gate         : PASS (oracle fired on the elided edge)");
-            ExitCode::SUCCESS
         } else {
             outln!("  mutation gate         : FAIL (oracle stayed silent on a broken schedule)");
-            ExitCode::FAILURE
         }
-    } else if outcome.is_clean() {
-        outln!("  ordering check        : PASS");
-        ExitCode::SUCCESS
+        fired
     } else {
-        outln!("  ordering check        : FAIL");
-        ExitCode::FAILURE
-    }
+        outln!("  ordering check        : {}", if outcome.is_clean() { "PASS" } else { "FAIL" });
+        outcome.is_clean()
+    };
+    Ok(exit(passed))
 }
 
 /// Pairs `FenceStallBegin`/`FenceStallEnd` per (warp, fence) into a
@@ -587,64 +567,28 @@ fn print_histogram(title: &str, hist: &Histogram) {
     outln!("{}", bar_chart(&rows, 40));
 }
 
-/// Parses the flag set shared by `trace` and `profile`: an optional
-/// positional workload, the common run flags, `--out` and `--events`.
-fn parse_capture_args(
-    args: &[String],
-    spec: &mut ScenarioSpec,
-) -> Result<(String, usize), ExitCode> {
-    let mut out = "orderlight".to_string();
-    let mut capacity = 4_000_000usize;
-    let mut rest = args;
-    // Optional positional workload name first: `orderlight trace Add`.
-    if let Some(first) = rest.first() {
-        if !first.starts_with('-') {
-            match parse_workload(first) {
-                Some(w) => spec.workload = w,
-                None => {
-                    eprintln!("unknown workload '{first}'");
-                    return Err(usage());
-                }
-            }
-            rest = &rest[1..];
-        }
-    }
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let Some(value) = it.next() else {
-            eprintln!("missing value for {flag}");
-            return Err(usage());
-        };
-        let ok = match flag.as_str() {
-            "--out" | "-o" => {
-                out = value.clone();
-                true
-            }
-            "--events" => value.parse().map(|v: usize| capacity = v.max(1)).is_ok(),
-            _ => match apply_common_flag(spec, flag, value) {
-                Some(ok) => ok,
-                None => {
-                    eprintln!("unknown flag {flag}");
-                    return Err(usage());
-                }
-            },
-        };
-        if !ok {
-            eprintln!("invalid value '{value}' for {flag}");
-            return Err(usage());
-        }
-    }
-    Ok((out, capacity))
+/// Parses the command line of `trace` and `profile`: an optional
+/// positional workload, the run flags, `--core`, `--out` and `--events`
+/// (the ring capacity, at least 1). Returns the scenario, the output
+/// path prefix and the capacity.
+fn capture_args(args: &[String]) -> Result<(ScenarioSpec, String, usize), Box<dyn Error>> {
+    const CAPTURE: &[Flag] = &[OUT, cli::value(&["--events"])];
+    let flags = cli::parse(args, 1, &[RUN, CORE, CAPTURE])?;
+    let workload = match flags.positionals.first() {
+        Some(name) => parse_workload(name).ok_or_else(|| format!("unknown workload '{name}'"))?,
+        None => WorkloadId::Add,
+    };
+    // Keep the default run small: traces of the full-size default job
+    // are hundreds of MB of JSON.
+    let spec = run_spec(&flags, workload, 16)?;
+    let capacity = flags.get("--events", |v| v.parse().ok().filter(|&n: &usize| n > 0))?;
+    install_core(&flags)?;
+    let out = flags.value("--out").unwrap_or("orderlight").to_string();
+    Ok((spec, out, capacity.unwrap_or(4_000_000)))
 }
 
-fn cmd_trace(args: &[String], common: &CommonFlags) -> ExitCode {
-    // Keep the default traced run small: traces of the full-size default
-    // job are hundreds of MB of JSON.
-    let mut spec = default_spec(common, 16);
-    let (out, capacity) = match parse_capture_args(args, &mut spec) {
-        Ok(x) => x,
-        Err(code) => return code,
-    };
+fn cmd_trace(args: &[String]) -> Outcome {
+    let (spec, out, capacity) = capture_args(args)?;
 
     outln!("tracing {} ...", describe(&spec));
     let ring = Arc::new(RingSink::new(capacity));
@@ -658,7 +602,7 @@ fn cmd_trace(args: &[String], common: &CommonFlags) -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let correct = print_stats(&stats);
@@ -705,24 +649,16 @@ fn cmd_trace(args: &[String], common: &CommonFlags) -> ExitCode {
     if let Err(code) = write_file(&trace_path, json)
         .and_then(|()| write_file(&csv_path, counters_csv(&events, &clocks, 8)))
     {
-        return code;
+        return Ok(code);
     }
     outln!("\nwrote {trace_path} (open at https://ui.perfetto.dev) and {csv_path}");
-    if correct {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(exit(correct))
 }
 
-fn cmd_profile(args: &[String], common: &CommonFlags) -> ExitCode {
+fn cmd_profile(args: &[String]) -> Outcome {
     // Same default sizing as `trace`: the profiled run streams into the
     // aggregation, but the teed ring still backs the Chrome export.
-    let mut spec = default_spec(common, 16);
-    let (out, capacity) = match parse_capture_args(args, &mut spec) {
-        Ok(x) => x,
-        Err(code) => return code,
-    };
+    let (spec, out, capacity) = capture_args(args)?;
 
     outln!("profiling {} ...", describe(&spec));
     let ring = Arc::new(RingSink::new(capacity));
@@ -734,7 +670,7 @@ fn cmd_profile(args: &[String], common: &CommonFlags) -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let correct = print_stats(&outcome.stats);
@@ -756,51 +692,47 @@ fn cmd_profile(args: &[String], common: &CommonFlags) -> ExitCode {
     if let Err(code) = write_file(&profile_path, outcome.report.to_json() + "\n")
         .and_then(|()| write_file(&trace_path, chrome))
     {
-        return code;
+        return Ok(code);
     }
     outln!("wrote {profile_path} and {trace_path} (open at https://ui.perfetto.dev)");
     if !outcome.is_conserved() {
         eprintln!("profile FAILED its conservation invariant — see summary above");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    if correct {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(exit(correct))
 }
 
 /// Validates `*.profile.json` files with the in-tree JSON parser: each
 /// must parse, carry the `orderlight/profile/v1` schema tag, and hold
 /// an internally consistent stall breakdown (per-cause sum == total).
 /// The CI gate runs this on the freshly profiled Figure 5 scenarios.
-fn cmd_profile_verify(paths: &[String]) -> ExitCode {
+fn cmd_profile_verify(args: &[String]) -> Outcome {
+    let paths = cli::parse(args, usize::MAX, &[])?.positionals;
     if paths.is_empty() {
-        eprintln!("profile-verify needs at least one PROFILE.json path");
-        return usage();
+        return Err("profile-verify needs at least one PROFILE.json path".into());
     }
     for path in paths {
         let doc = match read_document(path, PROFILE_SCHEMA) {
             Ok(doc) => doc,
             Err(e) => {
                 eprintln!("{e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         let Some(stalls) = doc.get("stalls") else {
             eprintln!("{path}: no stall breakdown");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         };
         let cycles = |key: &str| stalls.get(key).and_then(Value::as_f64);
         let total = cycles("total").unwrap_or(-1.0);
         let sum: f64 = StallCause::ALL.iter().map(|c| cycles(c.label()).unwrap_or(f64::NAN)).sum();
         if !(sum.is_finite() && total >= 0.0 && (sum - total).abs() < 0.5) {
             eprintln!("{path}: stall causes sum to {sum}, total says {total}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         outln!("{path}: ok ({total} stall cycles attributed)");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The CSV schema of `orderlight sweep`: one row per sweep point.
@@ -851,57 +783,33 @@ fn sweep_figures(which: &str, data: u64) -> Option<Vec<(&'static str, Vec<JobSpe
 }
 
 /// The per-channel job size: the `--data-kb` bytes if the flag was
-/// given, else those of `ORDERLIGHT_DATA_KB`, else `default_kb` KiB. An
-/// `ORDERLIGHT_DATA_KB` that is not a valid size is a usage error.
-fn data_bytes(flag: Option<u64>, default_kb: u64) -> Result<u64, ExitCode> {
-    if let Some(bytes) = flag {
+/// given, else those of `ORDERLIGHT_DATA_KB`, else `default_kb` KiB.
+fn data_bytes(flags: &Args, default_kb: u64) -> Result<u64, UsageError> {
+    if let Some(bytes) = flags.get("--data-kb", kib_bytes)? {
         return Ok(bytes);
     }
     let Ok(value) = std::env::var("ORDERLIGHT_DATA_KB") else {
         return Ok(default_kb * 1024);
     };
-    kib_bytes(&value).ok_or_else(|| {
-        eprintln!("invalid value '{value}' for ORDERLIGHT_DATA_KB");
-        usage()
-    })
+    kib_bytes(&value).ok_or(UsageError::InvalidValue { flag: "ORDERLIGHT_DATA_KB".into(), value })
 }
 
-/// Parses `[NAME] [--data-kb N]`: an optional leading positional and
-/// the per-channel job size in bytes (default `ORDERLIGHT_DATA_KB`, else
-/// 256 KiB).
-fn name_and_data(args: &[String]) -> Result<(Option<&str>, u64), ExitCode> {
-    let (name, rest) = match args.split_first() {
-        Some((first, rest)) if !first.starts_with('-') => (Some(first.as_str()), rest),
-        _ => (None, args),
-    };
-    let mut data = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let Some(value) = it.next() else {
-            eprintln!("missing value for {flag}");
-            return Err(usage());
-        };
-        if flag != "--data-kb" {
-            eprintln!("unknown flag {flag}");
-            return Err(usage());
-        }
-        let Some(bytes) = kib_bytes(value) else {
-            eprintln!("invalid value '{value}' for {flag}");
-            return Err(usage());
-        };
-        data = Some(bytes);
-    }
-    Ok((name, data_bytes(data, 256)?))
+/// Parses `[NAME] [--data-kb N] [--jobs N] [--core C]` and installs the
+/// core. Returns the positional, the per-channel job size in bytes
+/// (default 256 KiB) and the worker count.
+fn series_args(args: &[String]) -> Result<(Option<&str>, u64, usize), UsageError> {
+    let flags = cli::parse(args, 1, &[DATA_KB, JOBS, CORE])?;
+    install_core(&flags)?;
+    Ok((flags.positionals.first().copied(), data_bytes(&flags, 256)?, jobs(&flags)?))
 }
 
-fn cmd_sweep(args: &[String], jobs: usize) -> ExitCode {
-    let (which, data) = match name_and_data(args) {
-        Ok((which, data)) => (which.unwrap_or("all"), data),
-        Err(code) => return code,
-    };
+fn cmd_sweep(args: &[String]) -> Outcome {
+    let (which, data, jobs) = series_args(args)?;
+    let which = which.unwrap_or("all");
     let Some(figures) = sweep_figures(which, data) else {
-        eprintln!("unknown sweep '{which}' (expected fig05|fig10|fig12|fig13|all)");
-        return usage();
+        return Err(
+            format!("unknown sweep '{which}' (expected fig05|fig10|fig12|fig13|all)").into()
+        );
     };
     eprintln!(
         "sweeping {which} at {} KiB/structure/channel across {jobs} worker(s) ...",
@@ -914,27 +822,23 @@ fn cmd_sweep(args: &[String], jobs: usize) -> ExitCode {
             Ok(rows) => emit_sweep_csv(name, &rows),
             Err(e) => {
                 eprintln!("{e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Prints the report of one paper table, figure or ablation by id, or
 /// of every one in paper order for `all`. The chosen printers share one
 /// runner, so a design point they have in common runs once.
-fn cmd_figure(args: &[String], jobs: usize) -> ExitCode {
-    let (which, data) = match name_and_data(args) {
-        Ok((Some(which), data)) => (which, data),
-        Ok((None, _)) => return usage(),
-        Err(code) => return code,
-    };
+fn cmd_figure(args: &[String]) -> Outcome {
+    let (which, data, jobs) = series_args(args)?;
+    let which = which.ok_or("figure needs an ID or all")?;
     let chosen: Vec<_> = FIGURES.iter().filter(|(id, _)| which == "all" || *id == which).collect();
     if chosen.is_empty() {
         let ids: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
-        eprintln!("unknown figure '{which}' (expected {}|all)", ids.join("|"));
-        return usage();
+        return Err(format!("unknown figure '{which}' (expected {}|all)", ids.join("|")).into());
     }
     let mut runner = Runner::new(Pool::new(jobs));
     for (i, (id, print)) in chosen.into_iter().enumerate() {
@@ -943,11 +847,11 @@ fn cmd_figure(args: &[String], jobs: usize) -> ExitCode {
             Ok(report) => out!("\n{report}"),
             Err(e) => {
                 eprintln!("{id}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `ordering` array of a `bench-sweep/v6` document.
@@ -1008,46 +912,16 @@ fn run_ordering_comparison(
 /// per-backend records as a `bench-sweep/v6` document. Exits non-zero
 /// if any backend's run was not violation-free — a comparison between
 /// a correct backend and a broken one is not a comparison.
-fn cmd_compare_ordering(args: &[String], core: SimCore) -> ExitCode {
-    let mut workload = WorkloadId::Add;
-    let mut data = None;
-    let mut out = "BENCH_sweep.json".to_string();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let Some(value) = it.next() else {
-            eprintln!("missing value for {flag}");
-            return usage();
-        };
-        let ok = match flag.as_str() {
-            "--workload" | "-w" => match parse_workload(value) {
-                Some(w) => {
-                    workload = w;
-                    true
-                }
-                None => false,
-            },
-            "--data-kb" => kib_bytes(value).map(|bytes| data = Some(bytes)).is_some(),
-            "--out" | "-o" => {
-                out.clone_from(value);
-                true
-            }
-            _ => {
-                eprintln!("unknown flag {flag}");
-                return usage();
-            }
-        };
-        if !ok {
-            eprintln!("invalid value '{value}' for {flag}");
-            return usage();
-        }
-    }
-    let data_kb = match data_bytes(data, 8) {
-        Ok(data) => data / 1024,
-        Err(code) => return code,
-    };
+fn cmd_compare_ordering(args: &[String]) -> Outcome {
+    const COMPARE: &[Flag] = &[cli::value(&["--workload", "-w"]), OUT];
+    let flags = cli::parse(args, 0, &[COMPARE, DATA_KB, CORE])?;
+    let workload = flags.get("--workload", parse_workload)?.unwrap_or(WorkloadId::Add);
+    let data_kb = data_bytes(&flags, 8)? / 1024;
+    let out = flags.value("--out").unwrap_or("BENCH_sweep.json");
+    let core = install_core(&flags)?;
     let records = match run_ordering_comparison(workload, data_kb, core) {
         Ok(r) => r,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     let doc = Value::obj([
         ("schema", BENCH_SCHEMA.into()),
@@ -1056,16 +930,15 @@ fn cmd_compare_ordering(args: &[String], core: SimCore) -> ExitCode {
         ("core", core.as_str().into()),
         ("ordering", ordering_array(&records)),
     ]);
-    if let Err(code) = write_json(&out, &doc) {
-        return code;
+    if let Err(code) = write_json(out, &doc) {
+        return Ok(code);
     }
     outln!("wrote {out}");
-    if records.iter().all(|r| r.clean) {
-        ExitCode::SUCCESS
-    } else {
+    let clean = records.iter().all(|r| r.clean);
+    if !clean {
         eprintln!("comparison includes a dirty backend — see the table above");
-        ExitCode::FAILURE
     }
+    Ok(exit(clean))
 }
 
 /// `orderlight bench --compare A.json B.json`: prints every path at
@@ -1096,45 +969,21 @@ fn cmd_bench_compare(paths: [&str; 2]) -> ExitCode {
     }
 }
 
-fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
-    let (jobs, core) = (common.jobs, common.core);
-    let mut out = "BENCH_sweep.json".to_string();
-    let mut data: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let value = match flag.as_str() {
-            "--compare" => {
-                let [a, b] = it.as_slice() else {
-                    eprintln!("--compare takes exactly two BENCH_sweep.json paths");
-                    return usage();
-                };
-                return cmd_bench_compare([a, b]);
-            }
-            "--out" | "-o" | "--data-kb" => it.next(),
-            _ => {
-                eprintln!("unknown flag {flag}");
-                return usage();
-            }
-        };
-        let ok = match value {
-            Some(v) if flag == "--data-kb" => {
-                kib_bytes(v).map(|bytes| data = Some(bytes)).is_some()
-            }
-            Some(v) => {
-                out.clone_from(v);
-                true
-            }
-            None => false,
-        };
-        if !ok {
-            eprintln!("missing or invalid value for {flag}");
-            return usage();
-        }
-    }
-    let data = match data_bytes(data, 8) {
-        Ok(data) => data,
-        Err(code) => return code,
+fn cmd_bench(args: &[String]) -> Outcome {
+    // `--compare A B` ends the line.
+    let (args, compare) = match args.iter().position(|a| a == "--compare") {
+        Some(i) => (&args[..i], Some(&args[i + 1..])),
+        None => (args, None),
     };
+    let flags = cli::parse(args, 0, &[&[OUT], DATA_KB, JOBS, CORE])?;
+    if let Some(paths) = compare {
+        let [a, b] = paths else {
+            return Err("--compare takes exactly two BENCH_sweep.json paths".into());
+        };
+        return Ok(cmd_bench_compare([a, b]));
+    }
+    let (data, jobs, core) = (data_bytes(&flags, 8)?, jobs(&flags)?, install_core(&flags)?);
+    let out = flags.value("--out").unwrap_or("BENCH_sweep.json");
     let data_kb = data / 1024;
     let mut series = sweep_figures("all", data).expect("'all' is always known");
     series.push(("fence-ts16", fence_heavy_points(data)));
@@ -1150,7 +999,7 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("{name}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         for problem in &s.problems {
@@ -1159,36 +1008,31 @@ fn cmd_bench(args: &[String], common: &CommonFlags) -> ExitCode {
         passed &= s.cores_identical && s.parallel_identical && s.conserved;
         outln!(
             "  {name}: {} points, {} core cycles; cycle {:.3} s, event {:.3} s -> {:.2}x event \
-             speedup; profiled {:.3} s, unprofiled {:.3} s -> {:.2}x overhead",
+             speedup; profiled {:.3} s -> {:.2}x overhead",
             s.points,
             s.core_cycles,
             s.cycle_s,
             s.event_s,
             s.event_speedup(),
             s.profiled_s,
-            s.unprofiled_s,
             s.overhead(),
         );
         benches.push(s);
     }
     let records = match run_ordering_comparison(WorkloadId::Add, data_kb, core) {
         Ok(r) => r,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     if !records.iter().all(|r| r.clean) {
         eprintln!("  results : ORDERING COMPARISON DIRTY: a backend failed its checked run");
         passed = false;
     }
     let doc = bench::document(data_kb, jobs, core, &benches, ordering_array(&records));
-    if let Err(code) = write_json(&out, &doc) {
-        return code;
+    if let Err(code) = write_json(out, &doc) {
+        return Ok(code);
     }
     outln!("wrote {out}");
-    if passed {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(exit(passed))
 }
 
 /// `orderlight schema`: prints the accepted `orderlight/scenario/v1`
@@ -1202,138 +1046,73 @@ fn cmd_schema() -> ExitCode {
 /// loopback on an ephemeral port), prints the bound address, then
 /// serves scenario requests on `--jobs` workers until a client sends
 /// `{"cmd": "shutdown"}`.
-fn cmd_serve(args: &[String], common: &CommonFlags) -> ExitCode {
-    let mut addr = "127.0.0.1:0".to_string();
-    let mut cache_max: usize = 0;
-    let mut slow_ms: Option<u64> = None;
-    let mut telemetry = true;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--no-telemetry" {
-            telemetry = false;
-            continue;
-        }
-        let Some(value) = it.next() else {
-            eprintln!("missing value for {flag}");
-            return usage();
-        };
-        let ok = match flag.as_str() {
-            "--addr" => {
-                addr.clone_from(value);
-                true
-            }
-            "--cache-max" => value.parse().map(|v| cache_max = v).is_ok(),
-            "--slow-ms" => value.parse().map(|v| slow_ms = Some(v)).is_ok(),
-            _ => {
-                eprintln!("unknown flag {flag}");
-                return usage();
-            }
-        };
-        if !ok {
-            eprintln!("invalid value for {flag}");
-            return usage();
-        }
-    }
-    let server = match Server::bind(&addr, common.jobs) {
+fn cmd_serve(args: &[String]) -> Outcome {
+    const SERVE: &[Flag] = &[
+        cli::value(&["--addr"]),
+        cli::value(&["--cache-max"]),
+        cli::value(&["--slow-ms"]),
+        cli::switch(&["--no-telemetry"]),
+    ];
+    let flags = cli::parse(args, 0, &[SERVE, JOBS, CORE])?;
+    let addr = flags.value("--addr").unwrap_or("127.0.0.1:0");
+    let (cache_max, slow_ms) =
+        (flags.parsed("--cache-max")?.unwrap_or(0), flags.parsed("--slow-ms")?);
+    let telemetry = !flags.switch("--no-telemetry");
+    let jobs = jobs(&flags)?;
+    install_core(&flags)?;
+    let server = match Server::bind(addr, jobs) {
         Ok(s) => s.with_cache_max(cache_max).with_slow_ms(slow_ms).with_telemetry(telemetry),
         Err(e) => {
             eprintln!("cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     match server.local_addr() {
         // Parsed by `ci.sh` and scripted clients; stdout is
         // line-buffered so the line is visible before the first accept.
-        Ok(bound) => outln!("listening on {bound} ({} workers)", common.jobs.max(1)),
+        Ok(bound) => outln!("listening on {bound} ({jobs} workers)"),
         Err(e) => {
             eprintln!("cannot read bound address: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
-    match server.run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            ExitCode::FAILURE
-        }
+    if let Err(e) = server.run() {
+        eprintln!("serve failed: {e}");
+        return Ok(ExitCode::FAILURE);
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `orderlight submit`: the service client. Builds a scenario from the
-/// shared run flags, sends it to `--addr` (or runs it in-process with
+/// run flags, sends it to `--addr` (or runs it in-process with
 /// `--local`), prints every reply line, and with `--out` writes the
 /// canonical stats JSON — byte-identical between a served reply and a
 /// local run, which is what the `ci.sh` smoke gate `cmp`s.
-fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
-    let mut spec = default_spec(common, 256);
-    let mut addr: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut span_trace: Option<String> = None;
-    let mut budget: Option<u64> = None;
-    let mut local = false;
-    let mut admin: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let ok = match flag.as_str() {
-            "--local" => {
-                local = true;
-                true
-            }
-            "--shutdown" => {
-                admin = Some("shutdown");
-                true
-            }
-            "--stats" => {
-                admin = Some("stats");
-                true
-            }
-            "--metrics" => {
-                admin = Some("metrics");
-                true
-            }
-            "--metrics-text" => {
-                admin = Some("metrics-text");
-                true
-            }
-            "--flightrec" => {
-                admin = Some("flightrec");
-                true
-            }
-            _ => {
-                let Some(value) = it.next() else {
-                    eprintln!("missing value for {flag}");
-                    return usage();
-                };
-                match flag.as_str() {
-                    "--addr" => {
-                        addr = Some(value.clone());
-                        true
-                    }
-                    "--out" | "-o" => {
-                        out = Some(value.clone());
-                        true
-                    }
-                    "--span-trace" => {
-                        span_trace = Some(value.clone());
-                        true
-                    }
-                    "--budget" => value.parse().map(|v| budget = Some(v)).is_ok(),
-                    _ => match apply_common_flag(&mut spec, flag, value) {
-                        Some(ok) => ok,
-                        None => {
-                            eprintln!("unknown flag {flag}");
-                            return usage();
-                        }
-                    },
-                }
-            }
-        };
-        if !ok {
-            eprintln!("invalid value for {flag}");
-            return usage();
-        }
-    }
-    spec.budget = budget;
+fn cmd_submit(args: &[String]) -> Outcome {
+    const ADMIN: [&str; 5] =
+        ["--shutdown", "--stats", "--metrics", "--metrics-text", "--flightrec"];
+    const SUBMIT: &[Flag] = &[
+        cli::value(&["--addr"]),
+        OUT,
+        cli::value(&["--span-trace"]),
+        cli::value(&["--budget"]),
+        cli::switch(&["--local"]),
+        cli::switch(&["--shutdown"]),
+        cli::switch(&["--stats"]),
+        cli::switch(&["--metrics"]),
+        cli::switch(&["--metrics-text"]),
+        cli::switch(&["--flightrec"]),
+    ];
+    let flags = cli::parse(args, 0, &[RUN, CORE, SUBMIT])?;
+    let spec = ScenarioSpec {
+        budget: flags.parsed("--budget")?,
+        ..run_spec(&flags, WorkloadId::Add, 256)?
+    };
+    install_core(&flags)?;
+    let (addr, out, span_trace) =
+        (flags.value("--addr"), flags.value("--out"), flags.value("--span-trace"));
+    let local = flags.switch("--local");
+    let admin = flags.last_of(&ADMIN).map(|flag| flag.trim_start_matches('-'));
 
     let stats_json = if local {
         match spec.build().map_err(|e| e.to_string()).and_then(|s| {
@@ -1342,14 +1121,11 @@ fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
             Ok(json) => json,
             Err(e) => {
                 eprintln!("{e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     } else {
-        let Some(addr) = addr else {
-            eprintln!("submit needs --addr HOST:PORT (or --local)");
-            return usage();
-        };
+        let addr = addr.ok_or("submit needs --addr HOST:PORT (or --local)")?;
         let line = match admin {
             Some("metrics-text") => {
                 Value::obj([("cmd", "metrics".into()), ("format", "text".into())]).to_json()
@@ -1357,16 +1133,16 @@ fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
             Some(cmd) => admin_line(cmd),
             None => spec.to_value().to_json(),
         };
-        let replies = match service::request(&addr, &line) {
+        let replies = match service::request(addr, &line) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("cannot reach {addr}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         let Some(last) = replies.last() else {
             eprintln!("server closed the connection without a reply");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         };
         // The exposition format is a document, not a JSON line: unwrap
         // it so the output is directly scrapeable.
@@ -1378,10 +1154,10 @@ fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
                 Some(text) => out!("{text}"),
                 None => {
                     eprintln!("no text exposition in reply: {last}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
-            return ExitCode::SUCCESS;
+            return Ok(ExitCode::SUCCESS);
         }
         for reply in &replies {
             outln!("{reply}");
@@ -1392,30 +1168,30 @@ fn cmd_submit(args: &[String], common: &CommonFlags) -> ExitCode {
             }
         }
         if admin.is_some() {
-            return ExitCode::SUCCESS;
+            return Ok(ExitCode::SUCCESS);
         }
         if let Some(path) = &span_trace {
             if let Err(e) = write_span_trace(path, last) {
                 eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
         match service::extract_stats(last) {
             Some(json) => json,
             None => {
                 eprintln!("no result reply — see lines above");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     };
     if let Some(path) = out {
-        if let Err(code) = write_file(&path, stats_json + "\n") {
-            return code;
+        if let Err(code) = write_file(path, stats_json + "\n") {
+            return Ok(code);
         }
     } else if local {
         outln!("{stats_json}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The request line of the admin command `cmd`.
@@ -1469,53 +1245,31 @@ fn fetch_admin(addr: &str, cmd: &str) -> Result<Value, String> {
 
 /// `orderlight top`: polls a daemon's `stats`/`metrics`/`flightrec`
 /// surfaces and renders a live one-screen summary.
-fn cmd_top(args: &[String]) -> ExitCode {
-    let mut addr: Option<String> = None;
-    let mut interval_ms: u64 = 1000;
-    let mut count: u64 = 0; // 0 = until interrupted
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--once" {
-            count = 1;
-            continue;
-        }
-        let Some(value) = it.next() else {
-            eprintln!("missing value for {flag}");
-            return usage();
-        };
-        let ok = match flag.as_str() {
-            "--addr" => {
-                addr = Some(value.clone());
-                true
-            }
-            "--interval-ms" => value.parse().map(|v| interval_ms = v).is_ok(),
-            "--count" => value.parse().map(|v| count = v).is_ok(),
-            _ => {
-                eprintln!("unknown flag {flag}");
-                return usage();
-            }
-        };
-        if !ok {
-            eprintln!("invalid value for {flag}");
-            return usage();
-        }
-    }
-    let Some(addr) = addr else {
-        eprintln!("top needs --addr HOST:PORT");
-        return usage();
-    };
+fn cmd_top(args: &[String]) -> Outcome {
+    const TOP: &[Flag] = &[
+        cli::value(&["--addr"]),
+        cli::value(&["--interval-ms"]),
+        cli::value(&["--count"]),
+        cli::switch(&["--once"]),
+    ];
+    let flags = cli::parse(args, 0, &[TOP])?;
+    let interval_ms = flags.parsed("--interval-ms")?.unwrap_or(1000);
+    // 0 = until interrupted; the later of `--count` and `--once` wins.
+    let count = flags.parsed("--count")?.unwrap_or(0u64);
+    let count = if flags.last_of(&["--count", "--once"]) == Some("--once") { 1 } else { count };
+    let addr = flags.value("--addr").ok_or("top needs --addr HOST:PORT")?;
     let mut screens = 0u64;
     loop {
-        let fetched = fetch_admin(&addr, "stats").and_then(|stats| {
-            let metrics = fetch_admin(&addr, "metrics")?;
-            let flight = fetch_admin(&addr, "flightrec")?;
+        let fetched = fetch_admin(addr, "stats").and_then(|stats| {
+            let metrics = fetch_admin(addr, "metrics")?;
+            let flight = fetch_admin(addr, "flightrec")?;
             Ok((stats, metrics, flight))
         });
         let (stats, metrics, flight) = match fetched {
             Ok(x) => x,
             Err(e) => {
                 eprintln!("{e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         if count != 1 {
@@ -1523,10 +1277,10 @@ fn cmd_top(args: &[String]) -> ExitCode {
             // a single snapshot so it stays pipeable.
             out!("\x1b[2J\x1b[H");
         }
-        out!("{}", render_top(&addr, &stats, &metrics, &flight));
+        out!("{}", render_top(addr, &stats, &metrics, &flight));
         screens += 1;
         if count > 0 && screens >= count {
-            return ExitCode::SUCCESS;
+            return Ok(ExitCode::SUCCESS);
         }
         std::thread::sleep(std::time::Duration::from_millis(interval_ms));
     }
@@ -1615,33 +1369,33 @@ fn render_top(addr: &str, stats: &Value, metrics: &Value, flight: &Value) -> Str
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The shared flags (--jobs/--core/--seed/--ordering) are global:
-    // strip them before subcommand dispatch and install the core choice
-    // process-wide (explicit flag beats ORDERLIGHT_CORE).
-    let (args, common) = match take_common_flags(&args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
+    let Some((command, args)) = args.split_first() else {
+        return usage();
     };
-    common.install_core();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..], &common),
-        Some("check") => cmd_check(&args[1..], &common),
-        Some("trace") => cmd_trace(&args[1..], &common),
-        Some("profile") => cmd_profile(&args[1..], &common),
-        Some("profile-verify") => cmd_profile_verify(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..], common.jobs),
-        Some("figure") => cmd_figure(&args[1..], common.jobs),
-        Some("compare-ordering") => cmd_compare_ordering(&args[1..], common.core),
-        Some("bench") => cmd_bench(&args[1..], &common),
-        Some("serve") => cmd_serve(&args[1..], &common),
-        Some("submit") => cmd_submit(&args[1..], &common),
-        Some("top") => cmd_top(&args[1..]),
-        Some("schema") => cmd_schema(),
-        Some("list") => cmd_list(),
-        Some("taxonomy") => cmd_taxonomy(),
-        _ => usage(),
-    }
+    let no_flags = |print: fn() -> ExitCode| -> Outcome {
+        cli::parse(args, 0, &[])?;
+        Ok(print())
+    };
+    let outcome = match command.as_str() {
+        "run" => cmd_run(args),
+        "check" => cmd_check(args),
+        "trace" => cmd_trace(args),
+        "profile" => cmd_profile(args),
+        "profile-verify" => cmd_profile_verify(args),
+        "sweep" => cmd_sweep(args),
+        "figure" => cmd_figure(args),
+        "compare-ordering" => cmd_compare_ordering(args),
+        "bench" => cmd_bench(args),
+        "serve" => cmd_serve(args),
+        "submit" => cmd_submit(args),
+        "top" => cmd_top(args),
+        "schema" => no_flags(cmd_schema),
+        "list" => no_flags(cmd_list),
+        "taxonomy" => no_flags(cmd_taxonomy),
+        _ => return usage(),
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    })
 }

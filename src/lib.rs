@@ -6,8 +6,9 @@
 //!
 //! This crate re-exports the whole workspace behind one dependency and
 //! hosts the runnable examples (`examples/`), the cross-crate
-//! integration tests (`tests/`) and the checks behind `orderlight
-//! bench` ([`mod@bench`]). The layering, bottom to top:
+//! integration tests (`tests/`), the checks behind `orderlight bench`
+//! ([`mod@bench`]) and the binary's flag parser ([`cli`]). The
+//! layering, bottom to top:
 //!
 //! | re-export | crate | contents |
 //! |---|---|---|
@@ -55,3 +56,4 @@ pub use orderlight_trace as trace;
 pub use orderlight_workloads as workloads;
 
 pub mod bench;
+pub mod cli;

@@ -204,3 +204,57 @@ fn overflowing_data_kb_is_rejected_before_anything_runs() {
         }
     }
 }
+
+/// Every subcommand reads its flags through one parser, so a bad flag
+/// is one of three usage errors, worded alike everywhere and reported
+/// before anything runs: a flag the subcommand does not read, a value
+/// flag last on the line, or a value its flag rejects. `--bogus` used to
+/// read as "missing value for --bogus" on eight subcommands, and `list`
+/// and `schema` ignored flags altogether.
+#[test]
+fn every_subcommand_rejects_a_bad_flag_in_the_same_words() {
+    const SUBCOMMANDS: [&str; 15] = [
+        "run",
+        "check",
+        "trace",
+        "profile",
+        "profile-verify",
+        "sweep",
+        "figure",
+        "compare-ordering",
+        "bench",
+        "serve",
+        "submit",
+        "top",
+        "schema",
+        "list",
+        "taxonomy",
+    ];
+    let bogus = SUBCOMMANDS.map(|command| (vec![command, "--bogus"], "unknown flag --bogus"));
+    let others = [
+        (vec!["trace", "--out"], "missing value for --out"),
+        (vec!["profile", "Add", "--data-kb"], "missing value for --data-kb"),
+        (vec!["figure", "fig05", "--jobs"], "missing value for --jobs"),
+        (vec!["submit", "--addr"], "missing value for --addr"),
+        (vec!["top", "--interval-ms"], "missing value for --interval-ms"),
+        (vec!["run", "--ts", "3"], "invalid value '3' for --ts"),
+        (vec!["trace", "--events", "0"], "invalid value '0' for --events"),
+        (vec!["profile", "--events", "0"], "invalid value '0' for --events"),
+        (vec!["sweep", "-j", "many"], "invalid value 'many' for -j"),
+        (vec!["check", "--core", "dense"], "invalid value 'dense' for --core"),
+        (vec!["schema", "--jobs", "2"], "unknown flag --jobs"),
+        (vec!["run", "--seed", "1"], "unknown flag --seed"),
+        (vec!["list", "--core", "event"], "unknown flag --core"),
+        (vec!["compare-ordering", "--jobs", "2"], "unknown flag --jobs"),
+        (vec!["run", "--ordering", "fence"], "unknown flag --ordering"),
+    ];
+    for (args, message) in bogus.into_iter().chain(others) {
+        let run = orderlight(&args);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(run.stdout.is_empty(), "{args:?} printed {}", String::from_utf8_lossy(&run.stdout));
+        let mut lines = stderr.lines();
+        assert_eq!(lines.next(), Some(message), "{args:?}");
+        assert_eq!(lines.next(), Some("usage:"), "{args:?}: the synopsis follows");
+    }
+}
