@@ -142,6 +142,11 @@ trap 'rm -rf "$tmpdir"' EXIT
 cmp "$tmpdir/fig05_fence.profile.json" "$tmpdir/fig05_fence_cycle.profile.json" \
     || { echo "profile JSON differs between cores"; exit 1; }
 
+# The value of `"key":` in a canonical-JSON fragment (empty if absent).
+json_num() {
+    grep -o "\"$1\":[0-9.e-]*" <<< "$2" | head -1 | grep -o '[0-9.e-]*$' || true
+}
+
 # Simulation-as-a-service smoke: start the daemon on an ephemeral
 # loopback port, submit the fig05 OrderLight scenario from two
 # concurrent clients, cmp both replies byte-for-byte against a direct
@@ -179,9 +184,10 @@ grep -q '"cached":true' "$tmpdir/cached.out" \
 
 # Telemetry-plane scrape: after the two concurrent submits (plus the
 # cached repeat above) the live metrics registry must attribute every
-# request — at least two results, at least one cache hit — and the
-# flight recorder must hold all three scenario requests. `top --once`
-# must render the same snapshot as a one-screen summary.
+# request — at least two results, at least one cache hit, the same
+# hits and misses as the `stats` reply — and the flight recorder must
+# hold all three scenario requests. `top --once` must render the same
+# snapshot as a one-screen summary.
 echo "==> orderlight serve (telemetry scrape: metrics, flightrec, top)"
 ./target/release/orderlight submit --addr "$addr" --metrics-text > "$tmpdir/metrics.txt"
 requests_result="$(awk '$1 == "orderlight_requests_result" {print $2}' "$tmpdir/metrics.txt")"
@@ -190,6 +196,16 @@ cache_hits="$(awk '$1 == "orderlight_cache_hits" {print $2}' "$tmpdir/metrics.tx
     || { echo "metrics report requests_result=$requests_result, want >= 2"; exit 1; }
 [[ -n "$cache_hits" && "$cache_hits" -ge 1 ]] \
     || { echo "metrics report cache_hits=$cache_hits, want >= 1"; exit 1; }
+# One set of books: the `stats` reply's hits and misses are the
+# registry's `cache.hits` and `cache.misses` scraped just above.
+cache_misses="$(awk '$1 == "orderlight_cache_misses" {print $2}' "$tmpdir/metrics.txt")"
+stats_reply="$(./target/release/orderlight submit --addr "$addr" --stats | head -1)"
+stats_hits="$(json_num hits "$stats_reply")"
+stats_misses="$(json_num misses "$stats_reply")"
+[[ -n "$stats_hits" && "$stats_hits" == "$cache_hits" \
+    && -n "$stats_misses" && "$stats_misses" == "$cache_misses" ]] \
+    || { echo "stats reply hits/misses $stats_hits/$stats_misses differ from metrics" \
+        "$cache_hits/$cache_misses"; exit 1; }
 ./target/release/orderlight submit --addr "$addr" --flightrec > "$tmpdir/flightrec.out"
 recorded="$(grep -o '"outcome":"result-' "$tmpdir/flightrec.out" | wc -l)"
 [[ "$recorded" -ge 3 ]] \
@@ -216,11 +232,6 @@ grep -q '"schema":"orderlight/bench-sweep/v6"' BENCH_sweep.json \
     || { echo "bench did not write a v6 document"; exit 1; }
 grep -q '"ordering":"louvre"' BENCH_sweep.json \
     || { echo "bench JSON is missing the per-backend ordering records"; exit 1; }
-
-# The value of `"key":` in a canonical-JSON fragment (empty if absent).
-json_num() {
-    grep -o "\"$1\":[0-9.e-]*" <<< "$2" | head -1 | grep -o '[0-9.e-]*$' || true
-}
 
 # Observability overhead budget: the profiled event-core fig05 sweep
 # must cost at most 1.5x its unprofiled wall time. The bench record is

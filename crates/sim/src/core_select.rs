@@ -12,11 +12,13 @@
 //!   minimum, charging stall counters in closed form for the skipped
 //!   span.
 //!
-//! Selection mirrors the `--jobs` / `ORDERLIGHT_JOBS` convention from
-//! [`crate::pool`]: an explicit `--core` flag wins, then a
+//! Selection follows the `--jobs` / `ORDERLIGHT_JOBS` convention of the
+//! `orderlight` binary: an explicit `--core` flag wins, then a
 //! process-global override (set by binaries and tests instead of the
 //! unsafe-in-threads `std::env::set_var`), then the `ORDERLIGHT_CORE`
-//! environment variable, then the default — the event core.
+//! environment variable, then the default — the event core. The binary
+//! rejects an invalid `ORDERLIGHT_CORE` and installs its choice as the
+//! override; [`resolve_core`] itself ignores one it cannot parse.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

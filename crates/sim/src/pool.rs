@@ -30,16 +30,6 @@ pub fn available_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Resolves a `--jobs` setting: `Some(n)` from a flag, else the
-/// `ORDERLIGHT_JOBS` environment variable, else [`available_jobs`].
-/// Zero is clamped to 1.
-#[must_use]
-pub fn resolve_jobs(flag: Option<usize>) -> usize {
-    flag.or_else(|| std::env::var("ORDERLIGHT_JOBS").ok().and_then(|v| v.parse().ok()))
-        .unwrap_or_else(available_jobs)
-        .max(1)
-}
-
 /// A fixed-width scoped-thread job pool. Cheap to construct; spawns
 /// threads only for the duration of one [`Pool::run`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,12 +152,5 @@ mod tests {
     fn more_workers_than_jobs() {
         let out = Pool::new(32).run((0..3).map(|i| move || i * i).collect::<Vec<_>>());
         assert_eq!(out, vec![0, 1, 4]);
-    }
-
-    #[test]
-    fn resolve_jobs_prefers_explicit_flag() {
-        assert_eq!(resolve_jobs(Some(5)), 5);
-        assert_eq!(resolve_jobs(Some(0)), 1);
-        assert!(resolve_jobs(None) >= 1);
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! A dependency-free, thread-per-connection TCP server over
 //! [`std::net::TcpListener`] that accepts scenario requests on a
-//! newline-delimited JSON protocol, batches independent runs onto a
-//! persistent worker pool (the run-level parallelism unit from
-//! [`crate::pool`]), streams progress and final [`crate::RunStats`] back to
-//! many concurrent clients, and memoizes completed runs in a bounded
+//! newline-delimited JSON protocol, queues independent runs for its own
+//! persistent workers (a `Mutex<VecDeque>` job queue whose `Condvar`
+//! wakes `--jobs` threads spawned once at start, not the batch-scoped
+//! [`crate::pool`]), streams progress and final [`crate::RunStats`] back
+//! to many concurrent clients, and memoizes completed runs in a bounded
 //! LRU cache keyed by [`crate::Scenario::canonical_hash`].
 //!
 //! ## Wire protocol
@@ -45,22 +46,26 @@
 //! The daemon carries a live [`MetricsRegistry`]: per-state request
 //! counters, cache hit/miss/insertion/eviction counters and a size
 //! gauge, queue depth, per-worker busy/idle time, bytes in/out, and
-//! sharded latency histograms. Every request is measured as a
+//! latency histograms. The registry holds the only copy of each of
+//! these facts: the `stats` reply, the per-result `slo` and the
+//! `metrics` snapshot all read it. Every request is measured as a
 //! [`SpanPhases`] (parse → queue-wait → run → serialize → write) that
 //! rides the result reply under `"span"` and lands — with the scenario
 //! hash and outcome — in a bounded flight recorder
 //! ([`FLIGHT_RECORDER_REQUESTS`] recent requests,
 //! [`FLIGHT_RECORDER_ERRORS`] recent error payloads).
 //!
-//! Telemetry is **observe-only**: every counter, span and flight
-//! record for a request commits *before* its terminal reply bytes are
-//! written (so a client that has read its reply always sees the
-//! request reflected in the very next metrics snapshot), and disabling
-//! telemetry ([`Server::with_telemetry`]) changes no result `stats`
-//! payload — the contract the serve smoke gate `cmp`s. Snapshot
-//! semantics: metric groups `requests`, `cache` and `queue` are exact
-//! and deterministic under a serialized session; `io`, `workers` and
-//! `timing` are wall-clock and only monotonicity is guaranteed.
+//! Telemetry is **observe-only**: no counter, span or flight record
+//! feeds a result `stats` payload, which the serve smoke gate `cmp`s
+//! against a direct run. Every one of them for a request commits
+//! *before* its terminal reply bytes are written, so a client that has
+//! read its reply always sees the request reflected in the very next
+//! metrics snapshot. Snapshot semantics: metric groups `requests`,
+//! `cache` and `queue` are exact and deterministic under a serialized
+//! session; `io`, `workers` and `timing` are wall-clock and only
+//! monotonicity is guaranteed. A cache hit or miss is counted once,
+//! when the cache lookup decides it: a miss whose run then fails still
+//! counts, so `cache.hits + cache.misses` counts lookups.
 //!
 //! ## Why the cache is exact
 //!
@@ -76,18 +81,18 @@
 //! memory/latency trade: an evicted scenario recomputes bit-identically.
 //!
 //! Every result reply carries the service SLO, the p50/p95/p99 of
-//! request latency so far, and `{"cmd":"stats"}` exposes hit/miss
-//! counters.
+//! `timing.latency_us` including that request, and `{"cmd":"stats"}`
+//! exposes the hit/miss counters.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use orderlight_trace::json::{self, Value};
-use orderlight_trace::{Counter, Gauge, Histogram, MetricsRegistry, ShardedHistogram, SpanPhases};
+use orderlight_trace::{Counter, Gauge, Histogram, MetricsRegistry, SpanPhases};
 
 use crate::schema::{stats_to_value, ScenarioSpec};
 
@@ -144,14 +149,12 @@ struct LruCache {
     map: HashMap<u64, (String, u64)>,
     tick: u64,
     max: usize,
-    insertions: u64,
-    evictions: u64,
 }
 
 impl LruCache {
     /// `max == 0` means unbounded.
     fn new(max: usize) -> Self {
-        LruCache { map: HashMap::new(), tick: 0, max, insertions: 0, evictions: 0 }
+        LruCache { map: HashMap::new(), tick: 0, max }
     }
 
     /// Looks up a result, refreshing its recency on a hit.
@@ -169,9 +172,6 @@ impl LruCache {
     fn insert(&mut self, hash: u64, json: String) -> (bool, usize) {
         self.tick += 1;
         let fresh = self.map.insert(hash, (json, self.tick)).is_none();
-        if fresh {
-            self.insertions += 1;
-        }
         let mut evicted = 0;
         while self.max > 0 && self.map.len() > self.max {
             let oldest = self
@@ -183,7 +183,6 @@ impl LruCache {
             self.map.remove(&oldest);
             evicted += 1;
         }
-        self.evictions += evicted as u64;
         (fresh, evicted)
     }
 
@@ -251,11 +250,17 @@ impl FlightRecorder {
     }
 }
 
-/// The registered metric handles plus the flight recorder — present
-/// only when telemetry is enabled. Handles are registered once at
-/// server start; the hot path touches only relaxed atomics and sharded
-/// histogram mutexes.
-struct Telemetry {
+/// State shared between the acceptor, connection handlers and workers:
+/// the job queue, the scenario cache, and the registered metric handles
+/// with the flight recorder. Handles are registered once at server
+/// start; the hot path touches only relaxed atomics and the histogram
+/// mutexes.
+struct Shared {
+    queue: Mutex<VecDeque<Job>>,
+    available: Condvar,
+    cache: Mutex<LruCache>,
+    slow_us: Option<u64>,
+    shutdown: AtomicBool,
     registry: MetricsRegistry,
     requests_received: Arc<Counter>,
     requests_accepted: Arc<Counter>,
@@ -274,18 +279,24 @@ struct Telemetry {
     workers_idle_us: Arc<Counter>,
     io_bytes_in: Arc<Counter>,
     io_bytes_out: Arc<Counter>,
-    timing_latency_us: Arc<ShardedHistogram>,
-    timing_queue_wait_us: Arc<ShardedHistogram>,
-    timing_run_us: Arc<ShardedHistogram>,
+    /// Request latency in µs (queue wait + run, or cache lookup) of
+    /// every result; the source of the SLO percentiles.
+    timing_latency_us: Arc<Mutex<Histogram>>,
+    timing_queue_wait_us: Arc<Mutex<Histogram>>,
+    timing_run_us: Arc<Mutex<Histogram>>,
     flightrec: Mutex<FlightRecorder>,
 }
 
-impl Telemetry {
-    fn new(workers: usize) -> Self {
+impl Shared {
+    fn new(cache_max: usize, slow_ms: Option<u64>) -> Self {
         let registry = MetricsRegistry::new();
-        let shards = workers.max(2);
         let latency = latency_histogram();
-        Telemetry {
+        Shared {
+            queue: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            cache: Mutex::new(LruCache::new(cache_max)),
+            slow_us: slow_ms.map(|ms| ms.saturating_mul(1000)),
+            shutdown: AtomicBool::new(false),
             requests_received: registry.counter("requests.received"),
             requests_accepted: registry.counter("requests.accepted"),
             requests_running: registry.counter("requests.running"),
@@ -303,41 +314,11 @@ impl Telemetry {
             workers_idle_us: registry.counter("workers.idle_us"),
             io_bytes_in: registry.counter("io.bytes_in"),
             io_bytes_out: registry.counter("io.bytes_out"),
-            timing_latency_us: registry.histogram("timing.latency_us", shards, &latency),
-            timing_queue_wait_us: registry.histogram("timing.queue_wait_us", shards, &latency),
-            timing_run_us: registry.histogram("timing.run_us", shards, &latency),
+            timing_latency_us: registry.histogram("timing.latency_us", &latency),
+            timing_queue_wait_us: registry.histogram("timing.queue_wait_us", &latency),
+            timing_run_us: registry.histogram("timing.run_us", &latency),
             flightrec: Mutex::new(FlightRecorder::default()),
             registry,
-        }
-    }
-}
-
-/// State shared between the acceptor, connection handlers and workers.
-struct Shared {
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
-    cache: Mutex<LruCache>,
-    /// Request latency in µs (queue wait + run, or cache lookup).
-    latency_us: Mutex<Histogram>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    slow_us: Option<u64>,
-    telemetry: Option<Telemetry>,
-    shutdown: AtomicBool,
-}
-
-impl Shared {
-    fn new(workers: usize, cache_max: usize, slow_ms: Option<u64>, telemetry: bool) -> Self {
-        Shared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            cache: Mutex::new(LruCache::new(cache_max)),
-            latency_us: Mutex::new(latency_histogram()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            slow_us: slow_ms.map(|ms| ms.saturating_mul(1000)),
-            telemetry: telemetry.then(|| Telemetry::new(workers)),
-            shutdown: AtomicBool::new(false),
         }
     }
 
@@ -345,63 +326,51 @@ impl Shared {
         self.shutdown.load(Ordering::Relaxed)
     }
 
-    /// Records one request latency and returns the SLO percentiles
+    /// Records one result's latency and returns the SLO percentiles
     /// including it.
     fn record_latency(&self, us: u64) -> Value {
-        let mut hist = self.latency_us.lock().expect("latency lock");
+        let mut hist = self.timing_latency_us.lock().expect("latency lock");
         hist.record(us);
         slo_value(&hist)
     }
 
     /// Inserts a finished run into the cache, applying the LRU bound
-    /// and mirroring size/insertion/eviction telemetry under the cache
+    /// and counting insertions, evictions and the size under the cache
     /// lock (so gauge and map never disagree).
     fn cache_insert(&self, hash: u64, stats_json: String) {
         let mut cache = self.cache.lock().expect("cache lock");
         let (fresh, evicted) = cache.insert(hash, stats_json);
-        if let Some(t) = &self.telemetry {
-            if fresh {
-                t.cache_insertions.inc();
-            }
-            t.cache_evictions.add(evicted as u64);
-            t.cache_size.set(i64::try_from(cache.len()).unwrap_or(i64::MAX));
-        }
+        self.cache_insertions.add(u64::from(fresh));
+        self.cache_evictions.add(evicted as u64);
+        self.cache_size.set(i64::try_from(cache.len()).unwrap_or(i64::MAX));
     }
 
-    /// Commits a terminal `result` for a request: per-state counters,
-    /// hit/miss attribution, timing histograms and the flight record —
-    /// all *before* the reply bytes leave the socket.
+    /// Commits a terminal `result` for a request: the result counter,
+    /// the queue-wait and run histograms of a miss and the flight
+    /// record — all *before* the reply bytes leave the socket.
     fn commit_result(&self, hash: u64, cached: bool, span: SpanPhases, latency_us: u64) {
-        if let Some(t) = &self.telemetry {
-            t.requests_result.inc();
-            if cached {
-                t.cache_hits.inc();
-            } else {
-                t.cache_misses.inc();
-                t.timing_queue_wait_us.record(span.queue_us);
-                t.timing_run_us.record(span.run_us);
-            }
-            t.timing_latency_us.record(latency_us);
-            let outcome = if cached { "result-hit" } else { "result-miss" };
-            t.flightrec.lock().expect("flightrec lock").record(
-                Some(hash),
-                outcome.to_string(),
-                span,
-                latency_us,
-            );
+        self.requests_result.inc();
+        if !cached {
+            self.timing_queue_wait_us.lock().expect("histogram lock").record(span.queue_us);
+            self.timing_run_us.lock().expect("histogram lock").record(span.run_us);
         }
+        let outcome = if cached { "result-hit" } else { "result-miss" };
+        self.flightrec.lock().expect("flightrec lock").record(
+            Some(hash),
+            outcome.to_string(),
+            span,
+            latency_us,
+        );
     }
 
     /// Commits a terminal `error` reply: the error counter, the flight
     /// record and the error-payload ring.
     fn commit_error(&self, hash: Option<u64>, span: SpanPhases, latency_us: u64, reply: &Value) {
-        if let Some(t) = &self.telemetry {
-            t.requests_error.inc();
-            let kind = reply.get("kind").and_then(Value::as_str).unwrap_or("unknown");
-            let mut rec = t.flightrec.lock().expect("flightrec lock");
-            rec.record(hash, format!("error:{kind}"), span, latency_us);
-            rec.record_error(reply.to_json());
-        }
+        self.requests_error.inc();
+        let kind = reply.get("kind").and_then(Value::as_str).unwrap_or("unknown");
+        let mut rec = self.flightrec.lock().expect("flightrec lock");
+        rec.record(hash, format!("error:{kind}"), span, latency_us);
+        rec.record_error(reply.to_json());
     }
 }
 
@@ -428,13 +397,11 @@ pub struct Server {
     workers: usize,
     cache_max: usize,
     slow_ms: Option<u64>,
-    telemetry: bool,
 }
 
 impl Server {
-    /// Binds the listener. `workers` is clamped to at least 1.
-    /// Telemetry defaults to enabled, the cache to unbounded, the slow
-    /// log to off.
+    /// Binds the listener. `workers` is clamped to at least 1. The
+    /// cache defaults to unbounded, the slow log to off.
     ///
     /// # Errors
     /// Propagates the bind failure.
@@ -444,7 +411,6 @@ impl Server {
             workers: workers.max(1),
             cache_max: 0,
             slow_ms: None,
-            telemetry: true,
         })
     }
 
@@ -464,15 +430,6 @@ impl Server {
         self
     }
 
-    /// Enables or disables the telemetry plane (metrics registry,
-    /// spans, flight recorder). Disabling it changes no result `stats`
-    /// payload — telemetry only observes.
-    #[must_use]
-    pub fn with_telemetry(mut self, on: bool) -> Server {
-        self.telemetry = on;
-        self
-    }
-
     /// The bound address (useful with port 0).
     ///
     /// # Errors
@@ -488,7 +445,7 @@ impl Server {
     /// # Errors
     /// Propagates accept failures other than shutdown.
     pub fn run(self) -> std::io::Result<()> {
-        let shared = Shared::new(self.workers, self.cache_max, self.slow_ms, self.telemetry);
+        let shared = Shared::new(self.cache_max, self.slow_ms);
         let addr = self.local_addr()?;
         std::thread::scope(|scope| {
             for _ in 0..self.workers {
@@ -528,22 +485,18 @@ fn worker_loop(shared: &Shared) {
                 queue = shared.available.wait(queue).expect("queue lock");
             }
         };
-        if let Some(t) = &shared.telemetry {
-            t.workers_idle_us.add(elapsed_us(idle_start));
-            t.queue_depth.dec();
-            t.workers_busy.inc();
-        }
+        shared.workers_idle_us.add(elapsed_us(idle_start));
+        shared.queue_depth.dec();
+        shared.workers_busy.inc();
         let _ = job.events.send(JobEvent::Started);
         let busy_start = Instant::now();
         let outcome = run_job(&job.spec);
         if let Ok(stats_json) = &outcome {
             shared.cache_insert(job.hash, stats_json.clone());
         }
-        if let Some(t) = &shared.telemetry {
-            t.workers_busy_us.add(elapsed_us(busy_start));
-            t.workers_jobs.inc();
-            t.workers_busy.dec();
-        }
+        shared.workers_busy_us.add(elapsed_us(busy_start));
+        shared.workers_jobs.inc();
+        shared.workers_busy.dec();
         let _ = job.events.send(JobEvent::Finished(outcome));
     }
 }
@@ -593,9 +546,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, self_addr: SocketAddr) 
             }
             Err(_) => return,
         }
-        if let Some(t) = &shared.telemetry {
-            t.io_bytes_in.add(line.len() as u64);
-        }
+        shared.io_bytes_in.add(line.len() as u64);
         if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") {
             reject_oversized_line(&mut reader, &mut writer, shared);
             return;
@@ -617,9 +568,7 @@ fn reject_oversized_line(
     shared: &Shared,
 ) {
     let start = Instant::now();
-    if let Some(t) = &shared.telemetry {
-        t.requests_received.inc();
-    }
+    shared.requests_received.inc();
     let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
     let reply = error_reply(None, "proto", &message);
     if !fail(writer, shared, start, SpanPhases::default(), &reply) {
@@ -652,9 +601,7 @@ fn fail(
 /// should close (write failure or shutdown).
 fn handle_request(line: &[u8], writer: &mut TcpStream, shared: &Shared, addr: SocketAddr) -> bool {
     let start = Instant::now();
-    if let Some(t) = &shared.telemetry {
-        t.requests_received.inc();
-    }
+    shared.requests_received.inc();
     let mut span = SpanPhases::default();
     let parsed = std::str::from_utf8(line)
         .map_err(|e| format!("request is not UTF-8: {e}"))
@@ -691,23 +638,22 @@ fn handle_request(line: &[u8], writer: &mut TcpStream, shared: &Shared, addr: So
     let hash = scenario.canonical_hash();
     span.parse_us = elapsed_us(start);
 
-    if let Some(stats_json) = shared.cache.lock().expect("cache lock").get(hash) {
-        shared.hits.fetch_add(1, Ordering::Relaxed);
+    let cached = shared.cache.lock().expect("cache lock").get(hash);
+    if let Some(stats_json) = cached {
+        shared.cache_hits.inc();
         let us = elapsed_us(start);
         let slo = shared.record_latency(us);
         let serialize_start = Instant::now();
         let reply = result_reply(id.as_ref(), true, us, slo, &stats_json);
         span.serialize_us = elapsed_us(serialize_start);
-        let reply = with_span(reply, shared, &span);
+        let reply = with_span(reply, &span);
         shared.commit_result(hash, true, span, us);
         return write_reply(writer, &reply, shared);
     }
 
-    shared.misses.fetch_add(1, Ordering::Relaxed);
+    shared.cache_misses.inc();
     let accepted = reply(id.as_ref(), "accepted", [("scenario_hash", hash_value(hash))]);
-    if let Some(t) = &shared.telemetry {
-        t.requests_accepted.inc();
-    }
+    shared.requests_accepted.inc();
     let write_start = Instant::now();
     if !write_reply(writer, &accepted, shared) {
         return false;
@@ -717,9 +663,7 @@ fn handle_request(line: &[u8], writer: &mut TcpStream, shared: &Shared, addr: So
     let (tx, rx) = mpsc::channel();
     let enqueued = Instant::now();
     shared.queue.lock().expect("queue lock").push_back(Job { spec, hash, events: tx });
-    if let Some(t) = &shared.telemetry {
-        t.queue_depth.inc();
-    }
+    shared.queue_depth.inc();
     shared.available.notify_one();
 
     // The worker owns the run; this handler only relays events, so a
@@ -731,9 +675,7 @@ fn handle_request(line: &[u8], writer: &mut TcpStream, shared: &Shared, addr: So
             Ok(JobEvent::Started) => {
                 run_started = Instant::now();
                 span.queue_us = elapsed_us(enqueued);
-                if let Some(t) = &shared.telemetry {
-                    t.requests_running.inc();
-                }
+                shared.requests_running.inc();
                 if client_alive {
                     let write_start = Instant::now();
                     client_alive = write_reply(writer, &reply(id.as_ref(), "running", []), shared);
@@ -747,7 +689,7 @@ fn handle_request(line: &[u8], writer: &mut TcpStream, shared: &Shared, addr: So
                 let serialize_start = Instant::now();
                 let reply = result_reply(id.as_ref(), false, us, slo, &stats_json);
                 span.serialize_us = elapsed_us(serialize_start);
-                let reply = with_span(reply, shared, &span);
+                let reply = with_span(reply, &span);
                 shared.commit_result(hash, false, span, us);
                 slow_log(shared, hash, &span);
                 if client_alive {
@@ -806,8 +748,7 @@ fn handle_admin(
             false
         }
         Some("stats") => {
-            let hits = shared.hits.load(Ordering::Relaxed);
-            let misses = shared.misses.load(Ordering::Relaxed);
+            let (hits, misses) = (shared.cache_hits.get(), shared.cache_misses.get());
             let ratio = if hits + misses == 0 {
                 0.0
             } else {
@@ -816,11 +757,9 @@ fn handle_admin(
                     hits as f64 / (hits + misses) as f64
                 }
             };
-            let (size, max, insertions, evictions) = {
-                let cache = shared.cache.lock().expect("cache lock");
-                (cache.len(), cache.max, cache.insertions, cache.evictions)
-            };
-            let slo = slo_value(&shared.latency_us.lock().expect("latency"));
+            let size = shared.cache_size.get();
+            let max = shared.cache.lock().expect("cache lock").max;
+            let slo = slo_value(&shared.timing_latency_us.lock().expect("latency lock"));
             let stats = reply(
                 id,
                 "stats",
@@ -832,33 +771,25 @@ fn handle_admin(
                     ("cached_scenarios", size.into()),
                     ("cache_size", size.into()),
                     ("cache_max", max.into()),
-                    ("insertions", insertions.into()),
-                    ("evictions", evictions.into()),
+                    ("insertions", shared.cache_insertions.get().into()),
+                    ("evictions", shared.cache_evictions.get().into()),
                     ("slo", slo),
                 ],
             );
             write_reply(writer, &stats, shared)
         }
         Some("metrics") => {
-            let Some(t) = &shared.telemetry else {
-                let reply = error_reply(id, "proto", "telemetry is disabled on this server");
-                return write_reply(writer, &reply, shared);
-            };
             let body = if doc.get("format").and_then(Value::as_str) == Some("text") {
-                ("text", t.registry.to_text().into())
+                ("text", shared.registry.to_text().into())
             } else {
-                ("snapshot", t.registry.snapshot_value())
+                ("snapshot", shared.registry.snapshot_value())
             };
             let metrics =
                 reply(id, "metrics", [("schema", SERVICE_METRICS_SCHEMA_V1.into()), body]);
             write_reply(writer, &metrics, shared)
         }
         Some("flightrec") => {
-            let Some(t) = &shared.telemetry else {
-                let reply = error_reply(id, "proto", "telemetry is disabled on this server");
-                return write_reply(writer, &reply, shared);
-            };
-            let (requests, errors) = t.flightrec.lock().expect("flightrec lock").to_value();
+            let (requests, errors) = shared.flightrec.lock().expect("flightrec lock").to_value();
             let flightrec = reply(
                 id,
                 "flightrec",
@@ -935,9 +866,9 @@ fn result_reply(
     )
 }
 
-/// `reply` with the request's span attached, when telemetry is on.
-fn with_span(mut reply: Value, shared: &Shared, span: &SpanPhases) -> Value {
-    if let (Value::Obj(map), Some(_)) = (&mut reply, &shared.telemetry) {
+/// `reply` with the request's span attached.
+fn with_span(mut reply: Value, span: &SpanPhases) -> Value {
+    if let Value::Obj(map) = &mut reply {
         map.insert("span".to_string(), span.to_value());
     }
     reply
@@ -948,9 +879,7 @@ fn with_span(mut reply: Value, shared: &Shared, span: &SpanPhases) -> Value {
 fn write_reply(writer: &mut TcpStream, reply: &Value, shared: &Shared) -> bool {
     let mut line = reply.to_json();
     line.push('\n');
-    if let Some(t) = &shared.telemetry {
-        t.io_bytes_out.add(line.len() as u64);
-    }
+    shared.io_bytes_out.add(line.len() as u64);
     writer.write_all(line.as_bytes()).is_ok()
 }
 
@@ -1040,10 +969,8 @@ mod tests {
         assert_eq!(cache.get(1).as_deref(), Some("a"));
         assert_eq!(cache.get(3).as_deref(), Some("c"));
         assert_eq!(cache.len(), 2);
-        assert_eq!((cache.insertions, cache.evictions), (3, 1));
         // Re-inserting an existing key is not a new insertion.
         assert_eq!(cache.insert(1, "a2".into()), (false, 0));
-        assert_eq!(cache.insertions, 3);
     }
 
     #[test]
@@ -1053,7 +980,6 @@ mod tests {
             assert_eq!(cache.insert(k, format!("{k}")), (true, 0));
         }
         assert_eq!(cache.len(), 100);
-        assert_eq!(cache.evictions, 0);
     }
 
     #[test]

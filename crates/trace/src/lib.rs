@@ -50,6 +50,6 @@ pub mod span;
 
 pub use chrome::{ChromeTraceBuilder, ClockDomains};
 pub use event::{DramCmdKind, EventCategory, InstrKind, SchedSide, StallCause, TraceEvent};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, ShardedHistogram};
+pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use sink::{NopSink, RingSink, SharedSink, TeeSink, TraceSink};
 pub use span::{spans_to_chrome, SpanPhases, SERVICE_SPAN_PID};

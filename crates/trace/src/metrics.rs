@@ -185,23 +185,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Folds another histogram's samples into this one. Both must share
-    /// the same bucket edges — merge is how [`ShardedHistogram`]
-    /// reassembles one logical distribution from its per-shard parts.
-    ///
-    /// # Panics
-    /// Panics if the two histograms have different edges.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.edges, other.edges, "merged histograms must share bucket edges");
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.total += other.total;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// `(label, count)` rows for chart rendering: `"<=N"` per edge plus
     /// a final `">N"` overflow row.
     #[must_use]
@@ -284,51 +267,6 @@ impl Gauge {
     }
 }
 
-/// A [`Histogram`] sharded across independently locked parts to keep
-/// recording lock-cheap under concurrency: each recording thread hashes
-/// its thread id to a shard, so unrelated connection handlers rarely
-/// contend on the same mutex. [`ShardedHistogram::merged`] reassembles
-/// the single logical distribution for snapshots.
-#[derive(Debug)]
-pub struct ShardedHistogram {
-    shards: Vec<Mutex<Histogram>>,
-}
-
-impl ShardedHistogram {
-    /// A sharded histogram whose every shard starts as a copy of
-    /// `empty`, which fixes the bucket edges. `shards` is clamped to at
-    /// least 1.
-    #[must_use]
-    pub fn new(shards: usize, empty: &Histogram) -> Self {
-        let shards = shards.max(1);
-        ShardedHistogram { shards: (0..shards).map(|_| Mutex::new(empty.clone())).collect() }
-    }
-
-    /// Records one value into the calling thread's shard.
-    pub fn record(&self, value: u64) {
-        let idx = {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            (h.finish() as usize) % self.shards.len()
-        };
-        self.shards[idx].lock().expect("histogram shard lock").record(value);
-    }
-
-    /// The merged distribution across every shard.
-    ///
-    /// # Panics
-    /// Panics if a shard mutex is poisoned.
-    #[must_use]
-    pub fn merged(&self) -> Histogram {
-        let mut out = self.shards[0].lock().expect("histogram shard lock").clone();
-        for shard in &self.shards[1..] {
-            out.merge(&shard.lock().expect("histogram shard lock"));
-        }
-        out
-    }
-}
-
 /// The live, named metrics surface of a long-running process — the
 /// registry `orderlight serve` snapshots on every `metrics` wire
 /// request.
@@ -339,7 +277,7 @@ impl ShardedHistogram {
 /// distinct, separately comparable sections. Registration (rare, at
 /// service start) takes a registry lock once and hands back an `Arc`
 /// handle; the hot path then touches only that handle — a relaxed
-/// atomic for counters/gauges, one sharded mutex for histograms.
+/// atomic for counters/gauges, the histogram's mutex for histograms.
 ///
 /// # Example
 ///
@@ -356,7 +294,7 @@ impl ShardedHistogram {
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<ShardedHistogram>>>,
+    histograms: Mutex<BTreeMap<String, Arc<Mutex<Histogram>>>>,
 }
 
 impl MetricsRegistry {
@@ -386,18 +324,17 @@ impl MetricsRegistry {
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
-    /// The sharded histogram named `name`, created on first use with
-    /// `shards` shards and the bucket edges of `empty`. Later calls
-    /// return the existing histogram regardless of shape arguments.
+    /// The histogram named `name`, created on first use as a copy of
+    /// `empty`, which fixes its bucket edges. Later calls return the
+    /// existing histogram whatever `empty` is.
     ///
     /// # Panics
     /// Panics if the registry mutex is poisoned.
     #[must_use]
-    pub fn histogram(&self, name: &str, shards: usize, empty: &Histogram) -> Arc<ShardedHistogram> {
+    pub fn histogram(&self, name: &str, empty: &Histogram) -> Arc<Mutex<Histogram>> {
         let mut map = self.histograms.lock().expect("metrics registry lock");
         Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(ShardedHistogram::new(shards, empty))),
+            map.entry(name.to_string()).or_insert_with(|| Arc::new(Mutex::new(empty.clone()))),
         )
     }
 
@@ -423,20 +360,8 @@ impl MetricsRegistry {
             place(name, g.get().into());
         }
         for (name, h) in self.histograms.lock().expect("metrics registry lock").iter() {
-            let m = h.merged();
-            let pct = |p: f64| m.percentile(p).unwrap_or(0).into();
-            place(
-                name,
-                Value::obj([
-                    ("count", m.total().into()),
-                    ("sum", m.sum().into()),
-                    ("min", m.min().unwrap_or(0).into()),
-                    ("max", m.max().unwrap_or(0).into()),
-                    ("p50", pct(0.50)),
-                    ("p95", pct(0.95)),
-                    ("p99", pct(0.99)),
-                ]),
-            );
+            let fields = summary(&h.lock().expect("histogram lock"));
+            place(name, Value::obj(fields.map(|(key, v)| (key, v.into()))));
         }
         Value::Obj(groups.into_iter().map(|(g, metrics)| (g, Value::Obj(metrics))).collect())
     }
@@ -466,14 +391,9 @@ impl MetricsRegistry {
             lines.push(format!("{} {}", flat(name), g.get()));
         }
         for (name, h) in self.histograms.lock().expect("metrics registry lock").iter() {
-            let m = h.merged();
             let base = flat(name);
-            lines.push(format!("{base}_count {}", m.total()));
-            lines.push(format!("{base}_sum {}", m.sum()));
-            lines.push(format!("{base}_min {}", m.min().unwrap_or(0)));
-            lines.push(format!("{base}_max {}", m.max().unwrap_or(0)));
-            for (label, p) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                lines.push(format!("{base}_{label} {}", m.percentile(p).unwrap_or(0)));
+            for (key, v) in summary(&h.lock().expect("histogram lock")) {
+                lines.push(format!("{base}_{key} {v}"));
             }
         }
         lines.sort();
@@ -481,6 +401,21 @@ impl MetricsRegistry {
         out.push('\n');
         out
     }
+}
+
+/// What a snapshot reports of a histogram: its count, sum, min, max and
+/// p50/p95/p99, each 0 while it is empty.
+fn summary(h: &Histogram) -> [(&'static str, u64); 7] {
+    let pct = |p| h.percentile(p).unwrap_or(0);
+    [
+        ("count", h.total()),
+        ("sum", h.sum()),
+        ("min", h.min().unwrap_or(0)),
+        ("max", h.max().unwrap_or(0)),
+        ("p50", pct(0.50)),
+        ("p95", pct(0.95)),
+        ("p99", pct(0.99)),
+    ]
 }
 
 #[cfg(test)]
@@ -626,30 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_folds_counts_and_extremes() {
-        let mut a = Histogram::exponential(1, 8);
-        let mut b = Histogram::exponential(1, 8);
-        a.record(2);
-        a.record(100);
-        b.record(7);
-        a.merge(&b);
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.sum(), 109);
-        assert_eq!(a.min(), Some(2));
-        assert_eq!(a.max(), Some(100));
-        // Merging an empty histogram is a no-op.
-        a.merge(&Histogram::exponential(1, 8));
-        assert_eq!(a.total(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "share bucket edges")]
-    fn histogram_merge_rejects_mismatched_edges() {
-        let mut a = Histogram::exponential(1, 8);
-        a.merge(&Histogram::exponential(2, 8));
-    }
-
-    #[test]
     fn live_counter_and_gauge_move_as_expected() {
         let c = Counter::default();
         c.inc();
@@ -665,25 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_histogram_merges_across_threads() {
-        let h = Arc::new(ShardedHistogram::new(4, &Histogram::exponential(1, 16)));
-        std::thread::scope(|scope| {
-            for t in 0..8u64 {
-                let h = Arc::clone(&h);
-                scope.spawn(move || {
-                    for v in 0..10 {
-                        h.record(t * 10 + v);
-                    }
-                });
-            }
-        });
-        let merged = h.merged();
-        assert_eq!(merged.total(), 80);
-        assert_eq!(merged.min(), Some(0));
-        assert_eq!(merged.max(), Some(79));
-    }
-
-    #[test]
     fn registry_handles_are_shared_and_snapshot_groups_by_prefix() {
         let reg = MetricsRegistry::new();
         let a = reg.counter("requests.result");
@@ -691,7 +583,7 @@ mod tests {
         a.add(2);
         b.inc();
         reg.gauge("queue.depth").set(4);
-        reg.histogram("timing.run_us", 2, &Histogram::exponential(1, 16)).record(12);
+        reg.histogram("timing.run_us", &Histogram::exponential(1, 16)).lock().unwrap().record(12);
         let snap = reg.snapshot_value();
         let requests = snap.get("requests").expect("requests group");
         assert_eq!(requests.get("result").and_then(Value::as_f64), Some(3.0));
@@ -710,7 +602,10 @@ mod tests {
     fn text_exposition_flattens_names() {
         let reg = MetricsRegistry::new();
         reg.counter("cache.hits").inc();
-        reg.histogram("timing.queue_wait_us", 1, &Histogram::exponential(1, 4)).record(3);
+        reg.histogram("timing.queue_wait_us", &Histogram::exponential(1, 4))
+            .lock()
+            .unwrap()
+            .record(3);
         let text = reg.to_text();
         assert!(text.contains("orderlight_cache_hits 1\n"), "{text}");
         assert!(text.contains("orderlight_timing_queue_wait_us_count 1\n"), "{text}");

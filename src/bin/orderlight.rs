@@ -5,8 +5,10 @@
 //! Each subcommand accepts only the flags it reads, parsed by
 //! [`orderlight_suite::cli`]; any other flag is a usage error (exit 2).
 //! The run flags are `--workload`/`-w`, `--mode`/`-m`, `--ts`, `--bmf`,
-//! `--data-kb` and `--credits`. `--jobs N` / `-j N` is the worker count
-//! (else `ORDERLIGHT_JOBS`, else the host's available parallelism).
+//! `--data-kb` and `--credits`. `--jobs N` / `-j N` is the worker count,
+//! 1 to 256 (else `ORDERLIGHT_JOBS`, else the host's available
+//! parallelism); an invalid `ORDERLIGHT_*` value is a usage error like
+//! an invalid flag value.
 //! `--core cycle|event` (else `ORDERLIGHT_CORE`, else event) selects the
 //! dense per-cycle simulation core or the bit-identical event-driven
 //! time-skip core (see `DESIGN.md`, "Quiescence contract"). Traced and
@@ -86,16 +88,16 @@
 
 use orderlight_suite::bench::{self, BENCH_SCHEMA};
 use orderlight_suite::check::{check_scenario, compare_backends, BackendRecord};
-use orderlight_suite::cli::{self, Args, Flag, UsageError, CORE, DATA_KB, JOBS, RUN};
+use orderlight_suite::cli::{self, Args, Flag, UsageError, CORE, DATA_KB, JOBS, MAX_JOBS, RUN};
 use orderlight_suite::core::fault::{DropEdge, FaultPlan, NocJitter, RefreshStorm};
 use orderlight_suite::profile::{profile_scenario_with, PROFILE_SCHEMA};
-use orderlight_suite::sim::core_select::{resolve_core, set_core_override, SimCore};
+use orderlight_suite::sim::core_select::{set_core_override, SimCore};
 use orderlight_suite::sim::experiments::{
     fence_heavy_points, fig05_points, fig10_points, fig12_points, fig13_points, JobSpec, Runner,
     SweepPoint,
 };
 use orderlight_suite::sim::figures::FIGURES;
-use orderlight_suite::sim::pool::{resolve_jobs, Pool};
+use orderlight_suite::sim::pool::{available_jobs, Pool};
 use orderlight_suite::sim::report::bar_chart;
 use orderlight_suite::sim::schema::{
     parse_mode, parse_ts, parse_workload, schema_document, stats_to_value, ScenarioSpec,
@@ -158,7 +160,7 @@ fn usage() -> ExitCode {
   orderlight compare-ordering [--workload NAME] [--data-kb N] [--out PATH] [--core C]
   orderlight bench [--data-kb N] [--out PATH] [--jobs N] [--core C]
   orderlight bench --compare A.json B.json
-  orderlight serve [--addr HOST:PORT] [--cache-max N] [--slow-ms N] [--no-telemetry] [--jobs N] [--core C]
+  orderlight serve [--addr HOST:PORT] [--cache-max N] [--slow-ms N] [--jobs N] [--core C]
   orderlight submit [run flags] [--core C] [--budget N] --addr HOST:PORT [--out PATH] [--span-trace PATH]
   orderlight submit [run flags] [--core C] [--budget N] --local [--out PATH]
   orderlight submit --addr HOST:PORT --shutdown | --stats | --metrics | --metrics-text | --flightrec
@@ -166,7 +168,7 @@ fn usage() -> ExitCode {
   orderlight schema | list | taxonomy
 run flags: [--workload/-w NAME] [--mode/-m gpu|none|fence|orderlight|seqnum|louvre|bulk]
   [--ts 16|8|4|2] [--bmf N] [--data-kb N] [--credits N]
---core cycle|event (or ORDERLIGHT_CORE), --jobs/-j N (or ORDERLIGHT_JOBS); a subcommand
+--core cycle|event (or ORDERLIGHT_CORE), --jobs/-j 1..256 (or ORDERLIGHT_JOBS); a subcommand
 accepts only the flags listed for it (see `orderlight schema` for the wire surface)"
     );
     ExitCode::from(2)
@@ -213,15 +215,18 @@ fn run_spec(flags: &Args, workload: WorkloadId, data_kb: u64) -> Result<Scenario
 /// The `--core` choice (else `ORDERLIGHT_CORE`, else event), installed
 /// as the process default that `Runner` and the service read.
 fn install_core(flags: &Args) -> Result<SimCore, UsageError> {
-    let core = resolve_core(flags.get("--core", |v| SimCore::parse(v).ok())?);
+    let core = flags
+        .get_or_env("--core", "ORDERLIGHT_CORE", |v| SimCore::parse(v).ok())?
+        .unwrap_or_default();
     set_core_override(Some(core));
     Ok(core)
 }
 
 /// The `--jobs` worker count (else `ORDERLIGHT_JOBS`, else the host's
-/// available parallelism).
+/// available parallelism), at most [`MAX_JOBS`].
 fn jobs(flags: &Args) -> Result<usize, UsageError> {
-    Ok(resolve_jobs(flags.parsed("--jobs")?))
+    let jobs = flags.get_or_env("--jobs", "ORDERLIGHT_JOBS", cli::jobs)?;
+    Ok(jobs.unwrap_or_else(|| available_jobs().min(MAX_JOBS)))
 }
 
 /// How the run-style commands announce a scenario.
@@ -785,13 +790,8 @@ fn sweep_figures(which: &str, data: u64) -> Option<Vec<(&'static str, Vec<JobSpe
 /// The per-channel job size: the `--data-kb` bytes if the flag was
 /// given, else those of `ORDERLIGHT_DATA_KB`, else `default_kb` KiB.
 fn data_bytes(flags: &Args, default_kb: u64) -> Result<u64, UsageError> {
-    if let Some(bytes) = flags.get("--data-kb", kib_bytes)? {
-        return Ok(bytes);
-    }
-    let Ok(value) = std::env::var("ORDERLIGHT_DATA_KB") else {
-        return Ok(default_kb * 1024);
-    };
-    kib_bytes(&value).ok_or(UsageError::InvalidValue { flag: "ORDERLIGHT_DATA_KB".into(), value })
+    let bytes = flags.get_or_env("--data-kb", "ORDERLIGHT_DATA_KB", kib_bytes)?;
+    Ok(bytes.unwrap_or(default_kb * 1024))
 }
 
 /// Parses `[NAME] [--data-kb N] [--jobs N] [--core C]` and installs the
@@ -970,18 +970,15 @@ fn cmd_bench_compare(paths: [&str; 2]) -> ExitCode {
 }
 
 fn cmd_bench(args: &[String]) -> Outcome {
-    // `--compare A B` ends the line.
-    let (args, compare) = match args.iter().position(|a| a == "--compare") {
-        Some(i) => (&args[..i], Some(&args[i + 1..])),
-        None => (args, None),
-    };
-    let flags = cli::parse(args, 0, &[&[OUT], DATA_KB, JOBS, CORE])?;
-    if let Some(paths) = compare {
-        let [a, b] = paths else {
+    // `--compare A B` ends the line and takes no other flag.
+    if let Some(i) = args.iter().position(|a| a == "--compare") {
+        cli::parse(&args[..i], 0, &[])?;
+        let [a, b] = &args[i + 1..] else {
             return Err("--compare takes exactly two BENCH_sweep.json paths".into());
         };
         return Ok(cmd_bench_compare([a, b]));
     }
+    let flags = cli::parse(args, 0, &[&[OUT], DATA_KB, JOBS, CORE])?;
     let (data, jobs, core) = (data_bytes(&flags, 8)?, jobs(&flags)?, install_core(&flags)?);
     let out = flags.value("--out").unwrap_or("BENCH_sweep.json");
     let data_kb = data / 1024;
@@ -1047,21 +1044,16 @@ fn cmd_schema() -> ExitCode {
 /// serves scenario requests on `--jobs` workers until a client sends
 /// `{"cmd": "shutdown"}`.
 fn cmd_serve(args: &[String]) -> Outcome {
-    const SERVE: &[Flag] = &[
-        cli::value(&["--addr"]),
-        cli::value(&["--cache-max"]),
-        cli::value(&["--slow-ms"]),
-        cli::switch(&["--no-telemetry"]),
-    ];
+    const SERVE: &[Flag] =
+        &[cli::value(&["--addr"]), cli::value(&["--cache-max"]), cli::value(&["--slow-ms"])];
     let flags = cli::parse(args, 0, &[SERVE, JOBS, CORE])?;
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:0");
     let (cache_max, slow_ms) =
         (flags.parsed("--cache-max")?.unwrap_or(0), flags.parsed("--slow-ms")?);
-    let telemetry = !flags.switch("--no-telemetry");
     let jobs = jobs(&flags)?;
     install_core(&flags)?;
     let server = match Server::bind(addr, jobs) {
-        Ok(s) => s.with_cache_max(cache_max).with_slow_ms(slow_ms).with_telemetry(telemetry),
+        Ok(s) => s.with_cache_max(cache_max).with_slow_ms(slow_ms),
         Err(e) => {
             eprintln!("cannot bind {addr}: {e}");
             return Ok(ExitCode::FAILURE);
@@ -1221,10 +1213,8 @@ fn print_stats_summary(doc: &Value) {
 fn write_span_trace(path: &str, result_line: &str) -> Result<(), String> {
     use orderlight_suite::trace::{spans_to_chrome, SpanPhases};
     let doc = json::parse(result_line).map_err(|e| e.to_string())?;
-    let span = doc
-        .get("span")
-        .and_then(SpanPhases::from_value)
-        .ok_or("no span in the result reply (server telemetry disabled?)")?;
+    let span =
+        doc.get("span").and_then(SpanPhases::from_value).ok_or("no span in the result reply")?;
     let cached = doc.get("cached").and_then(Value::as_bool).unwrap_or(false);
     let label = if cached { "request (cache hit)" } else { "request (cache miss)" };
     let chrome = spans_to_chrome(&[(label.to_string(), span)]);
@@ -1244,7 +1234,9 @@ fn fetch_admin(addr: &str, cmd: &str) -> Result<Value, String> {
 }
 
 /// `orderlight top`: polls a daemon's `stats`/`metrics`/`flightrec`
-/// surfaces and renders a live one-screen summary.
+/// surfaces and renders a live one-screen summary. Every count and
+/// percentile on it comes from the one metrics snapshot; `stats`
+/// supplies only the configured cache bound.
 fn cmd_top(args: &[String]) -> Outcome {
     const TOP: &[Flag] = &[
         cli::value(&["--addr"]),
@@ -1316,13 +1308,15 @@ fn render_top(addr: &str, stats: &Value, metrics: &Value, flight: &Value) -> Str
         m("requests", "error"),
     );
     let max = if s("cache_max") == 0.0 { "inf".to_string() } else { format!("{}", s("cache_max")) };
+    let (hits, misses) = (m("cache", "hits"), m("cache", "misses"));
+    let ratio = if hits + misses > 0.0 { hits / (hits + misses) } else { 0.0 };
     let _ = writeln!(
         out,
         "cache     size {}/{max}  hits {}  misses {}  ratio {:.2}  insertions {}  evictions {}",
         m("cache", "size"),
-        m("cache", "hits"),
-        m("cache", "misses"),
-        s("hit_ratio"),
+        hits,
+        misses,
+        ratio,
         m("cache", "insertions"),
         m("cache", "evictions"),
     );
@@ -1347,8 +1341,7 @@ fn render_top(addr: &str, stats: &Value, metrics: &Value, flight: &Value) -> Str
         m("io", "bytes_in"),
         m("io", "bytes_out"),
     );
-    let slo = stats.get("slo");
-    let p = |k: &str| slo.and_then(|s| s.get(k)).and_then(Value::as_f64).unwrap_or(0.0);
+    let p = |q: &str| hist("timing", "latency_us", q);
     let _ = writeln!(out, "latency   p50 {}us  p95 {}us  p99 {}us", p("p50"), p("p95"), p("p99"));
     let _ = writeln!(out, "recent requests:");
     let _ = writeln!(out, "  {:>5}  {:<14}  {:>12}  scenario", "seq", "outcome", "latency_us");

@@ -47,6 +47,17 @@ pub const RUN: &[Flag] = &[
 /// The worker count of the commands that run a pool.
 pub const JOBS: &[Flag] = &[value(&["--jobs", "-j"])];
 
+/// The most workers `--jobs` or `ORDERLIGHT_JOBS` may ask for. `serve`
+/// spawns every worker when it starts, so an unbounded count would let
+/// one typo start a hundred thousand threads.
+pub const MAX_JOBS: usize = 256;
+
+/// A worker count: an integer in `1..=MAX_JOBS`.
+#[must_use]
+pub fn jobs(value: &str) -> Option<usize> {
+    value.parse().ok().filter(|n| (1..=MAX_JOBS).contains(n))
+}
+
 /// The simulation core of the commands that simulate.
 pub const CORE: &[Flag] = &[value(&["--core"])];
 
@@ -162,6 +173,26 @@ impl<'a> Args<'a> {
         Ok(last)
     }
 
+    /// [`Args::get`], else the environment variable `var` through
+    /// `convert`, else `None`.
+    ///
+    /// # Errors
+    /// As [`Args::get`] for the flag; [`UsageError::InvalidValue`]
+    /// naming `var` when the flag is absent and `convert` rejects the
+    /// variable's value.
+    pub fn get_or_env<T>(
+        &self,
+        name: &str,
+        var: &str,
+        convert: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, UsageError> {
+        if let Some(v) = self.get(name, &convert)? {
+            return Ok(Some(v));
+        }
+        let Ok(value) = std::env::var(var) else { return Ok(None) };
+        convert(&value).map(Some).ok_or(UsageError::InvalidValue { flag: var.into(), value })
+    }
+
     /// [`Args::get`] through [`FromStr`].
     ///
     /// # Errors
@@ -219,5 +250,18 @@ mod tests {
         assert_eq!(bad.to_string(), "invalid value 'many' for -j");
         // A value may start with a dash.
         assert_eq!(err(&["--jobs", "-1"], &[JOBS]).to_string(), "invalid value '-1' for --jobs");
+    }
+
+    #[test]
+    fn a_worker_count_is_bounded_on_both_sides() {
+        assert_eq!(jobs("1"), Some(1));
+        assert_eq!(jobs(&MAX_JOBS.to_string()), Some(MAX_JOBS));
+        for rejected in ["0", "257", "100000", "many", ""] {
+            assert_eq!(jobs(rejected), None, "{rejected:?}");
+        }
+        let raw = argv(&["serve", "--jobs", "100000"]);
+        let args = parse(&raw, 1, &[JOBS]).unwrap();
+        let err = args.get("--jobs", jobs).unwrap_err();
+        assert_eq!(err.to_string(), "invalid value '100000' for --jobs");
     }
 }

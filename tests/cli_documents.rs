@@ -210,7 +210,8 @@ fn overflowing_data_kb_is_rejected_before_anything_runs() {
 /// before anything runs: a flag the subcommand does not read, a value
 /// flag last on the line, or a value its flag rejects. `--bogus` used to
 /// read as "missing value for --bogus" on eight subcommands, and `list`
-/// and `schema` ignored flags altogether.
+/// and `schema` ignored flags altogether. An `ORDERLIGHT_*` variable the
+/// subcommand reads is checked like the flag it stands for.
 #[test]
 fn every_subcommand_rejects_a_bad_flag_in_the_same_words() {
     const SUBCOMMANDS: [&str; 15] = [
@@ -247,14 +248,33 @@ fn every_subcommand_rejects_a_bad_flag_in_the_same_words() {
         (vec!["list", "--core", "event"], "unknown flag --core"),
         (vec!["compare-ordering", "--jobs", "2"], "unknown flag --jobs"),
         (vec!["run", "--ordering", "fence"], "unknown flag --ordering"),
+        (vec!["sweep", "--jobs", "0"], "invalid value '0' for --jobs"),
+        (vec!["figure", "fig05", "-j", "257"], "invalid value '257' for -j"),
+        (
+            vec!["bench", "--out", "/nonexistent/x.json", "--data-kb", "4", "--compare", "r", "r"],
+            "unknown flag --out",
+        ),
     ];
-    for (args, message) in bogus.into_iter().chain(others) {
-        let run = orderlight(&args);
+    // An invalid `ORDERLIGHT_CORE` or `ORDERLIGHT_JOBS` used to be
+    // ignored; it is the same usage error, naming the variable.
+    let from_env = [
+        (vec!["run", "--data-kb", "4"], ("ORDERLIGHT_CORE", "dense")),
+        (vec!["sweep", "--data-kb", "4"], ("ORDERLIGHT_JOBS", "many")),
+        (vec!["sweep", "--data-kb", "4"], ("ORDERLIGHT_JOBS", "0")),
+    ]
+    .map(|(args, (var, value))| {
+        (args, Some((var, value)), format!("invalid value '{value}' for {var}"))
+    });
+    let rows = bogus.into_iter().chain(others).map(|(args, message)| (args, None, message.into()));
+    for (args, env, message) in rows.chain(from_env) {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_orderlight"));
+        command.args(&args).envs(env);
+        let run = command.output().expect("run orderlight");
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(run.stdout.is_empty(), "{args:?} printed {}", String::from_utf8_lossy(&run.stdout));
         let mut lines = stderr.lines();
-        assert_eq!(lines.next(), Some(message), "{args:?}");
+        assert_eq!(lines.next(), Some(message.as_str()), "{args:?} {env:?}");
         assert_eq!(lines.next(), Some("usage:"), "{args:?}: the synopsis follows");
     }
 }

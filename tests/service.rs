@@ -505,6 +505,50 @@ fn metrics_counters_are_exact_under_a_serialized_session() {
     shutdown(&addr, handle);
 }
 
+/// `stats` and `metrics` read one set of books. A run that fails after
+/// its cache lookup still counts as a miss on both: `stats` used to
+/// count it while `cache.misses` did not. The `slo` of a result reply
+/// is `timing.latency_us` including that request, and a miss and a hit
+/// both carry their span over the full phase vocabulary.
+#[test]
+fn stats_and_metrics_report_the_same_cache_counts_and_latency() {
+    let (addr, handle) = start_server(1);
+    let starved = format!(
+        r#"{{"schema": "{SCENARIO_SCHEMA_V1}", "workload": "Add", "data_kb": 8, "budget": 10}}"#
+    );
+    let err = result_of(&addr, &starved);
+    assert_eq!(err.get("kind").and_then(json::Value::as_str), Some("sim"), "{}", err.to_json());
+    let miss = result_of(&addr, &add_request());
+    let hit = result_of(&addr, &add_request());
+    assert_eq!(hit.get("cached").and_then(json::Value::as_bool), Some(true));
+    for reply in [&miss, &hit] {
+        let span = reply.get("span").expect("span rides the result reply");
+        for phase in ["parse_us", "queue_us", "run_us", "serialize_us", "write_us"] {
+            assert!(span.get(phase).and_then(json::Value::as_f64).is_some(), "{phase} present");
+        }
+    }
+
+    let stats = result_of(&addr, r#"{"cmd": "stats"}"#);
+    let snap = metrics_snapshot(&addr);
+    let stat = |key: &str| stats.get(key).and_then(json::Value::as_f64).expect(key);
+    for (stats_key, cache_key, want) in [
+        ("hits", "hits", 1.0),
+        ("misses", "misses", 2.0),
+        ("insertions", "insertions", 1.0),
+        ("evictions", "evictions", 0.0),
+        ("cache_size", "size", 1.0),
+    ] {
+        assert_eq!(stat(stats_key), counter(&snap, "cache", cache_key), "{stats_key}");
+        assert_eq!(stat(stats_key), want, "{stats_key}");
+    }
+    let latency = snap.get("timing").and_then(|t| t.get("latency_us")).expect("latency histogram");
+    for p in ["p50", "p95", "p99"] {
+        let served = hit.get("slo").and_then(|s| s.get(p)).and_then(json::Value::as_f64);
+        assert_eq!(served, latency.get(p).and_then(json::Value::as_f64), "slo {p}");
+    }
+    shutdown(&addr, handle);
+}
+
 #[test]
 fn metrics_deterministic_groups_are_byte_identical_across_sessions() {
     // Two fresh servers replay the same serialized script; the
@@ -563,42 +607,6 @@ fn metrics_stay_monotonic_under_concurrent_clients() {
         }
     }
     shutdown(&addr, handle);
-}
-
-#[test]
-fn telemetry_is_observe_only_and_spans_ride_the_result() {
-    let with = start_server(1);
-    let server = Server::bind("127.0.0.1:0", 1).expect("bind loopback").with_telemetry(false);
-    let without = start_configured(server);
-
-    let on = result_of(&with.0, &add_request());
-    let off = result_of(&without.0, &add_request());
-    // The observe-only contract: run results are byte-identical with
-    // telemetry enabled vs disabled.
-    assert_eq!(
-        on.get("stats").expect("stats present").to_json(),
-        off.get("stats").expect("stats present").to_json(),
-        "telemetry must not change the served result"
-    );
-    // Spans ride the result reply only when telemetry is on, and cover
-    // the full phase vocabulary.
-    let span = on.get("span").expect("span rides the result reply with telemetry on");
-    for phase in ["parse_us", "queue_us", "run_us", "serialize_us", "write_us"] {
-        assert!(span.get(phase).and_then(json::Value::as_f64).is_some(), "{phase} present");
-    }
-    assert!(off.get("span").is_none(), "no span without telemetry");
-    // Metrics surfaces answer a typed error when telemetry is off —
-    // never a dropped connection.
-    for cmd in [r#"{"cmd": "metrics"}"#, r#"{"cmd": "flightrec"}"#] {
-        let doc = result_of(&without.0, cmd);
-        assert_eq!(doc.get("reply").and_then(json::Value::as_str), Some("error"));
-        assert_eq!(doc.get("kind").and_then(json::Value::as_str), Some("proto"));
-    }
-    // Stats still works without telemetry (it predates the plane).
-    let stats = result_of(&without.0, r#"{"cmd": "stats"}"#);
-    assert_eq!(stats.get("misses").and_then(json::Value::as_f64), Some(1.0));
-    shutdown(&with.0, with.1);
-    shutdown(&without.0, without.1);
 }
 
 #[test]
