@@ -267,4 +267,18 @@ echo "    fence-ts16 event-core speedup: ${speedup}x" \
 awk -v s="$speedup" 'BEGIN { exit !(s >= 2.5) }' \
     || { echo "fence-ts16 event speedup ${speedup}x below the 2.5x floor"; exit 1; }
 
+# Busy-series floor: the event core is never slower than the dense core,
+# even on fig10, the series that holds the GPU host points (beside its
+# fence and OrderLight points). There nearly every cycle executes and
+# the event core runs mostly in dense bursts. Same fastest-of-five legs
+# and canonical key order as above.
+echo "==> event-core busy-series floor (fig10 >= 1.0x)"
+busy_entry="$(grep -o '"cycle_points_per_sec":[^{}]*"figure":"fig10"' BENCH_sweep.json || true)"
+busy_speedup="$(json_num event_speedup "$busy_entry")"
+echo "    fig10 event-core speedup: ${busy_speedup}x" \
+    "($(json_num cycle_seconds "$busy_entry") s dense / $(json_num event_seconds "$busy_entry") s event)"
+[[ -n "$busy_speedup" ]] || { echo "bench JSON has no fig10 speedup entry"; exit 1; }
+awk -v s="$busy_speedup" 'BEGIN { exit !(s >= 1.0) }' \
+    || { echo "fig10 event speedup ${busy_speedup}x below the 1.0x floor"; exit 1; }
+
 echo "CI green."

@@ -120,6 +120,15 @@ impl Calendar {
         self.scheduled[comp as usize] = NONE;
     }
 
+    /// Drops every pending wake-up and restarts the window at `start`,
+    /// as [`Calendar::new`] would, without reallocating.
+    pub fn clear(&mut self, start: u64) {
+        for comp in 0..self.scheduled.len() as u32 {
+            self.cancel(comp);
+        }
+        self.base = start;
+    }
+
     /// Links `comp`, due at `at`, into its ring slot or the `far` list.
     fn link(&mut self, comp: u32, at: u64) {
         let list = if at.wrapping_sub(self.base) < RING as u64 {
@@ -377,6 +386,21 @@ mod tests {
         assert_eq!(cal.pop_next(&mut due), Some(9));
         assert_eq!(due, vec![1]);
         assert_eq!(cal.pop_next(&mut due), None);
+    }
+
+    #[test]
+    fn clear_empties_every_list_and_restarts_the_window() {
+        let mut cal = Calendar::new(3, 0);
+        cal.schedule(0, 7);
+        cal.schedule(1, 7);
+        cal.schedule(2, 9000); // far
+        cal.clear(20_000);
+        assert_eq!((0..3).filter_map(|c| cal.scheduled_at(c)).count(), 0);
+        let mut due = Vec::new();
+        assert_eq!(cal.pop_next(&mut due), None);
+        cal.schedule(2, 20_000);
+        cal.schedule(0, 20_001);
+        assert_eq!(drain(&mut cal), vec![(20_000, vec![2]), (20_001, vec![0])]);
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! jumps the clocks straight to the earliest one, and touches only the
 //! components due (or woken) on each executed cycle — every other
 //! component catches up lazily in closed form when it is next involved.
+//! Where nearly every component acts on nearly every cycle anyway, the
+//! event loop hands bursts of cycles to the dense loop (see
+//! `run_event`).
 
 use crate::calendar::Calendar;
 use crate::config::{ExecMode, ExperimentConfig};
@@ -21,6 +24,7 @@ use orderlight_memctrl::{McConfig, McStats, MemoryController};
 use orderlight_noc::MemoryPipe;
 use orderlight_pim::PimUnit;
 use orderlight_workloads::WorkloadInstance;
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 
@@ -28,6 +32,45 @@ use std::fmt;
 const LDST_DRAIN_PER_CYCLE: usize = 2;
 /// Requests a pipe may hand to its controller per core cycle.
 const MC_INGEST_PER_CYCLE: usize = 2;
+
+/// Executed cycles per density window of the event core.
+const BURST_WINDOW: u32 = 64;
+/// A window whose tick density — the components it ticked per
+/// thousand component-cycles it spans — reaches this is followed by a
+/// dense burst.
+const BURST_TICK_PERMILLE: u32 = 450;
+/// A window counts the components ticked on every this many executed
+/// cycles.
+const TICK_SAMPLE: u32 = 4;
+/// Length of a burst after a sparse window; each further dense window
+/// doubles it, up to [`BURST_MAX`].
+const BURST_MIN: u64 = 1024;
+/// Longest dense burst.
+const BURST_MAX: u64 = 1 << 16;
+
+thread_local! {
+    /// This thread's burst threshold override (see
+    /// [`with_burst_threshold`]).
+    static BURST_PERMILLE: Cell<Option<u32>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with the event core's dense-burst threshold on this thread
+/// set to `permille` component ticks per thousand component-cycles a
+/// window spans: `Some(0)` bursts after every window, anything above
+/// `Some(1000)` never bursts, and `None` keeps the built-in threshold.
+/// A test hook: bursts are exact at any threshold, so only which
+/// cycles execute changes, never a result.
+#[doc(hidden)]
+pub fn with_burst_threshold<R>(permille: Option<u32>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<u32>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            BURST_PERMILLE.set(self.0);
+        }
+    }
+    let _restore = Restore(BURST_PERMILLE.replace(permille));
+    f()
+}
 
 /// A simulation failure (deadlock / cycle-budget exhaustion).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,6 +117,9 @@ pub struct System {
     /// Controller responses of the memory tick in flight; empty between
     /// ticks and reused by both cores, so no tick allocates.
     resps: Vec<MemResp>,
+    /// SMs `0..done_sms` were found done by [`System::is_done`]. A done
+    /// SM never un-finishes, so they are not asked again.
+    done_sms: usize,
 }
 
 /// Scratch state of one event-core run: the wake-ups (the next-cycle
@@ -108,6 +154,76 @@ struct EventState {
     /// queued, cleared when a drain empties the queue; it persists
     /// across cycles.
     ldst_head: Bits,
+    /// Executed cycles and component ticks in the current density
+    /// window, and its first cycle.
+    window_executed: u32,
+    window_ticks: u64,
+    window_start: CoreCycle,
+    /// Length of the next dense burst.
+    burst_len: u64,
+    /// Tick density of a window that earns a burst, per mille.
+    burst_permille: u32,
+}
+
+impl EventState {
+    /// Allocates the state for `n_sms` SMs, `n_pipes` pipes and
+    /// `n_mcs` controllers; [`System::bootstrap`] initialises it.
+    fn new(n_sms: usize, n_pipes: usize, n_mcs: usize) -> EventState {
+        let total = n_sms + n_pipes + n_mcs;
+        EventState {
+            cal: Calendar::new(total, 0),
+            due: Vec::with_capacity(total),
+            next_sm: Bits::new(n_sms),
+            next_pipe: Bits::new(n_pipes),
+            next_mc: Bits::new(n_mcs),
+            sm_synced: vec![0; n_sms],
+            pipe_synced: vec![0; n_pipes],
+            mc_synced: vec![0; n_mcs],
+            due_sm: Bits::new(n_sms),
+            due_pipe: Bits::new(n_pipes),
+            due_mc: Bits::new(n_mcs),
+            touched_sm: Bits::new(n_sms),
+            touched_pipe: Bits::new(n_pipes),
+            ldst_head: Bits::new(n_sms),
+            window_executed: 0,
+            window_ticks: 0,
+            window_start: 0,
+            burst_len: BURST_MIN,
+            burst_permille: BURST_PERMILLE.get().unwrap_or(BURST_TICK_PERMILLE),
+        }
+    }
+
+    /// Counts executed cycle `t`, whose ticked components are still in
+    /// the due sets, into the density window. At the end of a window,
+    /// returns the length of the burst to run now, if the window was
+    /// dense: the length doubles while consecutive windows stay dense
+    /// and drops back to [`BURST_MIN`] after a sparse one.
+    fn burst_after(&mut self, t: CoreCycle) -> Option<u64> {
+        if self.window_executed == 0 {
+            self.window_start = t;
+            self.window_ticks = 0;
+        }
+        self.window_executed += 1;
+        // Every `TICK_SAMPLE`th cycle stands for its neighbours, so
+        // counting stays off the other executed cycles.
+        if self.window_executed.is_multiple_of(TICK_SAMPLE) {
+            let ticks = self.due_sm.len() + self.due_pipe.len() + self.due_mc.len();
+            self.window_ticks += u64::from(TICK_SAMPLE) * ticks;
+        }
+        if self.window_executed < BURST_WINDOW {
+            return None;
+        }
+        self.window_executed = 0;
+        let components = self.sm_synced.len() + self.pipe_synced.len() + self.mc_synced.len();
+        let span = (t + 1 - self.window_start) * components as u64;
+        if self.window_ticks * 1000 < span.saturating_mul(u64::from(self.burst_permille)) {
+            self.burst_len = BURST_MIN;
+            return None;
+        }
+        let len = self.burst_len;
+        self.burst_len = (len * 2).min(BURST_MAX);
+        Some(len)
+    }
 }
 
 /// Wakes component `id` (index `i` of its kind) at `at`: the next cycle
@@ -170,6 +286,10 @@ impl Bits {
 
     fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
+    }
+
+    fn len(&self) -> u64 {
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 }
 
@@ -314,6 +434,7 @@ impl System {
             clock_acc: 0,
             skip_log: None,
             resps: Vec::new(),
+            done_sms: 0,
         })
     }
 
@@ -585,6 +706,66 @@ impl System {
         }
     }
 
+    /// Accounts every lazy component's quiescent window up to the
+    /// current clocks, so each one's state is what a dense run through
+    /// cycle `now - 1` would leave: counters, occupancy integrals and
+    /// synthesized periodic events included.
+    fn sync_lazy(&mut self, ev: &mut EventState) {
+        for s in 0..self.sms.len() {
+            self.catch_up_sm(ev, s, self.now);
+        }
+        for ch in 0..self.pipes.len() {
+            self.catch_up_pipe(ev, ch, self.now);
+        }
+        for ch in 0..self.mcs.len() {
+            self.catch_up_mc(ev, ch, self.mem_now);
+        }
+    }
+
+    /// (Re)starts the event state at the current clocks with every
+    /// component synced: everyone wakes on the next cycle (equivalent
+    /// to a dense step) and re-registers its true horizon from there,
+    /// and the LDST-head set is recounted. Allocates nothing.
+    fn bootstrap(&self, ev: &mut EventState) {
+        ev.cal.clear(self.now);
+        ev.sm_synced.fill(self.now);
+        ev.pipe_synced.fill(self.now);
+        ev.mc_synced.fill(self.mem_now);
+        for (lane, n) in [
+            (&mut ev.next_sm, self.sms.len()),
+            (&mut ev.next_pipe, self.pipes.len()),
+            (&mut ev.next_mc, self.mcs.len()),
+        ] {
+            for i in 0..n {
+                lane.insert(i);
+            }
+        }
+        ev.ldst_head.clear();
+        for (s, sm) in self.sms.iter().enumerate() {
+            if sm.peek_ldst().is_some() {
+                ev.ldst_head.insert(s);
+            }
+        }
+    }
+
+    /// Runs a burst of up to `len` dense steps inside the event core:
+    /// syncs every lazy component, steps — checking before each, as the
+    /// dense loop does, that the system has not drained and the budget
+    /// has not run out — and bootstraps the event state again. Kept out
+    /// of line: it runs once per burst, off the event loop's hot path.
+    #[inline(never)]
+    fn burst(&mut self, ev: &mut EventState, len: u64, max_core_cycles: u64) {
+        self.sync_lazy(ev);
+        let end = self.now.saturating_add(len);
+        while self.now < end && self.now < max_core_cycles && !self.is_done() {
+            if let Some(log) = self.skip_log.as_mut() {
+                log.push(self.now);
+            }
+            self.step_cycle();
+        }
+        self.bootstrap(ev);
+    }
+
     /// The event core: a calendar-queue loop that executes only the
     /// cycles on which some component acts, and on those cycles touches
     /// only the due components. Equivalent to running
@@ -603,57 +784,25 @@ impl System {
     ///   stall counters, occupancy integrals and synthesized trace
     ///   events land exactly as the dense core's would.
     ///
+    /// Where nearly every component acts on nearly every cycle, the
+    /// calendar bookkeeping is pure cost, so the loop measures the tick
+    /// density of each window of [`BURST_WINDOW`] executed cycles: the
+    /// component ticks it executed per component-cycle it spans. After
+    /// a dense window it syncs every component, runs a burst of dense
+    /// steps, and bootstraps the event state again as at entry. An
+    /// extra tick is always exact, so a burst is too; the policy reads
+    /// only what executed, never a sink, so skip decisions stay
+    /// observation-independent.
+    ///
     /// The budget error fires at the same cycle as the dense core's; a
     /// system with no future event at all (a deadlock the budget will
     /// catch) burns the remaining budget in one jump.
     fn run_event(&mut self, max_core_cycles: u64) -> Result<(), SimError> {
-        let (n_sms, n_pipes, n_mcs) = (self.sms.len(), self.pipes.len(), self.mcs.len());
-        let total = n_sms + n_pipes + n_mcs;
-        let mut ev = EventState {
-            cal: Calendar::new(total, self.now),
-            due: Vec::with_capacity(total),
-            next_sm: Bits::new(n_sms),
-            next_pipe: Bits::new(n_pipes),
-            next_mc: Bits::new(n_mcs),
-            sm_synced: vec![self.now; n_sms],
-            pipe_synced: vec![self.now; n_pipes],
-            mc_synced: vec![self.mem_now; n_mcs],
-            due_sm: Bits::new(n_sms),
-            due_pipe: Bits::new(n_pipes),
-            due_mc: Bits::new(n_mcs),
-            touched_sm: Bits::new(n_sms),
-            touched_pipe: Bits::new(n_pipes),
-            ldst_head: Bits::new(n_sms),
-        };
-        for (s, sm) in self.sms.iter().enumerate() {
-            if sm.peek_ldst().is_some() {
-                ev.ldst_head.insert(s);
-            }
-        }
-        // Bootstrap: everyone wakes on the first cycle (equivalent to a
-        // dense step) and re-registers its true horizon from there.
-        for (lane, n) in
-            [(&mut ev.next_sm, n_sms), (&mut ev.next_pipe, n_pipes), (&mut ev.next_mc, n_mcs)]
-        {
-            for i in 0..n {
-                lane.insert(i);
-            }
-        }
+        let mut ev = EventState::new(self.sms.len(), self.pipes.len(), self.mcs.len());
+        self.bootstrap(&mut ev);
         loop {
             if self.is_done() {
-                // Account the trailing quiescent window to every lazy
-                // component, so counters, occupancy integrals and
-                // synthesized periodic events match a dense run that
-                // ticked through cycle `now - 1`.
-                for s in 0..n_sms {
-                    self.catch_up_sm(&mut ev, s, self.now);
-                }
-                for ch in 0..n_pipes {
-                    self.catch_up_pipe(&mut ev, ch, self.now);
-                }
-                for ch in 0..n_mcs {
-                    self.catch_up_mc(&mut ev, ch, self.mem_now);
-                }
+                self.sync_lazy(&mut ev);
                 return Ok(());
             }
             if self.now >= max_core_cycles {
@@ -681,6 +830,9 @@ impl System {
                 log.push(t);
             }
             self.step_event_cycle(t, &mut ev);
+            if let Some(len) = ev.burst_after(t) {
+                self.burst(&mut ev, len, max_core_cycles);
+            }
         }
     }
 
@@ -888,9 +1040,27 @@ impl System {
         self.skip_log.take().unwrap_or_default()
     }
 
+    /// Whether every SM is done, advancing the done prefix past the SMs
+    /// that finished since the last call.
+    fn sms_done(&mut self) -> bool {
+        while let Some(sm) = self.sms.get_mut(self.done_sms) {
+            if !sm.is_done() {
+                return false;
+            }
+            self.done_sms += 1;
+        }
+        true
+    }
+
     /// Whether every warp retired and the memory system is drained.
     pub fn is_done(&mut self) -> bool {
-        self.sms.iter_mut().all(Sm::is_done)
+        let sms_done = self.sms_done();
+        debug_assert_eq!(
+            self.sms.iter_mut().all(Sm::is_done),
+            sms_done,
+            "the done-SM prefix disagrees with a recount"
+        );
+        sms_done
             && self.pipes.iter().all(MemoryPipe::is_empty)
             && self.mcs.iter().all(MemoryController::is_idle)
     }
@@ -1190,6 +1360,83 @@ mod tests {
             OrderingMode::Fence,
         );
         assert!(System::build_custom(exp, instance).is_err());
+    }
+
+    /// A GPU host point (16 SMs of 8 warps), a fence point (2 SMs) and an
+    /// OrderLight point (8 SMs), as the figure sweeps allocate them.
+    fn swept_exps() -> Vec<ExperimentConfig> {
+        [
+            (WorkloadId::Triad, ExecMode::Gpu),
+            (WorkloadId::BnBwd, ExecMode::Gpu),
+            (WorkloadId::Add, ExecMode::Pim(OrderingMode::Fence)),
+            (WorkloadId::Daxpy, ExecMode::Pim(OrderingMode::OrderLight)),
+        ]
+        .into_iter()
+        .map(|(workload, mode)| {
+            let mut e = small_exp(workload, mode);
+            e.data_bytes_per_channel = 4 * 1024;
+            crate::experiments::apply_sm_policy(&mut e);
+            e
+        })
+        .collect()
+    }
+
+    #[test]
+    fn done_sm_prefix_matches_a_recount() {
+        // The sweeps' allocations finish SMs in pairs or all at once;
+        // one warp per SM, or three, finishes them one by one.
+        let mut exps = swept_exps();
+        for (mode, warps_per_sm) in [(ExecMode::Gpu, 3), (ExecMode::Pim(OrderingMode::Fence), 1)] {
+            let mut e = small_exp(WorkloadId::Daxpy, mode);
+            e.data_bytes_per_channel = 4 * 1024;
+            e.system.sms_used = 16;
+            e.system.warps_per_sm = warps_per_sm;
+            exps.push(e);
+        }
+        let mut partial = 0;
+        for exp in exps {
+            let label = format!("{} {}", exp.workload, exp.mode);
+            let mut sys = System::build(exp).unwrap();
+            while !sys.is_done() {
+                let n = sys.sms.len();
+                let recount = sys.sms.iter_mut().position(|sm| !sm.is_done()).unwrap_or(n);
+                assert_eq!(sys.done_sms, recount, "{label} cycle {}", sys.now);
+                partial += usize::from(recount > 0 && recount < n);
+                sys.step_cycle();
+                assert!(sys.now < 5_000_000, "{label}: did not drain");
+            }
+            assert_eq!(sys.done_sms, sys.sms.len(), "{label}");
+        }
+        assert!(partial > 100, "coverage: {partial} steps with some but not all SMs done");
+    }
+
+    /// The burst policy engages where nearly every component acts on
+    /// nearly every cycle (the GPU host) and stays out of fence runs,
+    /// whose busy windows tick a few components each; results are the
+    /// same whichever cycles execute.
+    #[test]
+    fn bursts_run_the_busy_gpu_host_densely_and_leave_fence_runs_alone() {
+        let executed = |exp: &ExperimentConfig, burst: Option<u32>| {
+            let mut sys = System::build(exp.clone()).unwrap();
+            sys.record_skip_boundaries(true);
+            let stats = with_burst_threshold(burst, || sys.run_with(50_000_000, SimCore::Event));
+            (sys.take_skip_boundaries().len() as u64, stats.unwrap())
+        };
+        for exp in swept_exps() {
+            let label = format!("{} {}", exp.workload, exp.mode);
+            let (never, stats) = executed(&exp, Some(u32::MAX));
+            let (default, default_stats) = executed(&exp, None);
+            let (always, always_stats) = executed(&exp, Some(0));
+            assert_eq!(default_stats, stats, "{label}");
+            assert_eq!(always_stats, stats, "{label}");
+            assert!(never < stats.core_cycles, "{label}: the event core skips cycles");
+            assert!(always > never, "{label}: forced bursts execute skippable cycles");
+            match exp.mode {
+                ExecMode::Gpu => assert!(default > never, "{label}: no burst"),
+                ExecMode::Pim(OrderingMode::Fence) => assert_eq!(default, never, "{label}"),
+                ExecMode::Pim(_) => {}
+            }
+        }
     }
 
     #[test]

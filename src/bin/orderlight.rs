@@ -116,6 +116,20 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// Writes to stderr. A failed write is dropped: when the reader has
+/// gone away (`orderlight run --bogus 2>&1 | head -1`) the exit status
+/// still tells what happened, and there is nowhere left to report it.
+fn write_stderr(args: std::fmt::Arguments<'_>) {
+    let _ = std::io::stderr().lock().write_fmt(args);
+}
+
+/// `eprintln!` through [`write_stderr`].
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        write_stderr(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Writes to stdout. When the reader has gone away (`orderlight figure
 /// all | head -1`) the process ends quietly with status 0, as a filter
 /// should; any other write error ends it with status 1.
@@ -125,7 +139,7 @@ fn write_stdout(args: std::fmt::Arguments<'_>) {
         if e.kind() == std::io::ErrorKind::BrokenPipe {
             std::process::exit(0);
         }
-        eprintln!("error: cannot write to stdout: {e}");
+        errln!("error: cannot write to stdout: {e}");
         std::process::exit(1);
     }
 }
@@ -148,7 +162,7 @@ macro_rules! outln {
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
+    errln!(
         "usage:
   orderlight run [run flags] [--core C]
   orderlight check [run flags] [--core C] [--faults none|noc|sched|storm|all[,..]] [--mutate CH:G] [--seed N]
@@ -244,7 +258,7 @@ fn describe(spec: &ScenarioSpec) -> String {
 /// Writes `contents` to `path`, reporting a failure on stderr.
 fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), ExitCode> {
     std::fs::write(path, contents).map_err(|e| {
-        eprintln!("cannot write {path}: {e}");
+        errln!("cannot write {path}: {e}");
         ExitCode::FAILURE
     })
 }
@@ -330,7 +344,7 @@ fn cmd_run(args: &[String]) -> Outcome {
             Ok(stats) if print_stats(&stats) => ExitCode::SUCCESS,
             Ok(_) => ExitCode::FAILURE,
             Err(e) => {
-                eprintln!("{e}");
+                errln!("{e}");
                 ExitCode::FAILURE
             }
         },
@@ -399,7 +413,7 @@ fn cmd_check(args: &[String]) -> Outcome {
     {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("{e}");
+            errln!("{e}");
             return Ok(ExitCode::FAILURE);
         }
     };
@@ -606,7 +620,7 @@ fn cmd_trace(args: &[String]) -> Outcome {
     let (stats, clocks) = match traced {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("{e}");
+            errln!("{e}");
             return Ok(ExitCode::FAILURE);
         }
     };
@@ -674,7 +688,7 @@ fn cmd_profile(args: &[String]) -> Outcome {
     {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("{e}");
+            errln!("{e}");
             return Ok(ExitCode::FAILURE);
         }
     };
@@ -701,7 +715,7 @@ fn cmd_profile(args: &[String]) -> Outcome {
     }
     outln!("wrote {profile_path} and {trace_path} (open at https://ui.perfetto.dev)");
     if !outcome.is_conserved() {
-        eprintln!("profile FAILED its conservation invariant — see summary above");
+        errln!("profile FAILED its conservation invariant — see summary above");
         return Ok(ExitCode::FAILURE);
     }
     Ok(exit(correct))
@@ -720,19 +734,19 @@ fn cmd_profile_verify(args: &[String]) -> Outcome {
         let doc = match read_document(path, PROFILE_SCHEMA) {
             Ok(doc) => doc,
             Err(e) => {
-                eprintln!("{e}");
+                errln!("{e}");
                 return Ok(ExitCode::FAILURE);
             }
         };
         let Some(stalls) = doc.get("stalls") else {
-            eprintln!("{path}: no stall breakdown");
+            errln!("{path}: no stall breakdown");
             return Ok(ExitCode::FAILURE);
         };
         let cycles = |key: &str| stalls.get(key).and_then(Value::as_f64);
         let total = cycles("total").unwrap_or(-1.0);
         let sum: f64 = StallCause::ALL.iter().map(|c| cycles(c.label()).unwrap_or(f64::NAN)).sum();
         if !(sum.is_finite() && total >= 0.0 && (sum - total).abs() < 0.5) {
-            eprintln!("{path}: stall causes sum to {sum}, total says {total}");
+            errln!("{path}: stall causes sum to {sum}, total says {total}");
             return Ok(ExitCode::FAILURE);
         }
         outln!("{path}: ok ({total} stall cycles attributed)");
@@ -811,17 +825,14 @@ fn cmd_sweep(args: &[String]) -> Outcome {
             format!("unknown sweep '{which}' (expected fig05|fig10|fig12|fig13|all)").into()
         );
     };
-    eprintln!(
-        "sweeping {which} at {} KiB/structure/channel across {jobs} worker(s) ...",
-        data / 1024
-    );
+    errln!("sweeping {which} at {} KiB/structure/channel across {jobs} worker(s) ...", data / 1024);
     let mut runner = Runner::new(Pool::new(jobs));
     outln!("{SWEEP_CSV_HEADER}");
     for (name, specs) in figures {
         match runner.points(&specs) {
             Ok(rows) => emit_sweep_csv(name, &rows),
             Err(e) => {
-                eprintln!("{e}");
+                errln!("{e}");
                 return Ok(ExitCode::FAILURE);
             }
         }
@@ -846,7 +857,7 @@ fn cmd_figure(args: &[String]) -> Outcome {
             Ok(report) if i == 0 => out!("{report}"),
             Ok(report) => out!("\n{report}"),
             Err(e) => {
-                eprintln!("{id}: {e}");
+                errln!("{id}: {e}");
                 return Ok(ExitCode::FAILURE);
             }
         }
@@ -871,7 +882,7 @@ fn run_ordering_comparison(
         core.as_str()
     );
     let records = compare_backends(workload, data_kb, core).map_err(|e| {
-        eprintln!("{e}");
+        errln!("{e}");
         ExitCode::FAILURE
     })?;
     outln!(
@@ -936,7 +947,7 @@ fn cmd_compare_ordering(args: &[String]) -> Outcome {
     outln!("wrote {out}");
     let clean = records.iter().all(|r| r.clean);
     if !clean {
-        eprintln!("comparison includes a dirty backend — see the table above");
+        errln!("comparison includes a dirty backend — see the table above");
     }
     Ok(exit(clean))
 }
@@ -952,7 +963,7 @@ fn cmd_bench_compare(paths: [&str; 2]) -> ExitCode {
     let differences = match differences {
         Ok(d) => d,
         Err(e) => {
-            eprintln!("{e}");
+            errln!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -964,7 +975,7 @@ fn cmd_bench_compare(paths: [&str; 2]) -> ExitCode {
         outln!("ok: {} and {} agree outside the skipped keys", paths[0], paths[1]);
         ExitCode::SUCCESS
     } else {
-        eprintln!("{} difference(s) between {} and {}", differences.len(), paths[0], paths[1]);
+        errln!("{} difference(s) between {} and {}", differences.len(), paths[0], paths[1]);
         ExitCode::FAILURE
     }
 }
@@ -995,12 +1006,12 @@ fn cmd_bench(args: &[String]) -> Outcome {
         let s = match bench::run_series(name, specs, jobs) {
             Ok(s) => s,
             Err(e) => {
-                eprintln!("{name}: {e}");
+                errln!("{name}: {e}");
                 return Ok(ExitCode::FAILURE);
             }
         };
         for problem in &s.problems {
-            eprintln!("  {problem}");
+            errln!("  {problem}");
         }
         passed &= s.cores_identical && s.parallel_identical && s.conserved;
         outln!(
@@ -1021,7 +1032,7 @@ fn cmd_bench(args: &[String]) -> Outcome {
         Err(code) => return Ok(code),
     };
     if !records.iter().all(|r| r.clean) {
-        eprintln!("  results : ORDERING COMPARISON DIRTY: a backend failed its checked run");
+        errln!("  results : ORDERING COMPARISON DIRTY: a backend failed its checked run");
         passed = false;
     }
     let doc = bench::document(data_kb, jobs, core, &benches, ordering_array(&records));
@@ -1055,7 +1066,7 @@ fn cmd_serve(args: &[String]) -> Outcome {
     let server = match Server::bind(addr, jobs) {
         Ok(s) => s.with_cache_max(cache_max).with_slow_ms(slow_ms),
         Err(e) => {
-            eprintln!("cannot bind {addr}: {e}");
+            errln!("cannot bind {addr}: {e}");
             return Ok(ExitCode::FAILURE);
         }
     };
@@ -1064,12 +1075,12 @@ fn cmd_serve(args: &[String]) -> Outcome {
         // line-buffered so the line is visible before the first accept.
         Ok(bound) => outln!("listening on {bound} ({jobs} workers)"),
         Err(e) => {
-            eprintln!("cannot read bound address: {e}");
+            errln!("cannot read bound address: {e}");
             return Ok(ExitCode::FAILURE);
         }
     }
     if let Err(e) = server.run() {
-        eprintln!("serve failed: {e}");
+        errln!("serve failed: {e}");
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
@@ -1112,7 +1123,7 @@ fn cmd_submit(args: &[String]) -> Outcome {
         }) {
             Ok(json) => json,
             Err(e) => {
-                eprintln!("{e}");
+                errln!("{e}");
                 return Ok(ExitCode::FAILURE);
             }
         }
@@ -1128,12 +1139,12 @@ fn cmd_submit(args: &[String]) -> Outcome {
         let replies = match service::request(addr, &line) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("cannot reach {addr}: {e}");
+                errln!("cannot reach {addr}: {e}");
                 return Ok(ExitCode::FAILURE);
             }
         };
         let Some(last) = replies.last() else {
-            eprintln!("server closed the connection without a reply");
+            errln!("server closed the connection without a reply");
             return Ok(ExitCode::FAILURE);
         };
         // The exposition format is a document, not a JSON line: unwrap
@@ -1145,7 +1156,7 @@ fn cmd_submit(args: &[String]) -> Outcome {
             match text {
                 Some(text) => out!("{text}"),
                 None => {
-                    eprintln!("no text exposition in reply: {last}");
+                    errln!("no text exposition in reply: {last}");
                     return Ok(ExitCode::FAILURE);
                 }
             }
@@ -1164,14 +1175,14 @@ fn cmd_submit(args: &[String]) -> Outcome {
         }
         if let Some(path) = &span_trace {
             if let Err(e) = write_span_trace(path, last) {
-                eprintln!("cannot write {path}: {e}");
+                errln!("cannot write {path}: {e}");
                 return Ok(ExitCode::FAILURE);
             }
         }
         match service::extract_stats(last) {
             Some(json) => json,
             None => {
-                eprintln!("no result reply — see lines above");
+                errln!("no result reply — see lines above");
                 return Ok(ExitCode::FAILURE);
             }
         }
@@ -1260,7 +1271,7 @@ fn cmd_top(args: &[String]) -> Outcome {
         let (stats, metrics, flight) = match fetched {
             Ok(x) => x,
             Err(e) => {
-                eprintln!("{e}");
+                errln!("{e}");
                 return Ok(ExitCode::FAILURE);
             }
         };
@@ -1388,7 +1399,7 @@ fn main() -> ExitCode {
         _ => return usage(),
     };
     outcome.unwrap_or_else(|e| {
-        eprintln!("{e}");
+        errln!("{e}");
         usage()
     })
 }

@@ -182,6 +182,24 @@ fn closed_stdout_ends_the_binary_quietly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A usage error whose stderr reader has gone away
+/// (`orderlight run --bogus 2>&1 | head -1`) still exits 2: writing the
+/// error and the synopsis to a closed stderr used to panic, exiting 101.
+#[test]
+fn closed_stderr_keeps_the_usage_exit_status() {
+    use std::process::Stdio;
+
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_orderlight"))
+        .args(["run", "--bogus"])
+        .stdout(Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("run orderlight");
+    assert_eq!(status.code(), Some(2), "status {status}");
+}
+
 /// A `--data-kb` or `ORDERLIGHT_DATA_KB` whose byte count overflows
 /// `u64` is a usage error: 2^54 + 1 KiB used to wrap to 1 KiB, and
 /// `figure` and `sweep` silently ran and labelled a 1 KiB sweep.

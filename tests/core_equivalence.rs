@@ -9,10 +9,12 @@
 //! batch of SplitMix64-randomised small configurations — with refresh
 //! both off and on — stay in the fast tier; the larger Figure 10/12
 //! sweeps are tier 2 (`#[ignore]`, run with `--include-ignored` or
-//! `ORDERLIGHT_TIER2=1 ./ci.sh`). `ci.sh` additionally runs the whole
-//! tier-1 suite under `ORDERLIGHT_CORE=cycle` and
-//! `ORDERLIGHT_CORE=event`, and `orderlight bench` cross-checks the
-//! cores (and times them) over every figure in release mode.
+//! `ORDERLIGHT_TIER2=1 ./ci.sh`). The event core runs at its built-in
+//! dense-burst threshold and forced to burst always and never. `ci.sh`
+//! additionally runs the whole tier-1 suite under
+//! `ORDERLIGHT_CORE=cycle` and `ORDERLIGHT_CORE=event`, and
+//! `orderlight bench` cross-checks the cores (and times them) over
+//! every figure in release mode.
 
 use orderlight_suite::core::rng::Rng;
 use orderlight_suite::hbm::RefreshParams;
@@ -21,6 +23,7 @@ use orderlight_suite::sim::config::{ExecMode, ExperimentConfig};
 use orderlight_suite::sim::experiments::{
     apply_sm_policy, fig05_points, fig10_points, fig12_points, JobSpec,
 };
+use orderlight_suite::sim::system::with_burst_threshold;
 use orderlight_suite::sim::{SimCore, System};
 use orderlight_suite::workloads::{OrderingMode, WorkloadId};
 
@@ -30,7 +33,12 @@ const DATA: u64 = 8 * 1024;
 
 const BUDGET: u64 = 50_000_000;
 
-/// Runs `exp` once per core and asserts every observable is identical.
+/// The event core's dense-burst thresholds every comparison runs at:
+/// built in, always and never.
+const BURSTS: [Option<u32>; 3] = [None, Some(0), Some(u32::MAX)];
+
+/// Runs `exp` on the cycle core and on the event core at each of
+/// [`BURSTS`], and asserts every observable is identical.
 fn assert_cores_agree(label: &str, exp: &ExperimentConfig) {
     let run = |core: SimCore| {
         let mut sys = System::build(exp.clone()).expect("builds");
@@ -38,23 +46,30 @@ fn assert_cores_agree(label: &str, exp: &ExperimentConfig) {
         (stats, sys)
     };
     let (cycle_stats, cycle_sys) = run(SimCore::Cycle);
-    let (event_stats, event_sys) = run(SimCore::Event);
-
-    assert_eq!(event_stats.core_cycles, cycle_stats.core_cycles, "{label}: drain cycle must match");
-    assert_eq!(event_stats, cycle_stats, "{label}: RunStats must be bit-identical");
-    assert_eq!(
-        event_sys.channel_stats(),
-        cycle_sys.channel_stats(),
-        "{label}: per-channel controller stats must match"
-    );
-    assert_eq!(event_sys.now(), cycle_sys.now(), "{label}: core clock position");
-    assert_eq!(event_sys.mem_now(), cycle_sys.mem_now(), "{label}: memory clock position");
-    for (ch, (cm, em)) in cycle_sys.controllers().iter().zip(event_sys.controllers()).enumerate() {
+    for burst in BURSTS {
+        let label = format!("{label} burst={burst:?}");
+        let (event_stats, event_sys) = with_burst_threshold(burst, || run(SimCore::Event));
         assert_eq!(
-            em.channel().store().rows_sorted(),
-            cm.channel().store().rows_sorted(),
-            "{label}: channel {ch} final DRAM contents must be byte-identical"
+            event_stats.core_cycles, cycle_stats.core_cycles,
+            "{label}: drain cycle must match"
         );
+        assert_eq!(event_stats, cycle_stats, "{label}: RunStats must be bit-identical");
+        assert_eq!(
+            event_sys.channel_stats(),
+            cycle_sys.channel_stats(),
+            "{label}: per-channel controller stats must match"
+        );
+        assert_eq!(event_sys.now(), cycle_sys.now(), "{label}: core clock position");
+        assert_eq!(event_sys.mem_now(), cycle_sys.mem_now(), "{label}: memory clock position");
+        for (ch, (cm, em)) in
+            cycle_sys.controllers().iter().zip(event_sys.controllers()).enumerate()
+        {
+            assert_eq!(
+                em.channel().store().rows_sorted(),
+                cm.channel().store().rows_sorted(),
+                "{label}: channel {ch} final DRAM contents must be byte-identical"
+            );
+        }
     }
 }
 
@@ -89,6 +104,17 @@ fn fig10_cores_agree() {
 #[ignore = "tier 2: full Figure 12 sweep per core (~26 s debug); run via --include-ignored or ORDERLIGHT_TIER2=1 ./ci.sh"]
 fn fig12_cores_agree() {
     assert_figure_agrees("fig12", &fig12_points(DATA));
+}
+
+/// The GPU host baseline, where nearly every cycle executes and the
+/// event core runs mostly in dense bursts: a few Figure 10 host points
+/// in the fast tier (the full sweep is `fig10_cores_agree`).
+#[test]
+fn gpu_host_cores_agree() {
+    for workload in [WorkloadId::Add, WorkloadId::Scale, WorkloadId::BnBwd] {
+        let spec = JobSpec::new(workload, TsSize::Eighth, ExecMode::Gpu, DATA);
+        assert_cores_agree(&format!("gpu {workload}"), &exp_of(&spec));
+    }
 }
 
 /// Randomised configurations: workload, ordering mode, TS size and data
@@ -145,7 +171,9 @@ fn budget_error_is_core_independent() {
         sys.run_with(1_000, core).expect_err("budget too small")
     };
     let cycle_err = err_of(SimCore::Cycle);
-    let event_err = err_of(SimCore::Event);
-    assert_eq!(event_err, cycle_err, "budget errors must be identical across cores");
+    for burst in BURSTS {
+        let event_err = with_burst_threshold(burst, || err_of(SimCore::Event));
+        assert_eq!(event_err, cycle_err, "burst={burst:?}: budget errors must match across cores");
+    }
     assert!(cycle_err.to_string().contains("not drained after 1000"));
 }

@@ -5,9 +5,11 @@
 //! now flow through bucket rotation, the two-level occupancy bitmap and
 //! the far-overflow list. This gauntlet hammers that machinery with a
 //! SplitMix64-seeded stream of configurations — workload, ordering
-//! mode, TS size, BMF, data size, refresh on/off, and legal fault
-//! layers on/off — and asserts for every case that the dense cycle
-//! core and the event core agree on **every observable**:
+//! mode or the GPU host baseline, TS size, BMF, data size, refresh
+//! on/off, legal fault layers on/off, and the event core's dense-burst
+//! threshold (always, never, built-in or drawn) — and asserts for every
+//! case that the dense cycle core and the event core agree on **every
+//! observable**:
 //!
 //! * `RunStats`, bit for bit (including the exact drain cycle);
 //! * per-channel controller statistics;
@@ -33,6 +35,7 @@ use orderlight_suite::profile::profile_scenario;
 use orderlight_suite::sim::config::{ExecMode, ExperimentConfig};
 use orderlight_suite::sim::experiments::apply_sm_policy;
 use orderlight_suite::sim::pool::Pool;
+use orderlight_suite::sim::system::with_burst_threshold;
 use orderlight_suite::sim::{RunStats, Scenario, ScenarioBuilder, SimCore, System};
 use orderlight_suite::workloads::{OrderingMode, WorkloadId};
 
@@ -46,23 +49,29 @@ const FULL_CASES: usize = 64;
 /// keep it fixed so failures reproduce by case index.
 const SEED: u64 = 0x05ca_1e5c_a1e5_ca1e;
 
+/// Seed of a second stream for the axes drawn since (GPU host cases and
+/// the burst threshold), so the first stream's draws stay as they were.
+const AXES_SEED: u64 = SEED ^ 0xb5e5_7a11_0c0e_0001;
+
 /// One drawn configuration, fully determined by the stream position.
 #[derive(Debug, Clone)]
 struct FuzzCase {
     index: usize,
     workload: WorkloadId,
-    mode: OrderingMode,
+    mode: ExecMode,
     ts: TsSize,
     bmf: u32,
     data: u64,
     refresh: bool,
     faults: bool,
+    /// The event core's burst threshold ([`with_burst_threshold`]).
+    burst: Option<u32>,
 }
 
 impl FuzzCase {
     fn label(&self) -> String {
         format!(
-            "case[{}] {} {} {} bmf={} {}B refresh={} faults={}",
+            "case[{}] {} {} {} bmf={} {}B refresh={} faults={} burst={:?}",
             self.index,
             self.workload,
             self.mode,
@@ -70,12 +79,13 @@ impl FuzzCase {
             self.bmf,
             self.data,
             self.refresh,
-            self.faults
+            self.faults,
+            self.burst
         )
     }
 
     fn experiment(&self) -> ExperimentConfig {
-        let mut exp = ExperimentConfig::new(self.workload, ExecMode::Pim(self.mode));
+        let mut exp = ExperimentConfig::new(self.workload, self.mode);
         exp.ts_size = self.ts;
         exp.bmf = self.bmf;
         exp.data_bytes_per_channel = self.data;
@@ -127,16 +137,35 @@ fn fuzz_cases(n: usize) -> Vec<FuzzCase> {
 
     let mut rng = Rng::new(SEED);
     let mut pick = move |m: usize| (rng.next_u64() % m as u64) as usize;
+    let mut axes = Rng::new(AXES_SEED);
+    let mut pick_axis = move |m: usize| (axes.next_u64() % m as u64) as usize;
     (0..n)
-        .map(|index| FuzzCase {
-            index,
-            workload: WORKLOADS[pick(WORKLOADS.len())],
-            mode: MODES[pick(MODES.len())],
-            ts: TS[pick(TS.len())],
-            bmf: BMF[pick(BMF.len())],
-            data: DATA[pick(DATA.len())],
-            refresh: pick(2) == 1,
-            faults: pick(2) == 1,
+        .map(|index| {
+            let mut case = FuzzCase {
+                index,
+                workload: WORKLOADS[pick(WORKLOADS.len())],
+                mode: ExecMode::Pim(MODES[pick(MODES.len())]),
+                ts: TS[pick(TS.len())],
+                bmf: BMF[pick(BMF.len())],
+                data: DATA[pick(DATA.len())],
+                refresh: pick(2) == 1,
+                faults: pick(2) == 1,
+                burst: None,
+            };
+            // One case in four runs the GPU host baseline instead (its
+            // 16x8 warps from `apply_sm_policy`; TS and BMF unused).
+            if pick_axis(4) == 0 {
+                case.mode = ExecMode::Gpu;
+            }
+            // Bursts never, after every window, at the built-in and at a
+            // drawn threshold, in turn, so every prefix of four has each.
+            case.burst = match index % 4 {
+                0 => Some(u32::MAX),
+                1 => Some(0),
+                2 => None,
+                _ => Some(pick_axis(1001) as u32),
+            };
+            case
         })
         .collect()
 }
@@ -153,9 +182,14 @@ struct CaseDigest {
     report_json: String,
 }
 
-/// Runs `case` on both cores, asserts every observable agrees, and
-/// returns the cycle-core digest.
+/// Runs `case` on both cores, the event core at the case's burst
+/// threshold, asserts every observable agrees, and returns the
+/// cycle-core digest.
 fn run_case(case: &FuzzCase) -> CaseDigest {
+    with_burst_threshold(case.burst, || compare_cores(case))
+}
+
+fn compare_cores(case: &FuzzCase) -> CaseDigest {
     let label = case.label();
 
     let raw = |core: SimCore| {
@@ -288,8 +322,19 @@ fn small_cases_are_a_prefix_of_the_full_stream() {
     // The stream must actually exercise the interesting axes.
     assert!(full.iter().any(|c| c.refresh) && full.iter().any(|c| !c.refresh));
     assert!(full.iter().any(|c| c.faults) && full.iter().any(|c| !c.faults));
-    assert!(full.iter().any(|c| c.mode == OrderingMode::Fence));
-    assert!(full.iter().any(|c| c.mode == OrderingMode::OrderLight));
-    assert!(full.iter().any(|c| c.mode == OrderingMode::LouvreVersioned));
-    assert!(full.iter().any(|c| c.mode == OrderingMode::BulkBitwiseStrong));
+    for mode in [
+        OrderingMode::Fence,
+        OrderingMode::OrderLight,
+        OrderingMode::LouvreVersioned,
+        OrderingMode::BulkBitwiseStrong,
+    ] {
+        assert!(full.iter().any(|c| c.mode == ExecMode::Pim(mode)));
+    }
+    // The fast tier already reaches the GPU host path and both forced
+    // burst policies.
+    assert!(small.iter().any(|c| c.mode == ExecMode::Gpu));
+    for burst in [Some(0), Some(u32::MAX), None] {
+        assert!(small.iter().any(|c| c.burst == burst), "no {burst:?} case in the fast tier");
+    }
+    assert!(full.iter().any(|c| c.burst.is_some_and(|p| p > 0 && p <= 1000)));
 }

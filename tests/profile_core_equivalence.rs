@@ -11,7 +11,8 @@
 //! The fig05 sweep plus SplitMix64-randomised configurations (refresh
 //! off and on) stay in the fast tier, with sampled fig10/fig12 points;
 //! the full fig10/fig12 sweeps are tier 2 (`--include-ignored` /
-//! `ORDERLIGHT_TIER2=1 ./ci.sh`).
+//! `ORDERLIGHT_TIER2=1 ./ci.sh`). The event core runs at its built-in
+//! dense-burst threshold and forced to burst always and never.
 
 use std::sync::Arc;
 
@@ -23,6 +24,7 @@ use orderlight_suite::sim::config::{ExecMode, ExperimentConfig};
 use orderlight_suite::sim::experiments::{
     apply_sm_policy, fig05_points, fig10_points, fig12_points, JobSpec,
 };
+use orderlight_suite::sim::system::with_burst_threshold;
 use orderlight_suite::sim::{Scenario, ScenarioBuilder, SimCore};
 use orderlight_suite::workloads::{OrderingMode, WorkloadId};
 
@@ -30,23 +32,32 @@ use orderlight_suite::workloads::{OrderingMode, WorkloadId};
 /// large enough to stream multiple row-buffer tiles.
 const DATA: u64 = 8 * 1024;
 
-/// Profiles `scenario` once per core and asserts the serialized reports
-/// are byte-identical, conservation holds on both, and each leg's
-/// `RunStats` match (the cores are bit-identical with the sink live).
+/// Profiles `scenario` on the cycle core and on the event core at its
+/// built-in dense-burst threshold, forced always and forced never, and
+/// asserts the serialized reports are byte-identical, conservation
+/// holds on every leg, and each leg's `RunStats` match (the cores are
+/// bit-identical with the sink live).
 fn assert_reports_agree(label: &str, cycle: &Scenario, event: &Scenario) {
     let on_cycle = profile_scenario(cycle).expect("cycle-core profile runs");
-    let on_event = profile_scenario(event).expect("event-core profile runs");
     assert!(on_cycle.is_conserved(), "{label} (cycle): {}", on_cycle.summary());
-    assert!(on_event.is_conserved(), "{label} (event): {}", on_event.summary());
-    assert_eq!(
-        on_event.stats, on_cycle.stats,
-        "{label}: RunStats must be bit-identical across cores with a live sink"
-    );
-    assert_eq!(
-        on_event.report.to_json(),
-        on_cycle.report.to_json(),
-        "{label}: serialized ProfileReport must match byte for byte across cores"
-    );
+    for burst in [None, Some(0), Some(u32::MAX)] {
+        let on_event = with_burst_threshold(burst, || profile_scenario(event))
+            .expect("event-core profile runs");
+        assert!(
+            on_event.is_conserved(),
+            "{label} (event, burst={burst:?}): {}",
+            on_event.summary()
+        );
+        assert_eq!(
+            on_event.stats, on_cycle.stats,
+            "{label} (burst={burst:?}): RunStats must be bit-identical across cores with a live sink"
+        );
+        assert_eq!(
+            on_event.report.to_json(),
+            on_cycle.report.to_json(),
+            "{label} (burst={burst:?}): serialized ProfileReport must match byte for byte across cores"
+        );
+    }
 }
 
 fn assert_spec_agrees(label: &str, spec: &JobSpec) {
