@@ -48,14 +48,11 @@ if [[ -s "$pipe_err" ]]; then
 fi
 rm -f "$pipe_err"
 
-# The tier-1 suite must be green under BOTH simulation cores: the
-# event-driven time-skip core (the default) and the dense per-cycle
-# loop (see DESIGN.md, "Quiescence contract"). Each pass pins its core.
-echo "==> cargo test (workspace, tier 1, ORDERLIGHT_CORE=event)"
-ORDERLIGHT_CORE=event cargo test --workspace -q
-
-echo "==> cargo test (workspace, tier 1, ORDERLIGHT_CORE=cycle)"
-ORDERLIGHT_CORE=cycle cargo test --workspace -q
+# The tier-1 suite. Every command runs the event core; the suites
+# that compare it with the dense reference core pin both (see
+# DESIGN.md, "Quiescence contract").
+echo "==> cargo test (workspace, tier 1)"
+cargo test --workspace -q
 
 # The benchmark package's own tests (perfbench/, a separate package):
 # one untimed pass over every workload's scenarios must reproduce the
@@ -94,12 +91,13 @@ fi
 # for each (the `check --mutate` self-test exits non-zero if the
 # deliberately broken schedule stays clean). The adversarial scheduler
 # rides along on the mutation leg so the opened window is actually hit.
+# The same check on the dense reference core is a tier-1 test
+# (tests/ordering_oracle.rs).
 echo "==> orderlight check (oracle gate, per backend)"
-./target/release/orderlight check --core cycle --data-kb 32
-./target/release/orderlight check --core event --data-kb 32 --faults all --seed 1
+./target/release/orderlight check --data-kb 32 --faults all --seed 1
 for backend in orderlight fence seqnum louvre bulk; do
-    ./target/release/orderlight check --core event --data-kb 32 --mode "$backend"
-    ./target/release/orderlight check --core event --data-kb 32 --mode "$backend" \
+    ./target/release/orderlight check --data-kb 32 --mode "$backend"
+    ./target/release/orderlight check --data-kb 32 --mode "$backend" \
         --faults sched --mutate 0:0
 done
 
@@ -119,28 +117,21 @@ for backend in orderlight fence seqnum louvre bulk; do
 done
 rm -f "$tmpcmp"
 
-# Stall-attribution profiler gate, under the EVENT core: profile the
-# Figure 5 scenario pair (fence baseline and OrderLight) on the
-# time-skip core we ship. `profile` itself exits non-zero if a single
-# stall cycle is attributed to no cause (the conservation invariant —
-# which skip-boundary event synthesis must uphold bit-identically);
-# `profile-verify` then re-reads the emitted JSON with the in-tree
-# parser and re-checks the breakdown sums. A cycle-core leg of the
-# fence scenario cross-checks that both cores serialize the same
-# report bytes.
-echo "==> orderlight profile (conservation gate, fig05 scenario, event core)"
+# Stall-attribution profiler gate: profile the Figure 5 scenario pair
+# (fence baseline and OrderLight). `profile` itself exits non-zero if a
+# single stall cycle is attributed to no cause (the conservation
+# invariant — which skip-boundary event synthesis must uphold
+# bit-identically); `profile-verify` then re-reads the emitted JSON
+# with the in-tree parser and re-checks the breakdown sums. That the
+# dense reference core serializes the same fence report bytes is a
+# tier-1 test (tests/profile_core_equivalence.rs).
+echo "==> orderlight profile (conservation gate, fig05 scenario)"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-./target/release/orderlight profile Add --mode fence --core event --data-kb 32 \
-    --out "$tmpdir/fig05_fence"
-./target/release/orderlight profile Add --mode orderlight --core event --data-kb 32 \
-    --out "$tmpdir/fig05_ol"
+./target/release/orderlight profile Add --mode fence --data-kb 32 --out "$tmpdir/fig05_fence"
+./target/release/orderlight profile Add --mode orderlight --data-kb 32 --out "$tmpdir/fig05_ol"
 ./target/release/orderlight profile-verify "$tmpdir/fig05_fence.profile.json" \
     "$tmpdir/fig05_ol.profile.json"
-./target/release/orderlight profile Add --mode fence --core cycle --data-kb 32 \
-    --out "$tmpdir/fig05_fence_cycle"
-cmp "$tmpdir/fig05_fence.profile.json" "$tmpdir/fig05_fence_cycle.profile.json" \
-    || { echo "profile JSON differs between cores"; exit 1; }
 
 # The value of `"key":` in a canonical-JSON fragment (empty if absent).
 json_num() {

@@ -21,7 +21,6 @@
 
 use crate::runner::check_scenario;
 use orderlight_sim::config::ExecMode;
-use orderlight_sim::core_select::SimCore;
 use orderlight_sim::system::SimError;
 use orderlight_sim::ScenarioBuilder;
 use orderlight_trace::json::Value;
@@ -106,9 +105,9 @@ impl BackendRecord {
     }
 }
 
-/// Runs `workload` under every backend in [`COMPARE_BACKENDS`] on the
-/// given core with the oracle attached, and returns one record per
-/// backend, baseline first.
+/// Runs `workload` under every backend in [`COMPARE_BACKENDS`] with
+/// the oracle attached, and returns one record per backend, baseline
+/// first.
 ///
 /// # Errors
 /// Returns [`SimError`] if any leg fails to build or exhausts its
@@ -116,15 +115,12 @@ impl BackendRecord {
 pub fn compare_backends(
     workload: WorkloadId,
     data_kb: u64,
-    core: SimCore,
 ) -> Result<Vec<BackendRecord>, SimError> {
     let mut records = Vec::with_capacity(COMPARE_BACKENDS.len());
     let mut baseline_cycles = None;
     for mode in COMPARE_BACKENDS {
-        let scenario = ScenarioBuilder::new(workload, ExecMode::Pim(mode))
-            .data_kb(data_kb)
-            .core(core)
-            .build()?;
+        let scenario =
+            ScenarioBuilder::new(workload, ExecMode::Pim(mode)).data_kb(data_kb).build()?;
         let outcome = check_scenario(&scenario)?;
         let stats = &outcome.stats;
         let cycles = stats.core_cycles;
@@ -155,7 +151,7 @@ mod tests {
 
     #[test]
     fn comparison_covers_all_backends_and_is_clean() {
-        let records = compare_backends(WorkloadId::Add, 8, SimCore::Event).unwrap();
+        let records = compare_backends(WorkloadId::Add, 8).unwrap();
         assert_eq!(records.len(), COMPARE_BACKENDS.len());
         assert_eq!(records[0].ordering, OrderingMode::Fence);
         assert!((records[0].speedup_vs_fence - 1.0).abs() < f64::EPSILON);

@@ -49,11 +49,11 @@ impl CheckOutcome {
 }
 
 /// Runs `scenario` with an [`OrderingOracle`] observing every memory
-/// controller, on the scenario's resolved execution core, and returns
-/// the combined verdict. The oracle rides the observer path
-/// ([`orderlight_sim::System::attach_observer`]), so the event core
-/// stays usable; a scenario-level trace sink, if any, is superseded at
-/// the controllers for the duration of the check.
+/// controller, on the scenario's execution core (the event core unless
+/// pinned), and returns the combined verdict. The oracle rides the
+/// observer path ([`orderlight_sim::System::attach_observer`]), so the
+/// event core stays usable; a scenario-level trace sink, if any, is
+/// superseded at the controllers for the duration of the check.
 ///
 /// # Errors
 /// Returns [`SimError`] on build failure or budget exhaustion.

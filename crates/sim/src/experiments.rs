@@ -143,11 +143,13 @@ impl JobSpec {
 /// and Fig. 13's BMF-16 row; Figs. 10a and 10b) therefore share runs
 /// when they share a runner.
 ///
-/// The hash leaves out the execution core, so the memo does too: a
-/// caller comparing cores pins the core on each scenario and must not
-/// carry a runner from one core's scenarios to the other's
-/// (`orderlight bench` runs its per-core legs serially through
-/// [`Scenario::run`] and gives each series' pooled leg a fresh runner).
+/// Every scenario runs on [`Scenario::core`]: the event core, which is
+/// what every command and the service run. The hash leaves out the
+/// execution core, so the memo does too: a caller that pins the dense
+/// reference core for a comparison must not carry a runner from one
+/// core's scenarios to the other's (`orderlight bench` runs its
+/// per-core legs serially through [`Scenario::run`] and gives each
+/// series' pooled leg a fresh runner).
 /// Likewise a trace sink on a scenario whose result is already memoised
 /// observes nothing.
 #[derive(Debug)]

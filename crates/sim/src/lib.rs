@@ -30,7 +30,6 @@
 
 pub mod calendar;
 pub mod config;
-pub mod core_select;
 pub mod experiments;
 pub mod figures;
 pub mod pool;
@@ -42,9 +41,8 @@ pub mod stats;
 pub mod system;
 
 pub use config::{ExecMode, ExperimentConfig, SystemConfig};
-pub use core_select::SimCore;
 pub use pool::Pool;
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use schema::{ScenarioSpec, SchemaError, SCENARIO_SCHEMA_V1};
 pub use stats::RunStats;
-pub use system::System;
+pub use system::{SimCore, System};

@@ -26,10 +26,9 @@
 //! ```
 
 use crate::config::{ExecMode, ExperimentConfig, SystemConfig};
-use crate::core_select::{resolve_core, SimCore};
 use crate::experiments::apply_sm_policy;
 use crate::stats::RunStats;
-use crate::system::{SimError, System};
+use crate::system::{SimCore, SimError, System};
 use orderlight::fault::FaultPlan;
 use orderlight::ConfigError;
 use orderlight_pim::TsSize;
@@ -52,7 +51,7 @@ pub fn default_budget(exp: &ExperimentConfig) -> u64 {
 #[derive(Debug, Clone)]
 pub struct Scenario {
     exp: ExperimentConfig,
-    core: Option<SimCore>,
+    core: SimCore,
     faults: FaultPlan,
     sink: Option<SharedSink>,
     budget: Option<u64>,
@@ -71,12 +70,12 @@ impl Scenario {
         &self.faults
     }
 
-    /// The execution core this scenario resolves to: the builder's
-    /// explicit choice, else the process override / `ORDERLIGHT_CORE` /
-    /// default chain of [`resolve_core`].
+    /// The execution core this scenario runs on: the builder's pin
+    /// ([`ScenarioBuilder::core`], which only reference runs set), else
+    /// [`SimCore::Event`].
     #[must_use]
     pub fn core(&self) -> SimCore {
-        resolve_core(self.core)
+        self.core
     }
 
     /// The cycle budget: the builder's explicit choice, else
@@ -188,7 +187,7 @@ fn fold_str(h: u64, s: &str) -> u64 {
 pub struct ScenarioBuilder {
     exp: ExperimentConfig,
     sm_policy: bool,
-    core: Option<SimCore>,
+    core: SimCore,
     faults: FaultPlan,
     sink: Option<SharedSink>,
     budget: Option<u64>,
@@ -211,7 +210,7 @@ impl ScenarioBuilder {
         ScenarioBuilder {
             exp,
             sm_policy: true,
-            core: None,
+            core: SimCore::Event,
             faults: FaultPlan::none(),
             sink: None,
             budget: None,
@@ -280,11 +279,12 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Pins the execution core (otherwise the [`resolve_core`] chain
-    /// decides at run time).
+    /// Pins the execution core (the event core otherwise). The
+    /// differential tests and `orderlight bench` pin [`SimCore::Cycle`]
+    /// as the reference the event core must match.
     #[must_use]
     pub fn core(mut self, core: SimCore) -> Self {
-        self.core = Some(core);
+        self.core = core;
         self
     }
 
@@ -325,13 +325,22 @@ impl ScenarioBuilder {
     ///
     /// # Errors
     /// Returns [`ConfigError`] naming the offending value if the
-    /// assembled experiment is inconsistent.
+    /// assembled experiment is inconsistent, or if the fault plan
+    /// mutates a channel the system does not have.
     pub fn build(self) -> Result<Scenario, ConfigError> {
         let ScenarioBuilder { mut exp, sm_policy, core, faults, sink, budget } = self;
         if sm_policy {
             apply_sm_policy(&mut exp);
         }
         exp.validate()?;
+        if let Some(edge) = faults.drop_edge {
+            if usize::from(edge.channel) >= exp.system.channels {
+                return Err(ConfigError::new(format!(
+                    "mutated channel must exist (drop_edge channel = {}, valid range 0..{})",
+                    edge.channel, exp.system.channels
+                )));
+            }
+        }
         Ok(Scenario { exp, core, faults, sink, budget })
     }
 }
@@ -378,6 +387,16 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("bmf = 0"), "got: {err}");
+        // A mutation must name a channel the system has (16 here).
+        let mutate = |channel| {
+            let edge = orderlight::fault::DropEdge { channel, group: 0 };
+            ScenarioBuilder::new(WorkloadId::Add, ExecMode::Pim(OrderingMode::OrderLight))
+                .faults(FaultPlan { drop_edge: Some(edge), ..FaultPlan::none() })
+                .build()
+        };
+        let err = mutate(16).unwrap_err();
+        assert!(err.to_string().contains("drop_edge channel = 16, valid range 0..16"), "{err}");
+        assert!(mutate(15).is_ok());
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use crate::calendar::Calendar;
 use crate::config::{ExecMode, ExperimentConfig};
-use crate::core_select::{resolve_core, SimCore};
 use crate::stats::RunStats;
 use orderlight::fault::{FaultLayer, FaultPlan};
 use orderlight::types::{ChannelId, CoreCycle, GlobalWarpId, MemCycle, MemGroupId};
@@ -70,6 +69,32 @@ pub fn with_burst_threshold<R>(permille: Option<u32>, f: impl FnOnce() -> R) -> 
     }
     let _restore = Restore(BURST_PERMILLE.replace(permille));
     f()
+}
+
+/// Which execution core [`System::run_with`] steps. Both are
+/// bit-identical (see `DESIGN.md`, "Quiescence contract"); every
+/// command runs [`SimCore::Event`], and the differential tests and
+/// `orderlight bench` pin [`SimCore::Cycle`] as the reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimCore {
+    /// Dense per-cycle stepping: every core cycle and every memory
+    /// cycle is ticked.
+    Cycle,
+    /// Event-driven time skipping: jumps to the earliest quiescence
+    /// horizon ([`orderlight::NextEvent`]) and charges the skipped span
+    /// in closed form.
+    Event,
+}
+
+impl SimCore {
+    /// The lower-case name, as recorded in bench documents.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            SimCore::Cycle => "cycle",
+            SimCore::Event => "event",
+        }
+    }
 }
 
 /// A simulation failure (deadlock / cycle-budget exhaustion).
@@ -1091,16 +1116,15 @@ impl System {
         (matches, mismatches)
     }
 
-    /// Runs to completion (at most `max_core_cycles`) on the core
-    /// selected by [`resolve_core`] (the `ORDERLIGHT_CORE` environment
-    /// variable or process override; the event core by default), then
-    /// verifies and aggregates statistics.
+    /// Runs to completion (at most `max_core_cycles`) on the event
+    /// core, then verifies and aggregates statistics. Only a reference
+    /// run pins the dense loop, through [`System::run_with`].
     ///
     /// # Errors
     /// Returns [`SimError`] if the system has not drained within the
     /// budget — a deadlock or a budget that is simply too small.
     pub fn run(&mut self, max_core_cycles: u64) -> Result<RunStats, SimError> {
-        self.run_with(max_core_cycles, resolve_core(None))
+        self.run_with(max_core_cycles, SimCore::Event)
     }
 
     /// The budget-exhaustion error, fired at the same cycle by both
@@ -1117,7 +1141,7 @@ impl System {
     /// `tests/horizon_fuzz.rs`), including the trace stream a live sink
     /// observes: windows the event core skips synthesize their periodic
     /// events closed-form (see `tests/profile_core_equivalence.rs`), so
-    /// traced and profiled runs use whichever core is selected. The run
+    /// traced and profiled runs take the event core too. The run
     /// stops at the exact drain cycle — completion is checked every
     /// step, so `RunStats::core_cycles` never overshoots.
     ///

@@ -223,20 +223,15 @@ pub fn run_series(
 
 /// The `orderlight/bench-sweep/v6` record of a bench run: the series,
 /// the three verdicts over all of them, and the per-backend ordering
-/// records (run on `core`).
+/// records. Its `core` names the event core the ordering records and
+/// the unpinned legs run on.
 #[must_use]
-pub fn document(
-    data_kb: u64,
-    jobs: usize,
-    core: SimCore,
-    series: &[SeriesBench],
-    ordering: Value,
-) -> Value {
+pub fn document(data_kb: u64, jobs: usize, series: &[SeriesBench], ordering: Value) -> Value {
     Value::obj([
         ("schema", BENCH_SCHEMA.into()),
         ("data_kb", data_kb.into()),
         ("jobs", jobs.into()),
-        ("core", core.as_str().into()),
+        ("core", SimCore::Event.as_str().into()),
         ("figures", Value::Arr(series.iter().map(SeriesBench::to_value).collect())),
         ("cores_identical", series.iter().all(|s| s.cores_identical).into()),
         ("identical", series.iter().all(|s| s.parallel_identical).into()),

@@ -9,14 +9,6 @@
 //! 1 to 256 (else `ORDERLIGHT_JOBS`, else the host's available
 //! parallelism); an invalid `ORDERLIGHT_*` value is a usage error like
 //! an invalid flag value.
-//! `--core cycle|event` (else `ORDERLIGHT_CORE`, else event) selects the
-//! dense per-cycle simulation core or the bit-identical event-driven
-//! time-skip core (see `DESIGN.md`, "Quiescence contract"). Traced and
-//! profiled runs honour the selected core too: skip boundaries
-//! synthesize the periodic trace events, so the event core feeds a sink
-//! the same events the dense core emits and profile reports are
-//! byte-identical across cores (use `--core cycle` as an explicit
-//! opt-out when debugging the dense loop itself).
 //!
 //! `serve` runs the simulation-as-a-service daemon: newline-delimited
 //! `orderlight/scenario/v1` JSON requests in, typed JSON replies out,
@@ -88,10 +80,9 @@
 
 use orderlight_suite::bench::{self, BENCH_SCHEMA};
 use orderlight_suite::check::{check_scenario, compare_backends, BackendRecord};
-use orderlight_suite::cli::{self, Args, Flag, UsageError, CORE, DATA_KB, JOBS, MAX_JOBS, RUN};
+use orderlight_suite::cli::{self, Args, Flag, UsageError, DATA_KB, JOBS, MAX_JOBS, RUN};
 use orderlight_suite::core::fault::{DropEdge, FaultPlan, NocJitter, RefreshStorm};
 use orderlight_suite::profile::{profile_scenario_with, PROFILE_SCHEMA};
-use orderlight_suite::sim::core_select::{set_core_override, SimCore};
 use orderlight_suite::sim::experiments::{
     fence_heavy_points, fig05_points, fig10_points, fig12_points, fig13_points, JobSpec, Runner,
     SweepPoint,
@@ -103,7 +94,7 @@ use orderlight_suite::sim::schema::{
     parse_mode, parse_ts, parse_workload, schema_document, stats_to_value, ScenarioSpec,
 };
 use orderlight_suite::sim::service::{self, Server};
-use orderlight_suite::sim::RunStats;
+use orderlight_suite::sim::{RunStats, SimCore};
 use orderlight_suite::trace::json::{self, Value};
 use orderlight_suite::trace::{
     ChromeTraceBuilder, ClockDomains, DramCmdKind, EventCategory, Histogram, RingSink, SchedSide,
@@ -164,26 +155,26 @@ macro_rules! outln {
 fn usage() -> ExitCode {
     errln!(
         "usage:
-  orderlight run [run flags] [--core C]
-  orderlight check [run flags] [--core C] [--faults none|noc|sched|storm|all[,..]] [--mutate CH:G] [--seed N]
-  orderlight trace [WORKLOAD] [run flags] [--core C] [--out PATH] [--events N]
-  orderlight profile [WORKLOAD] [run flags] [--core C] [--out PATH] [--events N]
+  orderlight run [run flags]
+  orderlight check [run flags] [--faults none|noc|sched|storm|all[,..]] [--mutate CH:G] [--seed N]
+  orderlight trace [WORKLOAD] [run flags] [--out PATH] [--events N]
+  orderlight profile [WORKLOAD] [run flags] [--out PATH] [--events N]
   orderlight profile-verify PROFILE.json [..]
-  orderlight sweep [fig05|fig10|fig12|fig13|all] [--data-kb N] [--jobs N] [--core C]
-  orderlight figure ID|all [--data-kb N] [--jobs N] [--core C]
-  orderlight compare-ordering [--workload NAME] [--data-kb N] [--out PATH] [--core C]
-  orderlight bench [--data-kb N] [--out PATH] [--jobs N] [--core C]
+  orderlight sweep [fig05|fig10|fig12|fig13|all] [--data-kb N] [--jobs N]
+  orderlight figure ID|all [--data-kb N] [--jobs N]
+  orderlight compare-ordering [--workload NAME] [--data-kb N] [--out PATH]
+  orderlight bench [--data-kb N] [--out PATH] [--jobs N]
   orderlight bench --compare A.json B.json
-  orderlight serve [--addr HOST:PORT] [--cache-max N] [--slow-ms N] [--jobs N] [--core C]
-  orderlight submit [run flags] [--core C] [--budget N] --addr HOST:PORT [--out PATH] [--span-trace PATH]
-  orderlight submit [run flags] [--core C] [--budget N] --local [--out PATH]
+  orderlight serve [--addr HOST:PORT] [--cache-max N] [--slow-ms N] [--jobs N]
+  orderlight submit [run flags] [--budget N] --addr HOST:PORT [--out PATH] [--span-trace PATH]
+  orderlight submit [run flags] [--budget N] --local [--out PATH]
   orderlight submit --addr HOST:PORT --shutdown | --stats | --metrics | --metrics-text | --flightrec
   orderlight top --addr HOST:PORT [--interval-ms N] [--count N | --once]
   orderlight schema | list | taxonomy
 run flags: [--workload/-w NAME] [--mode/-m gpu|none|fence|orderlight|seqnum|louvre|bulk]
   [--ts 16|8|4|2] [--bmf N] [--data-kb N] [--credits N]
---core cycle|event (or ORDERLIGHT_CORE), --jobs/-j 1..256 (or ORDERLIGHT_JOBS); a subcommand
-accepts only the flags listed for it (see `orderlight schema` for the wire surface)"
+--jobs/-j 1..256 (or ORDERLIGHT_JOBS); a subcommand accepts only the flags listed for it
+(see `orderlight schema` for the wire surface)"
     );
     ExitCode::from(2)
 }
@@ -224,16 +215,6 @@ fn run_spec(flags: &Args, workload: WorkloadId, data_kb: u64) -> Result<Scenario
         seq_credits: flags.parsed("--credits")?.unwrap_or(spec.seq_credits),
         ..spec
     })
-}
-
-/// The `--core` choice (else `ORDERLIGHT_CORE`, else event), installed
-/// as the process default that `Runner` and the service read.
-fn install_core(flags: &Args) -> Result<SimCore, UsageError> {
-    let core = flags
-        .get_or_env("--core", "ORDERLIGHT_CORE", |v| SimCore::parse(v).ok())?
-        .unwrap_or_default();
-    set_core_override(Some(core));
-    Ok(core)
 }
 
 /// The `--jobs` worker count (else `ORDERLIGHT_JOBS`, else the host's
@@ -331,9 +312,8 @@ fn print_stats(stats: &RunStats) -> bool {
 }
 
 fn cmd_run(args: &[String]) -> Outcome {
-    let flags = cli::parse(args, 0, &[RUN, CORE])?;
+    let flags = cli::parse(args, 0, &[RUN])?;
     let spec = run_spec(&flags, WorkloadId::Add, 256)?;
-    install_core(&flags)?;
     outln!("running {} ...", describe(&spec));
     Ok(
         match spec
@@ -381,7 +361,7 @@ fn parse_mutate(spec: &str) -> Option<DropEdge> {
 fn cmd_check(args: &[String]) -> Outcome {
     const CHECK: &[Flag] =
         &[cli::value(&["--faults", "-f"]), cli::value(&["--mutate"]), cli::value(&["--seed"])];
-    let flags = cli::parse(args, 0, &[RUN, CORE, CHECK])?;
+    let flags = cli::parse(args, 0, &[RUN, CHECK])?;
     // Keep the default checked run small: the oracle retains per-request
     // state and the default job is CI-speed at 64 KiB.
     let spec = run_spec(&flags, WorkloadId::Add, 64)?;
@@ -390,7 +370,6 @@ fn cmd_check(args: &[String]) -> Outcome {
         drop_edge: flags.get("--mutate", parse_mutate)?,
         ..flags.get("--faults", parse_faults)?.unwrap_or_else(FaultPlan::none)
     };
-    install_core(&flags)?;
 
     outln!(
         "checking {} (faults: noc={} sched={} storm={} seed={}{}) ...",
@@ -425,13 +404,21 @@ fn cmd_check(args: &[String]) -> Outcome {
     if outcome.report.violations.len() > SHOWN {
         outln!("  ... and {} more violation(s)", outcome.report.violations.len() - SHOWN);
     }
-    let passed = if plan.drop_edge.is_some() {
+    let passed = if let Some(edge) = plan.drop_edge {
         // Mutation self-test: success means the check *fired* on the
         // deliberately broken schedule — via an oracle edge, a backend
         // sanity violation, or corrupted DRAM bytes, depending on where
-        // the selected backend's elided edge surfaces.
+        // the selected backend's elided edge surfaces. A mutation that
+        // elided nothing broke nothing, and says so.
         let fired = outcome.edges_dropped > 0 && !outcome.is_clean();
-        if fired {
+        if outcome.edges_dropped == 0 {
+            outln!(
+                "  mutation gate         : FAIL (no ordering edge matched {}:{}; the schedule \
+                 was not broken)",
+                edge.channel,
+                edge.group
+            );
+        } else if fired {
             outln!("  mutation gate         : PASS (oracle fired on the elided edge)");
         } else {
             outln!("  mutation gate         : FAIL (oracle stayed silent on a broken schedule)");
@@ -587,12 +574,12 @@ fn print_histogram(title: &str, hist: &Histogram) {
 }
 
 /// Parses the command line of `trace` and `profile`: an optional
-/// positional workload, the run flags, `--core`, `--out` and `--events`
+/// positional workload, the run flags, `--out` and `--events`
 /// (the ring capacity, at least 1). Returns the scenario, the output
 /// path prefix and the capacity.
 fn capture_args(args: &[String]) -> Result<(ScenarioSpec, String, usize), Box<dyn Error>> {
     const CAPTURE: &[Flag] = &[OUT, cli::value(&["--events"])];
-    let flags = cli::parse(args, 1, &[RUN, CORE, CAPTURE])?;
+    let flags = cli::parse(args, 1, &[RUN, CAPTURE])?;
     let workload = match flags.positionals.first() {
         Some(name) => parse_workload(name).ok_or_else(|| format!("unknown workload '{name}'"))?,
         None => WorkloadId::Add,
@@ -601,7 +588,6 @@ fn capture_args(args: &[String]) -> Result<(ScenarioSpec, String, usize), Box<dy
     // are hundreds of MB of JSON.
     let spec = run_spec(&flags, workload, 16)?;
     let capacity = flags.get("--events", |v| v.parse().ok().filter(|&n: &usize| n > 0))?;
-    install_core(&flags)?;
     let out = flags.value("--out").unwrap_or("orderlight").to_string();
     Ok((spec, out, capacity.unwrap_or(4_000_000)))
 }
@@ -808,12 +794,11 @@ fn data_bytes(flags: &Args, default_kb: u64) -> Result<u64, UsageError> {
     Ok(bytes.unwrap_or(default_kb * 1024))
 }
 
-/// Parses `[NAME] [--data-kb N] [--jobs N] [--core C]` and installs the
-/// core. Returns the positional, the per-channel job size in bytes
-/// (default 256 KiB) and the worker count.
+/// Parses `[NAME] [--data-kb N] [--jobs N]`. Returns the positional,
+/// the per-channel job size in bytes (default 256 KiB) and the worker
+/// count.
 fn series_args(args: &[String]) -> Result<(Option<&str>, u64, usize), UsageError> {
-    let flags = cli::parse(args, 1, &[DATA_KB, JOBS, CORE])?;
-    install_core(&flags)?;
+    let flags = cli::parse(args, 1, &[DATA_KB, JOBS])?;
     Ok((flags.positionals.first().copied(), data_bytes(&flags, 256)?, jobs(&flags)?))
 }
 
@@ -875,13 +860,9 @@ fn ordering_array(records: &[BackendRecord]) -> Value {
 fn run_ordering_comparison(
     workload: WorkloadId,
     data_kb: u64,
-    core: SimCore,
 ) -> Result<Vec<BackendRecord>, ExitCode> {
-    outln!(
-        "comparing ordering backends on {workload} at {data_kb} KiB/structure/channel (core: {}):",
-        core.as_str()
-    );
-    let records = compare_backends(workload, data_kb, core).map_err(|e| {
+    outln!("comparing ordering backends on {workload} at {data_kb} KiB/structure/channel:");
+    let records = compare_backends(workload, data_kb).map_err(|e| {
         errln!("{e}");
         ExitCode::FAILURE
     })?;
@@ -925,12 +906,11 @@ fn run_ordering_comparison(
 /// a correct backend and a broken one is not a comparison.
 fn cmd_compare_ordering(args: &[String]) -> Outcome {
     const COMPARE: &[Flag] = &[cli::value(&["--workload", "-w"]), OUT];
-    let flags = cli::parse(args, 0, &[COMPARE, DATA_KB, CORE])?;
+    let flags = cli::parse(args, 0, &[COMPARE, DATA_KB])?;
     let workload = flags.get("--workload", parse_workload)?.unwrap_or(WorkloadId::Add);
     let data_kb = data_bytes(&flags, 8)? / 1024;
     let out = flags.value("--out").unwrap_or("BENCH_sweep.json");
-    let core = install_core(&flags)?;
-    let records = match run_ordering_comparison(workload, data_kb, core) {
+    let records = match run_ordering_comparison(workload, data_kb) {
         Ok(r) => r,
         Err(code) => return Ok(code),
     };
@@ -938,7 +918,7 @@ fn cmd_compare_ordering(args: &[String]) -> Outcome {
         ("schema", BENCH_SCHEMA.into()),
         ("workload", workload.to_string().into()),
         ("data_kb", data_kb.into()),
-        ("core", core.as_str().into()),
+        ("core", SimCore::Event.as_str().into()),
         ("ordering", ordering_array(&records)),
     ]);
     if let Err(code) = write_json(out, &doc) {
@@ -989,8 +969,8 @@ fn cmd_bench(args: &[String]) -> Outcome {
         };
         return Ok(cmd_bench_compare([a, b]));
     }
-    let flags = cli::parse(args, 0, &[&[OUT], DATA_KB, JOBS, CORE])?;
-    let (data, jobs, core) = (data_bytes(&flags, 8)?, jobs(&flags)?, install_core(&flags)?);
+    let flags = cli::parse(args, 0, &[&[OUT], DATA_KB, JOBS])?;
+    let (data, jobs) = (data_bytes(&flags, 8)?, jobs(&flags)?);
     let out = flags.value("--out").unwrap_or("BENCH_sweep.json");
     let data_kb = data / 1024;
     let mut series = sweep_figures("all", data).expect("'all' is always known");
@@ -1027,7 +1007,7 @@ fn cmd_bench(args: &[String]) -> Outcome {
         );
         benches.push(s);
     }
-    let records = match run_ordering_comparison(WorkloadId::Add, data_kb, core) {
+    let records = match run_ordering_comparison(WorkloadId::Add, data_kb) {
         Ok(r) => r,
         Err(code) => return Ok(code),
     };
@@ -1035,7 +1015,7 @@ fn cmd_bench(args: &[String]) -> Outcome {
         errln!("  results : ORDERING COMPARISON DIRTY: a backend failed its checked run");
         passed = false;
     }
-    let doc = bench::document(data_kb, jobs, core, &benches, ordering_array(&records));
+    let doc = bench::document(data_kb, jobs, &benches, ordering_array(&records));
     if let Err(code) = write_json(out, &doc) {
         return Ok(code);
     }
@@ -1057,12 +1037,11 @@ fn cmd_schema() -> ExitCode {
 fn cmd_serve(args: &[String]) -> Outcome {
     const SERVE: &[Flag] =
         &[cli::value(&["--addr"]), cli::value(&["--cache-max"]), cli::value(&["--slow-ms"])];
-    let flags = cli::parse(args, 0, &[SERVE, JOBS, CORE])?;
+    let flags = cli::parse(args, 0, &[SERVE, JOBS])?;
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:0");
     let (cache_max, slow_ms) =
         (flags.parsed("--cache-max")?.unwrap_or(0), flags.parsed("--slow-ms")?);
     let jobs = jobs(&flags)?;
-    install_core(&flags)?;
     let server = match Server::bind(addr, jobs) {
         Ok(s) => s.with_cache_max(cache_max).with_slow_ms(slow_ms),
         Err(e) => {
@@ -1106,12 +1085,11 @@ fn cmd_submit(args: &[String]) -> Outcome {
         cli::switch(&["--metrics-text"]),
         cli::switch(&["--flightrec"]),
     ];
-    let flags = cli::parse(args, 0, &[RUN, CORE, SUBMIT])?;
+    let flags = cli::parse(args, 0, &[RUN, SUBMIT])?;
     let spec = ScenarioSpec {
         budget: flags.parsed("--budget")?,
         ..run_spec(&flags, WorkloadId::Add, 256)?
     };
-    install_core(&flags)?;
     let (addr, out, span_trace) =
         (flags.value("--addr"), flags.value("--out"), flags.value("--span-trace"));
     let local = flags.switch("--local");

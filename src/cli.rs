@@ -1,12 +1,11 @@
 //! The flag parser of the `orderlight` binary.
 //!
 //! Each subcommand declares the flags it reads as a table of [`Flag`]s,
-//! built from the shared fragments [`RUN`], [`JOBS`], [`CORE`] and
-//! [`DATA_KB`] plus its own, and [`parse`] makes one left-to-right pass
-//! over its arguments: up to the allowed count of leading positionals,
-//! then flags, each followed by its value if it takes one. A flag may
-//! repeat; the getters of [`Args`] check every occurrence and return the
-//! last. Only the three [`UsageError`]s come out, worded the same for
+//! built from the shared fragments [`RUN`], [`JOBS`] and [`DATA_KB`]
+//! plus its own, and [`parse`] makes one left-to-right pass over its
+//! arguments: up to the allowed count of leading positionals, then
+//! flags, each followed by its value if it takes one. A flag may repeat;
+//! the getters of [`Args`] check every occurrence and return the last. Only the three [`UsageError`]s come out, worded the same for
 //! every subcommand.
 
 use std::fmt;
@@ -57,9 +56,6 @@ pub const MAX_JOBS: usize = 256;
 pub fn jobs(value: &str) -> Option<usize> {
     value.parse().ok().filter(|n| (1..=MAX_JOBS).contains(n))
 }
-
-/// The simulation core of the commands that simulate.
-pub const CORE: &[Flag] = &[value(&["--core"])];
 
 /// The job size of the commands that run a series.
 pub const DATA_KB: &[Flag] = &[value(&["--data-kb"])];
@@ -214,11 +210,11 @@ mod tests {
 
     #[test]
     fn flags_anywhere_after_the_positional_and_the_last_wins() {
-        let raw = argv(&["fig05", "--jobs", "3", "--core", "cycle", "-j", "4", "--once"]);
-        let args = parse(&raw, 1, &[JOBS, CORE, OUT]).unwrap();
+        let raw = argv(&["fig05", "--jobs", "3", "--data-kb", "8", "-j", "4", "--once"]);
+        let args = parse(&raw, 1, &[JOBS, DATA_KB, OUT]).unwrap();
         assert_eq!(args.positionals, ["fig05"]);
         assert_eq!(args.parsed::<usize>("--jobs"), Ok(Some(4)));
-        assert_eq!(args.value("--core"), Some("cycle"));
+        assert_eq!(args.value("--data-kb"), Some("8"));
         assert!(args.switch("--once"));
         assert_eq!(args.value("--out"), None);
         assert_eq!(args.last_of(&["--out", "--once"]), Some("--once"));

@@ -117,6 +117,7 @@ fn compare_ordering_records_every_backend_in_a_bench_document() {
     );
     let doc = canonical(&out);
     assert_eq!(doc.get("schema").and_then(Value::as_str), Some("orderlight/bench-sweep/v6"));
+    assert_eq!(doc.get("core").and_then(Value::as_str), Some("event"));
     let backends: Vec<&str> = doc
         .get("ordering")
         .and_then(Value::as_array)
@@ -126,6 +127,26 @@ fn compare_ordering_records_every_backend_in_a_bench_document() {
         .collect();
     assert_eq!(backends, ["fence", "orderlight", "seqnum", "louvre", "bulk"]);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `check --mutate CH:G` that elides no ordering edge broke nothing,
+/// yet its gate used to report "oracle stayed silent on a broken
+/// schedule". A channel the system does not have is now rejected before
+/// anything runs; a mutation no edge matches (GPU mode has none) says
+/// so.
+#[test]
+fn check_mutate_says_when_no_ordering_edge_was_elided() {
+    let missing = orderlight(&["check", "--mutate", "99:0", "--data-kb", "4"]);
+    let stderr = String::from_utf8_lossy(&missing.stderr);
+    assert_eq!(missing.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("drop_edge channel = 99, valid range 0..16"), "{stderr}");
+    assert!(!String::from_utf8_lossy(&missing.stdout).contains("mutation gate"));
+
+    let gpu = orderlight(&["check", "--mode", "gpu", "--mutate", "0:0", "--data-kb", "4"]);
+    let stdout = String::from_utf8_lossy(&gpu.stdout);
+    assert_eq!(gpu.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("FAIL (no ordering edge matched 0:0;"), "{stdout}");
+    assert!(!stdout.contains("stayed silent"), "{stdout}");
 }
 
 /// `bench` lost its `--quick`, `--profile` and `--threshold` knobs: each
@@ -250,6 +271,21 @@ fn every_subcommand_rejects_a_bad_flag_in_the_same_words() {
         "taxonomy",
     ];
     let bogus = SUBCOMMANDS.map(|command| (vec![command, "--bogus"], "unknown flag --bogus"));
+    // Every command runs the event core; the ten that once took a core
+    // choice reject the flag like any other.
+    let core = [
+        "run",
+        "check",
+        "trace",
+        "profile",
+        "sweep",
+        "figure",
+        "compare-ordering",
+        "bench",
+        "serve",
+        "submit",
+    ]
+    .map(|command| (vec![command, "--core", "event"], "unknown flag --core"));
     let others = [
         (vec!["trace", "--out"], "missing value for --out"),
         (vec!["profile", "Add", "--data-kb"], "missing value for --data-kb"),
@@ -260,7 +296,6 @@ fn every_subcommand_rejects_a_bad_flag_in_the_same_words() {
         (vec!["trace", "--events", "0"], "invalid value '0' for --events"),
         (vec!["profile", "--events", "0"], "invalid value '0' for --events"),
         (vec!["sweep", "-j", "many"], "invalid value 'many' for -j"),
-        (vec!["check", "--core", "dense"], "invalid value 'dense' for --core"),
         (vec!["schema", "--jobs", "2"], "unknown flag --jobs"),
         (vec!["run", "--seed", "1"], "unknown flag --seed"),
         (vec!["list", "--core", "event"], "unknown flag --core"),
@@ -273,17 +308,20 @@ fn every_subcommand_rejects_a_bad_flag_in_the_same_words() {
             "unknown flag --out",
         ),
     ];
-    // An invalid `ORDERLIGHT_CORE` or `ORDERLIGHT_JOBS` used to be
-    // ignored; it is the same usage error, naming the variable.
+    // An invalid `ORDERLIGHT_JOBS` used to be ignored; it is the same
+    // usage error, naming the variable.
     let from_env = [
-        (vec!["run", "--data-kb", "4"], ("ORDERLIGHT_CORE", "dense")),
         (vec!["sweep", "--data-kb", "4"], ("ORDERLIGHT_JOBS", "many")),
         (vec!["sweep", "--data-kb", "4"], ("ORDERLIGHT_JOBS", "0")),
     ]
     .map(|(args, (var, value))| {
         (args, Some((var, value)), format!("invalid value '{value}' for {var}"))
     });
-    let rows = bogus.into_iter().chain(others).map(|(args, message)| (args, None, message.into()));
+    let rows = bogus
+        .into_iter()
+        .chain(core)
+        .chain(others)
+        .map(|(args, message)| (args, None, message.into()));
     for (args, env, message) in rows.chain(from_env) {
         let mut command = Command::new(env!("CARGO_BIN_EXE_orderlight"));
         command.args(&args).envs(env);

@@ -10,11 +10,11 @@
 //! both off and on — stay in the fast tier; the larger Figure 10/12
 //! sweeps are tier 2 (`#[ignore]`, run with `--include-ignored` or
 //! `ORDERLIGHT_TIER2=1 ./ci.sh`). The event core runs at its built-in
-//! dense-burst threshold and forced to burst always and never. `ci.sh`
-//! additionally runs the whole tier-1 suite under
-//! `ORDERLIGHT_CORE=cycle` and `ORDERLIGHT_CORE=event`, and
-//! `orderlight bench` cross-checks the cores (and times them) over
-//! every figure in release mode.
+//! dense-burst threshold and forced to burst always and never. Every
+//! command runs the event core; the dense core is the reference that
+//! this suite, `horizon_fuzz.rs`, `profile_core_equivalence.rs` and
+//! `ordering_oracle.rs` pin, and `orderlight bench` cross-checks the
+//! cores (and times them) over every figure in release mode.
 
 use orderlight_suite::core::rng::Rng;
 use orderlight_suite::hbm::RefreshParams;

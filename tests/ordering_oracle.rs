@@ -17,9 +17,8 @@
 use orderlight_suite::check::check_scenario;
 use orderlight_suite::core::fault::{DropEdge, FaultPlan};
 use orderlight_suite::sim::config::ExecMode;
-use orderlight_suite::sim::core_select::SimCore;
 use orderlight_suite::sim::pool::Pool;
-use orderlight_suite::sim::{RunStats, Scenario, ScenarioBuilder};
+use orderlight_suite::sim::{RunStats, Scenario, ScenarioBuilder, ScenarioSpec, SimCore};
 use orderlight_suite::workloads::{OrderingMode, WorkloadId};
 
 /// Small enough for sub-second runs, large enough for multiple
@@ -79,6 +78,22 @@ fn oracle_is_silent_on_clean_scenarios_under_both_cores() {
             }
         }
     }
+}
+
+/// The default `orderlight check` scenario at 32 KiB — Add in the
+/// default mode, no faults — is clean on both cores, and the cores
+/// agree on the checked run.
+#[test]
+fn default_check_at_32_kib_is_clean_on_both_cores() {
+    let spec =
+        ScenarioSpec { data_bytes_per_channel: 32 * 1024, ..ScenarioSpec::new(WorkloadId::Add) };
+    let checked = [SimCore::Cycle, SimCore::Event].map(|core| {
+        let s = spec.builder().core(core).build().expect("valid scenario");
+        let outcome = check_scenario(&s).expect("checked run completes");
+        assert!(outcome.is_clean(), "core {core:?}: {}", outcome.summary());
+        outcome.stats
+    });
+    assert_eq!(checked[0], checked[1], "the cores must agree on the checked run");
 }
 
 #[test]

@@ -25,7 +25,7 @@ use orderlight_suite::sim::experiments::{
     apply_sm_policy, fig05_points, fig10_points, fig12_points, JobSpec,
 };
 use orderlight_suite::sim::system::with_burst_threshold;
-use orderlight_suite::sim::{Scenario, ScenarioBuilder, SimCore};
+use orderlight_suite::sim::{Scenario, ScenarioBuilder, ScenarioSpec, SimCore};
 use orderlight_suite::workloads::{OrderingMode, WorkloadId};
 
 /// Matches `core_equivalence.rs`: small enough for sub-second sweeps,
@@ -75,6 +75,24 @@ fn assert_figure_agrees(figure: &str, specs: &[JobSpec]) {
 #[test]
 fn fig05_profile_reports_agree_across_cores() {
     assert_figure_agrees("fig05", &fig05_points(DATA));
+}
+
+/// `orderlight profile Add --mode fence --data-kb 32`, at the size the
+/// CLI's conservation gate profiles it: a fence round trip per tile
+/// over many tiles, where the event core skips the most.
+#[test]
+fn fence_add_32_kib_profile_reports_agree_across_cores() {
+    let spec = ScenarioSpec {
+        mode: ExecMode::Pim(OrderingMode::Fence),
+        data_bytes_per_channel: 32 * 1024,
+        ..ScenarioSpec::new(WorkloadId::Add)
+    };
+    let build = |core: SimCore| spec.builder().core(core).build().expect("scenario builds");
+    assert_reports_agree(
+        "profile Add fence 32 KiB",
+        &build(SimCore::Cycle),
+        &build(SimCore::Event),
+    );
 }
 
 #[test]
