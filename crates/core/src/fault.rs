@@ -176,12 +176,6 @@ impl FaultPlan {
         r.next_u64();
         r.next_u64()
     }
-
-    /// An [`Rng`] seeded for `layer` on `channel`.
-    #[must_use]
-    pub fn layer_rng(&self, layer: FaultLayer, channel: u8) -> Rng {
-        Rng::new(self.layer_seed(layer, channel))
-    }
 }
 
 impl Default for FaultPlan {

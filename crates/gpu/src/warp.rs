@@ -249,13 +249,6 @@ impl Warp {
         self.core.fetch(&mut self.cur, &mut self.state)
     }
 
-    /// The already-fetched head instruction, without materialising the
-    /// next one — the `&self` peek the quiescence horizon needs.
-    #[must_use]
-    pub fn peek_current(&self) -> Option<KernelInstr> {
-        self.cur
-    }
-
     /// Whether the head of the stream has not been fetched yet. The
     /// horizon treats such a warp conservatively (tick it densely):
     /// fetching could surface any instruction, including one that can

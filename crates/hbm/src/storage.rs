@@ -85,6 +85,38 @@ impl FunctionalStore {
         self.write_slot(slot, col, data);
     }
 
+    /// Writes `data` to consecutive columns of `(bank, row)` from
+    /// `first_col`: one lookup for the whole run, and a row it
+    /// materialises is built from `data` directly, zeroing only the
+    /// columns outside the run.
+    ///
+    /// # Panics
+    /// Panics if the run reaches beyond the row, rather than spill into
+    /// another one.
+    pub fn fill_row(
+        &mut self,
+        bank: BankId,
+        row: u32,
+        first_col: u16,
+        data: impl ExactSizeIterator<Item = Stripe>,
+    ) {
+        let cols = self.row_bytes / BUS_BYTES;
+        let (first, end) = (first_col as usize, first_col as usize + data.len());
+        assert!(end <= cols, "row fill of columns {first}..{end} beyond row of {cols} columns");
+        if let Some(slot) = self.slot(bank, row) {
+            for (stripe, value) in self.rows[slot.0 as usize][first..end].iter_mut().zip(data) {
+                *stripe = value;
+            }
+            return;
+        }
+        let mut stripes = Vec::with_capacity(cols);
+        stripes.resize(first, Stripe::default());
+        stripes.extend(data);
+        assert_eq!(stripes.len(), end, "row fill data shorter or longer than its length");
+        stripes.resize(cols, Stripe::default());
+        self.insert(bank, row, stripes.into_boxed_slice());
+    }
+
     fn check_col(&self, col: u16) {
         assert!((col as usize + 1) * BUS_BYTES <= self.row_bytes, "column {col} beyond row");
     }
@@ -99,8 +131,17 @@ impl FunctionalStore {
         if let Some(slot) = self.slot(bank, row) {
             return slot;
         }
+        self.insert(
+            bank,
+            row,
+            vec![Stripe::default(); self.row_bytes / BUS_BYTES].into_boxed_slice(),
+        )
+    }
+
+    /// Materialises `(bank, row)`, which must be absent, holding `stripes`.
+    fn insert(&mut self, bank: BankId, row: u32, stripes: Box<[Stripe]>) -> RowSlot {
         let slot = RowSlot(u32::try_from(self.rows.len()).expect("fewer than 2^32 rows"));
-        self.rows.push(vec![Stripe::default(); self.row_bytes / BUS_BYTES].into_boxed_slice());
+        self.rows.push(stripes);
         self.slots.insert((bank, row), slot);
         slot
     }
@@ -159,6 +200,25 @@ mod tests {
     fn out_of_row_column_panics() {
         let s = FunctionalStore::new(64);
         let _ = s.read(BankId(0), 0, 2);
+    }
+
+    #[test]
+    fn fill_row_writes_its_run_and_keeps_the_rest() {
+        let mut s = FunctionalStore::new(4 * BUS_BYTES);
+        s.write(BankId(2), 5, 0, Stripe::splat(9));
+        s.fill_row(BankId(2), 5, 1, [Stripe::splat(1), Stripe::splat(2)].into_iter());
+        s.fill_row(BankId(2), 6, 2, [Stripe::splat(3), Stripe::splat(4)].into_iter());
+        let cols = |row| (0..4).map(|c| s.read(BankId(2), row, c).0[0]).collect::<Vec<_>>();
+        assert_eq!(cols(5), [9, 1, 2, 0]);
+        assert_eq!(cols(6), [0, 0, 3, 4]);
+        assert_eq!(s.resident_rows(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "row fill of columns 3..5 beyond row of 4 columns")]
+    fn row_fill_past_the_row_panics() {
+        let mut s = FunctionalStore::new(4 * BUS_BYTES);
+        s.fill_row(BankId(0), 0, 3, [Stripe::splat(1); 2].into_iter());
     }
 
     #[test]

@@ -234,7 +234,6 @@ pub struct MemoryController {
     busy: u64,
     exec_q: VecDeque<Transaction>,
     backend: Box<dyn OrderingBackend>,
-    arrival_seq: u64,
     arrival_cycle: MemCycle,
     draining_writes: bool,
     out: Vec<MemResp>,
@@ -271,7 +270,6 @@ impl MemoryController {
             busy: 0,
             exec_q: VecDeque::new(),
             backend: cfg.ordering.build(),
-            arrival_seq: 0,
             arrival_cycle: 0,
             draining_writes: false,
             out: Vec::new(),
@@ -418,7 +416,6 @@ impl MemoryController {
                     }
                     MemReq::Marker(_) => unreachable!("handled above"),
                 };
-                self.arrival_seq += 1;
                 let pim = req.is_pim();
                 let write_like = req.is_write_like();
                 // A controller-enforced backend may raise a synthetic
@@ -894,8 +891,6 @@ impl MemoryController {
     pub fn tick(&mut self, now: MemCycle, out: &mut Vec<MemResp>) {
         self.arrival_cycle = now;
         self.channel.maintain(now);
-        self.read_q.record_tick();
-        self.write_q.record_tick();
         // Periodic occupancy sample for counter tracks (every 64 memory
         // cycles keeps trace volume proportional to runtime, not work).
         if self.traced && now.is_multiple_of(SAMPLE_STRIDE) {
@@ -915,8 +910,7 @@ impl MemoryController {
     /// Advances the controller across `ticks` quiescent memory cycles
     /// starting at `now` — cycles in which [`tick`](Self::tick) would
     /// find the controller idle and change nothing beyond per-cycle
-    /// bookkeeping. Replays that bookkeeping in closed form: the
-    /// occupancy integrals (at occupancy zero), the write-drain
+    /// bookkeeping. Replays that bookkeeping in closed form: the write-drain
     /// hysteresis (which re-evaluates an empty queue every cycle), the
     /// arrival stamp used for requests pushed between memory ticks,
     /// and — with a live sink — the periodic queue samples the dense
@@ -952,8 +946,6 @@ impl MemoryController {
             }
         }
         self.arrival_cycle = now + ticks - 1;
-        self.read_q.record_ticks(ticks);
-        self.write_q.record_ticks(ticks);
         // dequeue_phase re-runs the hysteresis comparison every cycle
         // even when both queues are empty; one evaluation at the final
         // occupancy is equivalent for a window in which it is constant.
@@ -1018,12 +1010,6 @@ impl MemoryController {
     #[must_use]
     pub fn pim(&self) -> &PimUnit {
         &self.pim
-    }
-
-    /// Mean read/write transaction-queue occupancies.
-    #[must_use]
-    pub fn mean_queue_occupancy(&self) -> (f64, f64) {
-        (self.read_q.mean_occupancy(), self.write_q.mean_occupancy())
     }
 }
 

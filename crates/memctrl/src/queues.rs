@@ -99,8 +99,6 @@ pub struct TransQueue {
     bank_mask: u64,
     /// Execute-only requests (no DRAM location) among `entries`.
     exec_reqs: usize,
-    occupancy_integral: u64,
-    ticks: u64,
 }
 
 impl TransQueue {
@@ -118,8 +116,6 @@ impl TransQueue {
             bank_reqs: [0; MAX_BANKS],
             bank_mask: 0,
             exec_reqs: 0,
-            occupancy_integral: 0,
-            ticks: 0,
         }
     }
 
@@ -193,30 +189,6 @@ impl TransQueue {
     #[must_use]
     pub(crate) fn holds_request_for(&self, bank_room: u64, exec_room: bool) -> bool {
         self.bank_mask & bank_room != 0 || (exec_room && self.exec_reqs > 0)
-    }
-
-    /// Records one cycle of occupancy statistics.
-    pub fn record_tick(&mut self) {
-        self.record_ticks(1);
-    }
-
-    /// Records `n` cycles of occupancy statistics at the current
-    /// occupancy in one step — the event core's closed-form equivalent
-    /// of `n` calls to [`record_tick`](Self::record_tick) across a
-    /// window in which the queue does not change.
-    pub fn record_ticks(&mut self, n: u64) {
-        self.occupancy_integral += self.entries.len() as u64 * n;
-        self.ticks += n;
-    }
-
-    /// Mean occupancy over recorded ticks.
-    #[must_use]
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.ticks == 0 {
-            0.0
-        } else {
-            self.occupancy_integral as f64 / self.ticks as f64
-        }
     }
 
     /// Index of the first marker copy, if any.
@@ -461,12 +433,9 @@ mod tests {
         let mut q = TransQueue::new(2);
         assert!(q.has_space());
         q.push(req(0, 1));
-        q.record_tick();
         q.push(req(0, 2));
-        q.record_tick();
         assert!(!q.has_space());
         assert!((q.fill_fraction() - 1.0).abs() < f64::EPSILON);
-        assert!((q.mean_occupancy() - 1.5).abs() < f64::EPSILON);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use orderlight::fault::{FaultLayer, FaultPlan};
 use orderlight::types::{ChannelId, CoreCycle, GlobalWarpId, MemCycle, MemGroupId};
 use orderlight::{ConfigError, InstrStream, MemReq, MemResp, NextEvent};
 use orderlight_gpu::{Sm, SmStats, Warp};
-use orderlight_hbm::Channel;
+use orderlight_hbm::{Channel, FunctionalStore};
 use orderlight_memctrl::{McConfig, McStats, MemoryController};
 use orderlight_noc::MemoryPipe;
 use orderlight_pim::PimUnit;
@@ -318,6 +318,19 @@ impl Bits {
     }
 }
 
+/// Writes `channel`'s input image into `store` one DRAM row at a time:
+/// each row of [`WorkloadInstance::input_rows`] is decoded once and
+/// written in one [`FunctionalStore::fill_row`], so no stripe is decoded
+/// or looked up on its own.
+pub fn load_inputs(instance: &WorkloadInstance, channel: ChannelId, store: &mut FunctionalStore) {
+    let mapping = instance.layout().mapping();
+    for run in instance.input_rows(channel) {
+        let loc = mapping.decode(run.first);
+        debug_assert_eq!(loc.channel, channel);
+        store.fill_row(loc.bank, loc.row, loc.col, instance.row_data(run).map(|(_, value)| value));
+    }
+}
+
 impl System {
     /// Builds the system for an experiment: constructs the workload
     /// instance, pins one warp per channel across the configured SMs,
@@ -375,6 +388,9 @@ impl System {
             return Err(ConfigError::new(
                 "the instance's ordering mode must match the experiment's",
             ));
+        }
+        if instance.layout().mapping() != &exp.system.mapping {
+            return Err(ConfigError::new("the instance's address mapping must match the system's"));
         }
         Self::assemble(exp, instance)
     }
@@ -437,12 +453,7 @@ impl System {
                 ..sys.mc.clone()
             };
             let mut mc = MemoryController::new(mc_cfg, channel, pim);
-            // Input data into the functional store.
-            for (addr, value) in instance.init_data(ChannelId(ch as u8)) {
-                let loc = sys.mapping.decode(addr);
-                debug_assert_eq!(loc.channel, ChannelId(ch as u8));
-                mc.channel_mut().store_mut().write(loc.bank, loc.row, loc.col, value);
-            }
+            load_inputs(&instance, ChannelId(ch as u8), mc.channel_mut().store_mut());
             mcs.push(mc);
         }
 
@@ -733,8 +744,8 @@ impl System {
 
     /// Accounts every lazy component's quiescent window up to the
     /// current clocks, so each one's state is what a dense run through
-    /// cycle `now - 1` would leave: counters, occupancy integrals and
-    /// synthesized periodic events included.
+    /// cycle `now - 1` would leave: counters and synthesized periodic
+    /// events included.
     fn sync_lazy(&mut self, ev: &mut EventState) {
         for s in 0..self.sms.len() {
             self.catch_up_sm(ev, s, self.now);
@@ -806,8 +817,8 @@ impl System {
     /// * a component not ticked on an executed cycle is quiescent there
     ///   by construction and accounts the window lazily
     ///   (`skip_quiescent` / `skip_ticks`) before its next mutation, so
-    ///   stall counters, occupancy integrals and synthesized trace
-    ///   events land exactly as the dense core's would.
+    ///   stall counters and synthesized trace events land exactly as
+    ///   the dense core's would.
     ///
     /// Where nearly every component acts on nearly every cycle, the
     /// calendar bookkeeping is pure cost, so the loop measures the tick
@@ -1253,6 +1264,37 @@ mod tests {
         e
     }
 
+    /// Every kernel's functional stores, built a row at a time, equal a
+    /// store written stripe by stripe from [`WorkloadInstance::init_data`]
+    /// on seeded channels: GPU host and PIM placements, at the GPU host
+    /// sweep's sizes and at one whose last row is partial.
+    #[test]
+    fn row_built_stores_match_the_per_stripe_reference() {
+        let mut rng = orderlight::rng::Rng::new(0x6669_6c6c);
+        for workload in WorkloadId::ALL {
+            for mode in [ExecMode::Gpu, ExecMode::Pim(OrderingMode::OrderLight)] {
+                for bytes in [4 << 10, 16 << 10, 64 << 10, 5000] {
+                    let mut exp = small_exp(workload, mode);
+                    exp.data_bytes_per_channel = bytes;
+                    let sys = System::build(exp).unwrap();
+                    let mapping = &sys.exp.system.mapping;
+                    for ch in [rng.gen_index(16), rng.gen_index(16)] {
+                        let mut reference = FunctionalStore::new(sys.exp.system.row_bytes as usize);
+                        for (addr, value) in sys.instance.init_data(ChannelId(ch as u8)) {
+                            let loc = mapping.decode(addr);
+                            reference.write(loc.bank, loc.row, loc.col, value);
+                        }
+                        assert_eq!(
+                            sys.mcs[ch].channel().store().rows_sorted(),
+                            reference.rows_sorted(),
+                            "{workload} {mode} {bytes} B channel {ch}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn add_orderlight_runs_and_verifies() {
         let mut sys =
@@ -1384,6 +1426,24 @@ mod tests {
             OrderingMode::Fence,
         );
         assert!(System::build_custom(exp, instance).is_err());
+    }
+
+    #[test]
+    fn build_custom_rejects_a_foreign_mapping() {
+        use orderlight_workloads::{KernelBuilder, WorkloadInstance};
+        let spec = KernelBuilder::new("foreign").load(0).store(0).build().unwrap();
+        let exp = small_exp(WorkloadId::Add, ExecMode::Pim(OrderingMode::OrderLight));
+        let mapping = orderlight::mapping::AddressMapping::new(16, 16, 512, 2048, 1 << 16).unwrap();
+        let instance = WorkloadInstance::custom(
+            spec,
+            mapping,
+            &exp.system.groups,
+            8,
+            64,
+            OrderingMode::OrderLight,
+        );
+        let err = System::build_custom(exp, instance).unwrap_err();
+        assert!(err.to_string().contains("mapping"), "{err}");
     }
 
     /// A GPU host point (16 SMs of 8 warps), a fence point (2 SMs) and an

@@ -34,7 +34,7 @@
 //! an execute-only command is rejected by validation); `fetch` phases
 //! require memory-reading ones.
 
-use crate::kernel::{Addressing, KernelSpec, Phase, RandomPer};
+use crate::kernel::{Addressing, KernelSpec, Phase};
 use orderlight::{AluOp, ConfigError};
 
 /// Fluent construction of a [`KernelSpec`].
@@ -65,24 +65,6 @@ impl KernelBuilder {
     #[must_use]
     pub fn fetch(mut self, op: AluOp, structure: usize) -> Self {
         self.phases.push(Phase::FetchOp { op, structure, addressing: Addressing::Sequential });
-        self
-    }
-
-    /// Appends a fetch-and-op phase over pseudo-random locations within
-    /// the first `span_rows` rows of `structure`.
-    #[must_use]
-    pub fn fetch_random(
-        mut self,
-        op: AluOp,
-        structure: usize,
-        per: RandomPer,
-        span_rows: u64,
-    ) -> Self {
-        self.phases.push(Phase::FetchOp {
-            op,
-            structure,
-            addressing: Addressing::Random { per, span_rows },
-        });
         self
     }
 

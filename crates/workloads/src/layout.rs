@@ -160,11 +160,48 @@ impl Layout {
         self.mapping.compose(channel, offset)
     }
 
+    /// The runs of `structure`'s stripes on `channel`, one per DRAM row
+    /// in stripe order: a structure's stripes fill each row in column
+    /// order from column 0, so every run but the last is a whole row.
+    pub fn row_runs(
+        &self,
+        channel: ChannelId,
+        structure: usize,
+    ) -> impl Iterator<Item = RowRun> + '_ {
+        let per_row = self.mapping.stripes_per_row();
+        let total = self.stripes_per_structure;
+        (0..total.div_ceil(per_row)).map(move |row_seq| {
+            let first = row_seq * per_row;
+            RowRun {
+                first: self.addr(channel, structure, first),
+                stripes: (total - first).min(per_row) as usize,
+            }
+        })
+    }
+
+    /// The address of each stripe of `run`, in column order.
+    pub fn run_addrs(&self, run: RowRun) -> impl ExactSizeIterator<Item = Addr> + '_ {
+        let channel = self.mapping.channel_of(run.first);
+        let offset = self.mapping.channel_offset(run.first);
+        (0..run.stripes)
+            .map(move |i| self.mapping.compose(channel, offset + (i * BUS_BYTES) as u64))
+    }
+
     /// The interleaving scheme in force.
     #[must_use]
     pub fn mapping(&self) -> &AddressMapping {
         &self.mapping
     }
+}
+
+/// Consecutive stripes of one structure that share a DRAM row: `stripes`
+/// columns from the column of `first`, in column order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowRun {
+    /// The address of the run's first stripe.
+    pub first: Addr,
+    /// How many stripes the run holds.
+    pub stripes: usize,
 }
 
 #[cfg(test)]

@@ -29,6 +29,6 @@ pub mod verify;
 pub use builder::KernelBuilder;
 pub use host::HostKernelGen;
 pub use kernel::{Addressing, KernelSpec, OrderingMode, Phase, PimKernelGen, RandomPer};
-pub use layout::Layout;
+pub use layout::{Layout, RowRun};
 pub use registry::{Suite, WorkloadId, WorkloadInstance, WorkloadMeta};
 pub use verify::GoldenInterp;

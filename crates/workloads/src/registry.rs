@@ -23,7 +23,7 @@
 
 use crate::host::HostKernelGen;
 use crate::kernel::{Addressing, KernelSpec, OrderingMode, Phase, PimKernelGen, RandomPer};
-use crate::layout::Layout;
+use crate::layout::{Layout, RowRun};
 use crate::{data, verify::GoldenInterp};
 use orderlight::mapping::{AddressMapping, GroupMap};
 use orderlight::types::{Addr, ChannelId, MemGroupId, Stripe};
@@ -510,8 +510,11 @@ impl WorkloadInstance {
         )
     }
 
-    /// Deterministic input data for `channel` (one entry per stripe of
-    /// every input structure), generated lazily.
+    /// Deterministic input data for `channel`, one entry per stripe of
+    /// every input structure, addressed stripe by stripe. The reference
+    /// that [`input_rows`](Self::input_rows) and
+    /// [`row_data`](Self::row_data) are tested against; loaders use
+    /// those.
     pub fn init_data(&self, channel: ChannelId) -> impl Iterator<Item = (Addr, Stripe)> + '_ {
         self.spec.input_structures().into_iter().flat_map(move |structure| {
             (0..self.stripes_per_channel).map(move |stripe| {
@@ -519,6 +522,23 @@ impl WorkloadInstance {
                 (addr, data::init_stripe(addr))
             })
         })
+    }
+
+    /// `channel`'s input image one DRAM row at a time: a [`RowRun`] per
+    /// row of every input structure. Flattened through
+    /// [`row_data`](Self::row_data) it yields exactly
+    /// [`init_data`](Self::init_data), in the same order.
+    pub fn input_rows(&self, channel: ChannelId) -> impl Iterator<Item = RowRun> + '_ {
+        self.spec
+            .input_structures()
+            .into_iter()
+            .flat_map(move |structure| self.layout.row_runs(channel, structure))
+    }
+
+    /// The input data of one run of [`input_rows`](Self::input_rows),
+    /// in column order.
+    pub fn row_data(&self, run: RowRun) -> impl ExactSizeIterator<Item = (Addr, Stripe)> + '_ {
+        self.layout.run_addrs(run).map(|addr| (addr, data::init_stripe(addr)))
     }
 
     /// A golden interpreter with a TS of `ts_slots` stripes, loaded with
@@ -530,8 +550,10 @@ impl WorkloadInstance {
         let touched = inputs.len() + outputs.iter().filter(|s| !inputs.contains(s)).count();
         let per = self.stripes_per_channel as usize;
         let mut interp = GoldenInterp::with_capacity(ts_slots, touched * per, outputs.len() * per);
-        for (addr, value) in self.init_data(channel) {
-            interp.init(addr, value);
+        for run in self.input_rows(channel) {
+            for (addr, value) in self.row_data(run) {
+                interp.init(addr, value);
+            }
         }
         interp
     }
@@ -672,6 +694,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Bytes per structure per channel of the row-fill tests: the GPU
+    /// host sweep's 4, 16 and 64 KiB, and a size whose last row is
+    /// partial in both placements.
+    const ROW_FILL_BYTES: [u64; 4] = [4 << 10, 16 << 10, 64 << 10, 5000];
+
+    /// The GPU host placement (rows rotate across the group's 8 banks)
+    /// and the PIM one (one bank, 1/16 of the data per command stream),
+    /// at `bytes` per structure per channel.
+    fn placements(id: WorkloadId, bytes: u64) -> [WorkloadInstance; 2] {
+        let place = |stripes, mode, interleave, slices| {
+            let (mapping, groups) = (AddressMapping::hbm_default(), GroupMap::default());
+            WorkloadInstance::with_placement(
+                id, mapping, &groups, 8, stripes, mode, interleave, slices,
+            )
+        };
+        [
+            place(bytes / 32, OrderingMode::None, 8, 8),
+            place(bytes / 32 / 16, OrderingMode::OrderLight, 1, 1),
+        ]
+    }
+
+    #[test]
+    fn row_runs_rebuild_the_per_stripe_input_image() {
+        let mut rng = orderlight::rng::Rng::new(0x726f_7773);
+        let per_row = AddressMapping::hbm_default().stripes_per_row() as usize;
+        for id in WorkloadId::ALL {
+            for bytes in ROW_FILL_BYTES {
+                for inst in placements(id, bytes) {
+                    // Two seeded channels of each instance.
+                    for channel in [rng.gen_range(16), rng.gen_range(16)] {
+                        let channel = ChannelId(channel as u8);
+                        let at = format!("{id} {:?} {bytes} B ch{}", inst.mode(), channel.0);
+                        check_rows_against_reference(&inst, channel, per_row, &at);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Asserts that `channel`'s row runs each stay in one row, in column
+    /// order, and flatten to exactly [`WorkloadInstance::init_data`], and
+    /// that the golden interpreter's input image is that data.
+    fn check_rows_against_reference(
+        inst: &WorkloadInstance,
+        channel: ChannelId,
+        per_row: usize,
+        at: &str,
+    ) {
+        let mapping = inst.layout().mapping();
+        let reference: Vec<_> = inst.init_data(channel).collect();
+        let mut rows = Vec::new();
+        for run in inst.input_rows(channel) {
+            let first = mapping.decode(run.first);
+            assert!(run.stripes > 0 && run.stripes <= per_row, "{at}: {run:?}");
+            for (i, (addr, value)) in inst.row_data(run).enumerate() {
+                let loc = mapping.decode(addr);
+                assert_eq!((loc.bank, loc.row), (first.bank, first.row), "{at}");
+                assert_eq!(usize::from(loc.col), usize::from(first.col) + i, "{at}");
+                rows.push((addr, value));
+            }
+        }
+        assert_eq!(rows, reference, "{at}: rows differ from the per-stripe image");
+        let golden = inst.golden_interp(channel, 1);
+        let mut image: Vec<_> = golden.image().iter().map(|(&a, &v)| (Addr(a), v)).collect();
+        let mut expected = reference;
+        image.sort_unstable_by_key(|(a, _)| a.0);
+        expected.sort_unstable_by_key(|(a, _)| a.0);
+        assert_eq!(image, expected, "{at}: golden input image");
     }
 
     #[test]

@@ -71,6 +71,12 @@ impl GoldenInterp {
         self.mem.get(&addr.0).copied().unwrap_or_default()
     }
 
+    /// The whole memory image, by address.
+    #[cfg(test)]
+    pub(crate) fn image(&self) -> &IntMap<u64, Stripe> {
+        &self.mem
+    }
+
     /// Addresses the interpreted streams stored to.
     #[must_use]
     pub fn written(&self) -> &IntSet<u64> {

@@ -20,6 +20,7 @@ use orderlight_suite::core::{InstrStream, KernelInstr, Reg};
 use orderlight_suite::hbm::{Channel, TimingParams};
 use orderlight_suite::memctrl::{McConfig, MemoryController};
 use orderlight_suite::pim::{PimUnit, TsSize};
+use orderlight_suite::sim::system::load_inputs;
 use orderlight_suite::workloads::{OrderingMode, WorkloadId, WorkloadInstance};
 
 /// Drives one controller with the PIM stream plus a host read every
@@ -41,10 +42,7 @@ fn run_with_host_bank(host_bank: BankId, host_period: u64) -> f64 {
     let channel = Channel::new(TimingParams::hbm_table1(), 16, 2048);
     let pim = PimUnit::new(TsSize::Eighth, 2048, 16);
     let mut mc = MemoryController::new(cfg, channel, pim);
-    for (addr, value) in instance.init_data(channel_id) {
-        let loc = mapping.decode(addr);
-        mc.channel_mut().store_mut().write(loc.bank, loc.row, loc.col, value);
-    }
+    load_inputs(&instance, channel_id, mc.channel_mut().store_mut());
 
     // Lower the whole PIM kernel into controller requests up front.
     let pim_warp = GlobalWarpId::new(0, 0);

@@ -12,9 +12,13 @@
 //!   attribution must conserve every point's own stall counters.
 //!
 //! The cycle-core, event-core and profiled legs alternate for
-//! [`PROFILE_REPS`] repetitions and each keeps its fastest, for the two
-//! ratios `ci.sh` gates: the event core's speedup on the fence-heavy
-//! series and the profiler's overhead on Figure 5. Sweep throughput is
+//! [`PROFILE_REPS`] repetitions and each keeps its fastest, for the
+//! ratios `ci.sh` gates: the event core's speedup over the dense core
+//! and the profiler's overhead on Figure 5. Every timed leg runs on the
+//! calling thread, so the ratios divide that thread's CPU time
+//! (`thread_cpu_s`): a busy neighbour on the host stretches wall time,
+//! not the CPU time a leg uses. The wall times stay in the record beside
+//! them, so a gap between the two clocks shows. Sweep throughput is
 //! perfbench's job (its `gpu-host` workload).
 //!
 //! [`document`] assembles the `orderlight/bench-sweep/v6` record and
@@ -35,18 +39,21 @@ pub const BENCH_SCHEMA: &str = "orderlight/bench-sweep/v6";
 /// Repetitions of each timed leg.
 pub const PROFILE_REPS: usize = 5;
 
-/// The keys [`compare`] skips: wall times and the ratios taken from
-/// them, which differ between any two runs, and the two execution
+/// The keys [`compare`] skips: CPU and wall times and the ratios taken
+/// from them, which differ between any two runs, and the two execution
 /// settings results do not depend on (`jobs` by the determinism
 /// contract, `core` by the quiescence contract).
-pub const SKIPPED_KEYS: [&str; 10] = [
+pub const SKIPPED_KEYS: [&str; 13] = [
     "cycle_seconds",
     "event_seconds",
+    "cycle_wall_seconds",
+    "event_wall_seconds",
     "cycle_points_per_sec",
     "event_points_per_sec",
     "event_speedup",
     "unprofiled_seconds",
     "profiled_seconds",
+    "profiled_wall_seconds",
     "overhead",
     "jobs",
     "core",
@@ -62,12 +69,12 @@ pub struct SeriesBench {
     /// The sum of the points' [`RunStats::core_cycles`].
     pub core_cycles: u64,
     /// Fastest of [`PROFILE_REPS`] serial cycle-core legs.
-    pub cycle_s: f64,
+    pub cycle: LegTime,
     /// Fastest of [`PROFILE_REPS`] serial event-core legs, which are
     /// also the unprofiled legs of the profiler-overhead ratio.
-    pub event_s: f64,
+    pub event: LegTime,
     /// Fastest of [`PROFILE_REPS`] profiled event-core legs.
-    pub profiled_s: f64,
+    pub profiled: LegTime,
     /// Whether the cycle and event cores agreed on every point.
     pub cores_identical: bool,
     /// Whether the pooled run agreed with the serial event-core run.
@@ -84,17 +91,17 @@ pub struct SeriesBench {
 }
 
 impl SeriesBench {
-    /// The cycle core's wall time over the event core's.
+    /// The cycle core's CPU time over the event core's.
     #[must_use]
     pub fn event_speedup(&self) -> f64 {
-        ratio(self.cycle_s, self.event_s)
+        ratio(self.cycle.cpu_s, self.event.cpu_s)
     }
 
-    /// The profiled leg's wall time over the unprofiled (event-core)
+    /// The profiled leg's CPU time over the unprofiled (event-core)
     /// leg's.
     #[must_use]
     pub fn overhead(&self) -> f64 {
-        ratio(self.profiled_s, self.event_s)
+        ratio(self.profiled.cpu_s, self.event.cpu_s)
     }
 
     /// The series as one entry of the document's `figures` array.
@@ -107,13 +114,16 @@ impl SeriesBench {
             ("figure", self.figure.into()),
             ("points", self.points.into()),
             ("core_cycles", self.core_cycles.into()),
-            ("cycle_seconds", self.cycle_s.into()),
-            ("event_seconds", self.event_s.into()),
-            ("cycle_points_per_sec", ratio(points, self.cycle_s).into()),
-            ("event_points_per_sec", ratio(points, self.event_s).into()),
+            ("cycle_seconds", self.cycle.cpu_s.into()),
+            ("event_seconds", self.event.cpu_s.into()),
+            ("cycle_wall_seconds", self.cycle.wall_s.into()),
+            ("event_wall_seconds", self.event.wall_s.into()),
+            ("cycle_points_per_sec", ratio(points, self.cycle.cpu_s).into()),
+            ("event_points_per_sec", ratio(points, self.event.cpu_s).into()),
             ("event_speedup", self.event_speedup().into()),
-            ("unprofiled_seconds", self.event_s.into()),
-            ("profiled_seconds", self.profiled_s.into()),
+            ("unprofiled_seconds", self.event.cpu_s.into()),
+            ("profiled_seconds", self.profiled.cpu_s.into()),
+            ("profiled_wall_seconds", self.profiled.wall_s.into()),
             ("overhead", self.overhead().into()),
             ("conserved", self.conserved.into()),
             ("stalls", Value::obj(stalls)),
@@ -131,11 +141,62 @@ fn ratio(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Runs `f` and returns its result with the wall time it took.
-fn timed<T>(f: impl FnOnce() -> Result<T, SimError>) -> Result<(T, f64), SimError> {
-    let start = Instant::now();
+/// The time one leg took on both clocks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LegTime {
+    /// CPU seconds of the thread that ran the leg.
+    pub cpu_s: f64,
+    /// Wall seconds.
+    pub wall_s: f64,
+}
+
+impl LegTime {
+    /// Not yet measured: slower than any leg.
+    const NONE: LegTime = LegTime { cpu_s: f64::INFINITY, wall_s: f64::INFINITY };
+
+    /// The faster of `self` and `other` on each clock.
+    fn min(self, other: LegTime) -> LegTime {
+        LegTime { cpu_s: self.cpu_s.min(other.cpu_s), wall_s: self.wall_s.min(other.wall_s) }
+    }
+}
+
+/// CPU seconds the calling thread has used, from
+/// `clock_gettime(CLOCK_THREAD_CPUTIME_ID)`. std links the C library on
+/// Linux, so the declaration below is all it takes.
+#[cfg(target_os = "linux")]
+fn thread_cpu_s() -> f64 {
+    use std::ffi::{c_int, c_long};
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+    extern "C" {
+        fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+    let mut t = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `t` is a live, writable `struct timespec`, the only memory
+    // the call writes.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut t) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+    t.tv_sec as f64 + t.tv_nsec as f64 * 1e-9
+}
+
+/// Elsewhere the legs fall back to wall time alone.
+#[cfg(not(target_os = "linux"))]
+fn thread_cpu_s() -> f64 {
+    static START: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
+    START.get_or_init(Instant::now).elapsed().as_secs_f64()
+}
+
+/// Runs `f` on the calling thread and returns its result with the time
+/// it took.
+fn timed<T>(f: impl FnOnce() -> Result<T, SimError>) -> Result<(T, LegTime), SimError> {
+    let (cpu, wall) = (thread_cpu_s(), Instant::now());
     let value = f()?;
-    Ok((value, start.elapsed().as_secs_f64()))
+    let time = LegTime { cpu_s: thread_cpu_s() - cpu, wall_s: wall.elapsed().as_secs_f64() };
+    Ok((value, time))
 }
 
 /// Runs every scenario in order on the calling thread.
@@ -161,13 +222,13 @@ pub fn run_series(
     // The legs alternate and each keeps its fastest repetition: a small
     // series lasts milliseconds, so one sample of each would let host
     // noise, not the core or the profiler, decide a ratio.
-    let (mut cycle_s, mut event_s, mut profiled_s) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut cycle_t, mut event_t, mut profiled_t) = (LegTime::NONE, LegTime::NONE, LegTime::NONE);
     let (mut cycle_stats, mut event_stats, mut outcomes) = (Vec::new(), Vec::new(), Vec::new());
     for rep in 0..PROFILE_REPS {
         let (cycled, c) = timed(|| serial(&cycle))?;
         let (evented, e) = timed(|| serial(&event))?;
         let (profiled, p) = timed(|| event.iter().map(profile_scenario).collect())?;
-        (cycle_s, event_s, profiled_s) = (cycle_s.min(c), event_s.min(e), profiled_s.min(p));
+        (cycle_t, event_t, profiled_t) = (cycle_t.min(c), event_t.min(e), profiled_t.min(p));
         if rep == 0 {
             (cycle_stats, event_stats, outcomes) = (cycled, evented, profiled);
         }
@@ -208,9 +269,9 @@ pub fn run_series(
         figure,
         points: specs.len(),
         core_cycles: event_stats.iter().map(|s| s.core_cycles).sum(),
-        cycle_s,
-        event_s,
-        profiled_s,
+        cycle: cycle_t,
+        event: event_t,
+        profiled: profiled_t,
         cores_identical,
         parallel_identical,
         conserved,

@@ -995,14 +995,14 @@ fn cmd_bench(args: &[String]) -> Outcome {
         }
         passed &= s.cores_identical && s.parallel_identical && s.conserved;
         outln!(
-            "  {name}: {} points, {} core cycles; cycle {:.3} s, event {:.3} s -> {:.2}x event \
+            "  {name}: {} points, {} core cycles; CPU cycle {:.3} s, event {:.3} s -> {:.2}x event \
              speedup; profiled {:.3} s -> {:.2}x overhead",
             s.points,
             s.core_cycles,
-            s.cycle_s,
-            s.event_s,
+            s.cycle.cpu_s,
+            s.event.cpu_s,
             s.event_speedup(),
-            s.profiled_s,
+            s.profiled.cpu_s,
             s.overhead(),
         );
         benches.push(s);

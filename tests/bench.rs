@@ -24,8 +24,10 @@ fn a_fence_series_agrees_across_cores_and_pool_and_conserves() {
 const DOC: &str = r#"{"schema":"orderlight/bench-sweep/v6","data_kb":8,"jobs":2,"core":"event",
 "cores_identical":true,"identical":true,"conserved":true,"figures":[
 {"figure":"fig05","points":5,"core_cycles":12798,"cycle_seconds":0.021,"event_seconds":0.010,
+ "cycle_wall_seconds":0.023,"event_wall_seconds":0.011,
  "cycle_points_per_sec":238.1,"event_points_per_sec":500.0,"event_speedup":2.1,
- "unprofiled_seconds":0.007,"profiled_seconds":0.009,"overhead":1.28,"conserved":true,
+ "unprofiled_seconds":0.007,"profiled_seconds":0.009,"profiled_wall_seconds":0.012,
+ "overhead":1.28,"conserved":true,
  "stalls":{"fence_drain":458,"fence_wait":176148},"stall_deltas":{"fence":0,"total":0}},
 {"figure":"fence-ts16","points":5,"core_cycles":26962,"cycle_seconds":0.015,
  "event_seconds":0.005,"event_speedup":3.0,"stalls":{"fence_wait":90000}}],
@@ -71,6 +73,9 @@ fn wall_clock_and_execution_settings_are_skipped() {
         ("\"core\":\"event\"", "\"core\":\"cycle\""),
         ("\"cycle_seconds\":0.021", "\"cycle_seconds\":0.5"),
         ("\"event_seconds\":0.010", "\"event_seconds\":0.2"),
+        ("\"cycle_wall_seconds\":0.023", "\"cycle_wall_seconds\":0.9"),
+        ("\"event_wall_seconds\":0.011", "\"event_wall_seconds\":0.4"),
+        ("\"profiled_wall_seconds\":0.012", "\"profiled_wall_seconds\":0.6"),
         ("\"cycle_points_per_sec\":238.1", "\"cycle_points_per_sec\":10"),
         ("\"event_points_per_sec\":500.0", "\"event_points_per_sec\":25"),
         ("\"event_speedup\":2.1", "\"event_speedup\":2.5"),
