@@ -62,12 +62,12 @@ pub struct BackendRecord {
     /// baseline itself; >1 means faster than draining at the core).
     pub speedup_vs_fence: f64,
     /// Whether the checked run was fully clean: oracle-silent, DRAM
-    /// bytes matching the golden model, zero backend sanity violations.
+    /// bytes matching the golden model, zero sanity violations.
     pub clean: bool,
     /// Happens-before violations the oracle flagged.
     pub violations: u64,
-    /// Backend-internal sanity violations (non-monotonic versions,
-    /// out-of-order retires).
+    /// Sanity violations (non-monotonic packet numbers or versions at
+    /// the controller's merge, out-of-order retires in the backend).
     pub sanity_violations: u64,
     /// In-band ordering packets merged at the controllers (OrderLight
     /// packets or Louvre versioned releases).

@@ -23,8 +23,8 @@ pub struct CheckOutcome {
 impl CheckOutcome {
     /// Whether the run was clean on all three axes: no happens-before
     /// edge violated, every output byte matching the golden model, and
-    /// no backend-internal sanity violation (non-monotonic packet
-    /// numbers, out-of-order retires).
+    /// no sanity violation (non-monotonic packet numbers at the
+    /// controller's merge, out-of-order retires in the backend).
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.report.is_clean() && self.stats.is_correct() && self.stats.mc.sanity_violations == 0
@@ -34,7 +34,7 @@ impl CheckOutcome {
     #[must_use]
     pub fn summary(&self) -> String {
         format!(
-            "{}; dram bytes: {} ok / {} wrong; {} backend sanity violation(s){}",
+            "{}; dram bytes: {} ok / {} wrong; {} sanity violation(s){}",
             self.report.summary(),
             self.stats.verified_matches,
             self.stats.verified_mismatches,

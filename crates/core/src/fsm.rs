@@ -49,7 +49,6 @@ pub fn diverge(marker: Marker, n_paths: usize) -> Vec<MarkerCopy> {
 #[derive(Debug, Default, Clone)]
 pub struct MergeFsm {
     arrived: HashMap<MarkerKey, u8>,
-    merges: u64,
 }
 
 impl MergeFsm {
@@ -70,7 +69,6 @@ impl MergeFsm {
         *count += 1;
         if *count >= copy.total_copies {
             self.arrived.remove(&key);
-            self.merges += 1;
             Some(copy.marker.clone())
         } else {
             None
@@ -81,12 +79,6 @@ impl MergeFsm {
     #[must_use]
     pub fn pending(&self) -> usize {
         self.arrived.len()
-    }
-
-    /// Total number of completed merges (statistics).
-    #[must_use]
-    pub fn merges(&self) -> u64 {
-        self.merges
     }
 }
 
@@ -122,7 +114,6 @@ mod tests {
         assert_eq!(fsm.pending(), 1);
         assert_eq!(fsm.on_copy(&copies[2]), Some(ol(7)));
         assert_eq!(fsm.pending(), 0);
-        assert_eq!(fsm.merges(), 1);
     }
 
     #[test]

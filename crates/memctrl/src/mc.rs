@@ -1,16 +1,16 @@
 //! The memory controller proper: ingress, FR-FCFS scheduler, per-bank
 //! command queues, DRAM command issue, and the PIM unit hookup.
 
-use crate::ordering::{MarkerAction, OrderingBackend, OrderingKind};
+use crate::ordering::{FenceTracker, MarkerAction, OrderingBackend, OrderingKind, MAX_GROUPS};
 use crate::queues::{PendingReq, QueueEntry, TransQueue, MAX_BANKS};
 use crate::txn::{Transaction, TxnKind};
-use orderlight::fsm::diverge;
+use orderlight::fsm::{diverge, MergeFsm};
 use orderlight::mapping::{AddressMapping, GroupMap};
 use orderlight::message::{Marker, MarkerKey, MemReq, MemResp};
 use orderlight::packet::OrderLightPacket;
 use orderlight::rng::Rng;
 use orderlight::slab::Slab;
-use orderlight::types::{BankId, MemCycle, MemGroupId};
+use orderlight::types::{BankId, GlobalWarpId, MemCycle, MemGroupId};
 use orderlight::{NextEvent, PimOp};
 use orderlight_hbm::{Channel, ColKind, DramCommand, NeededCommand};
 use orderlight_pim::PimUnit;
@@ -46,7 +46,7 @@ pub struct IssueRecord {
     /// `EXEC scale[3]`).
     pub what: String,
     /// Issuing warp for column/execute commands.
-    pub warp: Option<orderlight::types::GlobalWarpId>,
+    pub warp: Option<GlobalWarpId>,
     /// Per-warp request sequence number, when applicable.
     pub seq: Option<u64>,
 }
@@ -76,9 +76,9 @@ pub struct McConfig {
     /// (diagnostics / visualisation; off by default).
     pub trace: bool,
     /// Which [`OrderingBackend`] this controller enforces (default:
-    /// OrderLight group barriers). Every backend also services fence
-    /// probes, so the choice only matters for traffic that actually
-    /// exercises the ordering primitive.
+    /// OrderLight group barriers). The controller answers fence probes
+    /// under every backend, so the choice only matters for traffic that
+    /// actually exercises the ordering primitive.
     pub ordering: OrderingKind,
     /// Row-buffer management policy.
     pub page_policy: PagePolicy,
@@ -126,7 +126,8 @@ pub struct McStats {
     pub fence_acks: u64,
     /// OrderLight packets merged at the scheduler.
     pub ol_packets: u64,
-    /// Packet-number sanity violations observed.
+    /// Sanity violations observed: merged packet numbers that do not
+    /// rise per group, plus the backend's own (out-of-order retires).
     pub sanity_violations: u64,
     /// Memory cycle of the last issued command (busy-window end).
     pub last_issue_cycle: MemCycle,
@@ -234,6 +235,17 @@ pub struct MemoryController {
     busy: u64,
     exec_q: VecDeque<Transaction>,
     backend: Box<dyn OrderingBackend>,
+    /// Answers fence probes, whatever the backend (paper Section 6).
+    fences: FenceTracker,
+    /// Merges a marker's read/write copies at the scheduler stage
+    /// (paper Figure 9) before the backend sees it.
+    merge: MergeFsm,
+    /// Number of the last merged marker per group, for the
+    /// monotonicity sanity check.
+    last_number: [Option<u32>; MAX_GROUPS],
+    /// The drop-edge mutation's group: queued markers stop constraining
+    /// it in the transaction-queue scan. `None` in every normal run.
+    elide: Option<MemGroupId>,
     arrival_cycle: MemCycle,
     draining_writes: bool,
     out: Vec<MemResp>,
@@ -270,6 +282,10 @@ impl MemoryController {
             busy: 0,
             exec_q: VecDeque::new(),
             backend: cfg.ordering.build(),
+            fences: FenceTracker::default(),
+            merge: MergeFsm::new(),
+            last_number: [None; MAX_GROUPS],
+            elide: None,
             arrival_cycle: 0,
             draining_writes: false,
             out: Vec::new(),
@@ -296,15 +312,23 @@ impl MemoryController {
     }
 
     /// Activates the drop-one-ordering-edge mutation for `group` (see
-    /// [`OrderingBackend::set_elide_group`]).
+    /// [`OrderingBackend::set_elide_group`]). Under the fence baseline,
+    /// whose only edge is a probe's wait, probes are acknowledged early
+    /// instead. The resulting schedule is *incorrect by construction* —
+    /// this exists only so the ordering-violation oracle can be proven
+    /// to fire.
     pub fn set_elide_group(&mut self, group: MemGroupId) {
+        self.elide = Some(group);
+        if self.cfg.ordering == OrderingKind::Fence {
+            self.fences.arm_early_ack();
+        }
         self.backend.set_elide_group(group);
     }
 
     /// Ordering edges dropped by the elide mutation so far.
     #[must_use]
     pub fn ordering_edges_dropped(&self) -> u64 {
-        self.backend.edges_dropped()
+        self.backend.edges_dropped() + self.fences.edges_dropped()
     }
 
     /// The issue trace (empty unless [`McConfig::trace`] is set).
@@ -330,7 +354,7 @@ impl MemoryController {
         &mut self,
         cycle: MemCycle,
         what: impl FnOnce() -> String,
-        warp: Option<orderlight::types::GlobalWarpId>,
+        warp: Option<GlobalWarpId>,
         seq: Option<u64>,
     ) {
         if self.cfg.trace {
@@ -388,17 +412,8 @@ impl MemoryController {
                     });
                 }
                 Marker::FenceProbe { warp, fence_id, .. } => {
-                    if self.backend.on_probe(warp, fence_id) {
-                        self.stats.fence_acks += 1;
-                        self.out.push(MemResp::FenceAck { warp, fence_id });
-                        if self.traced {
-                            self.sink.emit(TraceEvent::FenceAck {
-                                cycle: self.arrival_cycle,
-                                channel: self.channel_id,
-                                warp: warp.0,
-                                fence_id,
-                            });
-                        }
+                    if self.fences.on_probe(warp, fence_id) {
+                        self.ack_fence(warp, fence_id, self.arrival_cycle);
                     }
                 }
             },
@@ -418,11 +433,12 @@ impl MemoryController {
                 };
                 let pim = req.is_pim();
                 let write_like = req.is_write_like();
+                self.fences.on_arrival(meta.warp);
                 // A controller-enforced backend may raise a synthetic
                 // barrier here (e.g. a bulk-bitwise epoch flip). It is
                 // recorded *before* this request's own enqueue event so
                 // the oracle's pre-set covers exactly the older requests.
-                if let Some(number) = self.backend.on_arrival(meta, group, pim, write_like) {
+                if let Some(number) = self.backend.on_arrival(meta, group, write_like) {
                     if self.traced {
                         self.sink.emit(TraceEvent::PacketEnqueued {
                             cycle: self.arrival_cycle,
@@ -541,8 +557,8 @@ impl MemoryController {
             let mut first_fit = None;
             let mut row_hit = None;
             let mut candidates: Vec<usize> = Vec::new();
-            let elide = self.backend.elide_group();
-            for (i, p) in q.eligible(|g| self.backend.group_blocked(g), elide, self.cfg.scan_depth)
+            for (i, p) in
+                q.eligible(|g| self.backend.group_blocked(g), self.elide, self.cfg.scan_depth)
             {
                 if !fits(p) {
                     continue;
@@ -591,18 +607,18 @@ impl MemoryController {
         }
     }
 
-    /// Offers ready marker copies to the backend's convergence FSM.
+    /// Offers ready marker copies to the convergence FSM.
     ///
     /// A copy is *offered* as soon as no constrained request remains
     /// ahead of it in its own queue, but it stays in place — still
     /// blocking its sub-path — until every sibling copy has been offered
-    /// and the merge fires (paper Figure 9); only then are all copies
-    /// removed. A backend may instead *hold* a fully-collected marker
-    /// (Louvre's versioned release): its copies stay queued, still
-    /// blocking, until [`OrderingBackend::take_released`] reports the
-    /// drain condition met.
+    /// and the merge fires (paper Figure 9). The merged packet's number
+    /// is sanity-checked, and then the backend decides: merge now, and
+    /// all copies are removed, or *hold* (Louvre's versioned release),
+    /// and the copies stay queued, still blocking, until
+    /// [`OrderingBackend::take_released`] reports the drain condition met.
     fn consume_markers(&mut self) {
-        for (key, packet) in self.backend.take_released() {
+        while let Some((key, packet)) = self.backend.take_released() {
             self.finish_merge(&key, &packet);
         }
         loop {
@@ -613,11 +629,20 @@ impl MemoryController {
                 };
                 self.queue_mut(side).mark_first_marker_offered();
                 progress = true;
-                match self.backend.on_marker(&copy) {
-                    MarkerAction::Merged(packet) => {
-                        self.finish_merge(&copy.marker.key(), &packet);
+                let Some(merged) = self.merge.on_copy(&copy) else { continue };
+                let (Marker::OrderLight(packet) | Marker::Release(packet)) = merged else {
+                    unreachable!("fence probes are answered at ingress, never queued");
+                };
+                self.stats.ol_packets += 1;
+                for group in packet.groups() {
+                    let last = self.last_number[group.index()].replace(packet.number());
+                    if last.is_some_and(|last| packet.number() <= last) {
+                        self.stats.sanity_violations += 1;
                     }
-                    MarkerAction::Pending | MarkerAction::Held => {}
+                }
+                let key = copy.marker.key();
+                if self.backend.on_merged(key, &packet) == MarkerAction::Merge {
+                    self.finish_merge(&key, &packet);
                 }
             }
             if !progress {
@@ -754,7 +779,8 @@ impl MemoryController {
                 self.stats.col_writes += 1;
             }
         }
-        let outcome = self.backend.on_retire(&txn);
+        let credit = self.backend.on_retire(&txn);
+        let fence_acks = self.fences.on_issue(txn.meta.warp);
         if self.traced {
             self.sink.emit(TraceEvent::ReqIssued {
                 cycle: now,
@@ -764,23 +790,28 @@ impl MemoryController {
                 seq: txn.meta.seq,
             });
         }
-        if outcome.credit {
+        if credit {
             // Return the buffer credit to the core (Kim et al. style).
             self.out.push(MemResp::Credit { warp: txn.meta.warp });
         }
-        for (warp, fence_id) in outcome.fence_acks {
-            self.stats.fence_acks += 1;
-            self.out.push(MemResp::FenceAck { warp, fence_id });
-            if self.traced {
-                self.sink.emit(TraceEvent::FenceAck {
-                    cycle: now,
-                    channel: self.channel_id,
-                    warp: warp.0,
-                    fence_id,
-                });
-            }
+        for (warp, fence_id) in fence_acks {
+            self.ack_fence(warp, fence_id, now);
         }
         self.stats.last_issue_cycle = now;
+    }
+
+    /// Sends the acknowledgement of `warp`'s fence `fence_id` up the pipe.
+    fn ack_fence(&mut self, warp: GlobalWarpId, fence_id: u64, cycle: MemCycle) {
+        self.stats.fence_acks += 1;
+        self.out.push(MemResp::FenceAck { warp, fence_id });
+        if self.traced {
+            self.sink.emit(TraceEvent::FenceAck {
+                cycle,
+                channel: self.channel_id,
+                warp: warp.0,
+                fence_id,
+            });
+        }
     }
 
     /// Classifies every bank's head transaction once, by the command it
@@ -969,6 +1000,8 @@ impl MemoryController {
             && self.write_q.is_empty()
             && self.exec_q.is_empty()
             && self.backend.is_idle()
+            && self.fences.pending() == 0
+            && self.merge.pending() == 0
             && self.out.is_empty()
     }
 
@@ -989,9 +1022,7 @@ impl MemoryController {
     #[must_use]
     pub fn stats(&self) -> McStats {
         let mut s = self.stats;
-        let b = self.backend.stats();
-        s.ol_packets = b.packets_merged;
-        s.sanity_violations = b.sanity_violations;
+        s.sanity_violations += self.backend.sanity_violations();
         s
     }
 
@@ -1061,10 +1092,13 @@ mod tests {
     use orderlight_pim::TsSize;
 
     fn mc() -> MemoryController {
-        let cfg = McConfig::default();
+        mc_with(McConfig::default().ordering)
+    }
+
+    fn mc_with(ordering: OrderingKind) -> MemoryController {
+        let cfg = McConfig { ordering, ..McConfig::default() };
         let channel = Channel::new(TimingParams::hbm_table1(), 16, 2048);
-        let pim = PimUnit::new(TsSize::Half, 2048, 16);
-        MemoryController::new(cfg, channel, pim)
+        MemoryController::new(cfg, channel, PimUnit::new(TsSize::Half, 2048, 16))
     }
 
     fn warp() -> GlobalWarpId {
@@ -1181,6 +1215,58 @@ mod tests {
         let mut out = Vec::new();
         m.tick(0, &mut out);
         assert!(matches!(out[0], MemResp::FenceAck { fence_id: 1, .. }));
+    }
+
+    #[test]
+    fn every_backend_merges_stray_packets_and_answers_an_idle_fence() {
+        for kind in OrderingKind::ALL {
+            let mut m = mc_with(kind);
+            m.push(ol_marker(1));
+            m.push(ol_marker(2));
+            m.push(fence_probe(1));
+            let (out, _) = run_until_idle(&mut m);
+            assert!(m.is_idle(), "{kind}");
+            let s = m.stats();
+            assert_eq!((s.ol_packets, s.fence_acks, s.sanity_violations), (2, 1, 0), "{kind}");
+            assert_eq!(out, vec![MemResp::FenceAck { warp: warp(), fence_id: 1 }], "{kind}");
+        }
+    }
+
+    #[test]
+    fn packet_numbers_are_sanity_checked_per_group_under_every_backend() {
+        for kind in OrderingKind::ALL {
+            let mut m = mc_with(kind);
+            m.push(ol_marker(5));
+            m.push(ol_marker(4));
+            m.push(ol_marker(6));
+            run_until_idle(&mut m);
+            assert_eq!(m.stats().sanity_violations, 1, "{kind}: one non-monotonic number");
+        }
+    }
+
+    /// The drop-edge mutation acknowledges a fence early only under the
+    /// fence backend, whose one edge is the probe's wait; other backends
+    /// drop their own edges and leave the fence service honest.
+    #[test]
+    fn only_the_fence_backend_mutation_acks_a_fence_early() {
+        // (backend, mutated, acked at ingress, edges dropped)
+        let rows = [
+            (OrderingKind::Fence, false, false, 0),
+            (OrderingKind::Fence, true, true, 1),
+            (OrderingKind::OrderLight, true, false, 0),
+        ];
+        for (kind, mutated, early, dropped) in rows {
+            let mut m = mc_with(kind);
+            m.push(pim_req(PimOp::Load, 0, 0, 1));
+            if mutated {
+                m.set_elide_group(MemGroupId(0));
+            }
+            m.push(fence_probe(7));
+            assert_eq!(m.stats().fence_acks, u64::from(early), "{kind} mutated={mutated}");
+            run_until_idle(&mut m);
+            assert_eq!(m.stats().fence_acks, 1, "{kind} mutated={mutated}: acked once");
+            assert_eq!(m.ordering_edges_dropped(), dropped, "{kind} mutated={mutated}");
+        }
     }
 
     #[test]

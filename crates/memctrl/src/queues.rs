@@ -251,9 +251,9 @@ impl TransQueue {
     /// flag state).
     ///
     /// `elide` is the drop-edge mutation hook: requests of that group
-    /// ignore in-queue markers entirely (the barrier half of the mutation
-    /// lives in `GroupOrdering`). It is `None` in every correct
-    /// configuration.
+    /// ignore in-queue markers entirely (the backend's half of the
+    /// mutation lives behind `OrderingBackend::set_elide_group`). It is
+    /// `None` in every correct configuration.
     pub fn eligible<'q>(
         &'q self,
         group_blocked: impl Fn(MemGroupId) -> bool + 'q,

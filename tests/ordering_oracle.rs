@@ -9,7 +9,9 @@
 //! 2. **Completeness on the seeded mutation** — eliding a single
 //!    ordering edge ([`DropEdge`]) must produce at least one reported
 //!    violation *and* wrong DRAM bytes. This is the mutation gate: an
-//!    oracle that stays silent here is vacuous.
+//!    oracle that stays silent here is vacuous. Each backend's mutant
+//!    outcome is pinned exactly, so a change to the mutated schedule
+//!    fails too.
 //! 3. **Fault determinism** — identical fault seeds yield bit-identical
 //!    perturbed schedules regardless of execution core or job-pool
 //!    width; different seeds genuinely perturb the schedule.
@@ -131,11 +133,25 @@ fn mutant_fires_the_oracle_and_corrupts_dram() {
     }
 }
 
+/// What the seeded mutant does on each backend (Add, 8 KiB, `DropEdge
+/// 0:0` with adversarial tie-breaks), pinned exactly and the same on
+/// both cores: `(edges_dropped, violations_total, verified_mismatches,
+/// sanity_violations)`. A refactor that changes the mutated schedule
+/// changes one of these, even while the run stays dirty.
+const MUTANT_OUTCOMES: [(OrderingMode, [u64; 4]); 5] = [
+    (OrderingMode::OrderLight, [6, 71, 12, 0]),
+    (OrderingMode::Fence, [5, 5, 0, 0]),
+    (OrderingMode::SeqNum, [32, 22, 10, 0]),
+    (OrderingMode::LouvreVersioned, [6, 71, 12, 0]),
+    (OrderingMode::BulkBitwiseStrong, [32, 44, 13, 43]),
+];
+
 /// The per-backend mutation gate: for every ordering backend, eliding
 /// the backend's own edges on one (channel, group) must make the
 /// checked run visibly dirty — a happens-before violation, a sanity
-/// violation, or corrupted DRAM bytes. A backend whose elision hook is
-/// wired but whose check stays green would be a vacuous gate.
+/// violation, or corrupted DRAM bytes — in exactly the pinned
+/// [`MUTANT_OUTCOMES`] way. A backend whose elision hook is wired but
+/// whose check stays green would be a vacuous gate.
 fn assert_mutation_fires(mode: OrderingMode, core: SimCore) {
     // The adversarial scheduler makes the window opened by the elided
     // edge actually get hit on every backend, not just the slow ones.
@@ -150,6 +166,18 @@ fn assert_mutation_fires(mode: OrderingMode, core: SimCore) {
     assert!(
         !outcome.is_clean(),
         "{mode} {core:?}: elided edges must dirty the check: {}",
+        outcome.summary()
+    );
+    let pinned = MUTANT_OUTCOMES.iter().find(|(m, _)| *m == mode).expect("every backend pinned");
+    assert_eq!(
+        [
+            outcome.edges_dropped,
+            outcome.report.violations_total,
+            outcome.stats.verified_mismatches,
+            outcome.stats.mc.sanity_violations,
+        ],
+        pinned.1,
+        "{mode} {core:?}: the mutant's outcome moved: {}",
         outcome.summary()
     );
 }
