@@ -168,12 +168,6 @@ impl AddressMapping {
         self.banks
     }
 
-    /// Bytes per interleave chunk.
-    #[must_use]
-    pub fn chunk_bytes(&self) -> u64 {
-        self.chunk_bytes
-    }
-
     /// Bytes per DRAM row (row-buffer size).
     #[must_use]
     pub fn row_bytes(&self) -> u64 {

@@ -36,10 +36,6 @@ pub struct Bank {
     next_pre: MemCycle,
     /// Cycle of the most recent ACT (row-residency tracing).
     opened_at: MemCycle,
-    /// Statistics: row activations.
-    activations: u64,
-    /// Statistics: column accesses.
-    col_accesses: u64,
 }
 
 impl Bank {
@@ -53,8 +49,6 @@ impl Bank {
             next_wr: 0,
             next_pre: 0,
             opened_at: 0,
-            activations: 0,
-            col_accesses: 0,
         }
     }
 
@@ -150,7 +144,6 @@ impl Bank {
         self.next_pre = now.saturating_add(t.ras);
         // Same-bank ACT-to-ACT (tRC) even across the next PRE.
         self.next_act = now.saturating_add(t.rc());
-        self.activations += 1;
     }
 
     /// Applies a column access at `now`.
@@ -175,7 +168,6 @@ impl Bank {
                 self.next_rd = self.next_rd.max(now.saturating_add(t.wl + t.wr));
             }
         }
-        self.col_accesses += 1;
     }
 
     /// Applies a PRE at `now`.
@@ -186,18 +178,6 @@ impl Bank {
         assert!(self.can_precharge(now), "PRE violates timing at {now}");
         self.state = BankState::Closed;
         self.next_act = self.next_act.max(now.saturating_add(t.rp));
-    }
-
-    /// Number of row activations so far.
-    #[must_use]
-    pub fn activations(&self) -> u64 {
-        self.activations
-    }
-
-    /// Number of column accesses so far.
-    #[must_use]
-    pub fn col_accesses(&self) -> u64 {
-        self.col_accesses
     }
 
     /// Earliest cycle a PRE may legally issue (absolute timestamp; the
@@ -306,8 +286,6 @@ mod tests {
         assert!(!b.can_activate(act_at - 1));
         assert!(b.can_activate(act_at));
         assert_eq!(act_at, t.row_window_writes(8));
-        assert_eq!(b.activations(), 1);
-        assert_eq!(b.col_accesses(), 8);
     }
 
     #[test]

@@ -71,7 +71,6 @@ pub struct Channel {
     /// materialised leaves it clear: absence is never cached, so a
     /// later [`store_mut`](Self::store_mut) write to the row is seen.
     open_slots: Vec<Option<RowSlot>>,
-    col_commands: u64,
     refresh: Option<RefreshParams>,
     /// Fault injection: when set, each fired refresh re-arms the next
     /// one after a seeded uniform draw instead of a fixed tREFI.
@@ -119,7 +118,6 @@ impl Channel {
             next_act_any: 0,
             store: FunctionalStore::new(row_bytes),
             open_slots: vec![None; n_banks],
-            col_commands: 0,
             refresh_due: refresh.map_or(0, |r| r.interval),
             refresh,
             storm: None,
@@ -258,12 +256,6 @@ impl Channel {
         self.banks.len()
     }
 
-    /// Total column commands issued (statistics).
-    #[must_use]
-    pub fn col_commands(&self) -> u64 {
-        self.col_commands
-    }
-
     /// The command needed next to reach a column access at `(bank, row)`.
     #[must_use]
     pub fn needed_command(&self, bank: BankId, row: u32) -> NeededCommand {
@@ -335,7 +327,6 @@ impl Channel {
                 let row = self.banks[bank.index()].open_row().expect("checked open");
                 self.banks[bank.index()].column(row, kind, now, &t);
                 self.next_col = now.saturating_add(t.ccd);
-                self.col_commands += 1;
                 if traced {
                     self.sink.emit(TraceEvent::DramCmd {
                         cycle: now,
@@ -477,7 +468,6 @@ mod tests {
         // Back on bank 0, the same-bank spacing is tCCDL (= 2 cycles).
         assert!(!c.try_issue(DramCommand::column(BankId(0), ColKind::Write), first + 1));
         assert!(c.try_issue(DramCommand::column(BankId(0), ColKind::Write), first + t.ccdl));
-        assert_eq!(c.col_commands(), 3);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod ordering;
 pub mod queues;
 pub mod txn;
 
-pub use mc::{IssueRecord, McConfig, McStats, MemoryController, PagePolicy};
+pub use mc::{McConfig, McStats, MemoryController, PagePolicy};
 pub use ordering::{FenceTracker, GroupOrdering, MarkerAction, OrderingBackend, OrderingKind};
 pub use queues::{QueueEntry, TransQueue, MAX_BANKS};
 pub use txn::Transaction;

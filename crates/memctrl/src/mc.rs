@@ -37,20 +37,6 @@ pub enum PagePolicy {
     Closed,
 }
 
-/// One issued command, recorded when tracing is enabled.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IssueRecord {
-    /// Memory cycle the command issued.
-    pub cycle: MemCycle,
-    /// Human-readable command (e.g. `ACT b0 r3`, `RD b0`,
-    /// `EXEC scale[3]`).
-    pub what: String,
-    /// Issuing warp for column/execute commands.
-    pub warp: Option<GlobalWarpId>,
-    /// Per-warp request sequence number, when applicable.
-    pub seq: Option<u64>,
-}
-
 /// Memory-controller configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct McConfig {
@@ -72,9 +58,6 @@ pub struct McConfig {
     pub write_drain_high: f64,
     /// Write-queue fill fraction that ends a write drain.
     pub write_drain_low: f64,
-    /// Record every issued command in an [`IssueRecord`] trace
-    /// (diagnostics / visualisation; off by default).
-    pub trace: bool,
     /// Which [`OrderingBackend`] this controller enforces (default:
     /// OrderLight group barriers). The controller answers fence probes
     /// under every backend, so the choice only matters for traffic that
@@ -96,7 +79,6 @@ impl Default for McConfig {
             scan_depth: 16,
             write_drain_high: 0.75,
             write_drain_low: 0.25,
-            trace: false,
             ordering: OrderingKind::OrderLight,
             page_policy: PagePolicy::Open,
         }
@@ -250,7 +232,6 @@ pub struct MemoryController {
     draining_writes: bool,
     out: Vec<MemResp>,
     stats: McStats,
-    trace: Vec<IssueRecord>,
     sink: SharedSink,
     /// `sink.is_enabled()`, read once in [`set_sink`](Self::set_sink).
     traced: bool,
@@ -290,7 +271,6 @@ impl MemoryController {
             draining_writes: false,
             out: Vec::new(),
             stats: McStats::default(),
-            trace: Vec::new(),
             sink: nop_sink(),
             traced: false,
             channel_id: 0,
@@ -331,12 +311,6 @@ impl MemoryController {
         self.backend.edges_dropped() + self.fences.edges_dropped()
     }
 
-    /// The issue trace (empty unless [`McConfig::trace`] is set).
-    #[must_use]
-    pub fn trace(&self) -> &[IssueRecord] {
-        &self.trace
-    }
-
     /// Attaches a trace sink, tagging this controller's events with
     /// `channel`. The sink is forwarded to the DRAM channel so per-bank
     /// commands are captured too. Sinks only observe; behaviour is
@@ -346,20 +320,6 @@ impl MemoryController {
         self.traced = sink.is_enabled();
         self.sink = sink;
         self.channel_id = channel;
-    }
-
-    /// Appends an issue record when tracing is on; `what` is only
-    /// formatted then, so an untraced run builds no strings.
-    fn record(
-        &mut self,
-        cycle: MemCycle,
-        what: impl FnOnce() -> String,
-        warp: Option<GlobalWarpId>,
-        seq: Option<u64>,
-    ) {
-        if self.cfg.trace {
-            self.trace.push(IssueRecord { cycle, what: what(), warp, seq });
-        }
     }
 
     /// Whether `req` can be accepted this cycle (backpressure point for
@@ -715,16 +675,6 @@ impl MemoryController {
     fn complete(&mut self, txn: Transaction, now: MemCycle) {
         let bank = txn.loc.bank;
         let col = txn.loc.col;
-        self.record(
-            now,
-            || match &txn.kind {
-                TxnKind::Pim(instr) => format!("{}", instr),
-                TxnKind::HostRead { .. } => format!("HOST_RD b{}", bank.0),
-                TxnKind::HostWrite { .. } => format!("HOST_WR b{}", bank.0),
-            },
-            Some(txn.meta.warp),
-            Some(txn.meta.seq),
-        );
         match txn.kind {
             TxnKind::Pim(instr) => {
                 self.stats.pim_commands += 1;
@@ -884,7 +834,6 @@ impl MemoryController {
             let row = self.bank_q[bank.index()].front().expect("head exists").loc.row;
             let issued = self.channel.try_issue(DramCommand::Activate { bank, row }, now);
             debug_assert!(issued);
-            self.record(now, || format!("ACT b{} r{row}", bank.0), None, None);
             self.stats.activates += 1;
             self.stats.last_issue_cycle = now;
             return;
@@ -892,7 +841,6 @@ impl MemoryController {
         if let Some(bank) = self.choose_bank(precharge) {
             let issued = self.channel.try_issue(DramCommand::Precharge { bank }, now);
             debug_assert!(issued);
-            self.record(now, || format!("PRE b{}", bank.0), None, None);
             self.stats.precharges += 1;
             self.stats.last_issue_cycle = now;
             return;
@@ -906,7 +854,6 @@ impl MemoryController {
                     continue;
                 }
                 if self.channel.try_issue(DramCommand::Precharge { bank }, now) {
-                    self.record(now, || format!("PRE b{} (closed-page)", bank.0), None, None);
                     self.stats.precharges += 1;
                     self.stats.last_issue_cycle = now;
                     return;
@@ -1090,6 +1037,8 @@ mod tests {
     use orderlight::{AluOp, PimInstruction, Reg};
     use orderlight_hbm::TimingParams;
     use orderlight_pim::TsSize;
+    use orderlight_trace::RingSink;
+    use std::sync::Arc;
 
     fn mc() -> MemoryController {
         mc_with(McConfig::default().ordering)
@@ -1391,37 +1340,34 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.exec_commands, 1);
         assert_eq!(s.pim_commands, 2);
-        assert_eq!(m.pim().stats().execute_commands, 1);
     }
 
     #[test]
     fn trace_records_commands_in_issue_order() {
-        let cfg = McConfig { trace: true, ..McConfig::default() };
-        let channel = Channel::new(TimingParams::hbm_table1(), 16, 2048);
-        let pim = PimUnit::new(TsSize::Half, 2048, 16);
-        let mut m = MemoryController::new(cfg, channel, pim);
+        let ring = Arc::new(RingSink::new(1024));
+        let mut m = mc();
+        m.set_sink(ring.clone(), 0);
         m.push(pim_req(PimOp::Load, 0, 0, 0));
         m.push(ol_marker(1));
         m.push(pim_req(PimOp::Store, 64, 0, 1));
         let (_, _) = run_until_idle(&mut m);
-        let trace = m.trace();
-        let kinds: Vec<&str> =
-            trace.iter().map(|r| r.what.split_whitespace().next().unwrap()).collect();
+        // The ACTs and the issued requests, in the order they happened.
+        let issued: Vec<(MemCycle, &str, Option<u64>)> = ring
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::DramCmd { cycle, kind: DramCmdKind::Activate, .. } => {
+                    Some((cycle, "ACT", None))
+                }
+                TraceEvent::ReqIssued { cycle, seq, .. } => Some((cycle, "issue", Some(seq))),
+                _ => None,
+            })
+            .collect();
         // ACT row 0, the load, then (same row) the store.
-        assert_eq!(kinds, vec!["ACT", "pim_load", "pim_store"]);
+        let kinds: Vec<_> = issued.iter().map(|&(_, what, seq)| (what, seq)).collect();
+        assert_eq!(kinds, vec![("ACT", None), ("issue", Some(0)), ("issue", Some(1))]);
         // Cycles are non-decreasing.
-        assert!(trace.windows(2).all(|w| w[0].cycle <= w[1].cycle));
-        // Column records carry warp identity and sequence numbers.
-        assert_eq!(trace[1].seq, Some(0));
-        assert_eq!(trace[2].seq, Some(1));
-    }
-
-    #[test]
-    fn trace_is_empty_when_disabled() {
-        let mut m = mc();
-        m.push(pim_req(PimOp::Load, 0, 0, 0));
-        let (_, _) = run_until_idle(&mut m);
-        assert!(m.trace().is_empty());
+        assert!(issued.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     /// The three-pass bank pick the one-pass [`MemoryController::ready_banks`]

@@ -15,18 +15,23 @@ use orderlight::{PimInstruction, PimOp};
 use orderlight_hbm::{Channel, TimingParams};
 use orderlight_memctrl::{McConfig, MemoryController};
 use orderlight_pim::{PimUnit, TsSize};
+use orderlight_trace::{RingSink, TraceEvent};
+use std::sync::Arc;
 
-fn controller() -> (MemoryController, AddressMapping) {
+/// A controller with its trace ring, and the address mapping.
+fn controller() -> (MemoryController, Arc<RingSink>, AddressMapping) {
     let mapping = AddressMapping::hbm_default();
     // Four groups of four banks: two PIM groups plus a bystander.
     let groups = GroupMap::new(16, 4).expect("valid");
-    let cfg = McConfig { mapping: mapping.clone(), groups, trace: true, ..McConfig::default() };
-    let mc = MemoryController::new(
+    let cfg = McConfig { mapping: mapping.clone(), groups, ..McConfig::default() };
+    let mut mc = MemoryController::new(
         cfg,
         Channel::new(TimingParams::hbm_table1(), 16, 2048),
         PimUnit::new(TsSize::Half, 2048, 16),
     );
-    (mc, mapping)
+    let ring = Arc::new(RingSink::new(1 << 16));
+    mc.set_sink(ring.clone(), 0);
+    (mc, ring, mapping)
 }
 
 fn pim_to(
@@ -60,18 +65,20 @@ fn drain(mc: &mut MemoryController) {
     }
 }
 
-/// Issue cycle of the traced command with sequence number `seq`.
-fn cycle_of(mc: &MemoryController, seq: u64) -> u64 {
-    mc.trace()
-        .iter()
-        .find(|r| r.seq == Some(seq))
+/// Issue cycle of the request with sequence number `seq`.
+fn cycle_of(ring: &RingSink, seq: u64) -> u64 {
+    ring.events()
+        .into_iter()
+        .find_map(|e| match e {
+            TraceEvent::ReqIssued { cycle, seq: s, .. } if s == seq => Some(cycle),
+            _ => None,
+        })
         .unwrap_or_else(|| panic!("request {seq} never issued"))
-        .cycle
 }
 
 #[test]
 fn multi_group_packet_is_a_joint_barrier_and_spares_the_third_group() {
-    let (mut mc, mapping) = controller();
+    let (mut mc, ring, mapping) = controller();
     // Phase 1: two rows' worth of loads in each PIM group — ~90 memory
     // cycles of work per group. Group 1's work is made slower so the
     // joint barrier visibly holds group 0's store past group 0's own
@@ -106,16 +113,16 @@ fn multi_group_packet_is_a_joint_barrier_and_spares_the_third_group() {
 
     // The joint barrier: group 0's store waits for group *1*'s last
     // load, which finishes long after group 0's own loads.
-    assert!(cycle_of(&mc, g1_last_load) > cycle_of(&mc, g0_last_load) + 40);
+    assert!(cycle_of(&ring, g1_last_load) > cycle_of(&ring, g0_last_load) + 40);
     assert!(
-        cycle_of(&mc, g0_store) > cycle_of(&mc, g1_last_load),
+        cycle_of(&ring, g0_store) > cycle_of(&ring, g1_last_load),
         "group-0 store must wait for group-1's pre-packet work (joint barrier)"
     );
-    assert!(cycle_of(&mc, g1_store) > cycle_of(&mc, g1_last_load));
+    assert!(cycle_of(&ring, g1_store) > cycle_of(&ring, g1_last_load));
     // The bystander group was never constrained: it issued while the
     // slow phase-1 work was still in progress.
     assert!(
-        cycle_of(&mc, bystander) < cycle_of(&mc, g1_last_load),
+        cycle_of(&ring, bystander) < cycle_of(&ring, g1_last_load),
         "group 2 must not be constrained by the group-0/1 packet"
     );
     assert_eq!(mc.stats().ol_packets, 1);
@@ -124,7 +131,7 @@ fn multi_group_packet_is_a_joint_barrier_and_spares_the_third_group() {
 
 #[test]
 fn single_group_packet_does_not_constrain_the_other_pim_group() {
-    let (mut mc, mapping) = controller();
+    let (mut mc, ring, mapping) = controller();
     // Slow phase 1 in group 0 only (two row switches).
     let mut seq = 0;
     for row in 0..2 {
@@ -141,9 +148,9 @@ fn single_group_packet_does_not_constrain_the_other_pim_group() {
     mc.push(pim_to(&mapping, PimOp::Store, 4, 0, 0, 1, g1_store));
     drain(&mut mc);
 
-    assert!(cycle_of(&mc, g0_store) > cycle_of(&mc, g0_last_load), "group 0 is ordered");
+    assert!(cycle_of(&ring, g0_store) > cycle_of(&ring, g0_last_load), "group 0 is ordered");
     assert!(
-        cycle_of(&mc, g1_store) < cycle_of(&mc, g0_last_load),
+        cycle_of(&ring, g1_store) < cycle_of(&ring, g0_last_load),
         "the group-1 store must slip past the group-0 barrier"
     );
 }

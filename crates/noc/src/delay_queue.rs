@@ -60,12 +60,6 @@ impl<T> DelayQueue<T> {
         self.items.is_empty()
     }
 
-    /// The traversal latency.
-    #[must_use]
-    pub fn latency(&self) -> CoreCycle {
-        self.latency
-    }
-
     /// Pushes an item at time `now`; it becomes poppable at
     /// `now + latency`.
     ///

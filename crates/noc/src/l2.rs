@@ -30,7 +30,6 @@ pub const SUB_PARTITIONS: usize = 2;
 pub struct L2Slice {
     subs: [DelayQueue<SlabRef>; SUB_PARTITIONS],
     merges: u64,
-    forwarded: u64,
     rr: usize,
     /// Acknowledge fence probes here — at the "global serialization
     /// point" — instead of forwarding them to the controller. This
@@ -64,7 +63,6 @@ impl L2Slice {
                 DelayQueue::new(sub_latency, sub_capacity),
             ],
             merges: 0,
-            forwarded: 0,
             rr: 0,
             fence_ack_here,
             pending_acks: Vec::new(),
@@ -180,7 +178,6 @@ impl L2Slice {
                 Some(&r) if !matches!(arena.get(r), MemReq::Marker(_)) && out.has_space() => {
                     let r = self.subs[i].pop_ready(now).expect("peeked ready");
                     out.push(r, now);
-                    self.forwarded += 1;
                 }
                 _ => {}
             }
@@ -233,12 +230,6 @@ impl L2Slice {
     #[must_use]
     pub fn merges(&self) -> u64 {
         self.merges
-    }
-
-    /// Requests forwarded to the L2-to-DRAM queue.
-    #[must_use]
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
     }
 }
 
@@ -300,7 +291,6 @@ mod tests {
         let mut out = DelayQueue::new(0, 8);
         let got = drain(&mut l2, &mut arena, &mut out, 3);
         assert_eq!(got.len(), 2);
-        assert_eq!(l2.forwarded(), 2);
         assert!(arena.is_empty(), "drained packets leave the arena");
     }
 

@@ -8,16 +8,14 @@
 //! * **TS size** ([`TsSize`]), expressed as a fraction of the 2 KB row
 //!   buffer: it bounds the tile size `N` — how many PIM instructions can
 //!   issue between ordering primitives (paper Figure 4).
-//! * **Bandwidth multiplication factor** ([`PimUnit::bmf`]): how much
+//! * **Bandwidth multiplication factor** (`bmf` in [`PimUnit::new`]): how much
 //!   internal bandwidth the PIM units of a channel collectively realise
 //!   over the host-visible bus. One fine-grained command is broadcast to
 //!   `BMF` lock-stepped units; the simulator models the representative
 //!   unit's slice and scales data-bandwidth accounting by `BMF`.
 
-pub mod alu;
 pub mod ts;
 pub mod unit;
 
-pub use alu::SimdAlu;
 pub use ts::{TemporaryStorage, TsSize};
-pub use unit::{PimUnit, PimUnitStats};
+pub use unit::PimUnit;

@@ -55,7 +55,6 @@ impl fmt::Display for TsSize {
 #[derive(Debug, Clone)]
 pub struct TemporaryStorage {
     slots: Vec<Stripe>,
-    high_water: usize,
 }
 
 impl TemporaryStorage {
@@ -66,7 +65,7 @@ impl TemporaryStorage {
     #[must_use]
     pub fn new(n_slots: usize) -> Self {
         assert!(n_slots > 0, "temporary storage needs at least one slot");
-        TemporaryStorage { slots: vec![Stripe::default(); n_slots], high_water: 0 }
+        TemporaryStorage { slots: vec![Stripe::default(); n_slots] }
     }
 
     /// Creates a TS sized as `size` of a `row_bytes` row buffer.
@@ -79,12 +78,6 @@ impl TemporaryStorage {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Highest slot index touched so far plus one (utilisation statistic).
-    #[must_use]
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 
     /// Reads a slot.
@@ -103,7 +96,6 @@ impl TemporaryStorage {
     /// Panics if `slot` is out of range.
     pub fn write(&mut self, slot: TsSlot, data: Stripe) {
         self.slots[slot.index()] = data;
-        self.high_water = self.high_water.max(slot.index() + 1);
     }
 }
 
@@ -135,14 +127,12 @@ mod tests {
     }
 
     #[test]
-    fn read_write_and_high_water() {
+    fn read_write() {
         let mut ts = TemporaryStorage::new(8);
         assert_eq!(ts.capacity(), 8);
-        assert_eq!(ts.high_water(), 0);
         ts.write(TsSlot(5), Stripe::splat(9));
         assert_eq!(ts.read(TsSlot(5)), Stripe::splat(9));
         assert_eq!(ts.read(TsSlot(0)), Stripe::default());
-        assert_eq!(ts.high_water(), 6);
     }
 
     #[test]

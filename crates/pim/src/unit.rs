@@ -5,26 +5,13 @@
 //! command spacing, command-bus occupancy) is enforced upstream by the
 //! memory controller and DRAM channel models. The unit's job is to make
 //! the data real — so an incorrectly ordered command stream produces
-//! incorrect bytes in DRAM.
+//! incorrect bytes in DRAM. Its SIMD ALU is [`orderlight::AluOp::apply`],
+//! the lane semantics the host core and the golden-model verifier share,
+//! so all three compute bit-identical results.
 
-use crate::alu::SimdAlu;
 use crate::ts::{TemporaryStorage, TsSize};
 use orderlight::types::{Stripe, TsSlot, BUS_BYTES};
 use orderlight::PimOp;
-
-/// Activity counters for one PIM unit.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PimUnitStats {
-    /// Fine-grained PIM commands processed.
-    pub commands: u64,
-    /// Commands that moved data between DRAM and TS.
-    pub dram_commands: u64,
-    /// Execute-only commands (no DRAM access).
-    pub execute_commands: u64,
-    /// Bytes of internal PIM data bandwidth consumed (already scaled by
-    /// the bandwidth multiplication factor).
-    pub data_bytes: u64,
-}
 
 /// One (representative) PIM compute unit attached to a channel.
 ///
@@ -44,9 +31,8 @@ pub struct PimUnitStats {
 #[derive(Debug, Clone)]
 pub struct PimUnit {
     ts: TemporaryStorage,
-    alu: SimdAlu,
     bmf: u32,
-    stats: PimUnitStats,
+    data_bytes: u64,
 }
 
 impl PimUnit {
@@ -58,30 +44,14 @@ impl PimUnit {
     #[must_use]
     pub fn new(ts_size: TsSize, row_bytes: u64, bmf: u32) -> Self {
         assert!(bmf > 0, "bandwidth multiplication factor must be positive");
-        PimUnit {
-            ts: TemporaryStorage::with_size(ts_size, row_bytes),
-            alu: SimdAlu::new(),
-            bmf,
-            stats: PimUnitStats::default(),
-        }
+        PimUnit { ts: TemporaryStorage::with_size(ts_size, row_bytes), bmf, data_bytes: 0 }
     }
 
-    /// The bandwidth multiplication factor over host bandwidth.
+    /// Bytes of internal PIM data bandwidth consumed so far, already
+    /// scaled by the bandwidth multiplication factor.
     #[must_use]
-    pub fn bmf(&self) -> u32 {
-        self.bmf
-    }
-
-    /// TS capacity in stripes (the tile size `N`).
-    #[must_use]
-    pub fn ts_capacity(&self) -> usize {
-        self.ts.capacity()
-    }
-
-    /// Activity counters.
-    #[must_use]
-    pub fn stats(&self) -> PimUnitStats {
-        self.stats
+    pub fn data_bytes(&self) -> u64 {
+        self.data_bytes
     }
 
     /// Applies one fine-grained PIM command.
@@ -95,11 +65,8 @@ impl PimUnit {
     /// Panics if `mem` presence does not match the opcode, or if the TS
     /// slot is out of range — both indicate kernel-generation bugs.
     pub fn apply(&mut self, op: PimOp, slot: TsSlot, mem: Option<Stripe>) -> Option<Stripe> {
-        self.stats.commands += 1;
-        let data_moved = op.accesses_dram();
-        if data_moved {
-            self.stats.dram_commands += 1;
-            self.stats.data_bytes += BUS_BYTES as u64 * u64::from(self.bmf);
+        if op.accesses_dram() {
+            self.data_bytes += BUS_BYTES as u64 * u64::from(self.bmf);
         }
         match op {
             PimOp::Load => {
@@ -114,15 +81,12 @@ impl PimUnit {
                     assert!(mem.is_none(), "immediate compute takes no memory stripe");
                     Stripe::default()
                 };
-                let out = self.alu.execute(alu_op, self.ts.read(slot), m);
-                self.ts.write(slot, out);
+                self.ts.write(slot, alu_op.apply(self.ts.read(slot), m));
                 None
             }
             PimOp::Execute(alu_op) => {
                 assert!(mem.is_none(), "execute-only command takes no memory stripe");
-                self.stats.execute_commands += 1;
-                let out = self.alu.execute(alu_op, self.ts.read(slot), Stripe::default());
-                self.ts.write(slot, out);
+                self.ts.write(slot, alu_op.apply(self.ts.read(slot), Stripe::default()));
                 None
             }
             PimOp::Store => {
@@ -153,7 +117,6 @@ mod tests {
         // The paper's Figure 4 kernel on one tile: load a, fetch-and-add
         // b, store c.
         let mut u = unit();
-        assert_eq!(u.ts_capacity(), 4);
         for i in 0..4u16 {
             u.apply(PimOp::Load, TsSlot(i), Some(Stripe::splat(10 + u32::from(i))));
         }
@@ -164,11 +127,7 @@ mod tests {
             let out = u.apply(PimOp::Store, TsSlot(i), None).unwrap();
             assert_eq!(out, Stripe::splat(110 + u32::from(i)));
         }
-        let s = u.stats();
-        assert_eq!(s.commands, 12);
-        assert_eq!(s.dram_commands, 12);
-        assert_eq!(s.execute_commands, 0);
-        assert_eq!(s.data_bytes, 12 * 32 * 16);
+        assert_eq!(u.data_bytes(), 12 * 32 * 16);
     }
 
     #[test]
@@ -177,9 +136,7 @@ mod tests {
         u.apply(PimOp::Load, TsSlot(0), Some(Stripe::splat(3)));
         u.apply(PimOp::Execute(AluOp::ScaleImm(7)), TsSlot(0), None);
         assert_eq!(u.ts_slot(TsSlot(0)), Stripe::splat(21));
-        let s = u.stats();
-        assert_eq!(s.execute_commands, 1);
-        assert_eq!(s.data_bytes, 32 * 16, "only the load moved data");
+        assert_eq!(u.data_bytes(), 32 * 16, "only the load moved data");
     }
 
     #[test]
@@ -195,8 +152,7 @@ mod tests {
     fn bmf_scales_data_bytes() {
         let mut u4 = PimUnit::new(TsSize::Sixteenth, 2048, 4);
         u4.apply(PimOp::Load, TsSlot(0), Some(Stripe::default()));
-        assert_eq!(u4.stats().data_bytes, 32 * 4);
-        assert_eq!(u4.bmf(), 4);
+        assert_eq!(u4.data_bytes(), 32 * 4);
     }
 
     #[test]

@@ -24,10 +24,12 @@ use orderlight::packet::OrderLightPacket;
 use orderlight::types::{BankId, ChannelId, GlobalWarpId, MemGroupId, TsSlot};
 use orderlight::{AluOp, PimInstruction, PimOp};
 use orderlight_hbm::{Channel, ColKind, DramCommand, TimingParams};
-use orderlight_memctrl::{IssueRecord, McConfig, MemoryController};
+use orderlight_memctrl::{McConfig, MemoryController};
 use orderlight_pim::{PimUnit, TsSize};
+use orderlight_trace::{DramCmdKind, RingSink, TraceEvent};
 use orderlight_workloads::{OrderingMode, WorkloadId};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// One point of a design-space sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -387,18 +389,42 @@ pub const FIG07_STRIPES: u64 = 4;
 
 /// Figure 7: the memory-controller issue trace of one vector-add tile
 /// (load `a` from row 0, fetch-and-add `b` from row 1, store `c` to
-/// row 2) under each ordering primitive.
+/// row 2) under each ordering primitive, read from the controller's
+/// trace events.
 #[derive(Debug, Clone)]
 pub struct Fig07 {
+    /// The tile's requests, indexed by sequence number.
+    tile: Vec<PimInstruction>,
     /// Fence: the core sends one phase, then stalls while it drains.
-    pub fence_trace: Vec<IssueRecord>,
+    /// Every trace event the controller emitted, in emission order.
+    pub fence_trace: Vec<TraceEvent>,
     /// Memory cycles each fence phase took to drain, one per phase.
     pub fence_drains: Vec<u64>,
     /// OrderLight: the whole tile streams with a packet after each
     /// phase, and the controller enforces the boundaries itself.
-    pub orderlight_trace: Vec<IssueRecord>,
+    pub orderlight_trace: Vec<TraceEvent>,
     /// Memory cycles the streamed OrderLight tile took to drain.
     pub orderlight_cycles: u64,
+}
+
+impl Fig07 {
+    /// The issue-trace line for `event`: `ACT b{bank} r{row}`,
+    /// `PRE b{bank}`, or the tile instruction of an issued request.
+    /// `None` for every other event, column commands included (the
+    /// issued request stands for its column command).
+    #[must_use]
+    pub(crate) fn describe(&self, event: &TraceEvent) -> Option<String> {
+        match *event {
+            TraceEvent::DramCmd { bank, kind: DramCmdKind::Activate, row, .. } => {
+                Some(format!("ACT b{bank} r{row}"))
+            }
+            TraceEvent::DramCmd { bank, kind: DramCmdKind::Precharge, .. } => {
+                Some(format!("PRE b{bank}"))
+            }
+            TraceEvent::ReqIssued { seq, .. } => Some(self.tile[seq as usize].to_string()),
+            _ => None,
+        }
+    }
 }
 
 /// Drives one controller by hand through the Figure 7 tile under both
@@ -411,24 +437,33 @@ pub fn fig07() -> Fig07 {
         let cfg = McConfig {
             mapping: mapping.clone(),
             groups: GroupMap::default(),
-            trace: true,
             ..McConfig::default()
         };
-        MemoryController::new(
+        let mut mc = MemoryController::new(
             cfg,
             Channel::new(TimingParams::hbm_table1(), 16, 2048),
             PimUnit::new(TsSize::Sixteenth, 2048, 16),
-        )
+        );
+        let ring = Arc::new(RingSink::new(4096));
+        mc.set_sink(ring.clone(), 0);
+        (mc, ring)
     };
-    let phase = |p: u64, op: PimOp| {
-        (0..FIG07_STRIPES).map(move |i| MemReq::Pim {
-            instr: PimInstruction {
+    let phases = [PimOp::Load, PimOp::Compute(AluOp::Add), PimOp::Store];
+    let tile: Vec<PimInstruction> = (0..)
+        .zip(phases)
+        .flat_map(|(p, op)| {
+            (0..FIG07_STRIPES).map(move |i| PimInstruction {
                 op,
                 addr: mapping.compose(ChannelId(0), p * 2048 + i * 32),
                 slot: TsSlot(i as u16),
                 group: MemGroupId(0),
-            },
-            meta: ReqMeta { warp: GlobalWarpId::new(0, 0), seq: p * FIG07_STRIPES + i },
+            })
+        })
+        .collect();
+    let phase = |p: u64| {
+        (p * FIG07_STRIPES..(p + 1) * FIG07_STRIPES).map(|seq| MemReq::Pim {
+            instr: tile[seq as usize],
+            meta: ReqMeta { warp: GlobalWarpId::new(0, 0), seq },
         })
     };
     let drain = |mc: &mut MemoryController, now: &mut u64| {
@@ -439,19 +474,18 @@ pub fn fig07() -> Fig07 {
             *now += 1;
         }
     };
-    let phases = [PimOp::Load, PimOp::Compute(AluOp::Add), PimOp::Store];
 
-    let (mut fence, mut now, mut fence_drains) = (controller(), 0, Vec::new());
-    for (p, op) in (0..).zip(phases) {
-        phase(p, op).for_each(|req| fence.push(req));
+    let ((mut fence, fence_ring), mut now, mut fence_drains) = (controller(), 0, Vec::new());
+    for p in 0..phases.len() as u64 {
+        phase(p).for_each(|req| fence.push(req));
         let start = now;
         drain(&mut fence, &mut now);
         fence_drains.push(now - start);
     }
 
-    let mut ol = controller();
-    for (p, op) in (0..).zip(phases) {
-        phase(p, op).for_each(|req| ol.push(req));
+    let (mut ol, ol_ring) = controller();
+    for p in 0..phases.len() as u64 {
+        phase(p).for_each(|req| ol.push(req));
         ol.push(MemReq::Marker(MarkerCopy {
             marker: Marker::OrderLight(OrderLightPacket::new(
                 ChannelId(0),
@@ -465,10 +499,11 @@ pub fn fig07() -> Fig07 {
     drain(&mut ol, &mut orderlight_cycles);
 
     Fig07 {
-        fence_trace: fence.trace().to_vec(),
+        fence_trace: fence_ring.events(),
         fence_drains,
-        orderlight_trace: ol.trace().to_vec(),
+        orderlight_trace: ol_ring.events(),
         orderlight_cycles,
+        tile,
     }
 }
 

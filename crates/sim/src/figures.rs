@@ -5,6 +5,7 @@
 //! the report text; printers that share a runner share the runs of
 //! their common design points.
 
+use crate::config::SystemConfig;
 use crate::experiments::{self, Runner, SweepPoint};
 use crate::report::{bar_chart, f3, format_table, speedup};
 use crate::stats::RunStats;
@@ -206,14 +207,18 @@ fn fig07(_: u64, _: &mut Runner) -> Result<String, SimError> {
     outln!(out, "One vector_add tile (N = {n} stripes), memory-controller issue trace\n");
     outln!(out, "(a) fence: the core sends one phase, then STALLS for the round trip");
     outln!(out, "    (probe down the pipe + acknowledgement back, ~440+ core cycles)\n");
-    for r in &f.fence_trace {
-        outln!(out, "    cycle {:>4}: {}", r.cycle, r.what);
+    for e in &f.fence_trace {
+        if let Some(what) = f.describe(e) {
+            outln!(out, "    cycle {:>4}: {what}", e.cycle());
+        }
     }
     outln!(out, "    core idle between phases (memory cycles): {:?}\n", f.fence_drains);
     outln!(out, "(b) OrderLight: the core streams the whole tile, packets between phases;");
     outln!(out, "    the controller enforces each boundary locally — the core never waits\n");
-    for r in &f.orderlight_trace {
-        outln!(out, "    cycle {:>4}: {}", r.cycle, r.what);
+    for e in &f.orderlight_trace {
+        if let Some(what) = f.describe(e) {
+            outln!(out, "    cycle {:>4}: {what}", e.cycle());
+        }
     }
     outln!(out, "\n    total: fence tile spanned the three stalls above; the OrderLight tile");
     outln!(
@@ -262,7 +267,8 @@ fn fig10a(data: u64, runner: &mut Runner) -> Result<String, SimError> {
     );
     outln!(
         out,
-        "peak external data bandwidth of the module: 435 GB/s (paper quotes 405 GB/s achievable)"
+        "peak external data bandwidth of the module: {:.0} GB/s (paper quotes 405 GB/s achievable)",
+        SystemConfig::default().peak_host_bandwidth_gbs()
     );
     Ok(out)
 }

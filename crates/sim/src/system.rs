@@ -1215,7 +1215,7 @@ impl System {
             mc.sanity_violations += x.sanity_violations;
             mc.last_issue_cycle = mc.last_issue_cycle.max(x.last_issue_cycle);
             mc.host_read_latency_sum += x.host_read_latency_sum;
-            pim_data_bytes += m.pim().stats().data_bytes;
+            pim_data_bytes += m.pim().data_bytes();
         }
         let core_hz = self.exp.system.core_freq_hz;
         let seconds = self.now as f64 / core_hz;

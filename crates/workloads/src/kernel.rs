@@ -353,12 +353,6 @@ impl PimKernelGen {
         (self.total_stripes - tile * self.tile_stripes).min(self.tile_stripes)
     }
 
-    /// Tiles the kernel runs.
-    #[must_use]
-    pub fn n_tiles(&self) -> u64 {
-        self.n_tiles
-    }
-
     fn push_ordering(&mut self) {
         match self.mode {
             // SeqNum and BulkBitwiseStrong enforce entirely at the
@@ -546,7 +540,6 @@ mod tests {
             8,
             OrderingMode::OrderLight,
         );
-        assert_eq!(g.n_tiles(), 2);
         let instrs = collect(g);
         assert_eq!(instrs.len(), 2 * (12 + 3));
         let pim: Vec<_> = instrs.iter().filter(|i| i.is_pim()).collect();
@@ -604,7 +597,11 @@ mod tests {
     fn tile_cap_limits_tile_size() {
         let spec = KernelSpec { tile_cap: Some(4), ..add_spec() };
         let g = PimKernelGen::new(spec, layout(3, 64), ChannelId(0), 32, 64, OrderingMode::None);
-        assert_eq!(g.n_tiles(), 16, "cap of 4 stripes overrides TS of 32");
+        let top_slot = collect(g).into_iter().filter_map(|i| match i {
+            KernelInstr::Pim(p) => Some(p.slot.0),
+            _ => None,
+        });
+        assert_eq!(top_slot.max(), Some(3), "cap of 4 stripes overrides TS of 32");
     }
 
     #[test]

@@ -127,12 +127,6 @@ impl Layout {
         self.group
     }
 
-    /// Stripes per structure per channel.
-    #[must_use]
-    pub fn stripes_per_structure(&self) -> u64 {
-        self.stripes_per_structure
-    }
-
     /// Rows each structure spans (across all interleaved banks).
     #[must_use]
     pub fn rows_per_structure(&self) -> u64 {

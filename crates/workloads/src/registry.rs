@@ -430,12 +430,6 @@ impl WorkloadInstance {
         }
     }
 
-    /// Warps cooperating per channel in host mode.
-    #[must_use]
-    pub fn host_slices(&self) -> u64 {
-        self.host_slices
-    }
-
     /// The workload identity (`None` for custom kernels).
     #[must_use]
     pub fn id(&self) -> Option<WorkloadId> {

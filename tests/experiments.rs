@@ -9,6 +9,7 @@ use orderlight_suite::sim::experiments::{
     fig11, fig12_points, fig13_points, table1, Runner, FIG07_STRIPES,
 };
 use orderlight_suite::sim::Pool;
+use orderlight_suite::trace::TraceEvent;
 
 const DATA: u64 = 32 * 1024;
 
@@ -46,12 +47,16 @@ fn fig07_fence_drains_each_phase_and_orderlight_streams_the_tile() {
     // never waits between them, which this controller-only trace leaves
     // out.
     assert!(f.orderlight_cycles <= fence_total, "{} vs {fence_total}", f.orderlight_cycles);
-    let column_cmds = |trace: &[orderlight_suite::memctrl::IssueRecord]| {
-        trace.iter().filter(|r| r.seq.is_some()).map(|r| r.seq).collect::<Vec<_>>()
+    let issued_seqs = |trace: &[TraceEvent]| {
+        let seqs = trace.iter().filter_map(|e| match e {
+            TraceEvent::ReqIssued { seq, .. } => Some(*seq),
+            _ => None,
+        });
+        seqs.collect::<Vec<_>>()
     };
-    let fence_cmds = column_cmds(&f.fence_trace);
-    assert_eq!(fence_cmds.len() as u64, 3 * FIG07_STRIPES);
-    assert_eq!(column_cmds(&f.orderlight_trace), fence_cmds, "same commands, same phase order");
+    let fence_seqs = issued_seqs(&f.fence_trace);
+    assert_eq!(fence_seqs.len() as u64, 3 * FIG07_STRIPES);
+    assert_eq!(issued_seqs(&f.orderlight_trace), fence_seqs, "same commands, same phase order");
 }
 
 #[test]

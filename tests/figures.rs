@@ -64,6 +64,17 @@ fn cheap_printers_render() {
     assert!(fig07.contains("finished in 96 memory cycles"), "{fig07}");
 }
 
+/// `figure fig07` prints the fig07 section of the golden `figure all`
+/// transcript byte for byte. The report drives two controllers by hand
+/// and does not depend on the data size.
+#[test]
+fn fig07_matches_the_golden_transcript() {
+    let golden = include_str!("golden/figure_all_8k.txt");
+    let start = golden.find("One vector_add tile").expect("fig07 section");
+    let end = start + golden[start..].find("\nFigure 10a").expect("fig10a follows fig07");
+    assert_eq!(report("fig07"), golden[start..end]);
+}
+
 /// Every printer renders the same text through one shared runner (as
 /// `orderlight figure all` runs them) as through a fresh runner of its
 /// own, and the shared runner runs each distinct design point once.
